@@ -21,7 +21,7 @@ from . import constructions as cons
 from . import graphs as gr
 from . import morse
 from .complexes import SimplicialComplex
-from .errors import GuardError, InvalidParameterError
+from .errors import GuardError, InvalidParameterError, ResourceLimitError
 from .homology import reduced_homology
 from .verify import SIZE_CLASSES, SCENARIOS, run_all, run_scenario, summary_table
 
@@ -113,9 +113,18 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _load_complex(path: str) -> SimplicialComplex:
+def _parse_file(path: str, parse, what: str):
+    """Parse a JSON input file; malformed content is a usage error."""
     with open(path) as fh:
-        return SimplicialComplex.from_json(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidParameterError(f"{path}: invalid {what} JSON: {exc}") from None
+
+
+def _load_complex(path: str) -> SimplicialComplex:
+    return _parse_file(path, SimplicialComplex.from_json, "complex")
 
 
 def _cmd_homology(args) -> int:
@@ -143,8 +152,9 @@ def _cmd_morse(args) -> int:
 def _cmd_collapse(args) -> int:
     cx = _load_complex(args.file)
     if args.replay:
-        with open(args.replay) as fh:
-            witness = morse.CollapseWitness.from_json(cx, fh.read())
+        witness = _parse_file(
+            args.replay, lambda text: morse.CollapseWitness.from_json(cx, text), "witness"
+        )
         ok = morse.replay_collapse(cx, witness)
         print(json.dumps({"replay": "valid" if ok else "invalid"}))
         return 0 if ok else 1
@@ -156,7 +166,7 @@ def _cmd_collapse(args) -> int:
         print(f"wrote {args.out} ({witness.verdict})")
     else:
         print(text)
-    return 0
+    return 0 if witness.is_collapsible() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,10 +224,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (GuardError, InvalidParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (GuardError, InvalidParameterError, ResourceLimitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

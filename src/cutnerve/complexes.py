@@ -144,12 +144,12 @@ class SimplicialComplex:
 
     # -- closure ------------------------------------------------------------
 
-    def all_faces(self, budget: int | None = None) -> list[tuple[int, ...]]:
+    def all_faces(self) -> list[tuple[int, ...]]:
         """Every face including the empty face, lexicographically sorted."""
         if self.void:
             return []
         if self._closure is None:
-            limit = budget if budget is not None else face_budget()
+            limit = face_budget()
             faces: set[tuple[int, ...]] = set()
             for facet in self.facets:
                 for r in range(len(facet) + 1):
@@ -160,33 +160,33 @@ class SimplicialComplex:
             object.__setattr__(self, "_closure", sorted(faces))
         return self._closure
 
-    def faces_of_dim(self, d: int, budget: int | None = None) -> list[tuple[int, ...]]:
-        return [f for f in self.all_faces(budget) if len(f) == d + 1]
+    def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
+        return [f for f in self.all_faces() if len(f) == d + 1]
 
-    def faces_by_dim(self, budget: int | None = None) -> dict[int, list[tuple[int, ...]]]:
+    def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         out: dict[int, list[tuple[int, ...]]] = {}
-        for f in self.all_faces(budget):
+        for f in self.all_faces():
             out.setdefault(len(f) - 1, []).append(f)
         return out
 
-    def face_count(self, budget: int | None = None) -> int:
-        return len(self.all_faces(budget))
+    def face_count(self) -> int:
+        return len(self.all_faces())
 
-    def f_vector(self, budget: int | None = None) -> tuple[int, ...]:
+    def f_vector(self) -> tuple[int, ...]:
         """Counts (f_-1, f_0, ..., f_d); empty tuple for the void complex."""
         if self.void:
             return ()
-        by_dim = self.faces_by_dim(budget)
+        by_dim = self.faces_by_dim()
         top = max(by_dim)
         return tuple(len(by_dim.get(d, [])) for d in range(-1, top + 1))
 
-    def euler_characteristic_reduced(self, budget: int | None = None) -> int:
+    def euler_characteristic_reduced(self) -> int:
         """chi~ = -1 + sum_{d>=0} (-1)^d f_d; 0 for the void complex."""
         if self.void:
             return 0
         # position i of the f-vector counts faces of dimension i - 1; the sign
         # stays an int (``(-1) ** -1`` would be the float -1.0)
-        fv = self.f_vector(budget)
+        fv = self.f_vector()
         return sum(count if i % 2 else -count for i, count in enumerate(fv))
 
     # -- equality and serialization ------------------------------------------

@@ -107,12 +107,12 @@ class Cover:
         gens = [self.generator_faces[k] for k in sorted(self.part_generators[i])]
         return from_facets(self.base.labels, gens)
 
-    def part_faces(self, i: int, budget: int | None = None) -> set[tuple[int, ...]]:
+    def part_faces(self, i: int) -> set[tuple[int, ...]]:
         """Explicit nonempty faces of part i (for tests and diagnostics)."""
         cx = self.part_complex(i)
         if cx.is_void():
             return set()
-        return {f for f in cx.all_faces(budget) if f}
+        return {f for f in cx.all_faces() if f}
 
     def supports(self) -> tuple[frozenset, ...]:
         """Per part, the set of base vertices covered by its generators."""

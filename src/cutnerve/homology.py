@@ -9,8 +9,9 @@ The Smith normal form runs in two phases.  Unit entries (the bulk of any
 boundary matrix) are eliminated first, choosing pivots greedily from the
 sparsest columns to limit fill-in.  Whatever remains is reduced by the
 textbook algorithm: minimal absolute pivot, gcd sweeps until the pivot
-divides its row and column, then elimination.  The diagonal is normalized
-into a divisibility chain at the end; the invariant factors are unique, so
+divides its row and column, then elimination.  That phase's diagonal is
+normalized into a divisibility chain at the end (unit pivots divide
+everything and need no normalizing); the invariant factors are unique, so
 the pivot order cannot affect results.
 """
 
@@ -52,14 +53,8 @@ class SparseIntMatrix:
         self.rows.setdefault(r, {})[c] = v
         self.cols.setdefault(c, set()).add(r)
 
-    def get(self, r: int, c: int) -> int:
-        return self.rows.get(r, {}).get(c, 0)
-
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows.values())
-
-    def entries(self) -> dict[tuple[int, int], int]:
-        return {(r, c): v for r, row in self.rows.items() for c, v in row.items()}
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.ncols for _ in range(self.nrows)]
@@ -67,13 +62,6 @@ class SparseIntMatrix:
             for c, v in row.items():
                 out[r][c] = v
         return out
-
-    def transpose(self) -> "SparseIntMatrix":
-        t = SparseIntMatrix(self.ncols, self.nrows)
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                t.set(c, r, v)
-        return t
 
     def copy(self) -> "SparseIntMatrix":
         m = SparseIntMatrix(self.nrows, self.ncols)
@@ -302,7 +290,7 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     work = m.copy()
     units = _unit_phase(work)
     residual = _textbook_phase(work)
-    return _divisibility_chain([1] * units + residual)
+    return (1,) * units + _divisibility_chain(residual)
 
 
 def matrix_rank(m: SparseIntMatrix) -> int:
@@ -313,7 +301,7 @@ def matrix_rank(m: SparseIntMatrix) -> int:
 # boundary matrices
 # ---------------------------------------------------------------------------
 
-def boundary_matrix(cx: SimplicialComplex, d: int, budget: int | None = None) -> SparseIntMatrix:
+def boundary_matrix(cx: SimplicialComplex, d: int) -> SparseIntMatrix:
     """The boundary operator from d-chains to (d-1)-chains with the
     orientation induced by sorted vertex order.  Degree 0 maps vertices onto
     the empty face (the augmentation), which is what makes the homology
@@ -322,19 +310,10 @@ def boundary_matrix(cx: SimplicialComplex, d: int, budget: int | None = None) ->
         raise VoidComplexError("boundary matrices are undefined on the void complex")
     if d < 0:
         raise InvalidParameterError(f"boundary degree must be >= 0, got {d}")
-    by_dim = cx.faces_by_dim(budget)
-    lower = by_dim.get(d - 1, [])
-    upper = by_dim.get(d, [])
-    m = SparseIntMatrix(len(lower), len(upper))
-    index = {f: i for i, f in enumerate(lower)}
-    for c, f in enumerate(upper):
-        for pos in range(len(f)):
-            sub = f[:pos] + f[pos + 1:]
-            m.set(index[sub], c, -1 if pos % 2 else 1)
-    return m
+    return _boundary_from_faces(cx.faces_by_dim(), d)
 
 
-def _boundary_parts(by_dim: dict[int, list], d: int) -> SparseIntMatrix:
+def _boundary_from_faces(by_dim: dict[int, list], d: int) -> SparseIntMatrix:
     lower = by_dim.get(d - 1, [])
     upper = by_dim.get(d, [])
     m = SparseIntMatrix(len(lower), len(upper))
@@ -445,7 +424,7 @@ def _trim(betti: list[int]) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def reduced_homology(cx: SimplicialComplex, budget: int | None = None) -> HomologyProfile:
+def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
     """Exact reduced homology profile of the complex."""
     if cx._homology is not None:
         return cx._homology
@@ -454,12 +433,12 @@ def reduced_homology(cx: SimplicialComplex, budget: int | None = None) -> Homolo
     elif cx.is_empty_complex():
         profile = HomologyProfile(minus_one_rank=1)
     else:
-        by_dim = cx.faces_by_dim(budget)
+        by_dim = cx.faces_by_dim()
         top = max(by_dim)
         ranks = {0: 1}  # augmentation row is hit by every vertex
         invariants: dict[int, tuple[int, ...]] = {}
         for d in range(1, top + 1):
-            inv = smith_normal_form(_boundary_parts(by_dim, d))
+            inv = smith_normal_form(_boundary_from_faces(by_dim, d))
             invariants[d] = inv
             ranks[d] = len(inv)
         ranks[top + 1] = 0
@@ -477,13 +456,13 @@ def reduced_homology(cx: SimplicialComplex, budget: int | None = None) -> Homolo
     return profile
 
 
-def is_wedge_of_spheres_profile(cx: SimplicialComplex, d: int, m: int, budget: int | None = None) -> bool:
+def is_wedge_of_spheres_profile(cx: SimplicialComplex, d: int, m: int) -> bool:
     """True iff the reduced homology is exactly m copies of Z in degree d
     with no torsion (m = 0 asks for trivial homology)."""
-    return reduced_homology(cx, budget).is_wedge(d, m)
+    return reduced_homology(cx).is_wedge(d, m)
 
 
-def join_homology_check(a: SimplicialComplex, b: SimplicialComplex, budget: int | None = None):
+def join_homology_check(a: SimplicialComplex, b: SimplicialComplex):
     """Verify the join rank identity: the reduced rank of the join in degree
     r equals the convolution of the factors' ranks over p + q = r - 1.
 
@@ -492,13 +471,13 @@ def join_homology_check(a: SimplicialComplex, b: SimplicialComplex, budget: int 
     failed)."""
     from .complexes import join
 
-    pa = reduced_homology(a, budget)
-    pb = reduced_homology(b, budget)
+    pa = reduced_homology(a)
+    pb = reduced_homology(b)
     if pa.has_torsion() or pb.has_torsion():
         return None
     if pa.void or pb.void:
         return None
-    pj = reduced_homology(join(a, b), budget)
+    pj = reduced_homology(join(a, b))
     top = len(pa.betti) + len(pb.betti) + 1
     # treat the empty complex as a (-1)-sphere: one unit of rank in degree -1
     ra = {d: b_ for d, b_ in enumerate(pa.betti)}

@@ -81,30 +81,32 @@ def element_matching(cx: SimplicialComplex, v, matching: Matching | None = None)
     """Extend ``matching`` by pairing sigma with sigma + {v} wherever both
     are faces and both are still unmatched.  The result does not depend on
     the processing order for a fixed v."""
-    vi = _resolve_vertex(cx, v)
-    faces = set(cx.all_faces())
-    old_pairs = list(matching.pairs) if matching else []
-    taken = set()
-    for s, t in old_pairs:
-        taken.add(s)
-        taken.add(t)
-    new_pairs = []
-    for sigma in sorted(faces, key=lambda f: (len(f), f)):
-        if vi in sigma or sigma in taken:
-            continue
-        tau = tuple(sorted(sigma + (vi,)))
-        if tau in faces and tau not in taken:
-            new_pairs.append((sigma, tau))
-            taken.add(sigma)
-            taken.add(tau)
-    return Matching(old_pairs + new_pairs)
+    return _extend_matching(cx, [v], matching)
 
 
 def element_matching_sequence(cx: SimplicialComplex, vertices) -> Matching:
-    m: Matching | None = None
-    for v in vertices:
-        m = element_matching(cx, v, m)
-    return m if m is not None else Matching([])
+    return _extend_matching(cx, vertices, None)
+
+
+def _extend_matching(cx: SimplicialComplex, vertices, matching: Matching | None) -> Matching:
+    """Apply ``element_matching`` for each vertex in turn, building the face
+    set and its (dimension, face) order once for the whole sequence."""
+    vis = [_resolve_vertex(cx, v) for v in vertices]
+    faces = cx.all_faces()
+    face_set = set(faces)
+    order = sorted(faces, key=lambda f: (len(f), f))
+    pairs = list(matching.pairs) if matching else []
+    taken = {f for pair in pairs for f in pair}
+    for vi in vis:
+        for sigma in order:
+            if vi in sigma or sigma in taken:
+                continue
+            tau = tuple(sorted(sigma + (vi,)))
+            if tau in face_set and tau not in taken:
+                pairs.append((sigma, tau))
+                taken.add(sigma)
+                taken.add(tau)
+    return Matching(pairs)
 
 
 def is_acyclic(cx: SimplicialComplex, matching: Matching):
@@ -209,23 +211,39 @@ def free_faces(cx: SimplicialComplex) -> list[tuple[tuple, tuple]]:
     return out
 
 
-def _remove_free_interval(faces: set, sigma, tau):
-    """Remove {gamma : sigma <= gamma <= tau} after checking that tau is the
-    only face extending sigma beyond the interval.  Mutates ``faces``."""
-    ss, ts = set(sigma), set(tau)
+def _remove_pair(faces: set, cof: dict, sigma, tau) -> list[tuple]:
+    """Remove the free pair (sigma, tau) from ``faces`` and from the coface
+    sets of their facets.  Returns the faces whose coface sets shrank."""
+    faces.discard(sigma)
+    faces.discard(tau)
+    touched = []
+    for g in (sigma, tau):
+        if len(g) >= 2:
+            for pos in range(len(g)):
+                sub = g[:pos] + g[pos + 1:]
+                if sub in faces:
+                    cof[sub].discard(g)
+                    touched.append(sub)
+    return touched
+
+
+def _collapse_interval(faces: set, cof: dict, sigma, tau):
+    """Remove {gamma : sigma <= gamma <= tau} as pair steps: fix a vertex e
+    of tau - sigma and pair each gamma from sigma up to tau - {e} with
+    gamma + {e}, largest gamma first, checking each pair free."""
     if sigma not in faces or tau not in faces:
         raise InvalidCollapseError(f"({sigma}, {tau}): not faces of the complex")
-    if not ss < ts:
+    if not set(sigma) < set(tau):
         raise InvalidCollapseError(f"({sigma}, {tau}): not a nested pair")
-    for f in faces:
-        if ss <= set(f) and not set(f) <= ts:
-            raise InvalidCollapseError(
-                f"{sigma} is not free: also contained in {f}"
-            )
-    extra = sorted(ts - ss)
-    for r in range(len(extra) + 1):
+    *extra, e = (v for v in tau if v not in sigma)
+    for r in range(len(extra), -1, -1):
         for add in combinations(extra, r):
-            faces.discard(tuple(sorted(sigma + add)))
+            gamma = tuple(sorted(sigma + add))
+            up = tuple(sorted(gamma + (e,)))
+            if cof[gamma] != {up}:
+                other = min(cof[gamma] - {up})
+                raise InvalidCollapseError(f"{sigma} is not free: also contained in {other}")
+            _remove_pair(faces, cof, gamma, up)
 
 
 def elementary_collapse(cx: SimplicialComplex, sigma, tau) -> SimplicialComplex:
@@ -237,10 +255,7 @@ def elementary_collapse(cx: SimplicialComplex, sigma, tau) -> SimplicialComplex:
     sigma, tau = tuple(sorted(sigma)), tuple(sorted(tau))
     if not sigma:
         raise InvalidCollapseError("the empty face is never collapsed")
-    faces = {f for f in cx.all_faces() if f}
-    _remove_free_interval(faces, sigma, tau)
-    remaining = faces if faces else [()]
-    return from_facets(cx.labels, remaining)
+    return collapse_complex(cx, [(sigma, tau)])
 
 
 @dataclass(frozen=True)
@@ -282,9 +297,14 @@ class CollapseWitness:
 
 def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
     """Re-run the witness from scratch, checking the free-face condition at
-    every step and the terminal face set at the end."""
+    every step and the terminal face set at the end.  The checker keeps its
+    own coface bookkeeping, so it shares no code with the search."""
     faces = {f for f in cx.all_faces() if f}
-    cof = _coface_map(faces)
+    cof: dict[tuple, set] = {f: set() for f in faces}
+    for f in faces:
+        if len(f) >= 2:
+            for pos in range(len(f)):
+                cof[f[:pos] + f[pos + 1:]].add(f)
     for sigma, tau in witness.steps:
         if sigma not in faces or tau not in faces:
             return False
@@ -304,134 +324,33 @@ def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
 def greedy_collapse(
     cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET
 ) -> CollapseWitness:
-    """Collapse toward a single vertex, always taking the lexicographically
-    least free pair; on a dead end, backtrack over the alternatives within
-    the step budget.
+    """Collapse toward a single vertex in one descent that always takes the
+    least free pair by (dimension, vertex tuple).
 
-    The first descent runs on a lazy heap (coface counts only decrease, so
-    popped entries validate cheaply).  Only if that descent strands does the
-    search restart with full backtracking.  Exhausting the budget yields
-    verdict "unknown" with the smallest terminal subcomplex reached;
-    collapsibility is NP-hard in general, so "unknown" is not a refutation."""
+    The descent runs on a lazy heap: coface counts only decrease, so popped
+    entries validate cheaply.  A descent that strands, or that has taken
+    ``budget`` steps, yields verdict "unknown" with its steps and the faces
+    left, which replay like any other witness.  Collapsibility is
+    NP-complete in general, so "unknown" is not a refutation."""
     if cx.is_void():
         raise VoidComplexError("cannot collapse the void complex")
-    all_nonempty = {f for f in cx.all_faces() if f}
-    if not all_nonempty:
+    faces = {f for f in cx.all_faces() if f}
+    if not faces:
         return CollapseWitness((), (), "unknown", 0)
-    if len(all_nonempty) == 1:
-        return CollapseWitness((), tuple(sorted(all_nonempty)), "collapsible", 0)
-
-    def fast_descent():
-        faces = set(all_nonempty)
-        cof = _coface_map(faces)
-        heap = [
-            (len(s), s, next(iter(ts)))
-            for s, ts in cof.items()
-            if len(ts) == 1
-        ]
-        heapq.heapify(heap)
-        steps = []
-        while len(faces) > 1 and heap:
-            d, sigma, tau = heapq.heappop(heap)
-            if sigma not in faces or cof[sigma] != {tau}:
-                continue
-            faces.discard(sigma)
-            faces.discard(tau)
-            steps.append((sigma, tau))
-            for g in (sigma, tau):
-                if len(g) >= 2:
-                    for pos in range(len(g)):
-                        sub = g[:pos] + g[pos + 1:]
-                        if sub in faces and g in cof[sub]:
-                            cof[sub].discard(g)
-                            if len(cof[sub]) == 1:
-                                heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
-            if len(steps) > budget:
-                break
-        return steps, faces
-
-    steps, remaining = fast_descent()
-    if len(remaining) == 1:
-        return CollapseWitness(tuple(steps), tuple(sorted(remaining)), "collapsible", len(steps))
-    if len(steps) >= budget:
-        return CollapseWitness(tuple(steps), tuple(sorted(remaining)), "unknown", len(steps))
-
-    # backtracking restart: explore the choice tree in the same lex order
-    faces = set(all_nonempty)
     cof = _coface_map(faces)
-
-    def free_pairs():
-        out = [
-            (s, next(iter(ts)))
-            for s, ts in cof.items()
-            if s in faces and len(ts) == 1
-        ]
-        out.sort(key=lambda p: (len(p[0]), p[0], p[1]))
-        return out
-
-    def apply(sigma, tau):
-        faces.discard(sigma)
-        faces.discard(tau)
-        touched = []
-        for g in (sigma, tau):
-            if len(g) >= 2:
-                for pos in range(len(g)):
-                    sub = g[:pos] + g[pos + 1:]
-                    if sub in cof and g in cof[sub]:
-                        cof[sub].discard(g)
-                        touched.append((sub, g))
-        return touched
-
-    def undo(sigma, tau, touched):
-        for sub, g in touched:
-            cof[sub].add(g)
-        faces.add(sigma)
-        faces.add(tau)
-
-    steps_tried = len(steps)
-    trail: list[tuple] = []
-    best_terminal = tuple(sorted(remaining))
-    dead_states: set[int] = set()
-    candidates = free_pairs()
-    pos = 0
-    while True:
-        if len(faces) == 1:
-            witness_steps = tuple((s, t) for s, t, _, _, _ in trail)
-            return CollapseWitness(witness_steps, tuple(sorted(faces)), "collapsible", steps_tried)
-        progressed = False
-        while pos < len(candidates):
-            sigma, tau = candidates[pos]
-            if sigma in faces and tau in faces and cof[sigma] == {tau}:
-                if steps_tried >= budget:
-                    return CollapseWitness(
-                        tuple((s, t) for s, t, _, _, _ in trail),
-                        best_terminal,
-                        "unknown",
-                        steps_tried,
-                    )
-                touched = apply(sigma, tau)
-                steps_tried += 1
-                if hash(frozenset(faces)) in dead_states:
-                    undo(sigma, tau, touched)
-                    pos += 1
-                    continue
-                trail.append((sigma, tau, touched, candidates, pos))
-                if len(faces) < len(best_terminal):
-                    best_terminal = tuple(sorted(faces))
-                candidates = free_pairs()
-                pos = 0
-                progressed = True
-                break
-            else:
-                pos += 1
-        if progressed:
+    heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
+    heapq.heapify(heap)
+    steps = []
+    while len(faces) > 1 and heap and len(steps) < budget:
+        _, sigma, tau = heapq.heappop(heap)
+        if sigma not in faces or cof[sigma] != {tau}:
             continue
-        dead_states.add(hash(frozenset(faces)))
-        if not trail:
-            return CollapseWitness((), best_terminal, "unknown", steps_tried)
-        sigma, tau, touched, candidates, pos = trail.pop()
-        undo(sigma, tau, touched)
-        pos += 1
+        steps.append((sigma, tau))
+        for sub in _remove_pair(faces, cof, sigma, tau):
+            if len(cof[sub]) == 1:
+                heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
+    verdict = "collapsible" if len(faces) == 1 else "unknown"
+    return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, len(steps))
 
 
 def cone_collapse_witness(cx: SimplicialComplex, apex) -> CollapseWitness:
@@ -488,6 +407,7 @@ def collapse_complex(cx: SimplicialComplex, steps) -> SimplicialComplex:
     """Apply a sequence of free-pair collapses (interval semantics, same as
     ``elementary_collapse``) and return the result."""
     faces = {f for f in cx.all_faces() if f}
+    cof = _coface_map(faces)
     for sigma, tau in steps:
-        _remove_free_interval(faces, tuple(sorted(sigma)), tuple(sorted(tau)))
+        _collapse_interval(faces, cof, tuple(sorted(sigma)), tuple(sorted(tau)))
     return from_facets(cx.labels, faces if faces else [()])

@@ -102,10 +102,11 @@ def test_total_cut_c6_face_count_frozen():
     assert c.face_count() == 51  # frozen from the subset-closure oracle
 
 
-def test_budget_exceeded_names_budget():
+def test_budget_exceeded_names_budget(monkeypatch):
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
     c = cx.full_simplex("abcdefgh")
     with pytest.raises(ResourceLimitError) as err:
-        c.all_faces(budget=10)
+        c.all_faces()
     assert err.value.budget == 10
 
 

@@ -73,6 +73,16 @@ def test_ladder7_sequential_matching_critical_count():
     assert all(len(f) == 3 for f in cells)
 
 
+def test_element_matching_sequence_is_iterated_element_matching():
+    for c in matching_corpus():
+        if c.is_void() or c.face_count() > 200:
+            continue
+        m = None
+        for v in range(c.n_vertices):
+            m = morse.element_matching(c, v, m)
+        assert morse.element_matching_sequence(c, range(c.n_vertices)).pairs == m.pairs
+
+
 def test_element_matching_unknown_vertex():
     with pytest.raises(InvalidParameterError):
         morse.element_matching(cx.full_simplex("ab"), "z")
@@ -176,6 +186,19 @@ def test_elementary_collapse_rejects_non_free():
         morse.elementary_collapse(c, (0,), (0, 1))
 
 
+def test_elementary_collapse_interval():
+    # [a, abc] removes a, ab, ac and abc from the triangle, leaving the edge bc
+    c = cx.full_simplex("abc")
+    out = morse.elementary_collapse(c, (0,), (0, 1, 2))
+    assert out.facets == ((1, 2),)
+    # with the extra edge ad, a also lies outside the interval
+    c = cx.from_facets("abcd", [(0, 1, 2), (0, 3)])
+    with pytest.raises(InvalidCollapseError):
+        morse.elementary_collapse(c, (0,), (0, 1, 2))
+    with pytest.raises(InvalidCollapseError):
+        morse.elementary_collapse(c, (0, 1), (0, 3))
+
+
 def test_collapse_preserves_homology():
     rng = random.Random(61)
     checked = 0
@@ -256,7 +279,26 @@ def test_greedy_collapse_budget_verdict():
     tc = cons.total_cut_complex(gr.star(6), 2)
     witness = morse.greedy_collapse(tc, budget=3)
     assert witness.verdict == "unknown"
-    assert witness.steps_tried <= 4
+    assert witness.steps_tried <= 3
+    assert morse.replay_collapse(tc, witness)
+
+
+def test_greedy_collapse_unknown_witnesses_replay():
+    # two disjoint edges strand after one pair each; the witness keeps them
+    c = cx.from_facets("abcd", [(0, 1), (2, 3)])
+    witness = morse.greedy_collapse(c)
+    assert witness.verdict == "unknown"
+    assert witness.steps == (((0,), (0, 1)), ((2,), (2, 3)))
+    assert witness.terminal == ((1,), (3,))
+    assert morse.replay_collapse(c, witness)
+    # every witness replays, collapsible or not, within or at the budget
+    for c in matching_corpus():
+        if c.is_void():
+            continue
+        for budget in (0, 2, morse.DEFAULT_COLLAPSE_BUDGET):
+            witness = morse.greedy_collapse(c, budget=budget)
+            assert witness.steps_tried == len(witness.steps) <= budget
+            assert morse.replay_collapse(c, witness)
 
 
 def test_witness_json_roundtrip():

@@ -194,3 +194,42 @@ def test_cli_collapse_and_replay(tmp_path, capsys):
 
 def test_cli_missing_file():
     assert main(["homology", "/nonexistent/file.json"]) == 2
+
+
+def _cli_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code
+
+
+@pytest.mark.parametrize("command", ["homology", "morse", "collapse"])
+def test_cli_bad_complex_file(tmp_path, capsys, command):
+    extra = ["--vertices", "a"] if command == "morse" else []
+    bad_face = tmp_path / "bad_face.json"
+    bad_face.write_text('{"vertices":["a","b"],"facets":[[0,5]],"void":false}')
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"vertices": ["a"')
+    assert _cli_error(capsys, [command, str(bad_face)] + extra) == 2
+    assert _cli_error(capsys, [command, str(malformed)] + extra) == 2
+
+
+def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
+    cpath = str(tmp_path / "complex.json")
+    main(["build", "total-cut", "cycle", "--n", "6", "--k", "2", "--out", cpath])
+    capsys.readouterr()
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
+    for argv in (["homology", cpath], ["morse", cpath, "--vertices", "1"], ["collapse", cpath]):
+        assert _cli_error(capsys, argv) == 2
+
+
+def test_cli_collapse_unknown_exits_1_and_replays(tmp_path, capsys):
+    cpath = tmp_path / "edges.json"
+    cpath.write_text('{"vertices":["a","b","c","d"],"facets":[[0,1],[2,3]],"void":false}')
+    wpath = str(tmp_path / "witness.json")
+    assert main(["collapse", str(cpath)]) == 1
+    assert main(["collapse", str(cpath), "--out", wpath]) == 1
+    capsys.readouterr()
+    code = main(["collapse", str(cpath), "--replay", wpath])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
