@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import constructions as cons
@@ -59,8 +60,12 @@ def _parse_params(items):
 
 def _cmd_verify(args) -> int:
     include_timings = args.timings
+    if args.workers < 1:
+        raise InvalidParameterError(f"--workers must be at least 1, got {args.workers}")
     if args.all:
-        reports = run_all(args.size_class, workers=args.workers)
+        # more processes than CPUs only add start-up cost and memory
+        workers = min(args.workers, os.cpu_count() or 1)
+        reports = run_all(args.size_class, workers=workers)
     else:
         if not args.scenario:
             raise InvalidParameterError("give a scenario id or --all")
@@ -181,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--param", action="append", help="name=value, repeatable")
     p_verify.add_argument("--all", action="store_true", help="run every scenario in a size class")
     p_verify.add_argument("--class", dest="size_class", default="desk", choices=SIZE_CLASSES)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument(
+        "--workers", type=int, default=1, help="worker processes for --all, at most the CPU count"
+    )
     p_verify.add_argument("--json", help="write report JSON to this path")
     p_verify.add_argument("--timings", action="store_true", help="include wall times in the JSON")
     p_verify.set_defaults(fn=_cmd_verify)

@@ -56,13 +56,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows.values())
 
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out[r][c] = v
-        return out
-
     def copy(self) -> "SparseIntMatrix":
         m = SparseIntMatrix(self.nrows, self.ncols)
         for r, row in self.rows.items():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -321,26 +322,95 @@ def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
     return tuple(sorted(faces)) == witness.terminal
 
 
+def _strong_collapse(facets, faces: set, steps: list, budget: int) -> None:
+    """Remove dominated vertices, appending the pair steps to ``steps`` and
+    discarding their faces from ``faces``, until no vertex is dominated or
+    ``steps`` holds ``budget`` pairs.
+
+    Vertex v is dominated by w != v when w lies in every facet through v.
+    For the least dominated v and its least dominating w, each face tau
+    through v that misses w is paired with tau + {w}, highest dimension
+    first: every larger face through tau has gone by then, so each pair is
+    free when it is taken.  The facets through v then lose v."""
+    facets = dict(enumerate(facets))
+    through: dict[int, set] = {}
+    for i, f in facets.items():
+        for u in f:
+            through.setdefault(u, set()).add(i)
+    next_id = len(facets)
+    # only a removal changes whether a vertex is dominated, and only for the
+    # vertices of the removed star, so each is checked again only then
+    pending = set(through)
+    while pending:
+        v = min(pending)
+        pending.discard(v)
+        ids = through[v]
+        w = next(
+            (u for u in facets[next(iter(ids))] if u != v and ids <= through[u]),
+            None,
+        )
+        if w is None:
+            continue
+        rests = set()
+        for i in ids:
+            rest = tuple(u for u in facets[i] if u != v and u != w)
+            for r in range(len(rest) + 1):
+                rests.update(combinations(rest, r))
+        order = sorted(rests)
+        order.sort(key=len, reverse=True)
+        room = max(budget - len(steps), 0)
+        pairs = []
+        for rest in order[:room]:
+            p = bisect(rest, v)
+            tau = rest[:p] + (v,) + rest[p:]
+            q = bisect(tau, w)
+            pairs.append((tau, tau[:q] + (w,) + tau[q:]))
+        steps.extend(pairs)
+        faces.difference_update(*pairs)
+        if len(order) > room:
+            return
+        del through[v]
+        links = []
+        for i in ids:
+            f = facets.pop(i)
+            for u in f:
+                if u != v:
+                    through[u].discard(i)
+                    pending.add(u)
+            links.append(tuple(u for u in f if u != v))
+        # a link that lies in a remaining facet is no longer maximal
+        for g in sorted(links, key=len, reverse=True):
+            if not set.intersection(*(through[u] for u in g)):
+                facets[next_id] = g
+                for u in g:
+                    through[u].add(next_id)
+                next_id += 1
+
+
 def greedy_collapse(
     cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET
 ) -> CollapseWitness:
-    """Collapse toward a single vertex in one descent that always takes the
-    least free pair by (dimension, vertex tuple).
+    """Collapse toward a single vertex: strong collapses first, then one
+    descent that always takes the least free pair by (dimension, vertex
+    tuple).
 
-    The descent runs on a lazy heap: coface counts only decrease, so popped
-    entries validate cheaply.  A descent that strands, or that has taken
-    ``budget`` steps, yields verdict "unknown" with its steps and the faces
-    left, which replay like any other witness.  Collapsibility is
-    NP-complete in general, so "unknown" is not a refutation."""
+    The strong collapses remove dominated vertices (Barmak–Minian) from the
+    facet list, each as pair steps.  The descent runs on a lazy heap over
+    the faces left: coface counts only decrease, so popped entries validate
+    cheaply.  A search that strands, or that has taken ``budget`` steps,
+    yields verdict "unknown" with its steps and the faces left, which replay
+    like any other witness.  Collapsibility is NP-complete in general, so
+    "unknown" is not a refutation."""
     if cx.is_void():
         raise VoidComplexError("cannot collapse the void complex")
     faces = {f for f in cx.all_faces() if f}
     if not faces:
         return CollapseWitness((), (), "unknown", 0)
+    steps = []
+    _strong_collapse(cx.facets, faces, steps, budget)
     cof = _coface_map(faces)
     heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)
-    steps = []
     while len(faces) > 1 and heap and len(steps) < budget:
         _, sigma, tau = heapq.heappop(heap)
         if sigma not in faces or cof[sigma] != {tau}:

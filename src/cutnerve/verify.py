@@ -131,10 +131,11 @@ def run_thm_3_1(params):
     cover = cons.independent_cover(g, k)
     nerve_cx = cons.nerve(cover)
     tc = cons.total_cut_complex(g, k)
+    equal = cx.equals_labeled(nerve_cx, tc)
     checks = [CheckResult(
         "nerve-equals-total-cut",
-        "pass" if cx.equals_labeled(nerve_cx, tc) else "fail",
-        expected="labeled equality", actual="equal" if cx.equals_labeled(nerve_cx, tc) else "different",
+        "pass" if equal else "fail",
+        expected="labeled equality", actual="equal" if equal else "different",
     )]
     sphere = hom.HomologyProfile.sphere(n - 2 * k)
     checks.append(_check_profile("total-cut-sphere-profile", hom.reduced_homology(tc), sphere))
@@ -210,11 +211,12 @@ def run_thm_4_2(params):
     cover = cons.facet_star_cover(nb, _prism_markers(n))
     nerve_cx = cons.nerve(cover)
     boundary = cx.simplex_boundary(cover.part_labels)
+    equal = cx.equals_labeled(nerve_cx, boundary)
     checks.append(CheckResult(
         "nerve-is-simplex-boundary",
-        "pass" if cx.equals_labeled(nerve_cx, boundary) else "fail",
+        "pass" if equal else "fail",
         expected="boundary of (n-1)-simplex",
-        actual="equal" if cx.equals_labeled(nerve_cx, boundary) else "different",
+        actual="equal" if equal else "different",
     ))
     cone_failures = []
     for pair in combinations(range(n), 2):

@@ -7,6 +7,7 @@ test, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations, permutations
 
 
@@ -81,6 +82,16 @@ def dense_snf(matrix: list[list[int]]) -> tuple[int, ...]:
     return tuple(sorted(d for d in diag if d))
 
 
+def to_dense(matrix) -> list[list[int]]:
+    """Dense rows of a sparse matrix with ``nrows``, ``ncols`` and a
+    ``rows`` map {row: {col: value}}."""
+    out = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+    for r, row in matrix.rows.items():
+        for c, v in row.items():
+            out[r][c] = v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # homology from facet lists, via the dense SNF
 # ---------------------------------------------------------------------------
@@ -135,6 +146,43 @@ def brute_homology(facets) -> dict:
         if coeffs:
             torsion[d] = coeffs
     return {"betti": betti, "torsion": torsion, "minus_one": 0}
+
+
+# ---------------------------------------------------------------------------
+# collapse search without strong collapses
+# ---------------------------------------------------------------------------
+
+def descent_collapse(facets):
+    """The plain collapse descent: repeatedly take the least free pair by
+    (dimension, vertex tuple) on a lazy heap, until one vertex is left or
+    no pair is free.  Returns (steps, terminal, verdict) with verdict
+    "collapsible" or "unknown"."""
+    faces = {f for f in closure_of(facets) if f}
+    cof: dict[tuple, set] = {f: set() for f in faces}
+    for f in faces:
+        for pos in range(len(f)):
+            sub = f[:pos] + f[pos + 1:]
+            if sub:
+                cof[sub].add(f)
+    heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
+    heapq.heapify(heap)
+    steps = []
+    while len(faces) > 1 and heap:
+        _, sigma, tau = heapq.heappop(heap)
+        if sigma not in faces or cof[sigma] != {tau}:
+            continue
+        steps.append((sigma, tau))
+        faces.discard(sigma)
+        faces.discard(tau)
+        for g in (sigma, tau):
+            for pos in range(len(g)):
+                sub = g[:pos] + g[pos + 1:]
+                if sub in faces:
+                    cof[sub].discard(g)
+                    if len(cof[sub]) == 1:
+                        heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
+    verdict = "collapsible" if len(faces) == 1 else "unknown"
+    return tuple(steps), tuple(sorted(faces)), verdict
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from cutnerve.errors import (
     InvalidParameterError,
 )
 
+from oracles import descent_collapse
+
 
 def ladder_total_cut(n):
     return cons.total_cut_complex(gr.circular_ladder(n), n - 1)
@@ -255,18 +257,114 @@ def test_greedy_collapse_star_total_cut():
     assert morse.replay_collapse(tc, witness)
 
 
+def cycle_cover_intersections(n, k):
+    cover = cons.independent_cover(gr.cycle(n), k)
+    for face in cons.nerve(cover).all_faces():
+        if face:
+            inter = cons.cover_intersection(cover, face)
+            if inter.has_vertices():
+                yield inter
+
+
 def test_greedy_collapse_cycle_cover_intersections():
     for n, k in [(6, 2), (7, 2), (6, 3)]:
-        cover = cons.independent_cover(gr.cycle(n), k)
-        nerve = cons.nerve(cover)
-        for face in nerve.all_faces():
-            if not face:
-                continue
-            inter = cons.cover_intersection(cover, face)
-            if not inter.has_vertices():
-                continue
+        for inter in cycle_cover_intersections(n, k):
             witness = morse.greedy_collapse(inter)
             assert witness.is_collapsible()
+            assert morse.replay_collapse(inter, witness)
+
+
+def dominated_vertex(c):
+    """The least vertex with another vertex in every facet through it."""
+    for v in c.vertex_support():
+        common = set.intersection(*(set(f) for f in c.facets if v in f))
+        if common - {v}:
+            return v
+    return None
+
+
+def strong_core(c):
+    """Delete dominated vertices until none is left."""
+    v = dominated_vertex(c)
+    while v is not None:
+        c = cx.from_facets(c.labels, [tuple(u for u in f if u != v) for f in c.facets])
+        v = dominated_vertex(c)
+    return c
+
+
+def test_greedy_collapse_differential_against_descent():
+    # the strong-collapse prelude must not change a verdict of the plain
+    # descent, and both witnesses must replay
+    rng = random.Random(71)
+    corpus = [c for c in matching_corpus() if not c.is_void()]
+    corpus += [cx.cone(c, "apex") for c in corpus]
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        gens = [
+            rng.sample(range(n), rng.randint(1, min(n, 5)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        c = cx.from_facets([f"v{i}" for i in range(n)], gens)
+        corpus.append(cx.cone(c, "apex") if rng.random() < 0.3 else c)
+    verdicts = set()
+    for c in corpus:
+        witness = morse.greedy_collapse(c)
+        steps, terminal, verdict = descent_collapse(c.facets)
+        assert witness.verdict == verdict
+        assert morse.replay_collapse(c, witness)
+        assert morse.replay_collapse(c, morse.CollapseWitness(steps, terminal, verdict))
+        verdicts.add(verdict)
+    assert verdicts == {"collapsible", "unknown"}
+
+
+def test_strong_collapse_cone_to_apex():
+    coned = cx.cone(cx.simplex_boundary("abcd"), "w")
+    witness = morse.greedy_collapse(coned)
+    assert witness.is_collapsible()
+    assert witness.terminal == ((coned.labels.index("w"),),)
+    assert witness.steps_tried == len(witness.steps) == (coned.face_count() - 2) // 2
+    assert morse.replay_collapse(coned, witness)
+
+
+def test_strong_collapse_order():
+    # a (dominated by c) goes first; its link cd lies in bcd and is dropped,
+    # so c is then dominated by b, which the stale facet cd would hide
+    c = cx.from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)])
+    witness = morse.greedy_collapse(c)
+    assert witness.steps == (
+        ((0, 3), (0, 2, 3)), ((0,), (0, 2)),
+        ((2, 3), (1, 2, 3)), ((2,), (1, 2)),
+        ((3,), (1, 3)),
+        ((1,), (1, 4)),
+    )
+    assert witness.terminal == ((4,),)
+    assert morse.replay_collapse(c, witness)
+
+
+def test_greedy_collapse_past_the_strong_collapses():
+    # the strong collapses of some thm-3-1 n=7 k=2 intersections stop at a
+    # core with no dominated vertex, which the descent then collapses
+    inter = next(c for c in cycle_cover_intersections(7, 2) if strong_core(c).face_count() > 2)
+    witness = morse.greedy_collapse(inter)
+    assert witness.is_collapsible()
+    assert morse.replay_collapse(inter, witness)
+    core = strong_core(inter)
+    assert dominated_vertex(core) is None
+    witness = morse.greedy_collapse(core)
+    assert witness.is_collapsible()
+    assert morse.replay_collapse(core, witness)
+    assert witness.steps == descent_collapse(core.facets)[0]
+
+
+def test_greedy_collapse_budget_inside_strong_collapse():
+    # vertex a of the tetrahedron is dominated by b: its faces missing b go
+    # first, top dimension first, and the budget stops the star half way
+    c = cx.full_simplex("abcd")
+    witness = morse.greedy_collapse(c, budget=2)
+    assert witness.verdict == "unknown"
+    assert witness.steps == (((0, 2, 3), (0, 1, 2, 3)), ((0, 2), (0, 1, 2)))
+    assert witness.steps_tried == len(witness.steps) <= 2
+    assert morse.replay_collapse(c, witness)
 
 
 def test_greedy_collapse_sphere_unknown():
@@ -295,9 +393,9 @@ def test_greedy_collapse_unknown_witnesses_replay():
     for c in matching_corpus():
         if c.is_void():
             continue
-        for budget in (0, 2, morse.DEFAULT_COLLAPSE_BUDGET):
+        for budget in (-1, 0, 2, morse.DEFAULT_COLLAPSE_BUDGET):
             witness = morse.greedy_collapse(c, budget=budget)
-            assert witness.steps_tried == len(witness.steps) <= budget
+            assert witness.steps_tried == len(witness.steps) <= max(budget, 0)
             assert morse.replay_collapse(c, witness)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cutnerve import verify
+from cutnerve import cli, verify
 from cutnerve.cli import main
 from cutnerve.errors import GuardError, InvalidParameterError
 
@@ -128,6 +128,21 @@ def test_cli_verify_guard_error(capsys):
 
 def test_cli_verify_unknown_scenario(capsys):
     assert main(["verify", "nope"]) == 2
+
+
+def test_cli_verify_workers_below_one(capsys):
+    for workers in ("0", "-1"):
+        assert _cli_error(capsys, ["verify", "--all", "--class", "smoke", "--workers", workers]) == 2
+
+
+def test_cli_verify_workers_clamped_to_cpu_count(monkeypatch, capsys):
+    # run_all is replaced, so no process pool is started
+    seen = []
+    monkeypatch.setattr(cli, "run_all", lambda size_class, workers: seen.append(workers) or [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    for workers in ("64", "2", "1"):
+        assert main(["verify", "--all", "--class", "smoke", "--workers", workers]) == 0
+    assert seen == [2, 2, 1]
 
 
 def test_cli_build_homology_pipeline(tmp_path, capsys):
