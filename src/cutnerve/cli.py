@@ -119,9 +119,13 @@ def _cmd_build(args) -> int:
 
 
 def _parse_file(path: str, parse, what: str):
-    """Parse a JSON input file; malformed content is a usage error."""
-    with open(path) as fh:
-        text = fh.read()
+    """Parse a JSON input file; undecodable or malformed content is a usage
+    error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParameterError(f"{path}: {what} file is not UTF-8: {exc}") from None
     try:
         return parse(text)
     except (ValueError, KeyError, TypeError) as exc:
@@ -155,6 +159,8 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
+    if args.budget < 0:
+        raise InvalidParameterError(f"--budget must be at least 0, got {args.budget}")
     cx = _load_complex(args.file)
     if args.replay:
         witness = _parse_file(
@@ -231,7 +237,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (GuardError, InvalidParameterError, ResourceLimitError, FileNotFoundError) as exc:
+    except (GuardError, InvalidParameterError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

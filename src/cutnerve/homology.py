@@ -7,18 +7,25 @@ growth and torsion are exact.
 
 The Smith normal form runs in two phases.  Unit entries (the bulk of any
 boundary matrix) are eliminated first, choosing pivots greedily from the
-sparsest columns to limit fill-in.  Whatever remains is reduced by the
-textbook algorithm: minimal absolute pivot, gcd sweeps until the pivot
-divides its row and column, then elimination.  That phase's diagonal is
-normalized into a divisibility chain at the end (unit pivots divide
-everything and need no normalizing); the invariant factors are unique, so
-the pivot order cannot affect results.
+sparsest columns to limit fill-in.  Whatever remains (on the desk-class
+boundary matrices, nothing) goes to the residual phase, which keeps the
+matrix as two mirrored value maps, row -> column -> value and column ->
+row -> value.  It takes an entry of least absolute value as pivot and
+clears the pivot's column, then its row, with one routine: subtract
+floor-division multiples of the pivot line from every other line, and when
+remainders are left, move the pivot to the least of them.  Clearing a row
+is the same routine with the two maps swapped.  The pivot's absolute value
+falls at every move, so each pivot ends alone in its row and column.  That
+phase's diagonal is normalized into a divisibility chain at the end (unit
+pivots divide everything and need no normalizing); the invariant factors
+are unique, so the pivot order cannot affect results.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -63,18 +70,6 @@ class SparseIntMatrix:
         for c, rs in self.cols.items():
             m.cols[c] = set(rs)
         return m
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def _unit_phase(m: SparseIntMatrix) -> int:
@@ -134,131 +129,52 @@ def _unit_phase(m: SparseIntMatrix) -> int:
     return pivots
 
 
-def _textbook_phase(m: SparseIntMatrix) -> list[int]:
-    """Full SNF elimination on whatever the unit phase left behind."""
-    rows, cols = m.rows, m.cols
-    diagonal: list[int] = []
-
-    def row_op(dst: int, src: int, q: int):
-        # row_dst -= q * row_src
-        srow = rows.get(src, {})
-        drow = rows.setdefault(dst, {})
-        for c, v in list(srow.items()):
-            nv = drow.get(c, 0) - q * v
-            if nv:
-                drow[c] = nv
-                cols[c].add(dst)
-            elif c in drow:
-                del drow[c]
-                cols[c].discard(dst)
-        if not drow:
-            del rows[dst]
-
-    def combine_rows(r1: int, r2: int, c: int):
-        # replace rows so that entry (r1, c) becomes gcd and (r2, c) zero
-        a, b = rows[r1][c], rows[r2][c]
-        x, y, g = _xgcd(a, b)
-        u, w = a // g, b // g
-        row1 = rows.get(r1, {})
-        row2 = rows.get(r2, {})
-        touched = set(row1) | set(row2)
-        for cc in touched:
-            v1 = row1.get(cc, 0)
-            v2 = row2.get(cc, 0)
-            n1 = x * v1 + y * v2
-            n2 = -w * v1 + u * v2
-            for r, nv, row in ((r1, n1, row1), (r2, n2, row2)):
+def _clear_line(lines: dict, mirror: dict, p: int, c: int) -> int:
+    """Zero line ``c`` of ``mirror`` outside the pivot ``(p, c)`` by
+    subtracting floor-division multiples of line ``p`` of ``lines`` from
+    every other line.  Each remainder left is smaller than the pivot in
+    absolute value, so the pivot moves to the least of them and the sweep
+    repeats.  ``lines`` and ``mirror`` are the two views of one matrix (rows
+    and columns, in either order); both are kept in step.  Returns the final
+    pivot line."""
+    while True:
+        pline = lines[p]
+        for r in [r for r in mirror[c] if r != p]:
+            line = lines[r]
+            q = line[c] // pline[c]
+            for cc, v in pline.items():
+                nv = line.get(cc, 0) - q * v
                 if nv:
-                    row[cc] = nv
-                    cols[cc].add(r)
-                elif cc in row:
-                    del row[cc]
-                    cols[cc].discard(r)
-        if not row1 and r1 in rows:
-            del rows[r1]
-        if not row2 and r2 in rows:
-            del rows[r2]
+                    line[cc] = nv
+                    mirror[cc][r] = nv
+                elif cc in line:
+                    del line[cc], mirror[cc][r]
+            if not line:
+                del lines[r]
+        rest = [r for r in mirror[c] if r != p]
+        if not rest:
+            return p
+        p = min(rest, key=lambda r: (abs(mirror[c][r]), r))
 
+
+def _residual_phase(m: SparseIntMatrix) -> list[int]:
+    """Textbook elimination on whatever the unit phase left behind: take a
+    minimal entry as pivot, clear its column and then its row until both
+    hold the pivot alone.  The row is cleared by the same routine with the
+    row and column maps swapped."""
+    rows = m.rows
+    cols: dict[int, dict[int, int]] = {}
+    for r, row in rows.items():
+        for c, v in row.items():
+            cols.setdefault(c, {})[r] = v
+    diagonal: list[int] = []
     while rows:
-        # minimal |value|, then sparsest, then index order
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                key = (abs(v), len(row) * len(cols[c]), r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        _, p, c = best
-        while True:
-            # make the pivot divide its column, then clear the column
-            changed = True
-            while changed:
-                changed = False
-                a = rows[p][c]
-                for r in list(cols[c]):
-                    if r == p:
-                        continue
-                    if rows[r][c] % a:
-                        combine_rows(p, r, c)
-                        changed = True
-                        break
-            a = rows[p][c]
-            for r in list(cols[c]):
-                if r != p:
-                    row_op(r, p, rows[r][c] // a)
-            # column ops mirror row ops on the transpose relation
-            changed = True
-            while changed:
-                changed = False
-                a = rows[p][c]
-                prow = rows[p]
-                for cc in list(prow):
-                    if cc == c:
-                        continue
-                    if prow[cc] % a:
-                        # column combination via the extended gcd
-                        b = prow[cc]
-                        x, y, g = _xgcd(a, b)
-                        u, w = a // g, b // g
-                        for r in list(cols[c] | cols[cc]):
-                            v1 = rows.get(r, {}).get(c, 0)
-                            v2 = rows.get(r, {}).get(cc, 0)
-                            n1 = x * v1 + y * v2
-                            n2 = -w * v1 + u * v2
-                            row = rows.setdefault(r, {})
-                            for col, nv in ((c, n1), (cc, n2)):
-                                if nv:
-                                    row[col] = nv
-                                    cols[col].add(r)
-                                elif col in row:
-                                    del row[col]
-                                    cols[col].discard(r)
-                            if not row:
-                                del rows[r]
-                        changed = True
-                        break
-            a = rows[p][c]
-            prow = rows[p]
-            for cc in list(prow):
-                if cc != c:
-                    q = prow[cc] // a
-                    # col_cc -= q * col_c
-                    for r in list(cols[c]):
-                        row = rows[r]
-                        nv = row.get(cc, 0) - q * row[c]
-                        if nv:
-                            row[cc] = nv
-                            cols[cc].add(r)
-                        elif cc in row:
-                            del row[cc]
-                            cols[cc].discard(r)
-            # clearing the row may have re-dirtied the column
-            if len(cols[c]) == 1 and len(rows[p]) == 1:
-                break
-        diagonal.append(abs(rows[p][c]))
-        del rows[p]
-        cols[c].discard(p)
-        if not cols[c]:
-            del cols[c]
+        _, p, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        while len(rows[p]) > 1 or len(cols[c]) > 1:
+            p = _clear_line(rows, cols, p, c)
+            c = _clear_line(cols, rows, c, p)
+        diagonal.append(abs(rows.pop(p)[c]))
+        del cols[c]
     return diagonal
 
 
@@ -271,7 +187,7 @@ def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
             for j in range(i + 1, len(vals)):
                 a, b = vals[i], vals[j]
                 if b % a:
-                    _, _, g = _xgcd(a, b)
+                    g = math.gcd(a, b)
                     vals[i], vals[j] = g, a * b // g
                     changed = True
     vals.sort()
@@ -282,7 +198,7 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     """Diagonal invariants d_1 | d_2 | ... | d_r of the matrix; r = rank."""
     work = m.copy()
     units = _unit_phase(work)
-    residual = _textbook_phase(work)
+    residual = _residual_phase(work)
     return (1,) * units + _divisibility_chain(residual)
 
 

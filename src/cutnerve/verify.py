@@ -3,7 +3,8 @@ integer parameters, deterministic execution, and a machine-readable report.
 
 Scenario ids are stable API tokens (also used by the CLI); each runner
 builds the relevant complexes, executes its checks, and returns per-check
-verdicts plus sha256 digests of the principal constructed artifacts.
+verdicts plus sha256 digests of the principal constructed artifacts, and
+optionally informational figures (``metrics``) that decide no verdict.
 Reports serialize without timings by default so that repeated runs are
 byte-identical.
 """
@@ -40,6 +41,7 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
     digests: dict = field(default_factory=dict)
     seconds: float = 0.0
+    metrics: dict = field(default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -65,6 +67,7 @@ class Report:
                 for c in self.checks
             ],
             "digests": dict(sorted(self.digests.items())),
+            "metrics": dict(sorted(self.metrics.items())),
         }
         if include_timings:
             doc["seconds"] = round(self.seconds, 3)
@@ -79,14 +82,15 @@ def _digest(complex_or_json) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _check(name: str, ok: bool, expected, actual, miss: str = "fail") -> CheckResult:
+    """A check that passes when ``ok``; a miss is ``miss``, which is
+    "unknown" for a semi-decision search that found no certificate."""
+    return CheckResult(name, "pass" if ok else miss, expected, actual)
+
+
 def _check_profile(name: str, profile: hom.HomologyProfile, expected: hom.HomologyProfile) -> CheckResult:
-    ok = profile == expected
-    return CheckResult(
-        name,
-        "pass" if ok else "fail",
-        expected=json.loads(expected.to_json()),
-        actual=json.loads(profile.to_json()),
-    )
+    return _check(name, profile == expected,
+                  json.loads(expected.to_json()), json.loads(profile.to_json()))
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +109,8 @@ def run_thm_1_4(params):
     tc = cons.total_cut_complex(gr.cycle(n), k)
     checks = []
     if n < 2 * k:
-        checks.append(CheckResult("void-below-threshold", "pass" if tc.is_void() else "fail",
-                                  expected="void", actual="void" if tc.is_void() else "non-void"))
+        checks.append(_check("void-below-threshold", tc.is_void(),
+                             "void", "void" if tc.is_void() else "non-void"))
     else:
         checks.append(_check_profile(
             "total-cut-sphere-profile", hom.reduced_homology(tc), hom.HomologyProfile.sphere(n - 2 * k)))
@@ -132,11 +136,8 @@ def run_thm_3_1(params):
     nerve_cx = cons.nerve(cover)
     tc = cons.total_cut_complex(g, k)
     equal = cx.equals_labeled(nerve_cx, tc)
-    checks = [CheckResult(
-        "nerve-equals-total-cut",
-        "pass" if equal else "fail",
-        expected="labeled equality", actual="equal" if equal else "different",
-    )]
+    checks = [_check("nerve-equals-total-cut", equal,
+                     "labeled equality", "equal" if equal else "different")]
     sphere = hom.HomologyProfile.sphere(n - 2 * k)
     checks.append(_check_profile("total-cut-sphere-profile", hom.reduced_homology(tc), sphere))
     nsg = cons.neighborhood_complex(gr.stable_kneser(n, k))
@@ -155,14 +156,11 @@ def run_thm_3_1(params):
         witness = morse.greedy_collapse(inter)
         if not witness.is_collapsible():
             unresolved.append(list(face))
-    checks.append(CheckResult(
-        "intersections-collapsible",
-        "pass" if not unresolved else "unknown",
-        expected={"collapsible": tested},
-        actual={"tested": tested, "unresolved": unresolved},
-    ))
-    # flag: index sets where the raw face-sharing reading disagrees with the
-    # generator reading (informational, tracked per the construction notes)
+    checks.append(_check("intersections-collapsible", not unresolved,
+                         {"collapsible": tested}, {"tested": tested, "unresolved": unresolved},
+                         miss="unknown"))
+    # index sets where the raw face-sharing reading disagrees with the
+    # generator reading: a figure, not a check
     gaps = 0
     for m in range(1, n + 1):
         for idx in combinations(range(n), m):
@@ -170,8 +168,7 @@ def run_thm_3_1(params):
             char = cons.cover_intersection(cover, idx).has_vertices()
             if raw != char:
                 gaps += 1
-    checks.append(CheckResult("raw-vs-generator-gap", "pass", expected="informational", actual=gaps))
-    return checks, {"nerve": _digest(nerve_cx), "total_cut": _digest(tc)}
+    return checks, {"nerve": _digest(nerve_cx), "total_cut": _digest(tc)}, {"raw-vs-generator-gap": gaps}
 
 
 def run_prop_3_3(params):
@@ -181,8 +178,7 @@ def run_prop_3_3(params):
     tc = cons.total_cut_complex(gr.cycle(n), k)
     expected = gr.stable_kneser_facet_count(n, k)
     actual = len(tc.facets)
-    checks = [CheckResult("facet-count-formula", "pass" if actual == expected else "fail",
-                          expected=expected, actual=actual)]
+    checks = [_check("facet-count-formula", actual == expected, expected, actual)]
     return checks, {"total_cut": _digest(tc)}
 
 
@@ -201,23 +197,17 @@ def run_thm_4_2(params):
     g = gr.prism(n)
     h2 = gr.induced_k_independent(g, 2)
     nb = cons.neighborhood_complex(h2)
-    checks = []
-    facet_ok = len(nb.facets) == n * (n - 1)
     dim_ok = nb.dimension() == n * n - 3 * n + 2 and nb.is_pure()
-    checks.append(CheckResult("facet-count", "pass" if facet_ok else "fail",
-                              expected=n * (n - 1), actual=len(nb.facets)))
-    checks.append(CheckResult("facet-dimension", "pass" if dim_ok else "fail",
-                              expected=n * n - 3 * n + 2, actual=nb.dimension()))
+    checks = [
+        _check("facet-count", len(nb.facets) == n * (n - 1), n * (n - 1), len(nb.facets)),
+        _check("facet-dimension", dim_ok, n * n - 3 * n + 2, nb.dimension()),
+    ]
     cover = cons.facet_star_cover(nb, _prism_markers(n))
     nerve_cx = cons.nerve(cover)
     boundary = cx.simplex_boundary(cover.part_labels)
     equal = cx.equals_labeled(nerve_cx, boundary)
-    checks.append(CheckResult(
-        "nerve-is-simplex-boundary",
-        "pass" if equal else "fail",
-        expected="boundary of (n-1)-simplex",
-        actual="equal" if equal else "different",
-    ))
+    checks.append(_check("nerve-is-simplex-boundary", equal,
+                         "boundary of (n-1)-simplex", "equal" if equal else "different"))
     cone_failures = []
     for pair in combinations(range(n), 2):
         inter = cons.cover_intersection(cover, pair)
@@ -232,11 +222,8 @@ def run_thm_4_2(params):
             continue
         if not witness.is_collapsible():
             cone_failures.append({"pair": list(pair), "reason": "no witness"})
-    checks.append(CheckResult(
-        "pairwise-intersections-cone-collapse",
-        "pass" if not cone_failures else "fail",
-        expected="cone collapse witness per pair", actual=cone_failures or "all witnessed",
-    ))
+    checks.append(_check("pairwise-intersections-cone-collapse", not cone_failures,
+                         "cone collapse witness per pair", cone_failures or "all witnessed"))
     checks.append(_check_profile(
         "neighborhood-sphere-profile", hom.reduced_homology(nb), hom.HomologyProfile.sphere(n - 2)))
     return checks, {"neighborhood": _digest(nb), "nerve": _digest(nerve_cx)}
@@ -272,45 +259,35 @@ def run_thm_4_4(params):
     if n % 2:
         matching = morse.element_matching_sequence(tc, ["1+", "1-"])
         acyclic, _ = morse.is_acyclic(tc, matching)
-        checks.append(CheckResult("sequential-matching-acyclic", "pass" if acyclic else "fail",
-                                  expected=True, actual=acyclic))
+        checks.append(_check("sequential-matching-acyclic", acyclic, True, acyclic))
         empty_partner = matching.partner(())
-        checks.append(CheckResult(
-            "empty-face-matched-with-first-vertex",
-            "pass" if empty_partner == (0,) else "fail",
-            expected=["1+"], actual=list(tc.labels_of_face(empty_partner or ())),
-        ))
+        checks.append(_check("empty-face-matched-with-first-vertex", empty_partner == (0,),
+                             ["1+"], list(tc.labels_of_face(empty_partner or ()))))
         expected_cells = sorted(
             tuple(sorted((1, _ladder_plus(n, j), _ladder_minus(n, j)))) for j in range(2, n + 1)
         )
         cells = morse.critical_cells(tc, matching)
-        checks.append(CheckResult(
-            "critical-cells",
-            "pass" if cells == expected_cells else "fail",
-            expected=[list(tc.labels_of_face(c)) for c in expected_cells],
-            actual=[list(tc.labels_of_face(c)) for c in cells],
-        ))
+        checks.append(_check("critical-cells", cells == expected_cells,
+                             [list(tc.labels_of_face(c)) for c in expected_cells],
+                             [list(tc.labels_of_face(c)) for c in cells]))
     else:
         a_labels = [f"{i}+" if i % 2 else f"{i}-" for i in range(1, n + 1)]
         b_labels = [f"{i}-" if i % 2 else f"{i}+" for i in range(1, n + 1)]
         x = cx.join(cx.full_simplex(a_labels), cx.discrete_points(b_labels))
         y = cx.join(cx.full_simplex(b_labels), cx.discrete_points(a_labels))
         union_ok = cx.equals_labeled(cx.union(x, y), tc)
-        checks.append(CheckResult("decomposition-union", "pass" if union_ok else "fail",
-                                  expected="X u Y = total cut", actual=union_ok))
+        checks.append(_check("decomposition-union", union_ok, "X u Y = total cut", union_ok))
         for name, part in (("x-homology-trivial", x), ("y-homology-trivial", y)):
             trivial = hom.reduced_homology(part).is_trivial()
-            checks.append(CheckResult(name, "pass" if trivial else "fail",
-                                      expected=True, actual=trivial))
+            checks.append(_check(name, trivial, True, trivial))
         inter = cx.intersection(x, y)
         bipartite_skeleton = cx.from_facets(
             tuple(a_labels) + tuple(b_labels),
             [(i, n + j) for i in range(n) for j in range(n)],
         )
         skel_ok = cx.equals_labeled(inter, bipartite_skeleton)
-        checks.append(CheckResult("intersection-is-bipartite-skeleton",
-                                  "pass" if skel_ok else "fail",
-                                  expected="1-skeleton of K_{n,n}", actual=skel_ok))
+        checks.append(_check("intersection-is-bipartite-skeleton", skel_ok,
+                             "1-skeleton of K_{n,n}", skel_ok))
         checks.append(_check_profile(
             "intersection-wedge-profile", hom.reduced_homology(inter),
             hom.HomologyProfile.wedge(1, (n - 1) ** 2)))
@@ -327,9 +304,8 @@ def run_thm_4_6(params):
     if n % 2:
         witness = gr.is_isomorphic(h, g)
         valid = witness is not None and gr.isomorphism_witness_valid(h, g, witness)
-        checks.append(CheckResult("induced-graph-isomorphic-to-ladder",
-                                  "pass" if valid else "fail",
-                                  expected="witness bijection", actual="valid witness" if valid else "none"))
+        checks.append(_check("induced-graph-isomorphic-to-ladder", valid,
+                             "witness bijection", "valid witness" if valid else "none"))
         nc = cons.neighborhood_complex(g)
         digests["neighborhood"] = _digest(nc)
         pairs = []
@@ -342,8 +318,8 @@ def run_thm_4_6(params):
             pairs.append((sm, tm))
         free = set(morse.free_faces(nc))
         stated_free = all(p in free for p in pairs)
-        checks.append(CheckResult("stated-free-faces-present", "pass" if stated_free else "fail",
-                                  expected=2 * n, actual=sum(p in free for p in pairs)))
+        checks.append(_check("stated-free-faces-present", stated_free,
+                             2 * n, sum(p in free for p in pairs)))
         collapsed = morse.collapse_complex(nc, pairs)
         checks.append(_check_profile(
             "collapsed-circle-profile", hom.reduced_homology(collapsed),
@@ -353,9 +329,7 @@ def run_thm_4_6(params):
         digests["neighborhood"] = _digest(nh)
         two = len(nh.facets) == 2
         disjoint = two and not (set(nh.facets[0]) & set(nh.facets[1]))
-        checks.append(CheckResult("two-disjoint-simplex-facets",
-                                  "pass" if two and disjoint else "fail",
-                                  expected=2, actual=len(nh.facets)))
+        checks.append(_check("two-disjoint-simplex-facets", two and disjoint, 2, len(nh.facets)))
         checks.append(_check_profile(
             "neighborhood-profile", hom.reduced_homology(nh), hom.HomologyProfile.sphere(0)))
     return checks, digests
@@ -376,21 +350,17 @@ def run_thm_4_8(params):
     m = 3 * k + 1
     g = gr.squared_cycle(m)
     h = gr.induced_k_independent(g, k)
-    checks = [CheckResult("vertex-count", "pass" if h.n == m else "fail", expected=m, actual=h.n)]
+    checks = [_check("vertex-count", h.n == m, m, h.n)]
     regular = h.n > 0 and all(h.degree(i) == k + 2 for i in range(h.n))
-    checks.append(CheckResult("regularity", "pass" if regular else "fail",
-                              expected=k + 2,
-                              actual=sorted({h.degree(i) for i in range(h.n)})))
+    checks.append(_check("regularity", regular, k + 2, sorted({h.degree(i) for i in range(h.n)})))
     nb = cons.neighborhood_complex(h)
-    checks.append(CheckResult("dimension", "pass" if nb.dimension() == k + 1 else "fail",
-                              expected=k + 1, actual=nb.dimension()))
+    checks.append(_check("dimension", nb.dimension() == k + 1, k + 1, nb.dimension()))
     expected_facets = {
         tuple(sorted((i + d) % m for d in range(k, 2 * k + 2))) for i in range(m)
     }
     actual_facets = set(nb.facets)
-    checks.append(CheckResult("cyclic-window-facets",
-                              "pass" if expected_facets == actual_facets else "fail",
-                              expected=len(expected_facets), actual=len(actual_facets)))
+    checks.append(_check("cyclic-window-facets", expected_facets == actual_facets,
+                         len(expected_facets), len(actual_facets)))
     checks.append(_check_profile(
         "neighborhood-circle-profile", hom.reduced_homology(nb), hom.HomologyProfile.sphere(1)))
     return checks, {"neighborhood": _digest(nb)}
@@ -401,9 +371,8 @@ def run_ex_4_9(params):
     _guard(4 <= n <= 7, f"ex-4-9 guard: 4 <= n <= 7, got n={n}")
     tc = cons.total_cut_complex(gr.star(n), 2)
     witness = morse.greedy_collapse(tc)
-    checks = [CheckResult("star-total-cut-collapsible",
-                          "pass" if witness.is_collapsible() else "unknown",
-                          expected="collapsible", actual=witness.verdict)]
+    checks = [_check("star-total-cut-collapsible", witness.is_collapsible(),
+                     "collapsible", witness.verdict, miss="unknown")]
     nb = cons.neighborhood_complex(gr.kneser(n, 2))
     checks.append(_check_profile(
         "kneser-neighborhood-wedge-profile", hom.reduced_homology(nb),
@@ -444,15 +413,12 @@ def run_prop_4_10(params):
             frozen = [frozenset(s) for s in sets]
             if any(all(a & b for b in frozen if b is not a) for a in frozen):
                 isolated_flags += 1
-    checks = [
-        CheckResult("nerve-equals-total-cut", "pass" if not failures else "fail",
-                    expected={"instances": instances, "failures": 0},
-                    actual={"instances": instances, "failures": failures}),
-        CheckResult("geometric-reading-divergence-flag", "pass",
-                    expected="informational",
-                    actual={"instances-with-isolated-independent-sets": isolated_flags}),
-    ]
-    return checks, {}
+    checks = [_check("nerve-equals-total-cut", not failures,
+                     {"instances": instances, "failures": 0},
+                     {"instances": instances, "failures": failures})]
+    metrics = {"geometric-reading-divergence-flag":
+               {"instances-with-isolated-independent-sets": isolated_flags}}
+    return checks, {}, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +576,8 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> Report:
     if missing:
         raise InvalidParameterError(f"{scenario_id} needs parameters {sorted(missing)}")
     start = time.perf_counter()
-    checks, digests = scenario.runner(merged)
-    return Report(scenario_id, merged, checks, digests, time.perf_counter() - start)
+    checks, digests, *metrics = scenario.runner(merged)
+    return Report(scenario_id, merged, checks, digests, time.perf_counter() - start, *metrics)
 
 
 def _run_one(args):

@@ -80,6 +80,26 @@ def test_snf_against_dense_oracle():
         nr, nc = rng.randint(1, 6), rng.randint(1, 7)
         dense = random_dense(rng, nr, nc)
         assert hom.smith_normal_form(sparse_from_dense(dense)) == dense_snf(dense)
+    # no +-1 entries, so the unit phase stalls at once and the residual
+    # phase does all the work; some rows and columns are zero
+    stalled = []
+    for _ in range(80):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        dense = [[rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -6, 9, 12)) for _ in range(nc)]
+                 for _ in range(nr)]
+        dense[rng.randrange(nr)] = [0] * nc
+        zero_col = rng.randrange(nc)
+        for row in dense:
+            row[zero_col] = 0
+        stalled.append(dense)
+    # a remainder moves the pivot: 6 - 4 leaves 2 in a column, in a row,
+    # and in both
+    stalled += [[[4], [6]], [[4, 6]], [[4, 6], [6, 4]], [[0, 4, 0], [6, 0, 10], [0, 10, 0]]]
+    for dense in stalled:
+        assert hom._unit_phase(sparse_from_dense(dense)) == 0
+        assert hom.smith_normal_form(sparse_from_dense(dense)) == dense_snf(dense), dense
+    assert hom.smith_normal_form(sparse_from_dense([[4], [6]])) == (2,)
+    assert hom.smith_normal_form(sparse_from_dense([[4, 6]])) == (2,)
 
 
 def test_snf_divisibility_chain():

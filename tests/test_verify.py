@@ -113,6 +113,20 @@ def test_prop_4_10_small_run():
     assert named["nerve-equals-total-cut"].actual["failures"] == []
 
 
+def test_informational_figures_are_metrics():
+    # figures that decide no verdict are reported as metrics, not as checks
+    r = verify.run_scenario("thm-3-1", {"n": 5, "k": 2})
+    assert "raw-vs-generator-gap" not in {c.name for c in r.checks}
+    assert r.to_dict()["metrics"] == {"raw-vs-generator-gap": 10}
+    r = verify.run_scenario("prop-4-10", {"count": 60, "seed": 2026})
+    assert [c.name for c in r.checks] == ["nerve-equals-total-cut"]
+    assert r.to_dict()["metrics"] == {
+        "geometric-reading-divergence-flag": {"instances-with-isolated-independent-sets": 49}
+    }
+    # every report carries the key, empty when the scenario has no figures
+    assert verify.run_scenario("prop-3-3", {"n": 6, "k": 2}).to_dict()["metrics"] == {}
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_verify_single(capsys):
@@ -133,6 +147,14 @@ def test_cli_verify_unknown_scenario(capsys):
 def test_cli_verify_workers_below_one(capsys):
     for workers in ("0", "-1"):
         assert _cli_error(capsys, ["verify", "--all", "--class", "smoke", "--workers", workers]) == 2
+
+
+def test_cli_collapse_budget_below_zero(tmp_path, capsys):
+    cpath = str(tmp_path / "star.json")
+    main(["build", "total-cut", "star", "--n", "5", "--k", "2", "--out", cpath])
+    capsys.readouterr()
+    assert _cli_error(capsys, ["collapse", cpath, "--budget", "-1"]) == 2
+    assert main(["collapse", cpath, "--budget", "0"]) == 1
 
 
 def test_cli_verify_workers_clamped_to_cpu_count(monkeypatch, capsys):
@@ -225,8 +247,10 @@ def test_cli_bad_complex_file(tmp_path, capsys, command):
     bad_face.write_text('{"vertices":["a","b"],"facets":[[0,5]],"void":false}')
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"vertices": ["a"')
-    assert _cli_error(capsys, [command, str(bad_face)] + extra) == 2
-    assert _cli_error(capsys, [command, str(malformed)] + extra) == 2
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"vertices":["\xff"],"facets":[[0]],"void":false}')
+    for path in (bad_face, malformed, not_utf8, tmp_path):
+        assert _cli_error(capsys, [command, str(path)] + extra) == 2
 
 
 def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
