@@ -22,7 +22,7 @@ from . import constructions as cons
 from . import graphs as gr
 from . import morse
 from .complexes import SimplicialComplex
-from .errors import GuardError, InvalidParameterError, ResourceLimitError
+from .errors import GuardError, InvalidParameterError, ResourceLimitError, VoidComplexError
 from .homology import reduced_homology
 from .verify import SIZE_CLASSES, SCENARIOS, run_all, run_scenario, summary_table
 
@@ -35,13 +35,6 @@ GRAPH_FAMILIES = {
     "circular-ladder": (gr.circular_ladder, ("n",)),
     "kneser": (gr.kneser, ("n", "k")),
     "stable-kneser": (gr.stable_kneser, ("n", "k")),
-}
-
-COMPLEX_BUILDERS = {
-    "total-cut": lambda g, k: cons.total_cut_complex(g, k),
-    "neighborhood": lambda g, k: cons.neighborhood_complex(
-        g if k is None else gr.induced_k_independent(g, k)
-    ),
 }
 
 
@@ -98,13 +91,14 @@ def _cmd_build(args) -> int:
     g = _build_graph(args)
     if args.construction == "graph":
         text = g.to_json()
-    elif args.construction in COMPLEX_BUILDERS:
-        if args.construction == "total-cut":
-            if args.k is None:
-                raise InvalidParameterError("total-cut needs --k")
-            text = COMPLEX_BUILDERS[args.construction](g, args.k).to_json()
-        else:
-            text = COMPLEX_BUILDERS[args.construction](g, args.independent_k).to_json()
+    elif args.construction == "total-cut":
+        if args.k is None:
+            raise InvalidParameterError("total-cut needs --k")
+        text = cons.total_cut_complex(g, args.k).to_json()
+    elif args.construction == "neighborhood":
+        if args.independent_k is not None:
+            g = gr.induced_k_independent(g, args.independent_k)
+        text = cons.neighborhood_complex(g).to_json()
     else:
         raise InvalidParameterError(
             f"unknown construction {args.construction!r}; known: graph, total-cut, neighborhood"
@@ -237,7 +231,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (GuardError, InvalidParameterError, ResourceLimitError, OSError) as exc:
+    except (GuardError, InvalidParameterError, ResourceLimitError, VoidComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

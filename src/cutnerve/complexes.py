@@ -160,9 +160,6 @@ class SimplicialComplex:
             object.__setattr__(self, "_closure", sorted(faces))
         return self._closure
 
-    def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        return [f for f in self.all_faces() if len(f) == d + 1]
-
     def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         out: dict[int, list[tuple[int, ...]]] = {}
         for f in self.all_faces():

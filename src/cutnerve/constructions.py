@@ -16,11 +16,10 @@ hold for the generator reading.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 
 from .complexes import SimplicialComplex, from_facets, void_complex
 from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError
-from .graphs import Graph, independent_sets, induced_k_independent, set_label
+from .graphs import Graph, independent_sets, induced_k_independent
 
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
@@ -102,17 +101,6 @@ class Cover:
                 raise InvalidParameterError(f"part index {i} out of range")
         common = frozenset.intersection(*(self.part_generators[i] for i in idx))
         return sorted(common)
-
-    def part_complex(self, i: int) -> SimplicialComplex:
-        gens = [self.generator_faces[k] for k in sorted(self.part_generators[i])]
-        return from_facets(self.base.labels, gens)
-
-    def part_faces(self, i: int) -> set[tuple[int, ...]]:
-        """Explicit nonempty faces of part i (for tests and diagnostics)."""
-        cx = self.part_complex(i)
-        if cx.is_void():
-            return set()
-        return {f for f in cx.all_faces() if f}
 
     def supports(self) -> tuple[frozenset, ...]:
         """Per part, the set of base vertices covered by its generators."""
@@ -221,47 +209,3 @@ def facet_star_cover(base: SimplicialComplex, markers) -> Cover:
 
 def _facet_key(base: SimplicialComplex, facet) -> str:
     return ",".join(base.labels[v] for v in facet)
-
-
-# ---------------------------------------------------------------------------
-# multicone filtration for cycle covers
-# ---------------------------------------------------------------------------
-
-def cycle_cover_multicone(g: Graph, k: int, cover: Cover, indices):
-    """Filtration and apex list certifying that a nonempty intersection of
-    the independent cover of a cycle is collapsible.
-
-    Stage i adds the full simplex on the neighborhood of the i-th qualifying
-    independent k-set; its apex is that set rotated one step around the
-    cycle, which is again independent and disjoint from it.  The stage order
-    is lexicographic after rotating the cycle so that one avoided vertex
-    sits at position n (the toggle argument needs the avoided ground
-    element to be last).  Returns (filtration, apexes) ready for
-    ``verify_multicone``."""
-    n = g.n
-    sets = independent_sets(g, k)
-    label_to_base = {cover.base.labels[j]: j for j in range(cover.base.n_vertices)}
-    keys = set(cover.common_generators(indices))
-    chosen = [s for s in sets if set_label(g, s) in keys]
-    if not chosen:
-        raise InvalidParameterError("intersection is void; no filtration exists")
-    base_index = {s: label_to_base[set_label(g, s)] for s in sets}
-    # rotate so that the largest avoided 1-based element becomes n
-    avoided = max(i + 1 for i in indices)
-    shift = n - avoided
-
-    def rotated_key(s):
-        return tuple(sorted((e + shift - 1) % n + 1 for e in (i + 1 for i in s)))
-
-    chosen.sort(key=rotated_key)
-    filtration: list[set] = []
-    current: set = set()
-    apexes: list[int] = []
-    for s in chosen:
-        nb = tuple(sorted(base_index[t] for t in sets if not set(t) & set(s)))
-        for r in range(len(nb) + 1):
-            current = current | set(combinations(nb, r))
-        filtration.append(set(current))
-        rotated_by_one = tuple(sorted((i + 1) % n for i in s))
-        apexes.append(base_index[rotated_by_one])
-    return filtration, apexes

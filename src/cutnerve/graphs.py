@@ -9,30 +9,12 @@ for identifying vertices across derived constructions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .errors import InvalidParameterError, ResourceLimitError
 
 ISO_VERTEX_LIMIT = 32
-
-
-@dataclass(frozen=True)
-class KSubset:
-    """A sorted k-subset of the ground set [n] = {1, ..., n}."""
-
-    elements: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if list(self.elements) != sorted(set(self.elements)):
-            raise InvalidParameterError(f"elements must be strictly increasing: {self.elements}")
-        if self.elements and not (1 <= self.elements[0] and self.elements[-1] <= self.n):
-            raise InvalidParameterError(f"elements must lie in 1..{self.n}: {self.elements}")
-
-    def label(self) -> str:
-        return "{" + ",".join(str(e) for e in self.elements) + "}"
 
 
 class Graph:
@@ -81,12 +63,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return j in self.adj[i]
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidParameterError(f"unknown vertex label {label!r}") from None
-
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks, built lazily; used by the set enumerators."""
         if self._masks is None:
@@ -119,15 +95,6 @@ class Graph:
     def from_json(text: str) -> "Graph":
         doc = json.loads(text)
         return Graph(doc["vertices"], [tuple(e) for e in doc["edges"]])
-
-
-def graphs_equal_labeled(g: Graph, h: Graph) -> bool:
-    """Equality on labels: same label set and same labeled edge set."""
-    if set(g.labels) != set(h.labels):
-        return False
-    ge = {frozenset((g.labels[i], g.labels[j])) for i, j in g.edges()}
-    he = {frozenset((h.labels[i], h.labels[j])) for i, j in h.edges()}
-    return ge == he
 
 
 # ---------------------------------------------------------------------------
@@ -200,49 +167,25 @@ def circular_ladder(n: int) -> Graph:
 
 
 def kneser(n: int, k: int) -> Graph:
-    """Vertices are the k-subsets of [n]; edges join disjoint subsets."""
+    """KG(n, k): the induced k-independent graph of the edgeless graph on
+    [n], so the vertices are all k-subsets and edges join disjoint ones."""
     if k < 1 or k > n:
         raise InvalidParameterError(f"kneser requires n >= k >= 1, got ({n}, {k})")
-    subsets = [KSubset(c, n) for c in combinations(range(1, n + 1), k)]
-    return _disjointness_graph(subsets)
-
-
-def is_r_stable(elements, n: int, r: int) -> bool:
-    """True iff every pair x, y in the subset satisfies r <= |x - y| <= n - r."""
-    elems = sorted(elements)
-    for x, y in combinations(elems, 2):
-        d = abs(x - y)
-        if d < r or d > n - r:
-            return False
-    return True
+    return induced_k_independent(Graph([str(i + 1) for i in range(n)], []), k)
 
 
 def stable_kneser(n: int, k: int) -> Graph:
-    """Induced subgraph of kneser(n, k) on the 2-stable subsets.
+    """SG(n, k) = I_k(C_n): the induced k-independent graph of the ring on
+    [n], so the vertices are the 2-stable k-subsets.  The ring is the
+    n-cycle, one edge at n = 2 and no edge at n = 1.
 
-    For n < 2k there are no 2-stable k-subsets and the empty graph is
+    For 1 < n < 2k there are no 2-stable k-subsets and the empty graph is
     returned; callers can treat zero vertices as the void signal.
     """
     if k < 1 or n < 1:
         raise InvalidParameterError(f"stable_kneser requires n, k >= 1, got ({n}, {k})")
-    subsets = [
-        KSubset(c, n)
-        for c in combinations(range(1, n + 1), k)
-        if is_r_stable(c, n, 2)
-    ]
-    return _disjointness_graph(subsets)
-
-
-def _disjointness_graph(subsets: list[KSubset]) -> Graph:
-    labels = [s.label() for s in subsets]
-    sets = [set(s.elements) for s in subsets]
-    edges = [
-        (i, j)
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-        if not sets[i] & sets[j]
-    ]
-    return Graph(labels, edges)
+    ring = cycle(n) if n >= 3 else Graph([str(i + 1) for i in range(n)], [(0, 1)] if n == 2 else [])
+    return induced_k_independent(ring, k)
 
 
 # ---------------------------------------------------------------------------
@@ -279,31 +222,6 @@ def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
 
     extend(0, 0)
     return out
-
-
-def independence_number(g: Graph) -> int:
-    """alpha(G), by branch and bound on the bitmask representation."""
-    if g.n == 0:
-        return 0
-    masks = g.adjacency_masks()
-    n = g.n
-    best = 0
-
-    def grow(start: int, forbidden: int, size: int):
-        nonlocal best
-        if size + (n - start) <= best:
-            return
-        for v in range(start, n):
-            if size + (n - v) <= best:
-                return
-            if (forbidden >> v) & 1:
-                continue
-            if size + 1 > best:
-                best = size + 1
-            grow(v + 1, forbidden | masks[v], size + 1)
-
-    grow(0, 0, 0)
-    return best
 
 
 def induced_k_independent(g: Graph, k: int) -> Graph:

@@ -74,12 +74,11 @@ class SparseIntMatrix:
 
 def _unit_phase(m: SparseIntMatrix) -> int:
     """Eliminate with +-1 pivots, sparsest columns first.  Returns the pivot
-    count; non-unit leftovers stay in the matrix for the textbook phase."""
+    count; non-unit leftovers stay in the matrix for ``_residual_phase``."""
     rows, cols = m.rows, m.cols
     heap = [(len(rs), c) for c, rs in cols.items()]
     heapq.heapify(heap)
     pivots = 0
-    stalled: list[int] = []
     while heap:
         nnz, c = heapq.heappop(heap)
         rs = cols.get(c)
@@ -96,7 +95,6 @@ def _unit_phase(m: SparseIntMatrix) -> int:
                 if best is None or rl < best[0] or (rl == best[0] and r < best[1]):
                     best = (rl, r, v)
         if best is None:
-            stalled.append(c)
             continue
         _, p, a = best
         prow = rows.pop(p)
@@ -125,7 +123,6 @@ def _unit_phase(m: SparseIntMatrix) -> int:
             if not row:
                 del rows[r]
         pivots += 1
-    # stalled columns may have shrunk or emptied since deferral; phase 2 takes them
     return pivots
 
 
@@ -202,10 +199,6 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     return (1,) * units + _divisibility_chain(residual)
 
 
-def matrix_rank(m: SparseIntMatrix) -> int:
-    return len(smith_normal_form(m))
-
-
 # ---------------------------------------------------------------------------
 # boundary matrices
 # ---------------------------------------------------------------------------
@@ -257,12 +250,6 @@ class HomologyProfile:
 
     def betti_number(self, d: int) -> int:
         return self.betti[d] if 0 <= d < len(self.betti) else 0
-
-    def torsion_in(self, d: int) -> tuple[int, ...]:
-        for dim, coeffs in self.torsion:
-            if dim == d:
-                return coeffs
-        return ()
 
     def has_torsion(self) -> bool:
         return bool(self.torsion)
@@ -363,43 +350,3 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
         profile = HomologyProfile(betti=_trim(betti), torsion=tuple(torsion))
     object.__setattr__(cx, "_homology", profile)
     return profile
-
-
-def is_wedge_of_spheres_profile(cx: SimplicialComplex, d: int, m: int) -> bool:
-    """True iff the reduced homology is exactly m copies of Z in degree d
-    with no torsion (m = 0 asks for trivial homology)."""
-    return reduced_homology(cx).is_wedge(d, m)
-
-
-def join_homology_check(a: SimplicialComplex, b: SimplicialComplex):
-    """Verify the join rank identity: the reduced rank of the join in degree
-    r equals the convolution of the factors' ranks over p + q = r - 1.
-
-    Returns True/False, or None when either factor has torsion (the identity
-    needs torsion-free input, so the check is inapplicable rather than
-    failed)."""
-    from .complexes import join
-
-    pa = reduced_homology(a)
-    pb = reduced_homology(b)
-    if pa.has_torsion() or pb.has_torsion():
-        return None
-    if pa.void or pb.void:
-        return None
-    pj = reduced_homology(join(a, b))
-    top = len(pa.betti) + len(pb.betti) + 1
-    # treat the empty complex as a (-1)-sphere: one unit of rank in degree -1
-    ra = {d: b_ for d, b_ in enumerate(pa.betti)}
-    rb = {d: b_ for d, b_ in enumerate(pb.betti)}
-    if pa.minus_one_rank:
-        ra[-1] = pa.minus_one_rank
-    if pb.minus_one_rank:
-        rb[-1] = pb.minus_one_rank
-    for r in range(-1, top + 1):
-        expected = sum(
-            ra.get(p, 0) * rb.get(r - 1 - p, 0) for p in range(-1, r + 1)
-        )
-        actual = pj.betti_number(r) if r >= 0 else pj.minus_one_rank
-        if actual != expected:
-            return False
-    return True

@@ -247,18 +247,6 @@ def _collapse_interval(faces: set, cof: dict, sigma, tau):
             _remove_pair(faces, cof, gamma, up)
 
 
-def elementary_collapse(cx: SimplicialComplex, sigma, tau) -> SimplicialComplex:
-    """Remove every face between the free face sigma and its unique maximal
-    coface tau.  When dim tau = dim sigma + 1 this removes exactly the pair;
-    a larger gap removes the whole interval (an even face count, and a
-    composite of single-step collapses, so the homotopy type is unchanged
-    either way)."""
-    sigma, tau = tuple(sorted(sigma)), tuple(sorted(tau))
-    if not sigma:
-        raise InvalidCollapseError("the empty face is never collapsed")
-    return collapse_complex(cx, [(sigma, tau)])
-
-
 @dataclass(frozen=True)
 class CollapseWitness:
     """A replayable sequence of elementary collapses.
@@ -442,40 +430,13 @@ def cone_collapse_witness(cx: SimplicialComplex, apex) -> CollapseWitness:
     return CollapseWitness(tuple(pairs), ((ai,),), "collapsible", len(pairs))
 
 
-def verify_multicone(cx: SimplicialComplex, filtration, apexes) -> bool:
-    """Check the cone-step certificate for a nested chain ending at the
-    complex: at stage i, toggling the apex w_i must map the new faces of the
-    stage into themselves.  A passing chain certifies collapsibility."""
-    stages = [set(map(tuple, stage)) for stage in filtration]
-    if len(stages) != len(apexes):
-        raise InvalidParameterError("one apex per filtration stage required")
-    if not stages:
-        raise InvalidParameterError("filtration must be nonempty")
-    prev: set = set()
-    for stage in stages:
-        if not prev <= stage:
-            raise InvalidParameterError("filtration stages are not nested")
-        prev = stage
-    if stages[-1] != set(cx.all_faces()):
-        raise InvalidParameterError("filtration does not end at the full complex")
-    apex_idx = [_resolve_vertex(cx, a) for a in apexes]
-    prev = set()
-    for stage, w in zip(stages, apex_idx):
-        fresh = stage - prev
-        for f in fresh:
-            if w in f:
-                g = tuple(x for x in f if x != w)
-            else:
-                g = tuple(sorted(f + (w,)))
-            if g not in fresh:
-                return False
-        prev = stage
-    return True
-
-
 def collapse_complex(cx: SimplicialComplex, steps) -> SimplicialComplex:
-    """Apply a sequence of free-pair collapses (interval semantics, same as
-    ``elementary_collapse``) and return the result."""
+    """Apply a sequence of collapses and return the result.  Each step
+    (sigma, tau) removes every face between the free nonempty face sigma
+    and its unique maximal coface tau: exactly the pair when dim tau =
+    dim sigma + 1, else the whole interval (an even face count, and a
+    composite of single-step collapses, so the homotopy type is unchanged
+    either way)."""
     faces = {f for f in cx.all_faces() if f}
     cof = _coface_map(faces)
     for sigma, tau in steps:

@@ -435,125 +435,147 @@ class Scenario:
     defaults: dict = None
 
 
-def _nk(pairs):
-    return [{"n": n, "k": k} for n, k in pairs]
-
-
-def _ns(values):
-    return [{"n": n} for n in values]
-
-
-def _ks(values):
-    return [{"k": k} for k in values]
-
-
-SCENARIOS: dict[str, Scenario] = {}
-
-
-def _register(scenario: Scenario):
-    SCENARIOS[scenario.id] = scenario
-
-
-_register(Scenario(
-    "thm-1-4",
-    "total cut complex of a cycle is a sphere of dimension n-2k (void below n=2k)",
-    run_thm_1_4, ("n", "k"),
-    {
-        "smoke": _nk([(4, 2), (6, 2), (3, 2)]),
-        "desk": _nk([(4, 2), (6, 2), (7, 2), (8, 2), (6, 3), (8, 3), (9, 3), (3, 2), (5, 3)]),
-        "extended": _nk([(4, 2), (6, 2), (7, 2), (8, 2), (6, 3), (8, 3), (9, 3), (3, 2), (5, 3),
-                         (10, 2), (10, 3), (11, 3), (12, 4)]),
-    },
-))
-_register(Scenario(
-    "thm-1-3",
-    "neighborhood complex of the stable Kneser graph is a sphere of dimension n-2k",
-    run_thm_1_3, ("n", "k"),
-    {
-        "smoke": _nk([(4, 2), (6, 2)]),
-        "desk": _nk([(4, 2), (6, 2), (7, 2), (8, 2), (6, 3), (8, 3)]),
-        "extended": _nk([(4, 2), (6, 2), (7, 2), (8, 2), (6, 3), (8, 3), (9, 3)]),
-    },
-))
-_register(Scenario(
-    "thm-3-1",
-    "independent cover of the cycle: nerve equals the total cut complex, "
-    "intersections collapse, both sides are spheres",
-    run_thm_3_1, ("n", "k"),
-    {
-        "smoke": _nk([(6, 2)]),
-        "desk": _nk([(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3)]),
-        "extended": _nk([(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3), (9, 3)]),
-    },
-))
-_register(Scenario(
-    "prop-3-3",
-    "facet count of the cycle total cut complex matches (n/(n-k)) C(n-k,k)",
-    run_prop_3_3, ("n", "k"),
-    {
-        "smoke": _nk([(6, 2)]),
-        "desk": _nk([(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3)]),
-        "extended": _nk([(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3),
-                         (10, 2), (12, 3), (12, 4)]),
-    },
-))
-_register(Scenario(
-    "thm-4-2",
-    "prism: neighborhood complex of the induced 2-independent graph, its "
-    "marker cover, the simplex-boundary nerve, and the claimed sphere profile",
-    run_thm_4_2, ("n",),
-    {"smoke": _ns([3]), "desk": _ns([3, 4, 5]), "extended": _ns([3, 4, 5])},
-))
-_register(Scenario(
-    "thm-4-3",
-    "prism total cut complex is a wedge of n-1 spheres of dimension 2n-4",
-    run_thm_4_3, ("n",),
-    {"smoke": _ns([3]), "desk": _ns([3, 4, 5]), "extended": _ns([2, 3, 4, 5])},
-))
-_register(Scenario(
-    "thm-4-4",
-    "circular ladder total cut complex: wedge profile plus the matching "
-    "(odd) or decomposition (even) certificates",
-    run_thm_4_4, ("n",),
-    {"smoke": _ns([4, 5]), "desk": _ns([4, 5, 6, 7]), "extended": _ns([4, 5, 6, 7, 8, 9])},
-))
-_register(Scenario(
-    "thm-4-6",
-    "circular ladder neighborhood complexes: ladder isomorphism and circle "
-    "profile (odd), two disjoint simplices (even)",
-    run_thm_4_6, ("n",),
-    {"smoke": _ns([4, 5]), "desk": _ns([4, 5, 6, 7]), "extended": _ns([4, 5, 6, 7, 8, 9])},
-))
-_register(Scenario(
-    "thm-4-7",
-    "squared cycle total cut complex is a 3-sphere",
-    run_thm_4_7, ("k",),
-    {"smoke": _ks([3]), "desk": _ks([3, 4]), "extended": _ks([3, 4, 5])},
-))
-_register(Scenario(
-    "thm-4-8",
-    "squared cycle induced graph: regularity, cyclic window facets, circle profile",
-    run_thm_4_8, ("k",),
-    {"smoke": _ks([3]), "desk": _ks([3, 4]), "extended": _ks([3, 4, 5])},
-))
-_register(Scenario(
-    "ex-4-9",
-    "star counterexample: collapsible total cut complex but a wedge for the "
-    "Kneser neighborhood complex",
-    run_ex_4_9, ("n",),
-    {"smoke": _ns([5]), "desk": _ns([4, 5, 6]), "extended": _ns([4, 5, 6, 7])},
-))
-_register(Scenario(
-    "prop-4-10",
-    "seeded random graphs: the independent-cover nerve equals the total cut complex",
-    run_prop_4_10, ("count", "seed"),
-    {
-        "smoke": [{"count": 10, "seed": 2026}],
-        "desk": [{"count": 60, "seed": 2026}],
-        "extended": [{"count": 120, "seed": 2026}],
-    },
-    defaults={"count": 60, "seed": 2026},
-))
+SCENARIOS: dict[str, Scenario] = {s.id: s for s in (
+    Scenario(
+        "thm-1-4",
+        "total cut complex of a cycle is a sphere of dimension n-2k (void below n=2k)",
+        run_thm_1_4, ("n", "k"),
+        {
+            "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 3, "k": 2}],
+            "desk": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
+                     {"n": 6, "k": 3}, {"n": 8, "k": 3}, {"n": 9, "k": 3}, {"n": 3, "k": 2},
+                     {"n": 5, "k": 3}],
+            "extended": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
+                         {"n": 6, "k": 3}, {"n": 8, "k": 3}, {"n": 9, "k": 3}, {"n": 3, "k": 2},
+                         {"n": 5, "k": 3}, {"n": 10, "k": 2}, {"n": 10, "k": 3},
+                         {"n": 11, "k": 3}, {"n": 12, "k": 4}],
+        },
+    ),
+    Scenario(
+        "thm-1-3",
+        "neighborhood complex of the stable Kneser graph is a sphere of dimension n-2k",
+        run_thm_1_3, ("n", "k"),
+        {
+            "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}],
+            "desk": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
+                     {"n": 6, "k": 3}, {"n": 8, "k": 3}],
+            "extended": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
+                         {"n": 6, "k": 3}, {"n": 8, "k": 3}, {"n": 9, "k": 3}],
+        },
+    ),
+    Scenario(
+        "thm-3-1",
+        "independent cover of the cycle: nerve equals the total cut complex, "
+        "intersections collapse, both sides are spheres",
+        run_thm_3_1, ("n", "k"),
+        {
+            "smoke": [{"n": 6, "k": 2}],
+            "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
+                     {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
+            "extended": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
+                         {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3},
+                         {"n": 9, "k": 3}],
+        },
+    ),
+    Scenario(
+        "prop-3-3",
+        "facet count of the cycle total cut complex matches (n/(n-k)) C(n-k,k)",
+        run_prop_3_3, ("n", "k"),
+        {
+            "smoke": [{"n": 6, "k": 2}],
+            "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
+                     {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
+            "extended": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
+                         {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3},
+                         {"n": 10, "k": 2}, {"n": 12, "k": 3}, {"n": 12, "k": 4}],
+        },
+    ),
+    Scenario(
+        "thm-4-2",
+        "prism: neighborhood complex of the induced 2-independent graph, its "
+        "marker cover, the simplex-boundary nerve, and the claimed sphere profile",
+        run_thm_4_2, ("n",),
+        {
+            "smoke": [{"n": 3}],
+            "desk": [{"n": 3}, {"n": 4}, {"n": 5}],
+            "extended": [{"n": 3}, {"n": 4}, {"n": 5}],
+        },
+    ),
+    Scenario(
+        "thm-4-3",
+        "prism total cut complex is a wedge of n-1 spheres of dimension 2n-4",
+        run_thm_4_3, ("n",),
+        {
+            "smoke": [{"n": 3}],
+            "desk": [{"n": 3}, {"n": 4}, {"n": 5}],
+            "extended": [{"n": 2}, {"n": 3}, {"n": 4}, {"n": 5}],
+        },
+    ),
+    Scenario(
+        "thm-4-4",
+        "circular ladder total cut complex: wedge profile plus the matching "
+        "(odd) or decomposition (even) certificates",
+        run_thm_4_4, ("n",),
+        {
+            "smoke": [{"n": 4}, {"n": 5}],
+            "desk": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}],
+            "extended": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}, {"n": 8}, {"n": 9}],
+        },
+    ),
+    Scenario(
+        "thm-4-6",
+        "circular ladder neighborhood complexes: ladder isomorphism and circle "
+        "profile (odd), two disjoint simplices (even)",
+        run_thm_4_6, ("n",),
+        {
+            "smoke": [{"n": 4}, {"n": 5}],
+            "desk": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}],
+            "extended": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}, {"n": 8}, {"n": 9}],
+        },
+    ),
+    Scenario(
+        "thm-4-7",
+        "squared cycle total cut complex is a 3-sphere",
+        run_thm_4_7, ("k",),
+        {
+            "smoke": [{"k": 3}],
+            "desk": [{"k": 3}, {"k": 4}],
+            "extended": [{"k": 3}, {"k": 4}, {"k": 5}],
+        },
+    ),
+    Scenario(
+        "thm-4-8",
+        "squared cycle induced graph: regularity, cyclic window facets, circle profile",
+        run_thm_4_8, ("k",),
+        {
+            "smoke": [{"k": 3}],
+            "desk": [{"k": 3}, {"k": 4}],
+            "extended": [{"k": 3}, {"k": 4}, {"k": 5}],
+        },
+    ),
+    Scenario(
+        "ex-4-9",
+        "star counterexample: collapsible total cut complex but a wedge for the "
+        "Kneser neighborhood complex",
+        run_ex_4_9, ("n",),
+        {
+            "smoke": [{"n": 5}],
+            "desk": [{"n": 4}, {"n": 5}, {"n": 6}],
+            "extended": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}],
+        },
+    ),
+    Scenario(
+        "prop-4-10",
+        "seeded random graphs: the independent-cover nerve equals the total cut complex",
+        run_prop_4_10, ("count", "seed"),
+        {
+            "smoke": [{"count": 10, "seed": 2026}],
+            "desk": [{"count": 60, "seed": 2026}],
+            "extended": [{"count": 120, "seed": 2026}],
+        },
+        defaults={"count": 60, "seed": 2026},
+    ),
+)}
 
 SIZE_CLASSES = ("smoke", "desk", "extended")
 

@@ -148,6 +148,34 @@ def brute_homology(facets) -> dict:
     return {"betti": betti, "torsion": torsion, "minus_one": 0}
 
 
+def free_ranks(profile) -> list[int]:
+    """Free ranks of a homology profile (anything with ``minus_one_rank``
+    and ``betti``) from degree -1 up, trailing zeros dropped."""
+    return _trim([profile.minus_one_rank, *profile.betti])
+
+
+def join_ranks(ranks_a, ranks_b) -> list[int]:
+    """Free ranks of the reduced homology of a join A * B from those of A
+    and B, each listed from degree -1 up: the empty complex is [1] and two
+    points are [0, 1].
+
+    The join is the suspension of the smash product, so by the Kunneth
+    formula rank H~_r(A * B) is the sum over p + q = r - 1 of
+    rank H~_p(A) * rank H~_q(B); torsion in a factor adds only torsion.
+    Listed from degree -1, that is a plain convolution."""
+    out = [0] * (len(ranks_a) + len(ranks_b))
+    for i, a in enumerate(ranks_a):
+        for j, b in enumerate(ranks_b):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _trim(ranks: list[int]) -> list[int]:
+    while ranks and ranks[-1] == 0:
+        ranks.pop()
+    return ranks
+
+
 # ---------------------------------------------------------------------------
 # collapse search without strong collapses
 # ---------------------------------------------------------------------------
@@ -197,6 +225,25 @@ def filter_independent_sets(n: int, edges, k: int) -> list[tuple[int, ...]]:
         if all(frozenset(p) not in edge_set for p in combinations(c, 2)):
             out.append(c)
     return out
+
+
+def is_two_stable(subset, n: int) -> bool:
+    """No two elements of the subset of [n] are neighbours on the n-cycle:
+    every pair x < y has 2 <= y - x <= n - 2."""
+    return all(2 <= y - x <= n - 2 for x, y in combinations(sorted(subset), 2))
+
+
+def kneser_reference(n: int, k: int, stable: bool):
+    """SG(n, k) when ``stable``, else KG(n, k), as (labels, edges): the
+    2-stable (or all) k-subsets of [n] in lexicographic order, labelled
+    "{1,3}", with an edge between each two disjoint ones."""
+    subsets = [c for c in combinations(range(1, n + 1), k) if not stable or is_two_stable(c, n)]
+    labels = ["{" + ",".join(map(str, c)) + "}" for c in subsets]
+    edges = [
+        (i, j) for i, j in combinations(range(len(subsets)), 2)
+        if not set(subsets[i]) & set(subsets[j])
+    ]
+    return labels, edges
 
 
 def exists_permutation_isomorphism(n, edges_g, edges_h) -> bool:

@@ -78,7 +78,7 @@ def test_all_faces_simplex():
 
 def test_faces_of_dim_boundary():
     c = cx.simplex_boundary("abc")
-    assert len(c.faces_of_dim(1)) == 3
+    assert len(c.faces_by_dim()[1]) == 3
 
 
 def test_closure_matches_subset_oracle():

@@ -1,4 +1,4 @@
-"""Matchings, acyclicity, collapses, and the multicone certificate."""
+"""Matchings, acyclicity, collapses and collapse witnesses."""
 
 import random
 from itertools import combinations
@@ -178,27 +178,30 @@ def test_ladder_neighborhood_free_faces():
 
 def test_elementary_collapse_edge_to_point():
     c = cx.full_simplex("ab")
-    out = morse.elementary_collapse(c, (0,), (0, 1))
+    out = morse.collapse_complex(c, [((0,), (0, 1))])
     assert out.facets == ((1,),)
 
 
 def test_elementary_collapse_rejects_non_free():
     c = cx.simplex_boundary("abc")
     with pytest.raises(InvalidCollapseError):
-        morse.elementary_collapse(c, (0,), (0, 1))
+        morse.collapse_complex(c, [((0,), (0, 1))])
+    # the empty face is never collapsed
+    with pytest.raises(InvalidCollapseError):
+        morse.collapse_complex(cx.full_simplex("ab"), [((), (0,))])
 
 
 def test_elementary_collapse_interval():
     # [a, abc] removes a, ab, ac and abc from the triangle, leaving the edge bc
     c = cx.full_simplex("abc")
-    out = morse.elementary_collapse(c, (0,), (0, 1, 2))
+    out = morse.collapse_complex(c, [((0,), (0, 1, 2))])
     assert out.facets == ((1, 2),)
     # with the extra edge ad, a also lies outside the interval
     c = cx.from_facets("abcd", [(0, 1, 2), (0, 3)])
     with pytest.raises(InvalidCollapseError):
-        morse.elementary_collapse(c, (0,), (0, 1, 2))
+        morse.collapse_complex(c, [((0,), (0, 1, 2))])
     with pytest.raises(InvalidCollapseError):
-        morse.elementary_collapse(c, (0, 1), (0, 3))
+        morse.collapse_complex(c, [((0, 1), (0, 3))])
 
 
 def test_collapse_preserves_homology():
@@ -211,7 +214,7 @@ def test_collapse_preserves_homology():
         if not free:
             continue
         sigma, tau = free[rng.randrange(len(free))]
-        out = morse.elementary_collapse(c, sigma, tau)
+        out = morse.collapse_complex(c, [(sigma, tau)])
         assert out.face_count() == c.face_count() - 2
         assert hom.reduced_homology(out) == hom.reduced_homology(c)
         checked += 1
@@ -416,44 +419,3 @@ def test_cone_collapse_witness():
     assert morse.replay_collapse(coned, witness)
     with pytest.raises(InvalidParameterError):
         morse.cone_collapse_witness(base, base.labels[0])
-
-
-# -- multicone ---------------------------------------------------------------------------
-
-def test_multicone_single_cone():
-    c = cx.cone(cx.simplex_boundary("abc"), "w")
-    faces = set(c.all_faces())
-    apex = c.labels.index("w")
-    assert morse.verify_multicone(c, [faces], [apex])
-
-
-def test_multicone_wrong_apex():
-    c = cx.cone(cx.simplex_boundary("abc"), "w")
-    faces = set(c.all_faces())
-    assert not morse.verify_multicone(c, [faces], [c.labels.index("a")])
-
-
-def test_multicone_rejects_non_nested():
-    c = cx.full_simplex("ab")
-    with pytest.raises(InvalidParameterError):
-        morse.verify_multicone(c, [{(0,)}, {(1,)}], [0, 1])
-
-
-def test_multicone_on_cycle_cover_intersections():
-    g = gr.cycle(7)
-    k = 2
-    cover = cons.independent_cover(g, k)
-    nerve = cons.nerve(cover)
-    checked = 0
-    for face in nerve.all_faces():
-        if not face:
-            continue
-        inter = cons.cover_intersection(cover, face)
-        if not inter.has_vertices():
-            continue
-        filtration, apexes = cons.cycle_cover_multicone(g, k, cover, face)
-        assert morse.verify_multicone(inter, filtration, apexes)
-        # the certificate promises collapsibility; the search must agree
-        assert morse.greedy_collapse(inter).is_collapsible()
-        checked += 1
-    assert checked > 20

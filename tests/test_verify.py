@@ -251,6 +251,14 @@ def test_cli_bad_complex_file(tmp_path, capsys, command):
     not_utf8.write_bytes(b'{"vertices":["\xff"],"facets":[[0]],"void":false}')
     for path in (bad_face, malformed, not_utf8, tmp_path):
         assert _cli_error(capsys, [command, str(path)] + extra) == 2
+    # the void complex has a homology profile and an empty matching, but
+    # nothing to collapse
+    void = tmp_path / "void.json"
+    void.write_text('{"vertices":["a"],"facets":[],"void":true}')
+    if command == "collapse":
+        assert _cli_error(capsys, [command, str(void)]) == 2
+    else:
+        assert main([command, str(void)] + extra) == 0
 
 
 def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
