@@ -139,6 +139,45 @@ def test_kneser_matches_oracle():
             assert gr.kneser(n, k) == gr.Graph(*kneser_reference(n, k, stable=False)), (n, k)
 
 
+def test_induced_matches_stable_kneser_on_cycles():
+    # I_k(C_n) = SG(n, k): the induced graph of the public n-cycle against
+    # the 2-stable-subset reference and the SG(n, k) builder
+    for n in range(3, 11):
+        for k in range(1, n // 2 + 1):
+            h = gr.induced_k_independent(gr.cycle(n), k)
+            assert h == gr.Graph(*kneser_reference(n, k, stable=True)), (n, k)
+            assert h == gr.stable_kneser(n, k), (n, k)
+
+
+# -- 2-stability --------------------------------------------------------------
+
+def test_r_stable_examples():
+    assert is_two_stable({1, 4}, 6)
+    assert not is_two_stable({1, 2}, 6)
+    assert not is_two_stable({1, 6}, 6)  # neighbours across the wrap
+    assert is_two_stable({2}, 9)
+    assert is_two_stable((), 5)
+    labels = set(gr.stable_kneser(6, 2).labels)
+    assert "{1,4}" in labels
+    assert "{1,2}" not in labels and "{1,6}" not in labels
+    assert gr.stable_kneser(9, 1).n == 9  # every singleton is 2-stable
+
+
+def test_r_stable_matches_cycle_independence():
+    from itertools import combinations
+
+    for n in range(3, 10):
+        edges = {frozenset((i, i % n + 1)) for i in range(1, n + 1)}
+        for k in range(1, n + 1):
+            independent = set()
+            for c in combinations(range(1, n + 1), k):
+                is_independent = all(frozenset(p) not in edges for p in combinations(c, 2))
+                assert is_two_stable(c, n) == is_independent, (n, c)
+                if is_independent:
+                    independent.add("{" + ",".join(map(str, c)) + "}")
+            assert set(gr.stable_kneser(n, k).labels) == independent, (n, k)
+
+
 def test_constructors_symmetric_irreflexive():
     for g in small_corpus():
         for i in range(g.n):
