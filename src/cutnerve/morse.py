@@ -286,8 +286,12 @@ class CollapseWitness:
 
 def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
     """Re-run the witness from scratch, checking the free-face condition at
-    every step and the terminal face set at the end.  The checker keeps its
-    own coface bookkeeping, so it shares no code with the search."""
+    every step, the terminal face set at the end, and that the verdict is
+    "collapsible" exactly when that set is one vertex ("unknown" otherwise).
+    The checker keeps its own coface bookkeeping, so it shares no code with
+    the search."""
+    if witness.verdict != ("collapsible" if len(witness.terminal) == 1 else "unknown"):
+        return False
     faces = {f for f in cx.all_faces() if f}
     cof: dict[tuple, set] = {f: set() for f in faces}
     for f in faces:
@@ -409,25 +413,6 @@ def greedy_collapse(
                 heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
     verdict = "collapsible" if len(faces) == 1 else "unknown"
     return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, len(steps))
-
-
-def cone_collapse_witness(cx: SimplicialComplex, apex) -> CollapseWitness:
-    """Deterministic witness for a cone: every face missing the apex is
-    collapsed against its extension by the apex, top dimension first.  The
-    apex must belong to every facet."""
-    ai = _resolve_vertex(cx, apex)
-    for facet in cx.facets:
-        if ai not in facet:
-            raise InvalidParameterError(
-                f"vertex {cx.labels[ai]!r} is not an apex: facet {facet} misses it"
-            )
-    pairs = [
-        (f, tuple(sorted(f + (ai,))))
-        for f in cx.all_faces()
-        if f and ai not in f
-    ]
-    pairs.sort(key=lambda p: (-len(p[0]), p[0]))
-    return CollapseWitness(tuple(pairs), ((ai,),), "collapsible", len(pairs))
 
 
 def collapse_complex(cx: SimplicialComplex, steps) -> SimplicialComplex:

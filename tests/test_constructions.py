@@ -10,7 +10,7 @@ from cutnerve import complexes as cx
 from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
-from cutnerve.errors import EmptyCoverError, InvalidParameterError
+from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError
 
 from oracles import brute_homology
 
@@ -178,11 +178,19 @@ def test_empty_cover_error():
 
 
 def test_cover_intersection_single_index_is_part():
-    cover = cons.independent_cover(gr.cycle(6), 2)
-    for i in range(cover.n_parts):
-        inter = cons.cover_intersection(cover, [i])
-        gens = [cover.generator_faces[key] for key in cover.part_generators[i]]
-        assert cx.equals_labeled(inter, cx.from_facets(cover.base.labels, gens))
+    # from first principles: part i is generated by N(S) = {T : T and S are
+    # disjoint} over the independent k-sets S that avoid i
+    for g in small_graph_corpus():
+        for k in (2, 3):
+            sets = [frozenset(s) for s in gr.independent_sets(g, k)]
+            if not sets:
+                continue
+            cover = cons.independent_cover(g, k)
+            vertex = {lab: j for j, lab in enumerate(cover.base.labels)}
+            nbhd = {s: [vertex[gr.set_label(g, t)] for t in sets if not s & t] for s in sets}
+            for i in range(g.n):
+                part = cx.from_facets(cover.base.labels, [nbhd[s] for s in sets if i not in s])
+                assert cx.equals_labeled(cons.cover_intersection(cover, [i]), part), (g.labels, k, i)
 
 
 def test_cover_intersection_all_indices_void():
@@ -290,13 +298,63 @@ def test_facet_star_cover_invalid_marker():
         cons.facet_star_cover(cx.full_simplex("abc"), ["z"])
 
 
-def test_cover_json_shape():
-    import json
+# -- cover validation ----------------------------------------------------------
 
+def test_cover_rejects_duplicate_part_labels():
+    base = cx.full_simplex("ab")
+    with pytest.raises(InvalidParameterError, match="unique"):
+        cons.Cover(base, ["x", "x"], [((0, 1), {0, 1})])
+
+
+def test_cover_rejects_void_base():
+    with pytest.raises(InvalidParameterError, match="void"):
+        cons.Cover(cx.void_complex("ab"), ["x"], [])
+
+
+def test_cover_rejects_generator_outside_base():
+    base = cx.from_facets("abc", [(0, 1), (1, 2)])
+    with pytest.raises(InvalidFaceError):
+        cons.Cover(base, ["x"], [((0, 1), {0}), ((1, 2), {0}), ((0, 2), {0})])
+
+
+def test_cover_rejects_holder_out_of_range():
+    base = cx.full_simplex("ab")
+    for holders in ({0, 2}, {-1}):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            cons.Cover(base, ["x", "y"], [((0, 1), holders)])
+
+
+def test_cover_rejects_ungenerated_facet():
+    base = cx.from_facets("abc", [(0, 1), (1, 2)])
+    with pytest.raises(InvalidParameterError, match="not covered"):
+        cons.Cover(base, ["x"], [((0, 1), {0}), ((1,), {0})])
+
+
+def test_cover_index_sets_nonempty_and_in_range():
     cover = cons.independent_cover(gr.cycle(6), 2)
-    doc = json.loads(cover.to_json())
-    assert len(doc["parts"]) == 6
-    assert all("generators" in p for p in doc["parts"])
+    for bad in ([], [6], [0, -1]):
+        with pytest.raises(InvalidParameterError):
+            cons.cover_intersection(cover, bad)
+        with pytest.raises(InvalidParameterError):
+            cover.raw_intersection_nonempty(bad)
+
+
+def test_cover_keeps_generators_that_share_a_face():
+    # K_{1,3}: the three leaf pairs meet pairwise, so each has the empty
+    # neighbourhood; keyed by face they would merge into one generator
+    g = gr.star(3)
+    cover = cons.independent_cover(g, 2)
+    assert [face for face, _ in cover.generators] == [(), (), ()]
+    assert len({holders for _, holders in cover.generators}) == 3
+    assert cx.equals_labeled(cons.nerve(cover), cons.total_cut_complex(g, 2))
+    # the same on a base with a nonempty shared face
+    base = cx.full_simplex("ab")
+    cover = cons.Cover(base, "xyz", [((0, 1), {0, 1}), ((0, 1), {1, 2})])
+    assert len(cover.generators) == 2
+    assert cons.nerve(cover).facet_label_family() == frozenset(
+        {frozenset("xy"), frozenset("yz")}
+    )
+    assert cons.cover_intersection(cover, [0, 2]).is_void()
 
 
 # -- spot check profiles through the construction stack ----------------------------

@@ -411,11 +411,27 @@ def test_witness_json_roundtrip():
     assert morse.replay_collapse(tc, back)
 
 
-def test_cone_collapse_witness():
-    base = cons.total_cut_complex(gr.cycle(6), 2)
-    coned = cx.cone(base, "w")
-    witness = morse.cone_collapse_witness(coned, "w")
-    assert witness.is_collapsible()
-    assert morse.replay_collapse(coned, witness)
-    with pytest.raises(InvalidParameterError):
-        morse.cone_collapse_witness(base, base.labels[0])
+def test_replay_refuses_collapsible_two_points():
+    # two points are not collapsible: a "collapsible" witness that stops at
+    # both is refused, though its steps and terminal set are right
+    two = cx.discrete_points("ab")
+    doc = '{"verdict":"collapsible","steps":[],"terminal":[["a"],["b"]]}'
+    assert not morse.replay_collapse(two, morse.CollapseWitness.from_json(two, doc))
+    assert morse.replay_collapse(two, morse.CollapseWitness((), ((0,), (1,)), "unknown"))
+    # the empty complex's witness has no terminal faces and stays valid
+    empty = cx.empty_complex("a")
+    assert morse.replay_collapse(empty, morse.greedy_collapse(empty))
+
+
+def test_replay_refuses_unknown_one_vertex():
+    edge = cx.full_simplex("ab")
+    steps = (((1,), (0, 1)),)
+    assert morse.replay_collapse(edge, morse.CollapseWitness(steps, ((0,),), "collapsible"))
+    assert not morse.replay_collapse(edge, morse.CollapseWitness(steps, ((0,),), "unknown"))
+
+
+def test_replay_refuses_unrecognised_verdict():
+    edge = cx.full_simplex("ab")
+    assert not morse.replay_collapse(edge, morse.CollapseWitness((((1,), (0, 1)),), ((0,),), "banana"))
+    two = cx.discrete_points("ab")
+    assert not morse.replay_collapse(two, morse.CollapseWitness((), ((0,), (1,)), "banana"))

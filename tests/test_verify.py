@@ -1,5 +1,6 @@
 """Scenario registry, reports, and the command line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -66,6 +67,18 @@ def test_smoke_class_all_pass_and_reports_deterministic():
     assert all(r.verdict == "pass" for r in first), verify.summary_table(first)
     second = verify.run_all("smoke")
     assert [r.to_json() for r in first] == [r.to_json() for r in second]
+
+
+# sha256 of the smoke reports, serialised as `cutnerve verify --json` writes
+# them; a change that alters the report on purpose updates this digest
+SMOKE_REPORT_SHA256 = "540ce49e30a0a2d18113438d934e50ac71b90376f1dc5cc74ae1173e85a25443"
+
+
+def test_smoke_report_digest_is_pinned():
+    docs = [r.to_dict() for r in verify.run_all("smoke")]
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert len(docs) == 17
+    assert hashlib.sha256(text.encode()).hexdigest() == SMOKE_REPORT_SHA256
 
 
 def test_desk_class_covers_every_scenario():
@@ -280,3 +293,12 @@ def test_cli_collapse_unknown_exits_1_and_replays(tmp_path, capsys):
     code = main(["collapse", str(cpath), "--replay", wpath])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
+
+
+def test_cli_replay_refuses_collapsible_two_points(tmp_path, capsys):
+    cpath = tmp_path / "two_points.json"
+    cpath.write_text('{"vertices":["a","b"],"facets":[[0],[1]],"void":false}')
+    wpath = tmp_path / "w.json"
+    wpath.write_text('{"verdict":"collapsible","steps":[],"terminal":[["a"],["b"]]}')
+    assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"replay": "invalid"}
