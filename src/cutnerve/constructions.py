@@ -142,11 +142,15 @@ def facet_star_cover(base: SimplicialComplex, markers) -> Cover:
     """One part per marker vertex, generated by the facets containing it:
     each nonempty facet is held by the markers it contains."""
     marker_idx = []
+    n = len(base.labels)
     for m in markers:
-        lab = m if isinstance(m, str) else base.labels[m]
-        if lab not in base.labels:
-            raise InvalidParameterError(f"marker {lab!r} is not a vertex of the complex")
-        marker_idx.append(base.labels.index(lab))
+        if isinstance(m, str):
+            if m not in base.labels:
+                raise InvalidParameterError(f"marker {m!r} is not a vertex of the complex")
+            m = base.labels.index(m)
+        elif not 0 <= m < n:
+            raise InvalidParameterError(f"marker index {m} is outside 0..{n - 1}")
+        marker_idx.append(m)
     generators = [
         (f, frozenset(i for i, v in enumerate(marker_idx) if v in f)) for f in base.facets if f
     ]

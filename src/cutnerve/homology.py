@@ -5,20 +5,24 @@ face, so degree-0 homology is already reduced and a d-sphere shows a single
 Z in degree d.  All arithmetic uses Python integers, so intermediate entry
 growth and torsion are exact.
 
-The Smith normal form runs in two phases.  Unit entries (the bulk of any
-boundary matrix) are eliminated first, choosing pivots greedily from the
-sparsest columns to limit fill-in.  Whatever remains (on the desk-class
-boundary matrices, nothing) goes to the residual phase, which keeps the
-matrix as two mirrored value maps, row -> column -> value and column ->
-row -> value.  It takes an entry of least absolute value as pivot and
-clears the pivot's column, then its row, with one routine: subtract
-floor-division multiples of the pivot line from every other line, and when
-remainders are left, move the pivot to the least of them.  Clearing a row
-is the same routine with the two maps swapped.  The pivot's absolute value
-falls at every move, so each pivot ends alone in its row and column.  That
-phase's diagonal is normalized into a divisibility chain at the end (unit
-pivots divide everything and need no normalizing); the invariant factors
-are unique, so the pivot order cannot affect results.
+The Smith normal form is one sparse elimination on two mirrored value maps,
+row -> column -> value and column -> row -> value.  Each round picks a
+pivot and clears the pivot's column, then its row, with one routine:
+subtract floor-division multiples of the pivot line from every other line,
+and when remainders are left, move the pivot to the least of them.
+Clearing a row is the same routine with the two maps swapped.  The pivot's
+absolute value falls at every move, so each pivot ends alone in its row and
+column and its absolute value is a diagonal entry.
+
+The pivot rule puts units first, since they are the bulk of any boundary
+matrix and clear a column in one sweep (Dumas, Heckenbach, Saunders and
+Welker, 2003): take a +-1 entry of the sparsest column that has one, in
+that column's shortest row.  Columns come from a heap of column counts that
+is checked again on pop, so fill-in needs no push.  Once no popped column
+holds a unit (on the desk-class boundary matrices, never), take an entry of
+least absolute value.  The non-unit diagonal is normalized into a
+divisibility chain at the end; the invariant factors are unique, so the
+pivot order cannot affect results.
 """
 
 from __future__ import annotations
@@ -33,18 +37,16 @@ from .errors import InvalidParameterError, VoidComplexError
 
 
 class SparseIntMatrix:
-    """Integer matrix stored as row dictionaries plus a column index."""
+    """Integer matrix stored as two mirrored value maps, ``rows[r][c]`` and
+    ``cols[c][r]``.  Neither map keeps an empty line."""
 
     __slots__ = ("nrows", "ncols", "rows", "cols")
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
+    def __init__(self, nrows: int, ncols: int):
         self.nrows = nrows
         self.ncols = ncols
         self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                self.set(r, c, v)
+        self.cols: dict[int, dict[int, int]] = {}
 
     def set(self, r: int, c: int, v: int):
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
@@ -52,78 +54,18 @@ class SparseIntMatrix:
         if v == 0:
             row = self.rows.get(r)
             if row and c in row:
-                del row[c]
-                self.cols[c].discard(r)
+                col = self.cols[c]
+                del row[c], col[r]
                 if not row:
                     del self.rows[r]
+                if not col:
+                    del self.cols[c]
             return
         self.rows.setdefault(r, {})[c] = v
-        self.cols.setdefault(c, set()).add(r)
+        self.cols.setdefault(c, {})[r] = v
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows.values())
-
-    def copy(self) -> "SparseIntMatrix":
-        m = SparseIntMatrix(self.nrows, self.ncols)
-        for r, row in self.rows.items():
-            m.rows[r] = dict(row)
-        for c, rs in self.cols.items():
-            m.cols[c] = set(rs)
-        return m
-
-
-def _unit_phase(m: SparseIntMatrix) -> int:
-    """Eliminate with +-1 pivots, sparsest columns first.  Returns the pivot
-    count; non-unit leftovers stay in the matrix for ``_residual_phase``."""
-    rows, cols = m.rows, m.cols
-    heap = [(len(rs), c) for c, rs in cols.items()]
-    heapq.heapify(heap)
-    pivots = 0
-    while heap:
-        nnz, c = heapq.heappop(heap)
-        rs = cols.get(c)
-        if not rs:
-            continue
-        if len(rs) != nnz:
-            heapq.heappush(heap, (len(rs), c))
-            continue
-        best = None
-        for r in rs:
-            v = rows[r][c]
-            if v == 1 or v == -1:
-                rl = len(rows[r])
-                if best is None or rl < best[0] or (rl == best[0] and r < best[1]):
-                    best = (rl, r, v)
-        if best is None:
-            continue
-        _, p, a = best
-        prow = rows.pop(p)
-        del prow[c]
-        for cc in prow:
-            cols[cc].discard(p)
-        victims = [r for r in cols.pop(c) if r != p]
-        for r in victims:
-            row = rows[r]
-            q = row.pop(c) * a  # a in {1,-1}, so q = entry / a
-            for cc, pv in prow.items():
-                cur = row.get(cc)
-                if cur is None:
-                    nv = -q * pv
-                    row[cc] = nv
-                    cs = cols[cc]
-                    cs.add(r)
-                    heapq.heappush(heap, (len(cs), cc))
-                else:
-                    nv = cur - q * pv
-                    if nv:
-                        row[cc] = nv
-                    else:
-                        del row[cc]
-                        cols[cc].discard(r)
-            if not row:
-                del rows[r]
-        pivots += 1
-    return pivots
 
 
 def _clear_line(lines: dict, mirror: dict, p: int, c: int) -> int:
@@ -154,25 +96,24 @@ def _clear_line(lines: dict, mirror: dict, p: int, c: int) -> int:
         p = min(rest, key=lambda r: (abs(mirror[c][r]), r))
 
 
-def _residual_phase(m: SparseIntMatrix) -> list[int]:
-    """Textbook elimination on whatever the unit phase left behind: take a
-    minimal entry as pivot, clear its column and then its row until both
-    hold the pivot alone.  The row is cleared by the same routine with the
-    row and column maps swapped."""
-    rows = m.rows
-    cols: dict[int, dict[int, int]] = {}
-    for r, row in rows.items():
-        for c, v in row.items():
-            cols.setdefault(c, {})[r] = v
-    diagonal: list[int] = []
-    while rows:
-        _, p, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
-        while len(rows[p]) > 1 or len(cols[c]) > 1:
-            p = _clear_line(rows, cols, p, c)
-            c = _clear_line(cols, rows, c, p)
-        diagonal.append(abs(rows.pop(p)[c]))
-        del cols[c]
-    return diagonal
+def _pivot(rows: dict, cols: dict, heap: list) -> tuple[int, int]:
+    """A +-1 entry of the sparsest column that has one, in that column's
+    shortest row; once no popped column holds a unit, an entry of least
+    absolute value.  ``heap`` holds ``(count, column)`` pairs; a count that
+    is stale on pop is pushed again with the column's current count."""
+    while heap:
+        n, c = heapq.heappop(heap)
+        col = cols.get(c)
+        if col is None:
+            continue
+        if len(col) != n:
+            heapq.heappush(heap, (len(col), c))
+            continue
+        units = [r for r, v in col.items() if v == 1 or v == -1]
+        if units:
+            return min(units, key=lambda r: (len(rows[r]), r)), c
+    _, p, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+    return p, c
 
 
 def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
@@ -193,10 +134,24 @@ def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
 
 def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     """Diagonal invariants d_1 | d_2 | ... | d_r of the matrix; r = rank."""
-    work = m.copy()
-    units = _unit_phase(work)
-    residual = _residual_phase(work)
-    return (1,) * units + _divisibility_chain(residual)
+    rows = {r: dict(row) for r, row in m.rows.items()}
+    cols = {c: dict(col) for c, col in m.cols.items()}
+    heap = [(len(col), c) for c, col in cols.items()]
+    heapq.heapify(heap)
+    ones = 0
+    rest: list[int] = []
+    while rows:
+        p, c = _pivot(rows, cols, heap)
+        while len(rows[p]) > 1 or len(cols[c]) > 1:
+            p = _clear_line(rows, cols, p, c)
+            c = _clear_line(cols, rows, c, p)
+        v = abs(rows.pop(p)[c])
+        del cols[c]
+        if v == 1:
+            ones += 1
+        else:
+            rest.append(v)
+    return (1,) * ones + _divisibility_chain(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +179,9 @@ def _boundary_from_faces(by_dim: dict[int, list], d: int) -> SparseIntMatrix:
     for c, f in enumerate(upper):
         for pos in range(len(f)):
             r = index[f[:pos] + f[pos + 1:]]
-            rows.setdefault(r, {})[c] = -1 if pos % 2 else 1
-            cols.setdefault(c, set()).add(r)
+            v = -1 if pos % 2 else 1
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
     return m
 
 

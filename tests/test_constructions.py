@@ -296,6 +296,11 @@ def test_facet_star_cover_prism_intersections():
 def test_facet_star_cover_invalid_marker():
     with pytest.raises(InvalidParameterError):
         cons.facet_star_cover(cx.full_simplex("abc"), ["z"])
+    for m in (5, 3, -1):
+        with pytest.raises(InvalidParameterError):
+            cons.facet_star_cover(cx.full_simplex("abc"), [m])
+    cover = cons.facet_star_cover(cx.full_simplex("abc"), [0, 2])
+    assert cover.part_labels == ("a", "c")
 
 
 # -- cover validation ----------------------------------------------------------

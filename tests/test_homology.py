@@ -1,5 +1,6 @@
 """Smith normal form and reduced homology against the dense oracle."""
 
+import copy
 import random
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from cutnerve import complexes as cx
 from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
-from cutnerve.errors import VoidComplexError
+from cutnerve.errors import InvalidParameterError, VoidComplexError
 
 from oracles import RP2_FACETS, brute_homology, dense_snf, free_ranks, join_ranks, to_dense
 
@@ -80,8 +81,8 @@ def test_snf_against_dense_oracle():
         nr, nc = rng.randint(1, 6), rng.randint(1, 7)
         dense = random_dense(rng, nr, nc)
         assert hom.smith_normal_form(sparse_from_dense(dense)) == dense_snf(dense)
-    # no +-1 entries, so the unit phase stalls at once and the residual
-    # phase does all the work; some rows and columns are zero
+    # no +-1 entries, so no column the heap pops holds a unit and every
+    # pivot is a least entry; some rows and columns are zero
     stalled = []
     for _ in range(80):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
@@ -96,10 +97,65 @@ def test_snf_against_dense_oracle():
     # and in both
     stalled += [[[4], [6]], [[4, 6]], [[4, 6], [6, 4]], [[0, 4, 0], [6, 0, 10], [0, 10, 0]]]
     for dense in stalled:
-        assert hom._unit_phase(sparse_from_dense(dense)) == 0
+        assert all(v not in (1, -1) for row in dense for v in row)
         assert hom.smith_normal_form(sparse_from_dense(dense)) == dense_snf(dense), dense
     assert hom.smith_normal_form(sparse_from_dense([[4], [6]])) == (2,)
     assert hom.smith_normal_form(sparse_from_dense([[4, 6]])) == (2,)
+    # column 0 has no unit when the heap pops it and gets one only after the
+    # first elimination, so the least-entry rule takes it
+    assert hom.smith_normal_form(sparse_from_dense([[2, 1], [3, 1]])) == (1, 1)
+    assert dense_snf([[2, 1], [3, 1]]) == (1, 1)
+
+
+def transpose(rows):
+    out = {}
+    for r, row in rows.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
+    return out
+
+
+def test_set_keeps_maps_mirrored():
+    m = hom.SparseIntMatrix(3, 3)
+    m.set(0, 0, 2)
+    m.set(0, 1, 3)
+    m.set(2, 1, -1)
+    m.set(2, 1, 5)
+    assert m.rows == {0: {0: 2, 1: 3}, 2: {1: 5}}
+    assert m.cols == transpose(m.rows)
+    m.set(0, 0, 0)
+    m.set(1, 1, 0)
+    assert m.rows == {0: {1: 3}, 2: {1: 5}}
+    assert m.cols == transpose(m.rows)
+    m.set(0, 1, 0)
+    assert m.rows == {2: {1: 5}}
+    assert m.cols == {1: {2: 5}}
+    with pytest.raises(InvalidParameterError):
+        m.set(3, 0, 1)
+
+
+def test_snf_leaves_argument_unchanged():
+    rng = random.Random(7)
+    matrices = []
+    for _ in range(30):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        dense = random_dense(rng, nr, nc, -3, 3)
+        m = sparse_from_dense(dense)
+        for _ in range(3):
+            r, c = rng.randrange(nr), rng.randrange(nc)
+            m.set(r, c, 0)
+            dense[r][c] = 0
+        assert hom.smith_normal_form(m) == dense_snf(dense)
+        matrices.append(m)
+    for c in homology_corpus():
+        for d in range(c.dimension() + 1):
+            matrices.append(hom.boundary_matrix(c, d))
+    for m in matrices:
+        assert m.cols == transpose(m.rows)
+        assert all(m.rows.values())
+        before = (copy.deepcopy(m.rows), copy.deepcopy(m.cols))
+        hom.smith_normal_form(m)
+        assert (m.rows, m.cols) == before
 
 
 def test_snf_divisibility_chain():
