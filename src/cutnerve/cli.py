@@ -22,7 +22,8 @@ from . import constructions as cons
 from . import graphs as gr
 from . import morse
 from .complexes import SimplicialComplex
-from .errors import GuardError, InvalidParameterError, ResourceLimitError, VoidComplexError
+from .errors import (GuardError, InvalidMatchingError, InvalidParameterError,
+                     ResourceLimitError, VoidComplexError)
 from .homology import reduced_homology
 from .verify import SIZE_CLASSES, SCENARIOS, run_all, run_scenario, summary_table
 
@@ -56,6 +57,8 @@ def _cmd_verify(args) -> int:
     if args.workers < 1:
         raise InvalidParameterError(f"--workers must be at least 1, got {args.workers}")
     if args.all:
+        if args.scenario or args.param:
+            raise InvalidParameterError("--all runs a whole size class; give no scenario id or --param")
         # more processes than CPUs only add start-up cost and memory
         workers = min(args.workers, os.cpu_count() or 1)
         reports = run_all(args.size_class, workers=workers)
@@ -140,21 +143,16 @@ def _cmd_morse(args) -> int:
     cx = _load_complex(args.file)
     vertices = [v.strip() for v in args.vertices.split(",") if v.strip()]
     matching = morse.element_matching_sequence(cx, vertices)
-    acyclic, _ = morse.is_acyclic(cx, matching)
-    doc = {
-        "pairs": len(matching),
-        "acyclic": acyclic,
-        "critical": [list(cx.labels_of_face(f)) for f in morse.critical_cells(cx, matching)]
-        if acyclic
-        else None,
-    }
+    try:
+        critical = [list(cx.labels_of_face(f)) for f in morse.critical_cells(cx, matching)]
+    except InvalidMatchingError:
+        critical = None
+    doc = {"pairs": len(matching), "acyclic": critical is not None, "critical": critical}
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     return 0
 
 
 def _cmd_collapse(args) -> int:
-    if args.budget < 0:
-        raise InvalidParameterError(f"--budget must be at least 0, got {args.budget}")
     cx = _load_complex(args.file)
     if args.replay:
         witness = _parse_file(
@@ -163,7 +161,7 @@ def _cmd_collapse(args) -> int:
         ok = morse.replay_collapse(cx, witness)
         print(json.dumps({"replay": "valid" if ok else "invalid"}))
         return 0 if ok else 1
-    witness = morse.greedy_collapse(cx, budget=args.budget)
+    witness = morse.greedy_collapse(cx)
     text = witness.to_json(cx)
     if args.out:
         with open(args.out, "w") as fh:
@@ -218,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_col = sub.add_parser("collapse", help="greedy collapse witness or replay")
     p_col.add_argument("file")
-    p_col.add_argument("--budget", type=int, default=morse.DEFAULT_COLLAPSE_BUDGET)
     p_col.add_argument("--out")
     p_col.add_argument("--replay", help="witness JSON to replay against the complex")
     p_col.set_defaults(fn=_cmd_collapse)

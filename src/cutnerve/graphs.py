@@ -12,9 +12,7 @@ import json
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidParameterError, ResourceLimitError
-
-ISO_VERTEX_LIMIT = 32
+from .errors import InvalidParameterError
 
 
 class Graph:
@@ -247,61 +245,6 @@ def induced_k_independent(g: Graph, k: int) -> Graph:
 def set_label(g: Graph, indices) -> str:
     """Label for a vertex set of ``g``, members listed in index order."""
     return "{" + ",".join(g.labels[i] for i in sorted(indices)) + "}"
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-# ---------------------------------------------------------------------------
-
-def _refinement_key(g: Graph, i: int) -> tuple:
-    return (g.degree(i), tuple(sorted(g.degree(j) for j in g.adj[i])))
-
-
-def is_isomorphic(g: Graph, h: Graph) -> dict[int, int] | None:
-    """Search for an adjacency-preserving vertex bijection g -> h.
-
-    Returns the witness mapping or None.  Vertices are bucketed by
-    (degree, sorted neighbor degrees) before the backtracking assignment;
-    intended for graphs of at most ISO_VERTEX_LIMIT vertices.
-    """
-    if g.n > ISO_VERTEX_LIMIT or h.n > ISO_VERTEX_LIMIT:
-        raise ResourceLimitError("isomorphism search vertex count", ISO_VERTEX_LIMIT)
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return None
-    gkeys = [_refinement_key(g, i) for i in range(g.n)]
-    hkeys = [_refinement_key(h, i) for i in range(h.n)]
-    if sorted(gkeys) != sorted(hkeys):
-        return None
-    candidates = [[j for j in range(h.n) if hkeys[j] == gkeys[i]] for i in range(g.n)]
-    # assign most-constrained vertices first
-    order = sorted(range(g.n), key=lambda i: len(candidates[i]))
-    mapping: dict[int, int] = {}
-    used = [False] * h.n
-
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2, j2 in mapping.items():
-                if (i2 in g.adj[i]) != (j2 in h.adj[j]):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = j
-                used[j] = True
-                if assign(pos + 1):
-                    return True
-                del mapping[i]
-                used[j] = False
-        return False
-
-    if assign(0):
-        return dict(mapping)
-    return None
 
 
 def isomorphism_witness_valid(g: Graph, h: Graph, mapping: dict[int, int]) -> bool:

@@ -22,8 +22,6 @@ from .errors import (
     VoidComplexError,
 )
 
-DEFAULT_COLLAPSE_BUDGET = 1_000_000
-
 
 class Matching:
     """A partial matching on covering pairs (sigma, sigma + {v}) of the face
@@ -257,7 +255,10 @@ class CollapseWitness:
     steps: tuple[tuple[tuple, tuple], ...]
     terminal: tuple[tuple, ...]
     verdict: str
-    steps_tried: int = 0
+
+    @property
+    def steps_tried(self) -> int:
+        return len(self.steps)
 
     def is_collapsible(self) -> bool:
         return self.verdict == "collapsible"
@@ -281,7 +282,7 @@ class CollapseWitness:
             (cx.face_of_labels(s), cx.face_of_labels(t)) for s, t in doc["steps"]
         )
         terminal = tuple(sorted(cx.face_of_labels(f) for f in doc["terminal"]))
-        return CollapseWitness(steps, terminal, doc["verdict"], doc.get("steps_tried", 0))
+        return CollapseWitness(steps, terminal, doc["verdict"])
 
 
 def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
@@ -314,10 +315,9 @@ def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
     return tuple(sorted(faces)) == witness.terminal
 
 
-def _strong_collapse(facets, faces: set, steps: list, budget: int) -> None:
+def _strong_collapse(facets, faces: set, steps: list) -> None:
     """Remove dominated vertices, appending the pair steps to ``steps`` and
-    discarding their faces from ``faces``, until no vertex is dominated or
-    ``steps`` holds ``budget`` pairs.
+    discarding their faces from ``faces``, until no vertex is dominated.
 
     Vertex v is dominated by w != v when w lies in every facet through v.
     For the least dominated v and its least dominating w, each face tau
@@ -350,17 +350,14 @@ def _strong_collapse(facets, faces: set, steps: list, budget: int) -> None:
                 rests.update(combinations(rest, r))
         order = sorted(rests)
         order.sort(key=len, reverse=True)
-        room = max(budget - len(steps), 0)
         pairs = []
-        for rest in order[:room]:
+        for rest in order:
             p = bisect(rest, v)
             tau = rest[:p] + (v,) + rest[p:]
             q = bisect(tau, w)
             pairs.append((tau, tau[:q] + (w,) + tau[q:]))
         steps.extend(pairs)
         faces.difference_update(*pairs)
-        if len(order) > room:
-            return
         del through[v]
         links = []
         for i in ids:
@@ -379,9 +376,7 @@ def _strong_collapse(facets, faces: set, steps: list, budget: int) -> None:
                 next_id += 1
 
 
-def greedy_collapse(
-    cx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET
-) -> CollapseWitness:
+def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     """Collapse toward a single vertex: strong collapses first, then one
     descent that always takes the least free pair by (dimension, vertex
     tuple).
@@ -389,21 +384,22 @@ def greedy_collapse(
     The strong collapses remove dominated vertices (Barmak–Minian) from the
     facet list, each as pair steps.  The descent runs on a lazy heap over
     the faces left: coface counts only decrease, so popped entries validate
-    cheaply.  A search that strands, or that has taken ``budget`` steps,
-    yields verdict "unknown" with its steps and the faces left, which replay
-    like any other witness.  Collapsibility is NP-complete in general, so
-    "unknown" is not a refutation."""
+    cheaply.  Each step removes two faces, so the face guard on the closure
+    bounds the search.  A search that strands yields verdict "unknown" with
+    its steps and the faces left, which replay like any other witness.
+    Collapsibility is NP-complete in general, so "unknown" is not a
+    refutation."""
     if cx.is_void():
         raise VoidComplexError("cannot collapse the void complex")
     faces = {f for f in cx.all_faces() if f}
     if not faces:
-        return CollapseWitness((), (), "unknown", 0)
+        return CollapseWitness((), (), "unknown")
     steps = []
-    _strong_collapse(cx.facets, faces, steps, budget)
+    _strong_collapse(cx.facets, faces, steps)
     cof = _coface_map(faces)
     heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)
-    while len(faces) > 1 and heap and len(steps) < budget:
+    while len(faces) > 1 and heap:
         _, sigma, tau = heapq.heappop(heap)
         if sigma not in faces or cof[sigma] != {tau}:
             continue
@@ -412,7 +408,7 @@ def greedy_collapse(
             if len(cof[sub]) == 1:
                 heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
     verdict = "collapsible" if len(faces) == 1 else "unknown"
-    return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, len(steps))
+    return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict)
 
 
 def collapse_complex(cx: SimplicialComplex, steps) -> SimplicialComplex:

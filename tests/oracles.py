@@ -258,6 +258,19 @@ def exists_permutation_isomorphism(n, edges_g, edges_h) -> bool:
     return False
 
 
+def ladder_rule_witness(g, h) -> dict[int, int]:
+    """The rule map from h = I_{n-1}(CL_n) to g = CL_n for odd n, read off
+    the labels: a set "{1+,2-,...}" that misses rung i goes to the vertex of
+    rung i on the side that the set takes at rung i + 1."""
+    n = g.n // 2
+    witness = {}
+    for a, label in enumerate(h.labels):
+        side = {m[:-1]: m[-1] for m in label.strip("{}").split(",")}
+        i = next(r for r in range(1, n + 1) if str(r) not in side)
+        witness[a] = g.labels.index(f"{i}{side[str(i % n + 1)]}")
+    return witness
+
+
 RP2_FACETS = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
     (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),

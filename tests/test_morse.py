@@ -1,5 +1,6 @@
 """Matchings, acyclicity, collapses and collapse witnesses."""
 
+import json
 import random
 from itertools import combinations
 
@@ -315,7 +316,9 @@ def test_greedy_collapse_differential_against_descent():
         steps, terminal, verdict = descent_collapse(c.facets)
         assert witness.verdict == verdict
         assert morse.replay_collapse(c, witness)
-        assert morse.replay_collapse(c, morse.CollapseWitness(steps, terminal, verdict))
+        by_hand = morse.CollapseWitness(steps, terminal, verdict)
+        assert by_hand.steps_tried == len(steps)
+        assert morse.replay_collapse(c, by_hand)
         verdicts.add(verdict)
     assert verdicts == {"collapsible", "unknown"}
 
@@ -359,29 +362,10 @@ def test_greedy_collapse_past_the_strong_collapses():
     assert witness.steps == descent_collapse(core.facets)[0]
 
 
-def test_greedy_collapse_budget_inside_strong_collapse():
-    # vertex a of the tetrahedron is dominated by b: its faces missing b go
-    # first, top dimension first, and the budget stops the star half way
-    c = cx.full_simplex("abcd")
-    witness = morse.greedy_collapse(c, budget=2)
-    assert witness.verdict == "unknown"
-    assert witness.steps == (((0, 2, 3), (0, 1, 2, 3)), ((0, 2), (0, 1, 2)))
-    assert witness.steps_tried == len(witness.steps) <= 2
-    assert morse.replay_collapse(c, witness)
-
-
 def test_greedy_collapse_sphere_unknown():
     witness = morse.greedy_collapse(cx.simplex_boundary("abcd"))
     assert witness.verdict == "unknown"
     assert witness.steps == ()
-
-
-def test_greedy_collapse_budget_verdict():
-    tc = cons.total_cut_complex(gr.star(6), 2)
-    witness = morse.greedy_collapse(tc, budget=3)
-    assert witness.verdict == "unknown"
-    assert witness.steps_tried <= 3
-    assert morse.replay_collapse(tc, witness)
 
 
 def test_greedy_collapse_unknown_witnesses_replay():
@@ -392,20 +376,18 @@ def test_greedy_collapse_unknown_witnesses_replay():
     assert witness.steps == (((0,), (0, 1)), ((2,), (2, 3)))
     assert witness.terminal == ((1,), (3,))
     assert morse.replay_collapse(c, witness)
-    # every witness replays, collapsible or not, within or at the budget
+    # every witness replays, collapsible or not
     for c in matching_corpus():
         if c.is_void():
             continue
-        for budget in (-1, 0, 2, morse.DEFAULT_COLLAPSE_BUDGET):
-            witness = morse.greedy_collapse(c, budget=budget)
-            assert witness.steps_tried == len(witness.steps) <= max(budget, 0)
-            assert morse.replay_collapse(c, witness)
+        assert morse.replay_collapse(c, morse.greedy_collapse(c))
 
 
 def test_witness_json_roundtrip():
     tc = cons.total_cut_complex(gr.star(4), 2)
     witness = morse.greedy_collapse(tc)
     text = witness.to_json(tc)
+    assert json.loads(text)["steps_tried"] == len(witness.steps) > 0
     back = morse.CollapseWitness.from_json(tc, text)
     assert back == witness
     assert morse.replay_collapse(tc, back)

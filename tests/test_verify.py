@@ -162,12 +162,11 @@ def test_cli_verify_workers_below_one(capsys):
         assert _cli_error(capsys, ["verify", "--all", "--class", "smoke", "--workers", workers]) == 2
 
 
-def test_cli_collapse_budget_below_zero(tmp_path, capsys):
-    cpath = str(tmp_path / "star.json")
-    main(["build", "total-cut", "star", "--n", "5", "--k", "2", "--out", cpath])
-    capsys.readouterr()
-    assert _cli_error(capsys, ["collapse", cpath, "--budget", "-1"]) == 2
-    assert main(["collapse", cpath, "--budget", "0"]) == 1
+def test_cli_verify_all_refuses_scenario_and_param(monkeypatch, capsys):
+    # run_all is replaced, so a regression runs no jobs
+    monkeypatch.setattr(cli, "run_all", lambda size_class, workers: [])
+    for extra in (["thm-4-2"], ["--param", "n=5"], ["thm-4-2", "--param", "n=5"]):
+        assert _cli_error(capsys, ["verify", *extra, "--all", "--class", "smoke"]) == 2
 
 
 def test_cli_verify_workers_clamped_to_cpu_count(monkeypatch, capsys):
