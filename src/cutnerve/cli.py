@@ -53,22 +53,24 @@ def _parse_params(items):
 
 
 def _cmd_verify(args) -> int:
-    include_timings = args.timings
-    if args.workers < 1:
-        raise InvalidParameterError(f"--workers must be at least 1, got {args.workers}")
+    if not args.all and (args.size_class is not None or args.workers is not None):
+        raise InvalidParameterError("--class and --workers apply only to --all")
+    workers = 1 if args.workers is None else args.workers
+    if workers < 1:
+        raise InvalidParameterError(f"--workers must be at least 1, got {workers}")
     if args.all:
         if args.scenario or args.param:
             raise InvalidParameterError("--all runs a whole size class; give no scenario id or --param")
         # more processes than CPUs only add start-up cost and memory
-        workers = min(args.workers, os.cpu_count() or 1)
-        reports = run_all(args.size_class, workers=workers)
+        workers = min(workers, os.cpu_count() or 1)
+        reports = run_all(args.size_class or "desk", workers=workers)
     else:
         if not args.scenario:
             raise InvalidParameterError("give a scenario id or --all")
         reports = [run_scenario(args.scenario, _parse_params(args.param))]
     print(summary_table(reports))
     if args.json:
-        doc = [r.to_dict(include_timings) for r in reports]
+        doc = [r.to_dict(args.timings) for r in reports]
         with open(args.json, "w") as fh:
             json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         print(f"wrote {args.json}")
@@ -183,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("scenario", nargs="?", help=f"one of: {', '.join(sorted(SCENARIOS))}")
     p_verify.add_argument("--param", action="append", help="name=value, repeatable")
     p_verify.add_argument("--all", action="store_true", help="run every scenario in a size class")
-    p_verify.add_argument("--class", dest="size_class", default="desk", choices=SIZE_CLASSES)
+    p_verify.add_argument("--class", dest="size_class", choices=SIZE_CLASSES, help="default desk")
     p_verify.add_argument(
-        "--workers", type=int, default=1, help="worker processes for --all, at most the CPU count"
+        "--workers", type=int, help="worker processes for --all (default 1), at most the CPU count"
     )
     p_verify.add_argument("--json", help="write report JSON to this path")
     p_verify.add_argument("--timings", action="store_true", help="include wall times in the JSON")

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import SimplicialComplex, from_facets
+from .complexes import SimplicialComplex, face_budget, from_facets
 from .errors import (
     InvalidCollapseError,
     InvalidMatchingError,
@@ -247,18 +246,20 @@ def _collapse_interval(faces: set, cof: dict, sigma, tau):
 
 @dataclass(frozen=True)
 class CollapseWitness:
-    """A replayable sequence of elementary collapses.
-
-    ``verdict`` is "collapsible" when the terminal subcomplex is a single
-    vertex, otherwise "unknown" (the search is a semi-decision)."""
+    """A replayable collapse certificate: strong collapses ``dominations``,
+    each (v, w) deleting a vertex v that w != v dominates (a sequence of
+    elementary collapses, by Barmak–Minian), then the free pairs ``steps``
+    on the core left, ending at the faces ``terminal``.  ``verdict`` is
+    "collapsible" when that is a single vertex, otherwise "unknown"."""
 
     steps: tuple[tuple[tuple, tuple], ...]
     terminal: tuple[tuple, ...]
     verdict: str
+    dominations: tuple[tuple[int, int], ...] = ()
 
     @property
     def steps_tried(self) -> int:
-        return len(self.steps)
+        return len(self.dominations) + len(self.steps)
 
     def is_collapsible(self) -> bool:
         return self.verdict == "collapsible"
@@ -267,6 +268,7 @@ class CollapseWitness:
         doc = {
             "verdict": self.verdict,
             "steps_tried": self.steps_tried,
+            "dominations": [[cx.labels[v], cx.labels[w]] for v, w in self.dominations],
             "steps": [
                 [list(cx.labels_of_face(s)), list(cx.labels_of_face(t))]
                 for s, t in self.steps
@@ -278,52 +280,62 @@ class CollapseWitness:
     @staticmethod
     def from_json(cx: SimplicialComplex, text: str) -> "CollapseWitness":
         doc = json.loads(text)
+        dominations = tuple(
+            (cx.face_of_labels([v])[0], cx.face_of_labels([w])[0])
+            for v, w in doc.get("dominations", ())
+        )
         steps = tuple(
             (cx.face_of_labels(s), cx.face_of_labels(t)) for s, t in doc["steps"]
         )
         terminal = tuple(sorted(cx.face_of_labels(f) for f in doc["terminal"]))
-        return CollapseWitness(steps, terminal, doc["verdict"])
+        return CollapseWitness(steps, terminal, doc["verdict"], dominations)
 
 
 def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
-    """Re-run the witness from scratch, checking the free-face condition at
-    every step, the terminal face set at the end, and that the verdict is
-    "collapsible" exactly when that set is one vertex ("unknown" otherwise).
-    The checker keeps its own coface bookkeeping, so it shares no code with
-    the search."""
+    """Re-run the witness on facets and coface sets of its own, sharing no
+    collapse code with the search: each domination (v, w) needs v != w, v
+    still a vertex and w in every facet through v; each step on the core's
+    closure needs a free pair; the terminal face set must match, and the
+    verdict be "collapsible" exactly when it is one vertex."""
     if witness.verdict != ("collapsible" if len(witness.terminal) == 1 else "unknown"):
         return False
-    faces = {f for f in cx.all_faces() if f}
+    facets = {frozenset(f) for f in cx.facets}
+    for v, w in witness.dominations:
+        star = [f for f in facets if v in f]
+        if v == w or not star or not all(w in f for f in star):
+            return False
+        facets.difference_update(star)
+        links = {f - {v} for f in star}
+        facets |= {g for g in links if not any(g < h for h in facets | links)}
+    core = from_facets(cx.labels, [tuple(sorted(f)) for f in facets])
+    faces = {f for f in core.all_faces() if f}
     cof: dict[tuple, set] = {f: set() for f in faces}
     for f in faces:
         if len(f) >= 2:
             for pos in range(len(f)):
                 cof[f[:pos] + f[pos + 1:]].add(f)
     for sigma, tau in witness.steps:
-        if sigma not in faces or tau not in faces:
-            return False
-        if cof[sigma] != {tau}:
+        # a coface set holds only faces still present
+        if sigma not in faces or cof[sigma] != {tau}:
             return False
         faces.discard(sigma)
         faces.discard(tau)
         for g in (sigma, tau):
-            if len(g) >= 2:
-                for pos in range(len(g)):
-                    sub = g[:pos] + g[pos + 1:]
-                    if sub in faces:
-                        cof[sub].discard(g)
+            for pos in range(len(g)):
+                sub = g[:pos] + g[pos + 1:]
+                if sub in faces:
+                    cof[sub].discard(g)
     return tuple(sorted(faces)) == witness.terminal
 
 
-def _strong_collapse(facets, faces: set, steps: list) -> None:
-    """Remove dominated vertices, appending the pair steps to ``steps`` and
-    discarding their faces from ``faces``, until no vertex is dominated.
+def _strong_collapse(facets, dominations: list) -> list[tuple]:
+    """Remove dominated vertices from the facet list until none is left,
+    appending (v, w) to ``dominations`` for each; return the core's facets.
 
     Vertex v is dominated by w != v when w lies in every facet through v.
-    For the least dominated v and its least dominating w, each face tau
-    through v that misses w is paired with tau + {w}, highest dimension
-    first: every larger face through tau has gone by then, so each pair is
-    free when it is taken.  The facets through v then lose v."""
+    The least dominated v goes first, with its least dominating w; the
+    facets through v then lose v, and a link that lies in a remaining facet
+    is no longer maximal."""
     facets = dict(enumerate(facets))
     through: dict[int, set] = {}
     for i, f in facets.items():
@@ -343,21 +355,7 @@ def _strong_collapse(facets, faces: set, steps: list) -> None:
         )
         if w is None:
             continue
-        rests = set()
-        for i in ids:
-            rest = tuple(u for u in facets[i] if u != v and u != w)
-            for r in range(len(rest) + 1):
-                rests.update(combinations(rest, r))
-        order = sorted(rests)
-        order.sort(key=len, reverse=True)
-        pairs = []
-        for rest in order:
-            p = bisect(rest, v)
-            tau = rest[:p] + (v,) + rest[p:]
-            q = bisect(tau, w)
-            pairs.append((tau, tau[:q] + (w,) + tau[q:]))
-        steps.extend(pairs)
-        faces.difference_update(*pairs)
+        dominations.append((v, w))
         del through[v]
         links = []
         for i in ids:
@@ -367,38 +365,38 @@ def _strong_collapse(facets, faces: set, steps: list) -> None:
                     through[u].discard(i)
                     pending.add(u)
             links.append(tuple(u for u in f if u != v))
-        # a link that lies in a remaining facet is no longer maximal
         for g in sorted(links, key=len, reverse=True):
             if not set.intersection(*(through[u] for u in g)):
                 facets[next_id] = g
                 for u in g:
                     through[u].add(next_id)
                 next_id += 1
+    return list(facets.values())
 
 
 def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
-    """Collapse toward a single vertex: strong collapses first, then one
-    descent that always takes the least free pair by (dimension, vertex
-    tuple).
+    """Collapse toward a single vertex: strong collapses on the facet list,
+    then one descent that always takes the least free pair by (dimension,
+    vertex tuple) on a lazy heap over the faces of the core's closure.
 
-    The strong collapses remove dominated vertices (Barmak–Minian) from the
-    facet list, each as pair steps.  The descent runs on a lazy heap over
-    the faces left: coface counts only decrease, so popped entries validate
-    cheaply.  Each step removes two faces, so the face guard on the closure
-    bounds the search.  A search that strands yields verdict "unknown" with
-    its steps and the faces left, which replay like any other witness.
-    Collapsibility is NP-complete in general, so "unknown" is not a
-    refutation."""
+    Only the core's closure is built.  The face guard stays exact on the
+    input's closure, which is materialized only when the bound sum 2^|f|
+    over the facets exceeds the budget; each step removes two faces, so
+    the guard bounds the search.  A search that strands yields verdict
+    "unknown" with its dominations, steps and the faces left, which replay
+    like any other witness.  Collapsibility is NP-complete in general, so
+    "unknown" is not a refutation."""
     if cx.is_void():
         raise VoidComplexError("cannot collapse the void complex")
-    faces = {f for f in cx.all_faces() if f}
-    if not faces:
-        return CollapseWitness((), (), "unknown")
-    steps = []
-    _strong_collapse(cx.facets, faces, steps)
+    if sum(1 << len(f) for f in cx.facets) > face_budget():
+        cx.all_faces()
+    dominations = []
+    core = _strong_collapse(cx.facets, dominations)
+    faces = {f for f in from_facets(cx.labels, core).all_faces() if f}
     cof = _coface_map(faces)
     heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)
+    steps = []
     while len(faces) > 1 and heap:
         _, sigma, tau = heapq.heappop(heap)
         if sigma not in faces or cof[sigma] != {tau}:
@@ -408,7 +406,7 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
             if len(cof[sub]) == 1:
                 heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
     verdict = "collapsible" if len(faces) == 1 else "unknown"
-    return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict)
+    return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, tuple(dominations))
 
 
 def collapse_complex(cx: SimplicialComplex, steps) -> SimplicialComplex:

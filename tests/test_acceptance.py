@@ -78,8 +78,9 @@ def test_criterion_03_cycle_cover_nerve_and_collapses():
                     continue
                 witness = morse.greedy_collapse(inter)
                 assert witness.is_collapsible(), (n, k, face)
+                assert morse.replay_collapse(inter, witness), (n, k, face)
     assert gr.stable_kneser_facet_count(6, 2) == 9
-    _report(3, True, f"nerve equality, facet counts, collapse witnesses ({time.perf_counter() - t0:.1f}s)")
+    _report(3, True, f"nerve equality, facet counts, replayed collapse witnesses ({time.perf_counter() - t0:.1f}s)")
 
 
 # The reduced homology each prism neighborhood complex has.  n = 3 is the

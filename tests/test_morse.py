@@ -15,6 +15,7 @@ from cutnerve.errors import (
     InvalidCollapseError,
     InvalidMatchingError,
     InvalidParameterError,
+    ResourceLimitError,
 )
 
 from oracles import descent_collapse
@@ -287,11 +288,15 @@ def dominated_vertex(c):
     return None
 
 
+def delete_vertex(c, v):
+    return cx.from_facets(c.labels, [tuple(u for u in f if u != v) for f in c.facets])
+
+
 def strong_core(c):
     """Delete dominated vertices until none is left."""
     v = dominated_vertex(c)
     while v is not None:
-        c = cx.from_facets(c.labels, [tuple(u for u in f if u != v) for f in c.facets])
+        c = delete_vertex(c, v)
         v = dominated_vertex(c)
     return c
 
@@ -316,6 +321,11 @@ def test_greedy_collapse_differential_against_descent():
         steps, terminal, verdict = descent_collapse(c.facets)
         assert witness.verdict == verdict
         assert morse.replay_collapse(c, witness)
+        # the dominations stop at a core that has no dominated vertex
+        core = c
+        for v, w in witness.dominations:
+            core = delete_vertex(core, v)
+        assert dominated_vertex(core) is None
         by_hand = morse.CollapseWitness(steps, terminal, verdict)
         assert by_hand.steps_tried == len(steps)
         assert morse.replay_collapse(c, by_hand)
@@ -324,12 +334,34 @@ def test_greedy_collapse_differential_against_descent():
 
 
 def test_strong_collapse_cone_to_apex():
+    # four dominations reach the apex; no face closure is built for them
     coned = cx.cone(cx.simplex_boundary("abcd"), "w")
     witness = morse.greedy_collapse(coned)
     assert witness.is_collapsible()
     assert witness.terminal == ((coned.labels.index("w"),),)
-    assert witness.steps_tried == len(witness.steps) == (coned.face_count() - 2) // 2
+    assert len(witness.dominations) == witness.steps_tried == 4
+    assert witness.steps == ()
+    assert coned._closure is None
     assert morse.replay_collapse(coned, witness)
+
+
+def test_greedy_collapse_face_guard_is_exact(monkeypatch):
+    # the cone has 30 faces, the empty face included; its strong collapses
+    # alone would finish, but the guard counts the input's closure
+    coned = cx.cone(cx.simplex_boundary("abcd"), "w")
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "29")
+    with pytest.raises(ResourceLimitError):
+        morse.greedy_collapse(coned)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "30")
+    witness = morse.greedy_collapse(coned)
+    assert witness.is_collapsible() and witness.steps == ()
+    assert morse.replay_collapse(coned, witness)
+
+
+def test_greedy_collapse_builds_no_input_closure():
+    for inter in cycle_cover_intersections(7, 2):
+        assert morse.greedy_collapse(inter).is_collapsible()
+        assert inter._closure is None
 
 
 def test_strong_collapse_order():
@@ -337,14 +369,33 @@ def test_strong_collapse_order():
     # so c is then dominated by b, which the stale facet cd would hide
     c = cx.from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)])
     witness = morse.greedy_collapse(c)
-    assert witness.steps == (
-        ((0, 3), (0, 2, 3)), ((0,), (0, 2)),
-        ((2, 3), (1, 2, 3)), ((2,), (1, 2)),
-        ((3,), (1, 3)),
-        ((1,), (1, 4)),
-    )
+    assert witness.dominations == ((0, 2), (2, 1), (3, 1), (1, 4))
+    assert witness.steps == ()
     assert witness.terminal == ((4,),)
     assert morse.replay_collapse(c, witness)
+
+
+def test_replay_checks_dominations():
+    c = cx.from_facets("abcdef", [(0, 2, 3), (1, 2, 3), (1, 4)])
+    good = ((0, 2), (2, 1), (3, 1), (1, 4))
+    assert morse.replay_collapse(c, morse.CollapseWitness((), ((4,),), "collapsible", good))
+    for dominations in [
+        ((2, 1), (0, 2), (3, 1), (1, 4)),   # b misses the facet acd through c
+        ((0, 0), (2, 1), (3, 1), (1, 4)),   # v == w
+        ((0, 2), (0, 2), (2, 1), (3, 1), (1, 4)),   # a is already deleted
+        ((5, 4), (0, 2), (2, 1), (3, 1), (1, 4)),   # f lies in no face
+    ]:
+        witness = morse.CollapseWitness((), ((4,),), "collapsible", dominations)
+        assert not morse.replay_collapse(c, witness), dominations
+    # valid dominations cannot vouch for a wrong terminal
+    assert not morse.replay_collapse(c, morse.CollapseWitness((), ((1,),), "collapsible", good))
+    assert not morse.replay_collapse(c, morse.CollapseWitness((), ((1,), (4,)), "unknown", good[:3]))
+    # a short domination list hands its core to the pair steps
+    core = delete_vertex(c, 0)
+    steps, terminal, verdict = descent_collapse(core.facets)
+    assert verdict == "collapsible"
+    assert morse.replay_collapse(c, morse.CollapseWitness(steps, terminal, verdict, ((0, 2),)))
+    assert not morse.replay_collapse(c, morse.CollapseWitness(steps, terminal, verdict))
 
 
 def test_greedy_collapse_past_the_strong_collapses():
@@ -373,7 +424,8 @@ def test_greedy_collapse_unknown_witnesses_replay():
     c = cx.from_facets("abcd", [(0, 1), (2, 3)])
     witness = morse.greedy_collapse(c)
     assert witness.verdict == "unknown"
-    assert witness.steps == (((0,), (0, 1)), ((2,), (2, 3)))
+    assert witness.dominations == ((0, 1), (2, 3))
+    assert witness.steps == ()
     assert witness.terminal == ((1,), (3,))
     assert morse.replay_collapse(c, witness)
     # every witness replays, collapsible or not
@@ -387,7 +439,9 @@ def test_witness_json_roundtrip():
     tc = cons.total_cut_complex(gr.star(4), 2)
     witness = morse.greedy_collapse(tc)
     text = witness.to_json(tc)
-    assert json.loads(text)["steps_tried"] == len(witness.steps) > 0
+    doc = json.loads(text)
+    assert doc["steps_tried"] == len(witness.dominations) + len(witness.steps) > 0
+    assert doc["dominations"] == [[tc.labels[v], tc.labels[w]] for v, w in witness.dominations]
     back = morse.CollapseWitness.from_json(tc, text)
     assert back == witness
     assert morse.replay_collapse(tc, back)

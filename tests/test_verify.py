@@ -7,7 +7,10 @@ import pytest
 
 from cutnerve import cli, verify
 from cutnerve.cli import main
+from cutnerve.complexes import SimplicialComplex
 from cutnerve.errors import GuardError, InvalidParameterError
+
+from oracles import descent_collapse
 
 EXPECTED_IDS = {
     "thm-1-3", "thm-1-4", "thm-3-1", "prop-3-3", "thm-4-2", "thm-4-3",
@@ -169,6 +172,20 @@ def test_cli_verify_all_refuses_scenario_and_param(monkeypatch, capsys):
         assert _cli_error(capsys, ["verify", *extra, "--all", "--class", "smoke"]) == 2
 
 
+def test_cli_verify_single_refuses_class_and_workers(capsys):
+    base = ["verify", "thm-4-2", "--param", "n=3"]
+    for extra in (["--class", "smoke"], ["--workers", "4"], ["--class", "smoke", "--workers", "4"]):
+        assert _cli_error(capsys, base + extra) == 2
+    assert main(base) == 0
+
+
+def test_cli_verify_all_defaults_to_desk(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_all", lambda size_class, workers: seen.append((size_class, workers)) or [])
+    assert main(["verify", "--all"]) == 0
+    assert seen == [("desk", 1)]
+
+
 def test_cli_verify_workers_clamped_to_cpu_count(monkeypatch, capsys):
     # run_all is replaced, so no process pool is started
     seen = []
@@ -301,3 +318,34 @@ def test_cli_replay_refuses_collapsible_two_points(tmp_path, capsys):
     wpath.write_text('{"verdict":"collapsible","steps":[],"terminal":[["a"],["b"]]}')
     assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 1
     assert json.loads(capsys.readouterr().out) == {"replay": "invalid"}
+
+
+def test_cli_replay_accepts_witness_without_dominations(tmp_path, capsys):
+    # a witness of pair steps alone, written before dominations existed
+    cpath = tmp_path / "star.json"
+    main(["build", "total-cut", "star", "--n", "5", "--k", "2", "--out", str(cpath)])
+    c = SimplicialComplex.from_json(cpath.read_text())
+    steps, terminal, verdict = descent_collapse(c.facets)
+    assert verdict == "collapsible"
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps({
+        "verdict": verdict,
+        "steps": [[c.labels_of_face(s), c.labels_of_face(t)] for s, t in steps],
+        "terminal": [c.labels_of_face(f) for f in terminal],
+    }))
+    capsys.readouterr()
+    assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
+
+
+def test_cli_replay_refuses_malformed_dominations(tmp_path, capsys):
+    cpath = tmp_path / "edges.json"
+    cpath.write_text('{"vertices":["a","b","c","d"],"facets":[[0,1],[2,3]],"void":false}')
+    wpath = tmp_path / "w.json"
+    for dominations in ('[["a"]]', '[["a","b","c"]]', '[["a","z"]]', '[[["a"],"b"]]', '"ab"', "3"):
+        wpath.write_text(
+            '{"verdict":"unknown","dominations":%s,"steps":[],"terminal":[["b"],["d"]]}' % dominations
+        )
+        assert _cli_error(capsys, ["collapse", str(cpath), "--replay", str(wpath)]) == 2, dominations
+    wpath.write_text('{"verdict":"unknown","dominations":[["a","b"],["c","d"]],"steps":[],"terminal":[["b"],["d"]]}')
+    assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0
