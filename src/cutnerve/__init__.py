@@ -6,7 +6,7 @@ The package is organized by layer:
 - ``graphs``         graph families and independent-set machinery
 - ``complexes``      simplicial complexes and the join/cone/link operations
 - ``constructions``  derived complexes (neighborhood, total cut, covers, nerves)
-- ``homology``       reduced integer homology via Smith normal form
+- ``homology``       reduced integer homology by Morse reduction and Smith normal form
 - ``morse``          matchings, collapses, collapsibility search
 - ``verify``         scenario registry binding claims to executable checks
 """

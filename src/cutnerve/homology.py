@@ -1,9 +1,28 @@
-"""Reduced simplicial homology over the integers via Smith normal form.
+"""Reduced simplicial homology over the integers, from the facet list alone.
 
 The chain complex is augmented: the boundary of every vertex is the empty
 face, so degree-0 homology is already reduced and a d-sphere shows a single
 Z in degree d.  All arithmetic uses Python integers, so intermediate entry
 growth and torsion are exact.
+
+Homology comes from discrete Morse theory (Forman, *Morse theory for cell
+complexes*, Adv. Math. 1998).  The acyclic matching is the element matching
+over the vertices in index order, which Jonsson gives for simplicial
+complexes (*Simplicial Complexes of Graphs*, LNM 1928, 2008): each vertex v
+in turn pairs every unmatched face sigma without v with sigma + v when that
+face is unmatched too.  It is computed as Forman's decision tree (*Morse
+theory and evasiveness*, Combinatorica 2000), by a link/deletion recursion
+on relative pairs of facet lists, so no face is enumerated beyond the ones
+the Morse boundary flows through.  A face's partner comes from walking the
+face down the same memoized recursion.
+
+The Morse boundary is built only between two adjacent degrees that both
+hold critical cells, by gradient flow over Z with each face's image
+computed once per degree.  The Smith normal form of each such matrix gives
+ranks and torsion; where no two occupied degrees are adjacent, every Morse
+boundary is zero and the critical counts are the homology.  The recursion
+nodes, the critical cells they carry and the faces the flow visits are
+charged against the face budget.
 
 The Smith normal form is one sparse elimination on two mirrored value maps,
 row -> column -> value and column -> row -> value.  Each round picks a
@@ -19,10 +38,9 @@ matrix and clear a column in one sweep (Dumas, Heckenbach, Saunders and
 Welker, 2003): take a +-1 entry of the sparsest column that has one, in
 that column's shortest row.  Columns come from a heap of column counts that
 is checked again on pop, so fill-in needs no push.  Once no popped column
-holds a unit (on the desk-class boundary matrices, never), take an entry of
-least absolute value.  The non-unit diagonal is normalized into a
-divisibility chain at the end; the invariant factors are unique, so the
-pivot order cannot affect results.
+holds a unit, take an entry of least absolute value.  The non-unit diagonal
+is normalized into a divisibility chain at the end; the invariant factors
+are unique, so the pivot order cannot affect results.
 """
 
 from __future__ import annotations
@@ -32,8 +50,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex
-from .errors import InvalidParameterError, VoidComplexError
+from .complexes import SimplicialComplex, face_budget
+from .errors import InvalidParameterError, ResourceLimitError
 
 
 class SparseIntMatrix:
@@ -155,37 +173,6 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# boundary matrices
-# ---------------------------------------------------------------------------
-
-def boundary_matrix(cx: SimplicialComplex, d: int) -> SparseIntMatrix:
-    """The boundary operator from d-chains to (d-1)-chains with the
-    orientation induced by sorted vertex order.  Degree 0 maps vertices onto
-    the empty face (the augmentation), which is what makes the homology
-    reduced."""
-    if cx.is_void():
-        raise VoidComplexError("boundary matrices are undefined on the void complex")
-    if d < 0:
-        raise InvalidParameterError(f"boundary degree must be >= 0, got {d}")
-    return _boundary_from_faces(cx.faces_by_dim(), d)
-
-
-def _boundary_from_faces(by_dim: dict[int, list], d: int) -> SparseIntMatrix:
-    lower = by_dim.get(d - 1, [])
-    upper = by_dim.get(d, [])
-    m = SparseIntMatrix(len(lower), len(upper))
-    index = {f: i for i, f in enumerate(lower)}
-    rows, cols = m.rows, m.cols
-    for c, f in enumerate(upper):
-        for pos in range(len(f)):
-            r = index[f[:pos] + f[pos + 1:]]
-            v = -1 if pos % 2 else 1
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, {})[r] = v
-    return m
-
-
-# ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
 
@@ -277,32 +264,248 @@ def _trim(betti: list[int]) -> tuple[int, ...]:
 
 
 def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
-    """Exact reduced homology profile of the complex."""
+    """Exact reduced homology profile of the complex, from its facets alone."""
     if cx._homology is not None:
         return cx._homology
     if cx.is_void():
         profile = HomologyProfile(void=True)
-    elif cx.is_empty_complex():
-        profile = HomologyProfile(minus_one_rank=1)
     else:
-        by_dim = cx.faces_by_dim()
-        top = max(by_dim)
-        ranks = {0: 1}  # augmentation row is hit by every vertex
-        invariants: dict[int, tuple[int, ...]] = {}
-        for d in range(1, top + 1):
-            inv = smith_normal_form(_boundary_from_faces(by_dim, d))
-            invariants[d] = inv
-            ranks[d] = len(inv)
-        ranks[top + 1] = 0
-        betti = [
-            len(by_dim.get(d, [])) - ranks[d] - ranks[d + 1]
-            for d in range(top + 1)
-        ]
-        torsion = []
-        for d in range(top):
-            coeffs = tuple(v for v in invariants.get(d + 1, ()) if v > 1)
-            if coeffs:
-                torsion.append((d, coeffs))
-        profile = HomologyProfile(betti=_trim(betti), torsion=tuple(torsion))
+        masks = [sum(1 << v for v in f) for f in cx.facets]
+        profile = _morse_homology(_ElementMatching(masks, face_budget()))
     object.__setattr__(cx, "_homology", profile)
     return profile
+
+
+def _morse_homology(matching: "_ElementMatching") -> HomologyProfile:
+    """Homology of the Morse complex: the critical cells by degree, with the
+    Morse boundary built only between two occupied adjacent degrees.  Degree
+    -1 holds the empty face when it is critical, which is the empty
+    complex's leftover rank."""
+    by_dim: dict[int, list[int]] = {}
+    for cell in matching.cells:
+        by_dim.setdefault(cell.bit_count() - 1, []).append(cell)
+    invariants = {
+        d: smith_normal_form(matching.differential(cells, by_dim[d - 1]))
+        for d, cells in by_dim.items()
+        if d - 1 in by_dim
+    }
+    free = {
+        d: len(cells) - len(invariants.get(d, ())) - len(invariants.get(d + 1, ()))
+        for d, cells in by_dim.items()
+    }
+    torsion = []
+    for d in sorted(by_dim):
+        coeffs = tuple(v for v in invariants.get(d + 1, ()) if v > 1)
+        if coeffs:
+            torsion.append((d, coeffs))
+    top = max(by_dim, default=-1)
+    return HomologyProfile(
+        betti=_trim([free.get(d, 0) for d in range(top + 1)]),
+        torsion=tuple(torsion),
+        minus_one_rank=free.get(-1, 0),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the element matching, by link/deletion recursion on facet lists
+# ---------------------------------------------------------------------------
+
+def _antichain(masks) -> tuple[int, ...]:
+    """Inclusion-maximal members of a collection of faces as vertex
+    bitmasks, sorted."""
+    keep: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m not in map(m.__and__, keep):
+            keep.append(m)
+    keep.sort()
+    return tuple(keep)
+
+
+def _within(face: int, facets) -> bool:
+    """The face lies in one of the facets (``map`` keeps the scan in C)."""
+    return face in map(face.__and__, facets)
+
+
+def _boundary(face: int) -> list[tuple[int, int]]:
+    """(incidence, facet) pairs of a face: dropping its i-th vertex in index
+    order has incidence (-1)^i."""
+    out = []
+    rest, sign = face, 1
+    while rest:
+        low = rest & -rest
+        out.append((sign, face ^ low))
+        rest ^= low
+        sign = -sign
+    return out
+
+
+class _Node:
+    """A recursion node: the pair (a, b) at vertex v.  Once expanded it
+    holds lk_v a and del_v b, which decide a face's partner here, and its
+    two children, None when pruned; then the critical cells below it."""
+
+    __slots__ = ("a", "b", "v", "lk_a", "del_b", "with_v", "without_v", "cells")
+
+    def __init__(self, a: tuple, b: tuple, v: int):
+        self.a, self.b, self.v = a, b, v
+        self.lk_a = self.cells = None
+
+
+class _ElementMatching:
+    """The element matching of a complex over its vertices in index order:
+    each vertex v in turn pairs every unmatched face sigma without v with
+    sigma + v when that face is unmatched too.  It is acyclic (Jonsson,
+    LNM 1928), and it is computed on facet lists only.
+
+    A node is a relative pair (A, B) of facet lists of bitmasks, B inside A,
+    with its next vertex v, the least vertex of A's support not yet
+    queried.  The faces still unmatched under the node are the faces of A
+    that are not in B, each joined with the node's path face: the vertices
+    taken on the way down.  Querying v pairs rho + v with rho wherever rho
+    lies in lk_v A but not in B, and leaves two children:
+
+    - with v: (lk_v A meet del_v B, lk_v B), whose cells gain v;
+    - without v: (del_v A, lk_v A join del_v B).
+
+    A node is pruned when A lies in B.  A node with no vertex left is
+    (empty face, void), and its path face is a critical cell.  Nodes are
+    memoized on (A, B, v), so the recursion is a DAG whose root-to-leaf
+    paths are the critical cells.
+
+    Every node is charged one unit of work plus one per critical cell it
+    carries, and so is every face the gradient flow visits; the work may
+    not exceed ``budget``."""
+
+    def __init__(self, facets, budget: int):
+        self.budget = budget
+        self.work = 0
+        self.nodes: dict[tuple, _Node] = {}
+        self.root = self._node(_antichain(facets), (), 0)
+        self.cells = self._critical_cells()
+
+    def _charge(self, units: int):
+        self.work += units
+        if self.work > self.budget:
+            raise ResourceLimitError("Morse reduction work", self.budget)
+
+    def _node(self, a: tuple, b: tuple, start: int) -> _Node | None:
+        """The node of the pair (a, b) at its first support vertex >= start,
+        or None when the pair is pruned.  A leaf has vertex -1."""
+        if all(_within(f, b) for f in a):
+            return None
+        support = 0
+        for f in a:
+            support |= f
+        rest = support >> start
+        key = a, b, start + (rest & -rest).bit_length() - 1 if rest else -1
+        node = self.nodes.get(key)
+        if node is None:
+            self._charge(1)
+            node = self.nodes[key] = _Node(*key)
+        return node
+
+    def _expand(self, node: _Node):
+        a, b, v = node.a, node.b, node.v
+        bit = 1 << v
+        lk_a = node.lk_a = tuple(f ^ bit for f in a if f & bit)
+        lk_b = tuple(f ^ bit for f in b if f & bit)
+        del_b = node.del_b = _antichain(f & ~bit for f in b)
+        node.with_v = self._node(_antichain(f & g for f in lk_a for g in del_b), lk_b, v + 1)
+        node.without_v = self._node(_antichain(f & ~bit for f in a), _antichain(lk_a + del_b), v + 1)
+
+    def _critical_cells(self) -> list[int]:
+        """Post-order over the DAG: a node's cells are its with-v child's
+        cells plus v, then its without-v child's cells."""
+        stack = [self.root]
+        while stack:
+            node = stack[-1]
+            if node.cells is not None:
+                stack.pop()
+            elif node.v < 0:
+                node.cells = [0]
+                self._charge(1)
+            elif node.lk_a is None:
+                self._expand(node)
+                stack.extend(k for k in (node.with_v, node.without_v) if k is not None)
+            else:
+                bit = 1 << node.v
+                found = [c | bit for c in node.with_v.cells] if node.with_v else []
+                if node.without_v:
+                    found += node.without_v.cells
+                self._charge(len(found))
+                node.cells = found
+        return self.root.cells
+
+    def partner(self, face: int) -> int | None:
+        """The face matched with a face of the complex, or None when it is
+        critical: walk the face down the nodes it is unmatched in.  With v
+        in the face, rho + v pairs down with rho unless rho lies in B, that
+        is in del_v B; without v, the face pairs up when it lies in lk_v A
+        (it is not in del_v B, being unmatched)."""
+        node, rest = self.root, face
+        while node.v >= 0:
+            bit = 1 << node.v
+            if rest & bit:
+                rest ^= bit
+                if not _within(rest, node.del_b):
+                    return face ^ bit
+                node = node.with_v
+            elif _within(rest, node.lk_a):
+                return face | bit
+            else:
+                node = node.without_v
+        return None
+
+    def differential(self, upper: list[int], lower: list[int]) -> SparseIntMatrix:
+        """The Morse boundary from the critical cells ``upper`` to the
+        critical cells ``lower`` one degree down, by gradient flow over Z:
+        the boundary of each upper cell, with each face replaced by its
+        image in the lower cells.  A face's image is computed once, so the
+        flow visits each face of the degree at most once."""
+        row = {c: i for i, c in enumerate(lower)}
+        image: dict[int, dict[int, int]] = {}
+        m = SparseIntMatrix(len(lower), len(upper))
+        for col, cell in enumerate(upper):
+            total: dict[int, int] = {}
+            for sign, face in _boundary(cell):
+                self._flow(face, row, image)
+                for r, x in image[face].items():
+                    total[r] = total.get(r, 0) + sign * x
+            for r, x in total.items():
+                m.set(r, col, x)
+        return m
+
+    def _flow(self, face: int, row: dict, image: dict):
+        """Fill ``image`` for the face: itself when critical, nothing when
+        it is matched down, and when it is matched up with tau, -[tau : face]
+        times the sum of [tau : g] times the image of every other facet g
+        of tau.  Acyclicity makes the order a DAG; a cycle would leave an
+        image missing and raise KeyError instead of looping."""
+        up: dict[int, int] = {}
+        stack = [face]
+        while stack:
+            f = stack[-1]
+            if f in image:
+                stack.pop()
+                continue
+            if f not in up:
+                self._charge(1)
+                if f in row:
+                    image[f] = {row[f]: 1}
+                    continue
+                tau = up[f] = self.partner(f)
+                if tau < f:
+                    image[f] = {}
+                    continue
+                todo = [g for _, g in _boundary(tau) if g != f and g not in image]
+                if todo:
+                    stack.extend(todo)
+                    continue
+            stack.pop()
+            signs = {g: s for s, g in _boundary(up[f])}
+            eps = signs.pop(f)
+            acc: dict[int, int] = {}
+            for g, s in signs.items():
+                for r, x in image[g].items():
+                    acc[r] = acc.get(r, 0) - eps * s * x
+            image[f] = {r: x for r, x in acc.items() if x}

@@ -2,13 +2,19 @@
 
 Everything here is deliberately naive: dense matrices, full subset
 enumeration, all-permutations search.  Nothing imports the algorithms under
-test, so agreement is meaningful evidence.
+test, so agreement is meaningful evidence.  The one exception is
+``snf_homology``, the full-boundary path that ``reduced_homology`` replaced:
+it shares only ``smith_normal_form``, which ``dense_snf`` checks in turn,
+and none of the Morse reduction.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations, permutations
+
+from cutnerve.errors import VoidComplexError
+from cutnerve.homology import HomologyProfile, SparseIntMatrix, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +86,58 @@ def dense_snf(matrix: list[list[int]]) -> tuple[int, ...]:
                     diag[x], diag[y] = g, diag[x] * diag[y] // g
                     changed = True
     return tuple(sorted(d for d in diag if d))
+
+
+# ---------------------------------------------------------------------------
+# homology from full boundary matrices, via the sparse SNF
+# ---------------------------------------------------------------------------
+
+def boundary_matrix(c, d: int):
+    """The boundary operator of a ``SimplicialComplex`` from d-chains to
+    (d-1)-chains, with the orientation induced by sorted vertex order.
+    Degree 0 maps vertices onto the empty face (the augmentation), which is
+    what makes the homology reduced."""
+    if c.is_void():
+        raise VoidComplexError("boundary matrices are undefined on the void complex")
+    return boundary_from_faces(c.faces_by_dim(), d)
+
+
+def boundary_from_faces(by_dim: dict[int, list], d: int):
+    lower = by_dim.get(d - 1, [])
+    upper = by_dim.get(d, [])
+    m = SparseIntMatrix(len(lower), len(upper))
+    index = {f: i for i, f in enumerate(lower)}
+    rows, cols = m.rows, m.cols
+    for c, f in enumerate(upper):
+        for pos in range(len(f)):
+            r = index[f[:pos] + f[pos + 1:]]
+            v = -1 if pos % 2 else 1
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+    return m
+
+
+def snf_homology(c) -> HomologyProfile:
+    """Reduced homology of a ``SimplicialComplex`` from the Smith normal
+    form of every boundary matrix of its closure."""
+    if c.is_void():
+        return HomologyProfile(void=True)
+    by_dim = c.faces_by_dim()
+    top = max(by_dim)
+    invariants = {d: smith_normal_form(boundary_from_faces(by_dim, d)) for d in range(top + 1)}
+    invariants[top + 1] = ()
+    free = [
+        len(by_dim[d]) - len(invariants.get(d, ())) - len(invariants[d + 1])
+        for d in range(-1, top + 1)
+    ]
+    torsion = []
+    for d in range(top):
+        coeffs = tuple(v for v in invariants[d + 1] if v > 1)
+        if coeffs:
+            torsion.append((d, coeffs))
+    return HomologyProfile(
+        betti=tuple(_trim(free[1:])), torsion=tuple(torsion), minus_one_rank=free[0]
+    )
 
 
 def to_dense(matrix) -> list[list[int]]:

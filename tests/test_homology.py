@@ -1,4 +1,5 @@
-"""Smith normal form and reduced homology against the dense oracle."""
+"""Smith normal form against the dense oracle, and the Morse reduction of
+reduced homology against the full-boundary SNF oracle."""
 
 import copy
 import random
@@ -10,9 +11,19 @@ from cutnerve import complexes as cx
 from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
-from cutnerve.errors import InvalidParameterError, VoidComplexError
+from cutnerve.errors import InvalidParameterError, ResourceLimitError, VoidComplexError
+from cutnerve.verify import corpus_graph
 
-from oracles import RP2_FACETS, brute_homology, dense_snf, free_ranks, join_ranks, to_dense
+from oracles import (
+    RP2_FACETS,
+    boundary_matrix,
+    brute_homology,
+    dense_snf,
+    free_ranks,
+    join_ranks,
+    snf_homology,
+    to_dense,
+)
 
 
 def sparse_from_dense(rows):
@@ -149,7 +160,7 @@ def test_snf_leaves_argument_unchanged():
         matrices.append(m)
     for c in homology_corpus():
         for d in range(c.dimension() + 1):
-            matrices.append(hom.boundary_matrix(c, d))
+            matrices.append(boundary_matrix(c, d))
     for m in matrices:
         assert m.cols == transpose(m.rows)
         assert all(m.rows.values())
@@ -183,11 +194,11 @@ def test_snf_invariance_permutation_transpose():
         assert hom.smith_normal_form(sparse_from_dense(transposed)) == base
 
 
-# -- boundary matrices ------------------------------------------------------------
+# -- the oracle's boundary matrices -----------------------------------------------
 
 def test_boundary_of_edge():
     c = cx.from_facets("ab", [(0, 1)])
-    m = hom.boundary_matrix(c, 1)
+    m = boundary_matrix(c, 1)
     assert to_dense(m) == [[-1], [1]]
 
 
@@ -196,8 +207,8 @@ def test_boundary_squared_is_zero():
         if c.is_void() or c.is_empty_complex():
             continue
         for d in range(1, c.dimension() + 1):
-            dense_low = to_dense(hom.boundary_matrix(c, d - 1))
-            dense_up = to_dense(hom.boundary_matrix(c, d))
+            dense_low = to_dense(boundary_matrix(c, d - 1))
+            dense_up = to_dense(boundary_matrix(c, d))
             for i in range(len(dense_low)):
                 for j in range(len(dense_up[0]) if dense_up else 0):
                     s = sum(dense_low[i][k] * dense_up[k][j] for k in range(len(dense_up)))
@@ -206,12 +217,12 @@ def test_boundary_squared_is_zero():
 
 def test_boundary_rank_triangle():
     c = cx.simplex_boundary("abc")
-    assert len(hom.smith_normal_form(hom.boundary_matrix(c, 1))) == 2
+    assert len(hom.smith_normal_form(boundary_matrix(c, 1))) == 2
 
 
 def test_boundary_on_void_rejected():
     with pytest.raises(VoidComplexError):
-        hom.boundary_matrix(cx.void_complex("a"), 0)
+        boundary_matrix(cx.void_complex("a"), 0)
 
 
 # -- reduced homology ---------------------------------------------------------------
@@ -278,6 +289,107 @@ def test_profile_json_roundtrip():
     for c in homology_corpus():
         p = hom.reduced_homology(c)
         assert hom.HomologyProfile.from_json(p.to_json()) == p
+
+
+# -- differential corpus: Morse reduction against the full-boundary SNF ------------
+
+# the oracle builds the closure; above this many faces (by the bound
+# sum 2^|facet|) it takes seconds to minutes, so larger complexes are
+# checked against a second vertex order instead
+ORACLE_FACE_BOUND = 20_000
+
+
+def reindexed(c, rng):
+    """The same labelled complex with its vertices indexed in a shuffled
+    order, so the element matching queries them in another order."""
+    order = list(range(c.n_vertices))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    return cx.from_facets([c.labels[v] for v in order], [[pos[v] for v in f] for f in c.facets])
+
+
+def profile_against_snf(c, name):
+    """The complex's profile, checked against the oracle after checking
+    that computing it built no closure."""
+    profile = hom.reduced_homology(c)
+    assert c._closure is None, name
+    assert profile == snf_homology(c), name
+    return profile
+
+
+def test_reduced_homology_matches_snf_on_random_complexes():
+    rng = random.Random(2026)
+    for i in range(300):
+        n = rng.randint(4, 8)
+        gens = [rng.sample(range(n), rng.randint(2, min(5, n))) for _ in range(rng.randint(2, 8))]
+        c = cx.from_facets([f"v{j}" for j in range(n)], gens)
+        shuffled = reindexed(c, rng)
+        assert cx.equals_labeled(c, shuffled)
+        assert profile_against_snf(c, i) == profile_against_snf(shuffled, i)
+
+
+def test_reduced_homology_matches_snf_on_cones_joins_suspensions():
+    rng = random.Random(11)
+    rp2 = cx.from_facets([f"p{i}" for i in range(6)], RP2_FACETS)
+    assert profile_against_snf(rp2, "RP2") == hom.HomologyProfile(torsion=((1, (2,)),))
+    circle = cx.simplex_boundary("xyz")
+    bases = [rp2, circle, cx.discrete_points("abc"), cx.empty_complex("e")]
+    bases += seeded_random_complexes(12, 404, n_vertices=6)
+    factors = [cx.simplex_boundary(["c1", "c2", "c3"]), cx.from_facets([f"q{j}" for j in range(6)], RP2_FACETS)]
+    for i, base in enumerate(bases):
+        profile_against_snf(cx.cone(base, "apex"), ("cone", i))
+        profile_against_snf(cx.suspension(base), ("suspension", i))
+        profile_against_snf(cx.suspension(reindexed(base, rng)), ("suspension", i))
+        profile_against_snf(cx.join(base, factors[i % 2]), ("join", i))
+    assert hom.reduced_homology(cx.suspension(rp2)).torsion == ((2, (2,)),)
+    assert hom.reduced_homology(cx.join(rp2, circle)).torsion == ((3, (2,)),)
+
+
+def test_reduced_homology_matches_snf_on_corpus_graphs():
+    rng = random.Random(30)
+    compared = 0
+    for i in range(30):
+        g = corpus_graph(i, 2026)
+        for k in (2, 3):
+            tc = cons.total_cut_complex(g, k)
+            nb = cons.neighborhood_complex(gr.induced_k_independent(g, k))
+            for c in (tc, nb):
+                name = (i, k, "total cut" if c is tc else "neighborhood")
+                profile = hom.reduced_homology(c)
+                assert c._closure is None, name
+                assert hom.reduced_homology(reindexed(c, rng)) == profile, name
+                if c.is_void() or sum(1 << len(f) for f in c.facets) <= ORACLE_FACE_BOUND:
+                    assert profile == snf_homology(c), name
+                    compared += 1
+    assert compared == 114
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_reduced_homology_matches_snf_on_prism_neighborhood(n):
+    nb = cons.neighborhood_complex(gr.induced_k_independent(gr.prism(n), 2))
+    profile_against_snf(nb, n)
+
+
+def test_reduced_homology_charges_the_face_budget(monkeypatch):
+    # TC(C6, 2) is S^2: 5 recursion nodes carrying 5 cells in all, and no
+    # Morse boundary, so 10 units of work
+    tc = cons.total_cut_complex(gr.cycle(6), 2)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "9")
+    with pytest.raises(ResourceLimitError) as err:
+        hom.reduced_homology(tc)
+    assert err.value.budget == 9
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
+    assert hom.reduced_homology(tc).is_sphere(2)
+    assert tc._closure is None
+    # the flow is charged too: RP^2 takes 18 units to its critical cells
+    # in degrees 1 and 2, and 15 more for the faces its Morse boundary flows
+    # through
+    rp2 = cx.from_facets([str(i) for i in range(6)], RP2_FACETS)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "32")
+    with pytest.raises(ResourceLimitError):
+        hom.reduced_homology(rp2)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "33")
+    assert hom.reduced_homology(rp2).torsion == ((1, (2,)),)
 
 
 # -- wedge checks ----------------------------------------------------------------

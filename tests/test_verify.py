@@ -84,6 +84,24 @@ def test_smoke_report_digest_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SMOKE_REPORT_SHA256
 
 
+# sha256 of the whole desk-class report, written the same way; it includes
+# the thm-4-2 refutations pinned below
+DESK_REPORT_SHA256 = "9ff6748b261bfca57a2e7030f44157684404a2177f352e94065ac3ec3bb2db86"
+
+
+def test_desk_report_digest_is_pinned():
+    reports = verify.run_all("desk")
+    docs = [r.to_dict() for r in reports]
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert len(docs) == 53
+    assert hashlib.sha256(text.encode()).hexdigest() == DESK_REPORT_SHA256
+    prism = {r.params["n"]: r for r in reports if r.scenario == "thm-4-2"}
+    for n, betti in ((4, [0, 0, 7]), (5, [0, 0, 0, 2, 11])):
+        assert prism[n].verdict == "fail"
+        check = next(c for c in prism[n].checks if c.name == "neighborhood-sphere-profile")
+        assert check.verdict == "fail" and check.actual["betti"] == betti
+
+
 def test_desk_class_covers_every_scenario():
     jobs = {
         sid for sid in verify.SCENARIOS
@@ -294,9 +312,15 @@ def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
     cpath = str(tmp_path / "complex.json")
     main(["build", "total-cut", "cycle", "--n", "6", "--k", "2", "--out", cpath])
     capsys.readouterr()
+    # morse and collapse build the closure of 51 faces; homology builds no
+    # closure, and its Morse reduction of TC(C6, 2) charges 10 units of work
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
-    for argv in (["homology", cpath], ["morse", cpath, "--vertices", "1"], ["collapse", cpath]):
+    for argv in (["morse", cpath, "--vertices", "1"], ["collapse", cpath]):
         assert _cli_error(capsys, argv) == 2
+    assert main(["homology", cpath]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "2")
+    assert _cli_error(capsys, ["homology", cpath]) == 2
 
 
 def test_cli_collapse_unknown_exits_1_and_replays(tmp_path, capsys):
