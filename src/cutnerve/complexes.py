@@ -38,8 +38,7 @@ def face_budget() -> int:
 
 
 def _canon_face(face) -> tuple[int, ...]:
-    t = tuple(sorted(set(face)))
-    return t
+    return tuple(sorted(set(face)))
 
 
 def antichain(faces) -> list[tuple[int, ...]]:
@@ -316,10 +315,7 @@ def link(a: SimplicialComplex, face) -> SimplicialComplex:
     if not a.contains_face(sigma):
         raise InvalidFaceError(f"{sigma} is not a face of the complex")
     ss = set(sigma)
-    gens = []
-    for facet in a.facets:
-        if ss <= set(facet):
-            gens.append(tuple(v for v in facet if v not in ss))
+    gens = [tuple(v for v in facet if v not in ss) for facet in a.facets if ss <= set(facet)]
     return from_facets(a.labels, gens)
 
 
@@ -341,12 +337,7 @@ def skeleton(a: SimplicialComplex, d: int) -> SimplicialComplex:
 
 
 def _merge_ground(a: SimplicialComplex, b: SimplicialComplex) -> tuple[tuple[str, ...], dict, dict]:
-    labels = list(a.labels)
-    seen = set(labels)
-    for lab in b.labels:
-        if lab not in seen:
-            labels.append(lab)
-            seen.add(lab)
+    labels = list(dict.fromkeys(a.labels + b.labels))
     idx = {lab: i for i, lab in enumerate(labels)}
     amap = {i: idx[lab] for i, lab in enumerate(a.labels)}
     bmap = {i: idx[lab] for i, lab in enumerate(b.labels)}

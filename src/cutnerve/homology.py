@@ -6,15 +6,15 @@ Z in degree d.  All arithmetic uses Python integers, so intermediate entry
 growth and torsion are exact.
 
 Homology comes from discrete Morse theory (Forman, *Morse theory for cell
-complexes*, Adv. Math. 1998).  The acyclic matching is the element matching
-over the vertices in index order, which Jonsson gives for simplicial
-complexes (*Simplicial Complexes of Graphs*, LNM 1928, 2008): each vertex v
-in turn pairs every unmatched face sigma without v with sigma + v when that
-face is unmatched too.  It is computed as Forman's decision tree (*Morse
-theory and evasiveness*, Combinatorica 2000), by a link/deletion recursion
-on relative pairs of facet lists, so no face is enumerated beyond the ones
-the Morse boundary flows through.  A face's partner comes from walking the
-face down the same memoized recursion.
+complexes*, Adv. Math. 1998).  The acyclic matching is Jonsson's element
+matching (*Simplicial Complexes of Graphs*, LNM 1928, 2008): each vertex v
+of a queried sequence in turn pairs every unmatched face sigma without v
+with sigma + v when that face is unmatched too.  It is computed as Forman's
+decision tree (*Morse theory and evasiveness*, Combinatorica 2000), by a
+link/deletion recursion on relative pairs of facet lists.  Homology queries
+every vertex, in index order, so no face is enumerated beyond the ones the
+Morse boundary flows through.  A face's partner comes from walking the face
+down the same memoized recursion.
 
 The Morse boundary is built only between two adjacent degrees that both
 hold critical cells, by gradient flow over Z with each face's image
@@ -271,12 +271,12 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
         profile = HomologyProfile(void=True)
     else:
         masks = [sum(1 << v for v in f) for f in cx.facets]
-        profile = _morse_homology(_ElementMatching(masks, face_budget()))
+        profile = _morse_homology(ElementMatching(masks, face_budget(), (1 << cx.n_vertices) - 1))
     object.__setattr__(cx, "_homology", profile)
     return profile
 
 
-def _morse_homology(matching: "_ElementMatching") -> HomologyProfile:
+def _morse_homology(matching: "ElementMatching") -> HomologyProfile:
     """Homology of the Morse complex: the critical cells by degree, with the
     Morse boundary built only between two occupied adjacent degrees.  Degree
     -1 holds the empty face when it is critical, which is the empty
@@ -326,6 +326,17 @@ def _within(face: int, facets) -> bool:
     return face in map(face.__and__, facets)
 
 
+def _closure(facets) -> set[int]:
+    """Every face of the facets, each enumerated as a submask."""
+    faces = {0} if facets else set()
+    for f in facets:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+    return faces
+
+
 def _boundary(face: int) -> list[tuple[int, int]]:
     """(incidence, facet) pairs of a face: dropping its i-th vertex in index
     order has incidence (-1)^i."""
@@ -351,57 +362,58 @@ class _Node:
         self.lk_a = self.cells = None
 
 
-class _ElementMatching:
-    """The element matching of a complex over its vertices in index order:
-    each vertex v in turn pairs every unmatched face sigma without v with
-    sigma + v when that face is unmatched too.  It is acyclic (Jonsson,
-    LNM 1928), and it is computed on facet lists only.
+class ElementMatching:
+    """The element matching of a complex over the vertices of the bitmask
+    ``queried``, in index order: each such v in turn pairs every unmatched
+    face sigma without v with sigma + v when that face is unmatched too.  It
+    is acyclic (Jonsson, LNM 1928), and it is computed on facet lists only.
 
     A node is a relative pair (A, B) of facet lists of bitmasks, B inside A,
-    with its next vertex v, the least vertex of A's support not yet
-    queried.  The faces still unmatched under the node are the faces of A
-    that are not in B, each joined with the node's path face: the vertices
-    taken on the way down.  Querying v pairs rho + v with rho wherever rho
-    lies in lk_v A but not in B, and leaves two children:
+    at v, the least queried vertex of A's support.  The faces still
+    unmatched under the node are the faces of A that are not in B, each
+    joined with the node's path face: the vertices taken on the way down.
+    Deciding v pairs rho + v with rho wherever rho lies in lk_v A but not in
+    B, and leaves two children, neither with v in its support:
 
     - with v: (lk_v A meet del_v B, lk_v B), whose cells gain v;
     - without v: (del_v A, lk_v A join del_v B).
 
-    A node is pruned when A lies in B.  A node with no vertex left is
-    (empty face, void), and its path face is a critical cell.  Nodes are
-    memoized on (A, B, v), so the recursion is a DAG whose root-to-leaf
-    paths are the critical cells.
+    A node is pruned when A lies in B.  At a leaf no queried vertex is left,
+    and the faces of A outside B, joined with its path face, are critical;
+    with every vertex queried, that is the empty face alone.  Nodes are
+    memoized on (A, B), so the recursion is a DAG.
 
-    Every node is charged one unit of work plus one per critical cell it
-    carries, and so is every face the gradient flow visits; the work may
-    not exceed ``budget``."""
+    Every node is charged one unit of work, an inner node one more per
+    critical cell below it, and the gradient flow one per face it visits;
+    listing a leaf's cells or a node's pairs is charged the bound sum 2^|f|
+    over the facets it enumerates.  The work may not exceed ``budget``."""
 
-    def __init__(self, facets, budget: int):
+    def __init__(self, facets, budget: int, queried: int):
         self.budget = budget
+        self.queried = queried
         self.work = 0
         self.nodes: dict[tuple, _Node] = {}
-        self.root = self._node(_antichain(facets), (), 0)
-        self.cells = self._critical_cells()
+        self.root = self._node(_antichain(facets), ())
+        self.cells = self._critical_cells() if self.root else []
 
     def _charge(self, units: int):
         self.work += units
         if self.work > self.budget:
             raise ResourceLimitError("Morse reduction work", self.budget)
 
-    def _node(self, a: tuple, b: tuple, start: int) -> _Node | None:
-        """The node of the pair (a, b) at its first support vertex >= start,
-        or None when the pair is pruned.  A leaf has vertex -1."""
+    def _node(self, a: tuple, b: tuple) -> _Node | None:
+        """The node of the pair (a, b), or None when the pair is pruned.  A
+        leaf has vertex -1."""
         if all(_within(f, b) for f in a):
             return None
-        support = 0
-        for f in a:
-            support |= f
-        rest = support >> start
-        key = a, b, start + (rest & -rest).bit_length() - 1 if rest else -1
-        node = self.nodes.get(key)
+        node = self.nodes.get((a, b))
         if node is None:
             self._charge(1)
-            node = self.nodes[key] = _Node(*key)
+            support = 0
+            for f in a:
+                support |= f
+            rest = support & self.queried
+            node = self.nodes[a, b] = _Node(a, b, (rest & -rest).bit_length() - 1)
         return node
 
     def _expand(self, node: _Node):
@@ -410,8 +422,8 @@ class _ElementMatching:
         lk_a = node.lk_a = tuple(f ^ bit for f in a if f & bit)
         lk_b = tuple(f ^ bit for f in b if f & bit)
         del_b = node.del_b = _antichain(f & ~bit for f in b)
-        node.with_v = self._node(_antichain(f & g for f in lk_a for g in del_b), lk_b, v + 1)
-        node.without_v = self._node(_antichain(f & ~bit for f in a), _antichain(lk_a + del_b), v + 1)
+        node.with_v = self._node(_antichain(f & g for f in lk_a for g in del_b), lk_b)
+        node.without_v = self._node(_antichain(f & ~bit for f in a), _antichain(lk_a + del_b))
 
     def _critical_cells(self) -> list[int]:
         """Post-order over the DAG: a node's cells are its with-v child's
@@ -422,8 +434,7 @@ class _ElementMatching:
             if node.cells is not None:
                 stack.pop()
             elif node.v < 0:
-                node.cells = [0]
-                self._charge(1)
+                node.cells = self._faces_outside(node.a, node.b)
             elif node.lk_a is None:
                 self._expand(node)
                 stack.extend(k for k in (node.with_v, node.without_v) if k is not None)
@@ -435,6 +446,23 @@ class _ElementMatching:
                 self._charge(len(found))
                 node.cells = found
         return self.root.cells
+
+    def _faces_outside(self, facets, others) -> list[int]:
+        """The faces of ``facets`` that lie in no member of ``others``."""
+        self._charge(sum(1 << f.bit_count() for f in facets + others))
+        return list(_closure(facets) - _closure(others))
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every matched pair: on each path down to a node at v, (rho + path,
+        rho + path + v) for each face rho of lk_v A outside del_v B."""
+        out, stack = [], [(self.root, 0)] if self.root else []
+        while stack:
+            node, path = stack.pop()
+            if node.v >= 0:
+                bit = 1 << node.v
+                out += [(r | path, r | path | bit) for r in self._faces_outside(node.lk_a, node.del_b)]
+                stack += [(k, p) for k, p in ((node.with_v, path | bit), (node.without_v, path)) if k]
+        return out
 
     def partner(self, face: int) -> int | None:
         """The face matched with a face of the complex, or None when it is

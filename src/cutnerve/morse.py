@@ -3,7 +3,9 @@
 The face poset includes the empty face: it is covered by every vertex, so a
 perfect matching on a full simplex pairs the empty face with the apex and no
 artificial critical 0-cell survives.  Reported critical cells and free faces
-exclude the empty face; collapses stop at a single vertex.
+exclude the empty face; collapses stop at a single vertex.  Element matchings
+come from the recursion in ``homology``; ``is_acyclic`` and
+``critical_cells`` replay a matching on the closure, sharing no code with it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     VoidComplexError,
 )
+from .homology import ElementMatching
 
 
 class Matching:
@@ -75,36 +78,26 @@ def _resolve_vertex(cx: SimplicialComplex, v) -> int:
     return v
 
 
-def element_matching(cx: SimplicialComplex, v, matching: Matching | None = None) -> Matching:
-    """Extend ``matching`` by pairing sigma with sigma + {v} wherever both
-    are faces and both are still unmatched.  The result does not depend on
-    the processing order for a fixed v."""
-    return _extend_matching(cx, [v], matching)
-
-
 def element_matching_sequence(cx: SimplicialComplex, vertices) -> Matching:
-    return _extend_matching(cx, vertices, None)
-
-
-def _extend_matching(cx: SimplicialComplex, vertices, matching: Matching | None) -> Matching:
-    """Apply ``element_matching`` for each vertex in turn, building the face
-    set and its (dimension, face) order once for the whole sequence."""
-    vis = [_resolve_vertex(cx, v) for v in vertices]
-    faces = cx.all_faces()
-    face_set = set(faces)
-    order = sorted(faces, key=lambda f: (len(f), f))
-    pairs = list(matching.pairs) if matching else []
-    taken = {f for pair in pairs for f in pair}
-    for vi in vis:
-        for sigma in order:
-            if vi in sigma or sigma in taken:
-                continue
-            tau = tuple(sorted(sigma + (vi,)))
-            if tau in face_set and tau not in taken:
-                pairs.append((sigma, tau))
-                taken.add(sigma)
-                taken.add(tau)
-    return Matching(pairs)
+    """The element matching over ``vertices`` in turn, a repeated vertex
+    dropped (it pairs nothing more): the pairs of ``ElementMatching`` with
+    the sequence first in its bit order.  Each mask becomes a vertex tuple
+    by one table lookup per byte, sorted unless the order already is."""
+    seq = list(dict.fromkeys(_resolve_vertex(cx, v) for v in vertices))
+    order = seq + sorted(set(range(cx.n_vertices)).difference(seq))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    facets = [sum(bit[v] for v in f) for f in cx.facets]
+    pairs = ElementMatching(facets, face_budget(), (1 << len(seq)) - 1).pairs()
+    masks = [m for pair in pairs for m in pair]
+    faces = [()] * len(masks)
+    for shift in range(0, len(order), 8):
+        table = [()]
+        for v in order[shift:shift + 8]:
+            table += [t + (v,) for t in table]
+        faces = [f + table[m >> shift & 255] for f, m in zip(faces, masks)]
+    if order != sorted(order):
+        faces = [tuple(sorted(f)) for f in faces]
+    return Matching(zip(faces[::2], faces[1::2]))
 
 
 def is_acyclic(cx: SimplicialComplex, matching: Matching):

@@ -15,7 +15,7 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from . import complexes as cx
@@ -45,27 +45,16 @@ class Report:
 
     @property
     def verdict(self) -> str:
-        order = {"pass": 0, "unknown": 1, "fail": 2}
-        worst = "pass"
-        for c in self.checks:
-            if order[c.verdict] > order[worst]:
-                worst = c.verdict
-        return worst
+        """The worst check verdict: fail over unknown over pass."""
+        return max((c.verdict for c in self.checks),
+                   key=("pass", "unknown", "fail").index, default="pass")
 
     def to_dict(self, include_timings: bool = False) -> dict:
         doc = {
             "scenario": self.scenario,
             "params": dict(sorted(self.params.items())),
             "verdict": self.verdict,
-            "checks": [
-                {
-                    "name": c.name,
-                    "verdict": c.verdict,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "digests": dict(sorted(self.digests.items())),
             "metrics": dict(sorted(self.metrics.items())),
         }
@@ -600,8 +589,7 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> Report:
         raise InvalidParameterError(
             f"{scenario_id} does not take parameters {sorted(unknown)}; expects {scenario.param_names}"
         )
-    merged = dict(scenario.defaults or {})
-    merged.update(given)
+    merged = {**(scenario.defaults or {}), **given}
     missing = set(scenario.param_names) - set(merged)
     if missing:
         raise InvalidParameterError(f"{scenario_id} needs parameters {sorted(missing)}")
@@ -618,10 +606,7 @@ def _run_one(args):
 def run_all(size_class: str = "desk", workers: int = 1) -> list[Report]:
     if size_class not in SIZE_CLASSES:
         raise InvalidParameterError(f"size class must be one of {SIZE_CLASSES}, got {size_class!r}")
-    jobs = []
-    for sid in sorted(SCENARIOS):
-        for params in SCENARIOS[sid].class_params[size_class]:
-            jobs.append((sid, params))
+    jobs = [(sid, p) for sid in sorted(SCENARIOS) for p in SCENARIOS[sid].class_params[size_class]]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -272,6 +272,32 @@ def descent_collapse(facets):
 
 
 # ---------------------------------------------------------------------------
+# element matching on the closure
+# ---------------------------------------------------------------------------
+
+def closure_element_matching(c, vertices, pairs=()) -> tuple:
+    """The element matching of the complex ``c`` over the vertex indices
+    ``vertices`` in turn, extending the matched pairs ``pairs``: each vertex
+    v pairs every unmatched face sigma without v with sigma + v when that
+    face is unmatched too, scanning sigma in (dimension, vertex tuple) order
+    over the whole closure.  Returns the pairs sorted by (dimension, lower
+    face)."""
+    faces = closure_of(c.facets)
+    order = sorted(faces, key=lambda f: (len(f), f))
+    pairs = list(pairs)
+    taken = {f for pair in pairs for f in pair}
+    for v in vertices:
+        for sigma in order:
+            if v in sigma or sigma in taken:
+                continue
+            tau = tuple(sorted(sigma + (v,)))
+            if tau in faces and tau not in taken:
+                pairs.append((sigma, tau))
+                taken.update((sigma, tau))
+    return tuple(sorted(pairs, key=lambda p: (len(p[0]), p[0])))
+
+
+# ---------------------------------------------------------------------------
 # graph oracles
 # ---------------------------------------------------------------------------
 

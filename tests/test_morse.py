@@ -18,7 +18,7 @@ from cutnerve.errors import (
     ResourceLimitError,
 )
 
-from oracles import descent_collapse
+from oracles import closure_element_matching, descent_collapse
 
 
 def ladder_total_cut(n):
@@ -49,9 +49,33 @@ def matching_corpus():
 
 # -- element matchings -----------------------------------------------------------
 
+def random_complex(rng):
+    n = rng.randint(2, 8)
+    gens = [
+        tuple(rng.sample(range(n), rng.randint(1, min(n, 6))))
+        for _ in range(rng.randint(1, 6))
+    ]
+    return cx.from_facets([f"v{i}" for i in range(n)], gens)
+
+
+def assert_matches_closure_oracle(c, vertices):
+    """The pairs, every face's partner and the critical cells of the
+    sequence's matching are the closure oracle's."""
+    m = morse.element_matching_sequence(c, vertices)
+    expected = closure_element_matching(c, [c.face_of_labels([v])[0] if isinstance(v, str) else v
+                                            for v in vertices])
+    assert m.pairs == expected
+    partner = {f: g for s, t in expected for f, g in ((s, t), (t, s))}
+    faces = c.all_faces()
+    assert all(m.partner(f) == partner.get(f) for f in faces)
+    critical = [f for f in faces if f and f not in partner]
+    assert morse.critical_cells(c, m) == sorted(critical, key=lambda f: (len(f), f))
+    return m
+
+
 def test_element_matching_full_simplex_is_perfect():
     c = cx.full_simplex("abcd")
-    m = morse.element_matching(c, "a")
+    m = assert_matches_closure_oracle(c, ["a"])
     assert len(m.pairs) * 2 == c.face_count()
     assert m.partner(()) == (0,)
     assert morse.critical_cells(c, m) == []
@@ -81,15 +105,68 @@ def test_element_matching_sequence_is_iterated_element_matching():
     for c in matching_corpus():
         if c.is_void() or c.face_count() > 200:
             continue
-        m = None
+        m = ()
         for v in range(c.n_vertices):
-            m = morse.element_matching(c, v, m)
-        assert morse.element_matching_sequence(c, range(c.n_vertices)).pairs == m.pairs
+            m = closure_element_matching(c, [v], m)
+        assert morse.element_matching_sequence(c, range(c.n_vertices)).pairs == m
 
 
 def test_element_matching_unknown_vertex():
     with pytest.raises(InvalidParameterError):
-        morse.element_matching(cx.full_simplex("ab"), "z")
+        morse.element_matching_sequence(cx.full_simplex("ab"), ["z"])
+
+
+def test_element_matching_sequence_matches_closure_oracle():
+    # partial sequences in shuffled order; the recursion itself is also
+    # checked with the same vertices queried in index order, for its
+    # critical cells (the empty face included) and its partner walk
+    rng = random.Random(2027)
+    for _ in range(300):
+        c = random_complex(rng)
+        verts = list(range(c.n_vertices))
+        rng.shuffle(verts)
+        seq = verts[: rng.randint(0, len(verts))]
+        assert_matches_closure_oracle(c, seq)
+        masks = [sum(1 << v for v in f) for f in c.facets]
+        em = hom.ElementMatching(masks, 10**6, sum(1 << v for v in seq))
+        expected = closure_element_matching(c, sorted(seq))
+        partner = {f: g for s, t in expected for f, g in ((s, t), (t, s))}
+        as_face = lambda m: tuple(v for v in range(c.n_vertices) if m >> v & 1)
+        assert sorted(map(as_face, em.cells)) == sorted(f for f in c.all_faces() if f not in partner)
+        assert sorted(tuple(map(as_face, p)) for p in em.pairs()) == sorted(expected)
+        for f in c.all_faces():
+            up = em.partner(sum(1 << v for v in f))
+            assert (None if up is None else as_face(up)) == partner.get(f)
+
+
+def test_element_matching_sequence_edge_cases():
+    c = cons.total_cut_complex(gr.cycle(6), 2)
+    # a repeated vertex pairs nothing more the second time
+    m = assert_matches_closure_oracle(c, ["3", "1", "1", "3"])
+    assert m.pairs == morse.element_matching_sequence(c, ["3", "1"]).pairs
+    # the empty sequence matches nothing, so every nonempty face is critical
+    m = assert_matches_closure_oracle(c, [])
+    assert len(m) == 0 and len(morse.critical_cells(c, m)) == 50
+    # the empty complex has only the empty face, and the void complex none
+    for c in (cx.empty_complex("ab"), cx.void_complex("ab")):
+        m = assert_matches_closure_oracle(c, ["a", "b"])
+        assert len(m) == 0 and morse.critical_cells(c, m) == []
+
+
+def test_element_matching_sequence_charges_the_face_budget(monkeypatch):
+    # TC(C6, 2) over the vertex 1 charges 161 units: 2 recursion nodes and
+    # the 7 critical cells they carry; the leaf (del_1 A, lk_1 A), whose
+    # faces are enumerated at the bound sum 2^|f| of 56 over del_1 A's four
+    # facets and 48 over lk_1 A's six triangles; and the root's pairs, which
+    # enumerate lk_1 A again for 48
+    tc = cons.total_cut_complex(gr.cycle(6), 2)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "160")
+    with pytest.raises(ResourceLimitError) as err:
+        morse.element_matching_sequence(tc, ["1"])
+    assert err.value.budget == 160
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "161")
+    assert len(morse.element_matching_sequence(tc, ["1"])) == 22
+    assert tc._closure is None
 
 
 # -- acyclicity --------------------------------------------------------------------

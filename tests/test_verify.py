@@ -255,13 +255,20 @@ def test_cli_morse(tmp_path, capsys):
     cpath = str(tmp_path / "tc.json")
     main(["build", "total-cut", "circular-ladder", "--n", "5", "--k", "4", "--out", cpath])
     capsys.readouterr()
-    code = main(["morse", cpath, "--vertices", "1+,1-"])
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["acyclic"] is True
-    assert sorted(map(tuple, doc["critical"])) == sorted(
-        ("1-", f"{j}+", f"{j}-") for j in range(2, 6)
-    )
+    for first, second in (("1+", "1-"), ("1-", "1+")):
+        code = main(["morse", cpath, "--vertices", f"{first},{second}"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["acyclic"] is True and doc["pairs"] == 156
+        assert sorted(map(tuple, doc["critical"])) == sorted(
+            (second, f"{j}+", f"{j}-") for j in range(2, 6)
+        )
+    # a repeated vertex pairs nothing more
+    outs = []
+    for vertices in ("1+,1+", "1+"):
+        assert main(["morse", cpath, "--vertices", vertices]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_cli_collapse_and_replay(tmp_path, capsys):
@@ -312,8 +319,9 @@ def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
     cpath = str(tmp_path / "complex.json")
     main(["build", "total-cut", "cycle", "--n", "6", "--k", "2", "--out", cpath])
     capsys.readouterr()
-    # morse and collapse build the closure of 51 faces; homology builds no
-    # closure, and its Morse reduction of TC(C6, 2) charges 10 units of work
+    # collapse builds the closure of 51 faces, and morse's element matching
+    # over the vertex 1 charges 161 units of work; homology builds no closure,
+    # and its Morse reduction of TC(C6, 2) charges 10
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
     for argv in (["morse", cpath, "--vertices", "1"], ["collapse", cpath]):
         assert _cli_error(capsys, argv) == 2
