@@ -41,24 +41,41 @@ def _canon_face(face) -> tuple[int, ...]:
     return tuple(sorted(set(face)))
 
 
+def face_mask(face) -> int:
+    """The vertex bitmask of a face; a repeated vertex sets its bit once."""
+    m = 0
+    for v in face:
+        m |= 1 << v
+    return m
+
+
+def mask_face(m: int) -> tuple[int, ...]:
+    """The sorted vertex tuple of a bitmask."""
+    return tuple(v for v in range(m.bit_length()) if m >> v & 1)
+
+
+def mask_antichain(masks) -> tuple[int, ...]:
+    """Inclusion-maximal members of a collection of faces as vertex
+    bitmasks, sorted.  Largest first, each is kept unless it lies in a kept
+    one (``map`` keeps the scan in C)."""
+    keep: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m not in map(m.__and__, keep):
+            keep.append(m)
+    keep.sort()
+    return tuple(keep)
+
+
 def antichain(faces) -> list[tuple[int, ...]]:
     """Inclusion-maximal members of ``faces``, sorted lexicographically."""
-    uniq = sorted({_canon_face(f) for f in faces}, key=lambda f: (-len(f), f))
-    keep: list[tuple[int, ...]] = []
-    kept_sets: list[frozenset] = []
-    for f in uniq:
-        fs = frozenset(f)
-        if not any(fs <= g for g in kept_sets):
-            keep.append(f)
-            kept_sets.append(fs)
-    keep.sort()
-    return keep
+    by_mask = {face_mask(f): f for f in faces}
+    return sorted(_canon_face(by_mask[m]) for m in mask_antichain(by_mask))
 
 
 class SimplicialComplex:
     """Immutable simplicial complex over a labeled ground set."""
 
-    __slots__ = ("labels", "facets", "void", "_closure", "_homology")
+    __slots__ = ("labels", "facets", "void", "_closure", "_homology", "_masks")
 
     def __init__(self, labels, facets, void: bool = False):
         labels = tuple(labels)
@@ -71,10 +88,10 @@ class SimplicialComplex:
                 raise InvalidParameterError("the void complex has no facets")
             facs: tuple[tuple[int, ...], ...] = ()
         else:
-            for f in facets:
-                for v in f:
-                    if not (0 <= v < n):
-                        raise InvalidFaceError(f"face {tuple(f)} references unknown vertex {v}")
+            used = set().union(*facets)
+            if used and not (0 <= min(used) and max(used) < n):
+                f, v = next((f, v) for f in facets for v in f if not 0 <= v < n)
+                raise InvalidFaceError(f"face {f} references unknown vertex {v}")
             facs = tuple(antichain(facets))
             if not facs:
                 raise InvalidParameterError(
@@ -86,6 +103,7 @@ class SimplicialComplex:
         object.__setattr__(self, "void", void)
         object.__setattr__(self, "_closure", None)
         object.__setattr__(self, "_homology", None)
+        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -125,11 +143,17 @@ class SimplicialComplex:
             seen.update(f)
         return tuple(sorted(seen))
 
+    def facet_masks(self) -> tuple[int, ...]:
+        """Vertex bitmasks of the facets, in facet order, built lazily."""
+        if self._masks is None:
+            object.__setattr__(self, "_masks", tuple(map(face_mask, self.facets)))
+        return self._masks
+
     def contains_face(self, face) -> bool:
-        if self.void:
+        if min(face, default=0) < 0:
             return False
-        fs = frozenset(_canon_face(face))
-        return any(fs <= frozenset(g) for g in self.facets)
+        m = face_mask(face)
+        return m in map(m.__and__, self.facet_masks())
 
     def face_of_labels(self, labels) -> tuple[int, ...]:
         idx = {lab: i for i, lab in enumerate(self.labels)}
@@ -233,6 +257,8 @@ def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     """
     if a.void or b.void:
         return a.void == b.void
+    if a.labels == b.labels:
+        return a.facets == b.facets
     return a.facet_label_family() == b.facet_label_family()
 
 

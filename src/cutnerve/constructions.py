@@ -66,7 +66,7 @@ class Cover:
         for face, holders in gens:
             if not self.base.contains_face(face):
                 raise InvalidFaceError(f"generator {face} is not a face of the base")
-            if any(not (0 <= i < len(labels)) for i in holders):
+            if holders and not (0 <= min(holders) and max(holders) < len(labels)):
                 raise InvalidParameterError(f"generator {face} has a holder out of range")
         # cover property: every nonempty facet of the base must be generated
         gen_faces = {face for face, _ in gens}
@@ -103,6 +103,13 @@ class Cover:
         face?  For downward-closed parts this is a shared base vertex."""
         sups = self._supports
         return bool(frozenset.intersection(*(sups[i] for i in self._index_set(indices))))
+
+    def generated_nonempty(self, indices) -> bool:
+        """Generator reading: does one nonempty face have holders containing
+        ``indices``?  The same as ``cover_intersection(cover,
+        indices).has_vertices()``, without building the complex."""
+        idx = self._index_set(indices)
+        return any(face and idx <= holders for face, holders in self.generators)
 
 
 def nerve(cover: Cover) -> SimplicialComplex:

@@ -22,7 +22,7 @@ class Graph:
     validated to be symmetric and irreflexive on construction.
     """
 
-    __slots__ = ("labels", "adj", "_masks")
+    __slots__ = ("labels", "adj", "_masks", "_sets")
 
     def __init__(self, labels: list[str] | tuple[str, ...], edges):
         labels = tuple(labels)
@@ -41,6 +41,7 @@ class Graph:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "adj", tuple(frozenset(s) for s in nbrs))
         object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_sets", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -192,34 +193,28 @@ def stable_kneser(n: int, k: int) -> Graph:
 
 def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All independent sets of exactly k vertices, as sorted index tuples in
-    lexicographic order.  Backtracks over sorted indices with adjacency
-    bitmask pruning."""
+    lexicographic order, in a fresh list.  Enumerated once per k and graph:
+    backtracks over a bitmask of candidates, the least first, each choice
+    dropping its neighbors, while enough candidates remain."""
     if k < 0:
         raise InvalidParameterError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return [()]
-    masks = g.adjacency_masks()
-    n = g.n
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
+    if k not in g._sets:
+        masks = g.adjacency_masks()
+        out: list[tuple[int, ...]] = []
 
-    def extend(start: int, forbidden: int):
-        need = k - len(stack)
-        # not enough vertices left to finish
-        if n - start < need:
-            return
-        for v in range(start, n):
-            if (forbidden >> v) & 1:
-                continue
-            stack.append(v)
-            if len(stack) == k:
-                out.append(tuple(stack))
-            else:
-                extend(v + 1, forbidden | masks[v])
-            stack.pop()
+        def extend(prefix: tuple, cand: int):
+            if len(prefix) == k:
+                out.append(prefix)
+                return
+            while cand.bit_count() >= k - len(prefix):
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                extend(prefix + (v,), cand & ~masks[v])
 
-    extend(0, 0)
-    return out
+        extend((), (1 << g.n) - 1)
+        g._sets[k] = tuple(out)
+    return list(g._sets[k])
 
 
 def induced_k_independent(g: Graph, k: int) -> Graph:
@@ -232,13 +227,8 @@ def induced_k_independent(g: Graph, k: int) -> Graph:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     sets = independent_sets(g, k)
     labels = [set_label(g, s) for s in sets]
-    frozen = [frozenset(s) for s in sets]
-    edges = [
-        (a, b)
-        for a in range(len(frozen))
-        for b in range(a + 1, len(frozen))
-        if not frozen[a] & frozen[b]
-    ]
+    masks = [sum(1 << v for v in s) for s in sets]
+    edges = [(a, b) for a, m in enumerate(masks) for b, x in enumerate(masks[a + 1:], a + 1) if not m & x]
     return Graph(labels, edges)
 
 

@@ -50,7 +50,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, face_budget
+from .complexes import SimplicialComplex, face_budget, mask_antichain
 from .errors import InvalidParameterError, ResourceLimitError
 
 
@@ -270,8 +270,8 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
     if cx.is_void():
         profile = HomologyProfile(void=True)
     else:
-        masks = [sum(1 << v for v in f) for f in cx.facets]
-        profile = _morse_homology(ElementMatching(masks, face_budget(), (1 << cx.n_vertices) - 1))
+        matching = ElementMatching(cx.facet_masks(), face_budget(), (1 << cx.n_vertices) - 1)
+        profile = _morse_homology(matching)
     object.__setattr__(cx, "_homology", profile)
     return profile
 
@@ -309,17 +309,6 @@ def _morse_homology(matching: "ElementMatching") -> HomologyProfile:
 # ---------------------------------------------------------------------------
 # the element matching, by link/deletion recursion on facet lists
 # ---------------------------------------------------------------------------
-
-def _antichain(masks) -> tuple[int, ...]:
-    """Inclusion-maximal members of a collection of faces as vertex
-    bitmasks, sorted."""
-    keep: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if m not in map(m.__and__, keep):
-            keep.append(m)
-    keep.sort()
-    return tuple(keep)
-
 
 def _within(face: int, facets) -> bool:
     """The face lies in one of the facets (``map`` keeps the scan in C)."""
@@ -393,7 +382,7 @@ class ElementMatching:
         self.queried = queried
         self.work = 0
         self.nodes: dict[tuple, _Node] = {}
-        self.root = self._node(_antichain(facets), ())
+        self.root = self._node(mask_antichain(facets), ())
         self.cells = self._critical_cells() if self.root else []
 
     def _charge(self, units: int):
@@ -421,9 +410,9 @@ class ElementMatching:
         bit = 1 << v
         lk_a = node.lk_a = tuple(f ^ bit for f in a if f & bit)
         lk_b = tuple(f ^ bit for f in b if f & bit)
-        del_b = node.del_b = _antichain(f & ~bit for f in b)
-        node.with_v = self._node(_antichain(f & g for f in lk_a for g in del_b), lk_b)
-        node.without_v = self._node(_antichain(f & ~bit for f in a), _antichain(lk_a + del_b))
+        del_b = node.del_b = mask_antichain(f & ~bit for f in b)
+        node.with_v = self._node(mask_antichain(f & g for f in lk_a for g in del_b), lk_b)
+        node.without_v = self._node(mask_antichain(f & ~bit for f in a), mask_antichain(lk_a + del_b))
 
     def _critical_cells(self) -> list[int]:
         """Post-order over the DAG: a node's cells are its with-v child's

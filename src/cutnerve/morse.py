@@ -13,9 +13,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
-from .complexes import SimplicialComplex, face_budget, from_facets
+from .complexes import SimplicialComplex, face_budget, from_facets, mask_face
 from .errors import (
     InvalidCollapseError,
     InvalidMatchingError,
@@ -321,50 +323,35 @@ def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
     return tuple(sorted(faces)) == witness.terminal
 
 
-def _strong_collapse(facets, dominations: list) -> list[tuple]:
-    """Remove dominated vertices from the facet list until none is left,
-    appending (v, w) to ``dominations`` for each; return the core's facets.
+def _strong_collapse(facets, dominations: list) -> list[int]:
+    """Remove dominated vertices from a list of facet bitmasks until none is
+    left, appending (v, w) to ``dominations`` for each; return the core's
+    facet bitmasks.
 
-    Vertex v is dominated by w != v when w lies in every facet through v.
-    The least dominated v goes first, with its least dominating w; the
-    facets through v then lose v, and a link that lies in a remaining facet
-    is no longer maximal."""
-    facets = dict(enumerate(facets))
-    through: dict[int, set] = {}
-    for i, f in facets.items():
-        for u in f:
-            through.setdefault(u, set()).add(i)
-    next_id = len(facets)
+    Vertex v is dominated by w != v when w lies in every facet through v,
+    that is in the AND over v's star.  The least dominated v goes first,
+    with its least dominating w; the facets through v then lose v, and a
+    link that lies in a remaining facet is no longer maximal."""
+    facets = list(facets)
     # only a removal changes whether a vertex is dominated, and only for the
     # vertices of the removed star, so each is checked again only then
-    pending = set(through)
+    pending = reduce(or_, facets, 0)
     while pending:
-        v = min(pending)
-        pending.discard(v)
-        ids = through[v]
-        w = next(
-            (u for u in facets[next(iter(ids))] if u != v and ids <= through[u]),
-            None,
-        )
-        if w is None:
+        bit = pending & -pending
+        pending ^= bit
+        star = [f for f in facets if f & bit]
+        common = reduce(and_, star) ^ bit
+        if not common:
             continue
-        dominations.append((v, w))
-        del through[v]
-        links = []
-        for i in ids:
-            f = facets.pop(i)
-            for u in f:
-                if u != v:
-                    through[u].discard(i)
-                    pending.add(u)
-            links.append(tuple(u for u in f if u != v))
-        for g in sorted(links, key=len, reverse=True):
-            if not set.intersection(*(through[u] for u in g)):
-                facets[next_id] = g
-                for u in g:
-                    through[u].add(next_id)
-                next_id += 1
-    return list(facets.values())
+        dominations.append((bit.bit_length() - 1, (common & -common).bit_length() - 1))
+        facets = [f for f in facets if not f & bit]
+        # the links are an antichain, as the star is, so only the remaining
+        # facets can hold one
+        for g in (f ^ bit for f in star):
+            pending |= g
+            if g not in map(g.__and__, facets):
+                facets.append(g)
+    return facets
 
 
 def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
@@ -384,8 +371,8 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     if sum(1 << len(f) for f in cx.facets) > face_budget():
         cx.all_faces()
     dominations = []
-    core = _strong_collapse(cx.facets, dominations)
-    faces = {f for f in from_facets(cx.labels, core).all_faces() if f}
+    core = _strong_collapse(cx.facet_masks(), dominations)
+    faces = {f for f in from_facets(cx.labels, map(mask_face, core)).all_faces() if f}
     cof = _coface_map(faces)
     heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)

@@ -155,7 +155,7 @@ def run_thm_3_1(params):
     for m in range(1, n + 1):
         for idx in combinations(range(n), m):
             raw = cover.raw_intersection_nonempty(idx)
-            char = cons.cover_intersection(cover, idx).has_vertices()
+            char = cover.generated_nonempty(idx)
             if raw != char:
                 gaps += 1
     return checks, {"nerve": _digest(nerve_cx), "total_cut": _digest(tc)}, {"raw-vs-generator-gap": gaps}

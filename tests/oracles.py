@@ -5,7 +5,8 @@ enumeration, all-permutations search.  Nothing imports the algorithms under
 test, so agreement is meaningful evidence.  The one exception is
 ``snf_homology``, the full-boundary path that ``reduced_homology`` replaced:
 it shares only ``smith_normal_form``, which ``dense_snf`` checks in turn,
-and none of the Morse reduction.
+and none of the Morse reduction.  ``tuple_strong_collapse`` is likewise the
+tuple-and-set strong collapse that the bitmask one replaced.
 """
 
 from __future__ import annotations
@@ -269,6 +270,64 @@ def descent_collapse(facets):
                         heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
     verdict = "collapsible" if len(faces) == 1 else "unknown"
     return tuple(steps), tuple(sorted(faces)), verdict
+
+
+# ---------------------------------------------------------------------------
+# strong collapses and antichains on tuples and sets
+# ---------------------------------------------------------------------------
+
+def tuple_strong_collapse(facets, dominations: list) -> list[tuple]:
+    """The strong collapses on tuples and index sets: remove dominated
+    vertices from the facet list until none is left, appending (v, w) to
+    ``dominations`` for each; return the core's facets.
+
+    Vertex v is dominated by w != v when w lies in every facet through v.
+    The least dominated v goes first, with its least dominating w; the
+    facets through v then lose v, and a link that lies in a remaining facet
+    is no longer maximal."""
+    facets = dict(enumerate(facets))
+    through: dict[int, set] = {}
+    for i, f in facets.items():
+        for u in f:
+            through.setdefault(u, set()).add(i)
+    next_id = len(facets)
+    # only a removal changes whether a vertex is dominated, and only for the
+    # vertices of the removed star, so each is checked again only then
+    pending = set(through)
+    while pending:
+        v = min(pending)
+        pending.discard(v)
+        ids = through[v]
+        w = next(
+            (u for u in facets[next(iter(ids))] if u != v and ids <= through[u]),
+            None,
+        )
+        if w is None:
+            continue
+        dominations.append((v, w))
+        del through[v]
+        links = []
+        for i in ids:
+            f = facets.pop(i)
+            for u in f:
+                if u != v:
+                    through[u].discard(i)
+                    pending.add(u)
+            links.append(tuple(u for u in f if u != v))
+        for g in sorted(links, key=len, reverse=True):
+            if not set.intersection(*(through[u] for u in g)):
+                facets[next_id] = g
+                for u in g:
+                    through[u].add(next_id)
+                next_id += 1
+    return list(facets.values())
+
+
+def brute_antichain(faces) -> list[tuple[int, ...]]:
+    """Inclusion-maximal members of ``faces`` as sorted tuples, by comparing
+    every pair of vertex sets."""
+    sets = {frozenset(f) for f in faces}
+    return sorted(tuple(sorted(s)) for s in sets if not any(s < t for t in sets))
 
 
 # ---------------------------------------------------------------------------

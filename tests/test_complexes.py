@@ -1,6 +1,7 @@
 """Complex construction, closure, and the join/cone/link/skeleton operations."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from cutnerve.errors import (
 )
 from cutnerve.homology import reduced_homology
 
-from oracles import closure_of
+from oracles import brute_antichain, closure_of
 
 
 def random_complex(rng, n_vertices=6, n_gens=5):
@@ -60,6 +61,67 @@ def test_from_facets_void_and_empty():
 def test_from_facets_unknown_vertex():
     with pytest.raises(InvalidFaceError):
         cx.from_facets("ab", [(0, 5)])
+
+
+def test_antichain_against_brute_force():
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.choice((3, 6, 10, 70, 130))
+        faces = []
+        for _ in range(rng.randint(0, 8)):
+            # unsorted, with repeated vertices and the empty face
+            face = tuple(rng.randrange(n) for _ in range(rng.randint(0, 5)))
+            faces.append(face)
+            if rng.random() < 0.3:
+                faces.append(face[::-1])
+        assert cx.antichain(faces) == brute_antichain(faces), faces
+    assert cx.antichain([(2, 1, 2)]) == [(1, 2)]
+    assert cx.antichain([(1, 2), (2, 1, 2)]) == [(1, 2)]
+    assert cx.antichain([(), ()]) == [()]
+    assert cx.antichain([]) == []
+    assert cx.antichain([(), (65,), (0,)]) == [(0,), (65,)]
+    assert cx.antichain([(64, 0), (0,), (0, 64, 64), (63, 64)]) == [(0, 64), (63, 64)]
+
+
+def test_from_facets_out_of_range_vertex():
+    c = cx.from_facets([f"v{i}" for i in range(70)], [(69, 3, 3), (68,)])
+    assert c.facets == ((3, 69), (68,))
+    for faces, message in [
+        ([(0, 1), (2, 3)], "face (2, 3) references unknown vertex 3"),
+        ([(1,), (0, -1, 2)], "face (0, -1, 2) references unknown vertex -1"),
+        ([(1,), (0, 5, -1)], "face (0, 5, -1) references unknown vertex 5"),
+        ([(64,)], "face (64,) references unknown vertex 64"),
+    ]:
+        with pytest.raises(InvalidFaceError, match=re.escape(message)):
+            cx.from_facets("abc", faces)
+
+
+def test_contains_face_on_masks():
+    c = cx.from_facets([f"v{i}" for i in range(70)], [(0, 65, 69), (1, 2)])
+    assert c.contains_face((69, 0)) and c.contains_face((65, 65)) and c.contains_face(())
+    assert not c.contains_face((1, 65)) and not c.contains_face((70,))
+    assert not c.contains_face((-1,)) and not c.contains_face((0, -1))
+    assert not cx.void_complex("ab").contains_face(())
+
+
+def test_equals_labeled_same_ground_agrees_with_label_families():
+    # the same labels tuple compares facets directly; a permuted ground
+    # compares label families, and both must give the same answers
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = random_complex(rng, n, rng.randint(1, 4))
+        b = random_complex(rng, n, rng.randint(1, 4)) if rng.random() < 0.5 else a
+        order = rng.sample(range(n), n)
+        labels = [a.labels[i] for i in order]
+        pos = {v: p for p, v in enumerate(order)}
+        permuted = cx.from_facets(labels, [[pos[v] for v in f] for f in b.facets])
+        families = a.facet_label_family() == b.facet_label_family()
+        assert cx.equals_labeled(a, b) == families
+        assert cx.equals_labeled(a, permuted) == families
+        assert cx.equals_labeled(b, permuted) and cx.equals_labeled(permuted, b)
+    assert cx.equals_labeled(cx.void_complex("ab"), cx.void_complex("ab"))
+    assert not cx.equals_labeled(cx.void_complex("ab"), cx.empty_complex("ab"))
 
 
 def test_from_facets_idempotent():

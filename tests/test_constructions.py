@@ -246,6 +246,27 @@ def test_octahedron_raw_reading_differs():
     assert not cons.cover_intersection(cover, idx).has_vertices()
 
 
+def test_generated_nonempty_is_the_generator_reading():
+    # on the covers of the reading tests above, and the thm-3-1 cycle
+    # covers up to n = 8, on every index set
+    octahedron = gr.Graph([str(i + 1) for i in range(6)], [
+        (a, b) for a in range(6) for b in range(a + 1, 6)
+        if {a, b} not in ({0, 5}, {1, 4}, {2, 3})
+    ])
+    path = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
+    covers = [cons.independent_cover(octahedron, 2), cons.independent_cover(path, 2)]
+    covers += [cons.independent_cover(gr.cycle(n), k) for k in (2, 3) for n in range(2 * k, 9)]
+    for cover in covers:
+        parts = range(cover.n_parts)
+        for m in parts:
+            for idx in combinations(parts, m + 1):
+                expected = cons.cover_intersection(cover, idx).has_vertices()
+                assert cover.generated_nonempty(idx) == expected, (cover.part_labels, idx)
+    for bad in ([], [cover.n_parts], [0, -1]):
+        with pytest.raises(InvalidParameterError):
+            cover.generated_nonempty(bad)
+
+
 def test_nerve_equals_total_cut_on_corpus():
     for g in small_graph_corpus():
         for k in (2, 3):

@@ -207,6 +207,29 @@ def test_independent_sets_against_subset_filter():
             assert gr.independent_sets(g, k) == expected
 
 
+def test_independent_sets_memo_returns_fresh_lists():
+    for g in small_corpus():
+        if g.n > 12:
+            continue
+        for k in range(0, 4):
+            first = gr.independent_sets(g, k)
+            second = gr.independent_sets(g, k)
+            assert first == second == filter_independent_sets(g.n, g.edges(), k)
+            assert first is not second
+            # mutating one list leaves the memo, and so the next call, alone
+            first.append((g.n,))
+            if second:
+                second[0] = ()
+            assert gr.independent_sets(g, k) == filter_independent_sets(g.n, g.edges(), k)
+    g = gr.cycle(7)
+    zero = gr.independent_sets(g, 0)
+    assert zero == [()]
+    zero.clear()
+    assert gr.independent_sets(g, 0) == [()]
+    with pytest.raises(InvalidParameterError, match="k must be >= 0"):
+        gr.independent_sets(g, -1)
+
+
 # -- induced k-independent graphs -------------------------------------------
 
 def test_induced_empty_when_no_sets():

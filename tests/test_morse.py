@@ -18,7 +18,7 @@ from cutnerve.errors import (
     ResourceLimitError,
 )
 
-from oracles import closure_element_matching, descent_collapse
+from oracles import closure_element_matching, descent_collapse, tuple_strong_collapse
 
 
 def ladder_total_cut(n):
@@ -450,6 +450,39 @@ def test_strong_collapse_order():
     assert witness.steps == ()
     assert witness.terminal == ((4,),)
     assert morse.replay_collapse(c, witness)
+
+
+def test_strong_collapse_matches_tuple_oracle():
+    # the bitmask strong collapses take the same dominations in the same
+    # order as the tuple-and-set ones, and stop at the same core
+    rng = random.Random(73)
+    corpus = [
+        cx.cone(cx.simplex_boundary("abcd"), "w"),
+        cx.from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)]),
+    ]
+    corpus += [cx.cone(c, "apex") for c in matching_corpus() if not c.is_void()]
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        # some grounds put the vertices past bit 64
+        shift = rng.choice((0, 0, 0, 60))
+        gens = [
+            [shift + v for v in rng.sample(range(n), rng.randint(1, min(n, 5)))]
+            for _ in range(rng.randint(1, 7))
+        ]
+        c = cx.from_facets([f"v{i}" for i in range(n + shift)], gens)
+        corpus.append(cx.cone(c, "apex") if rng.random() < 0.3 else c)
+    for k in (2, 3):
+        for n in range(2 * k, 9):
+            corpus += cycle_cover_intersections(n, k)
+    dominated = 0
+    for c in corpus:
+        got, want = [], []
+        core = morse._strong_collapse(c.facet_masks(), got)
+        expected = tuple_strong_collapse(c.facets, want)
+        assert got == want, c.facets
+        assert sorted(map(cx.mask_face, core)) == sorted(expected), c.facets
+        dominated += bool(got)
+    assert dominated > len(corpus) // 2
 
 
 def test_replay_checks_dominations():
