@@ -1,9 +1,10 @@
 """Simplicial complexes with facet-based storage.
 
-Faces are strictly sorted tuples of vertex indices; the empty tuple is the
-empty face.  A complex stores only its inclusion-maximal faces (facets) and
-enumerates the downward closure on demand, guarded by a configurable total
-face budget (env var CUTNERVE_FACE_BUDGET, default 2_000_000).
+Faces are strictly sorted tuples of vertex indices, or vertex bitmasks; the
+empty tuple (mask 0) is the empty face.  A complex stores only the bitmasks
+of its inclusion-maximal faces (facets), builds their tuples on first use,
+and enumerates the downward closure on demand, guarded by a configurable
+total face budget (env var CUTNERVE_FACE_BUDGET, default 2_000_000).
 
 Two degenerate complexes are distinguished: the void complex has no faces at
 all, while the empty complex contains exactly the empty face.  Vertex
@@ -15,13 +16,16 @@ from __future__ import annotations
 
 import json
 import os
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import (
     InvalidFaceError,
     InvalidParameterError,
     ResourceLimitError,
     VoidComplexError,
+    check_json_ground,
 )
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -35,10 +39,6 @@ def face_budget() -> int:
         return int(raw)
     except ValueError:
         raise InvalidParameterError(f"CUTNERVE_FACE_BUDGET must be an integer, got {raw!r}") from None
-
-
-def _canon_face(face) -> tuple[int, ...]:
-    return tuple(sorted(set(face)))
 
 
 def face_mask(face) -> int:
@@ -66,44 +66,53 @@ def mask_antichain(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def antichain(faces) -> list[tuple[int, ...]]:
-    """Inclusion-maximal members of ``faces``, sorted lexicographically."""
-    by_mask = {face_mask(f): f for f in faces}
-    return sorted(_canon_face(by_mask[m]) for m in mask_antichain(by_mask))
+def _checked_masks(faces, n: int):
+    """Vertex bitmasks of ``faces``, lazily: no bit is shifted before every
+    vertex is checked to lie in 0..n-1."""
+    used = set().union(*faces)
+    if used and not (0 <= min(used) and max(used) < n):
+        f, v = next((f, v) for f in faces for v in f if not 0 <= v < n)
+        raise InvalidFaceError(f"face {f} references unknown vertex {v}")
+    yield from map(face_mask, faces)
 
 
 class SimplicialComplex:
-    """Immutable simplicial complex over a labeled ground set."""
+    """Immutable simplicial complex over a labeled ground set.  The stored
+    form is the sorted tuple of facet bitmasks; ``facets``, the sorted
+    vertex tuples, is a view built on first use."""
 
-    __slots__ = ("labels", "facets", "void", "_closure", "_homology", "_masks")
+    __slots__ = ("labels", "void", "_masks", "_facets", "_closure", "_homology")
 
     def __init__(self, labels, facets, void: bool = False):
         labels = tuple(labels)
+        faces = [tuple(f) for f in facets]
+        # the void complex only needs to know that it was given no face
+        self._setup(labels, faces if void else _checked_masks(faces, len(labels)), void)
+
+    def _setup(self, labels: tuple, masks, void: bool):
+        """The one set-up of both constructors: unique labels, then the
+        facet antichain of ``masks``."""
         if len(set(labels)) != len(labels):
             raise InvalidParameterError("ground labels must be unique")
-        n = len(labels)
-        facets = [tuple(f) for f in facets]
         if void:
-            if facets:
+            if masks:
                 raise InvalidParameterError("the void complex has no facets")
-            facs: tuple[tuple[int, ...], ...] = ()
+            masks = ()
         else:
-            used = set().union(*facets)
-            if used and not (0 <= min(used) and max(used) < n):
-                f, v = next((f, v) for f in facets for v in f if not 0 <= v < n)
-                raise InvalidFaceError(f"face {f} references unknown vertex {v}")
-            facs = tuple(antichain(facets))
-            if not facs:
+            masks = mask_antichain(masks)
+            if not masks:
                 raise InvalidParameterError(
                     "a non-void complex needs at least the empty face; "
                     "pass void=True or facets=[()]"
                 )
+            if masks[0] < 0 or masks[-1] >> len(labels):
+                raise InvalidFaceError(f"a face mask references a vertex outside 0..{len(labels) - 1}")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "facets", facs)
         object.__setattr__(self, "void", void)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_facets", None)
         object.__setattr__(self, "_closure", None)
         object.__setattr__(self, "_homology", None)
-        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -119,41 +128,41 @@ class SimplicialComplex:
 
     def is_empty_complex(self) -> bool:
         """True for the complex whose only face is the empty face."""
-        return not self.void and self.facets == ((),)
+        return not self.void and self._masks == (0,)
 
     def has_vertices(self) -> bool:
         """True when the complex contains at least one nonempty face."""
-        return bool(self.facets) and self.facets != ((),)
+        return bool(self._masks) and self._masks != (0,)
 
     def dimension(self) -> int:
         if self.void:
             raise VoidComplexError("the void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
+        return max(map(int.bit_count, self._masks)) - 1
 
     def is_pure(self) -> bool:
-        if self.void:
-            return True
-        dims = {len(f) for f in self.facets}
-        return len(dims) == 1
+        return len(set(map(int.bit_count, self._masks))) <= 1
 
     def vertex_support(self) -> tuple[int, ...]:
         """Indices that appear in at least one face."""
-        seen = set()
-        for f in self.facets:
-            seen.update(f)
-        return tuple(sorted(seen))
+        return mask_face(reduce(or_, self._masks, 0))
 
     def facet_masks(self) -> tuple[int, ...]:
-        """Vertex bitmasks of the facets, in facet order, built lazily."""
-        if self._masks is None:
-            object.__setattr__(self, "_masks", tuple(map(face_mask, self.facets)))
+        """Vertex bitmasks of the facets, sorted: the stored form."""
         return self._masks
 
+    @property
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """The facets as sorted vertex tuples, in lexicographic order; built
+        on first use."""
+        if self._facets is None:
+            object.__setattr__(self, "_facets", tuple(sorted(map(mask_face, self._masks))))
+        return self._facets
+
     def contains_face(self, face) -> bool:
-        if min(face, default=0) < 0:
+        if not all(0 <= v < len(self.labels) for v in face):
             return False
         m = face_mask(face)
-        return m in map(m.__and__, self.facet_masks())
+        return m in map(m.__and__, self._masks)
 
     def face_of_labels(self, labels) -> tuple[int, ...]:
         idx = {lab: i for i, lab in enumerate(self.labels)}
@@ -218,17 +227,17 @@ class SimplicialComplex:
         return (
             isinstance(other, SimplicialComplex)
             and self.labels == other.labels
-            and self.facets == other.facets
+            and self._masks == other._masks
             and self.void == other.void
         )
 
     def __hash__(self):
-        return hash((self.labels, self.facets, self.void))
+        return hash((self.labels, self._masks, self.void))
 
     def __repr__(self):
         if self.void:
             return "SimplicialComplex(void)"
-        return f"SimplicialComplex({self.n_vertices} vertices, {len(self.facets)} facets)"
+        return f"SimplicialComplex({self.n_vertices} vertices, {len(self._masks)} facets)"
 
     def to_json(self) -> str:
         """Canonical JSON; vertices in lexicographic label order."""
@@ -245,9 +254,9 @@ class SimplicialComplex:
     @staticmethod
     def from_json(text: str) -> "SimplicialComplex":
         doc = json.loads(text)
-        return SimplicialComplex(
-            doc["vertices"], [tuple(f) for f in doc["facets"]], void=doc.get("void", False)
-        )
+        labels, facets = doc["vertices"], [tuple(f) for f in doc["facets"]]
+        check_json_ground(labels, facets, "face")
+        return SimplicialComplex(labels, facets, void=doc.get("void", False))
 
 
 def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:
@@ -258,7 +267,7 @@ def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:
     if a.void or b.void:
         return a.void == b.void
     if a.labels == b.labels:
-        return a.facets == b.facets
+        return a._masks == b._masks
     return a.facet_label_family() == b.facet_label_family()
 
 
@@ -270,9 +279,16 @@ def from_facets(labels, faces) -> SimplicialComplex:
     """Complex generated by ``faces``; [] yields the void complex and [()]
     the empty complex."""
     faces = list(faces)
-    if not faces:
-        return SimplicialComplex(labels, [], void=True)
-    return SimplicialComplex(labels, faces)
+    return SimplicialComplex(labels, faces, void=not faces)
+
+
+def from_masks(labels, masks) -> SimplicialComplex:
+    """``from_facets`` on faces given as vertex bitmasks: [] yields the void
+    complex and [0] the empty complex."""
+    masks = list(masks)
+    cx = SimplicialComplex.__new__(SimplicialComplex)
+    cx._setup(tuple(labels), masks, not masks)
+    return cx
 
 
 def void_complex(labels=()) -> SimplicialComplex:
@@ -315,8 +331,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     if a.void or b.void:
         return void_complex(labels)
     off = a.n_vertices
-    facets = [fa + tuple(v + off for v in fb) for fa in a.facets for fb in b.facets]
-    return SimplicialComplex(labels, facets)
+    return from_masks(labels, [fa | fb << off for fa in a._masks for fb in b._masks])
 
 
 def cone(a: SimplicialComplex, apex: str) -> SimplicialComplex:
@@ -337,12 +352,11 @@ def suspension(a: SimplicialComplex, poles: tuple[str, str] = ("susp+", "susp-")
 
 def link(a: SimplicialComplex, face) -> SimplicialComplex:
     """Link of a face: tau with tau disjoint from sigma and sigma U tau a face."""
-    sigma = _canon_face(face)
+    sigma = tuple(sorted(set(face)))
     if not a.contains_face(sigma):
         raise InvalidFaceError(f"{sigma} is not a face of the complex")
-    ss = set(sigma)
-    gens = [tuple(v for v in facet if v not in ss) for facet in a.facets if ss <= set(facet)]
-    return from_facets(a.labels, gens)
+    s = face_mask(sigma)
+    return from_masks(a.labels, [f ^ s for f in a._masks if f & s == s])
 
 
 def skeleton(a: SimplicialComplex, d: int) -> SimplicialComplex:
@@ -351,44 +365,27 @@ def skeleton(a: SimplicialComplex, d: int) -> SimplicialComplex:
         raise InvalidParameterError(f"skeleton dimension must be >= -1, got {d}")
     if a.void:
         return void_complex(a.labels)
-    gens: list[tuple[int, ...]] = []
-    for facet in a.facets:
-        if len(facet) - 1 <= d:
-            gens.append(facet)
-        else:
-            gens.extend(combinations(facet, d + 1))
-    if d == -1 or not gens:
-        gens = [()]
-    return SimplicialComplex(a.labels, gens)
+    return SimplicialComplex(a.labels, [c for f in a.facets for c in combinations(f, min(len(f), d + 1))])
 
 
-def _merge_ground(a: SimplicialComplex, b: SimplicialComplex) -> tuple[tuple[str, ...], dict, dict]:
-    labels = list(dict.fromkeys(a.labels + b.labels))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    amap = {i: idx[lab] for i, lab in enumerate(a.labels)}
-    bmap = {i: idx[lab] for i, lab in enumerate(b.labels)}
-    return tuple(labels), amap, bmap
+def _merge_ground(a: SimplicialComplex, b: SimplicialComplex) -> tuple:
+    """The merged label universe, then each complex's facet masks over it."""
+    labels = tuple(dict.fromkeys(a.labels + b.labels))
+    bit = {lab: 1 << i for i, lab in enumerate(labels)}
+    return labels, *([sum(bit[c.labels[v]] for v in f) for f in c.facets] for c in (a, b))
 
 
 def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Union of face sets over the merged label universe."""
-    labels, amap, bmap = _merge_ground(a, b)
+    labels, fa, fb = _merge_ground(a, b)
     if a.void and b.void:
         return void_complex(labels)
-    gens = [tuple(sorted(amap[v] for v in f)) for f in a.facets]
-    gens += [tuple(sorted(bmap[v] for v in f)) for f in b.facets]
-    return from_facets(labels, gens)
+    return from_masks(labels, fa + fb)
 
 
 def intersection(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Intersection of face sets, generated by pairwise facet intersections."""
-    labels, amap, bmap = _merge_ground(a, b)
+    labels, fa, fb = _merge_ground(a, b)
     if a.void or b.void:
         return void_complex(labels)
-    gens = []
-    for fa in a.facets:
-        sa = {amap[v] for v in fa}
-        for fb in b.facets:
-            sb = {bmap[v] for v in fb}
-            gens.append(tuple(sorted(sa & sb)))
-    return from_facets(labels, gens)
+    return from_masks(labels, [x & y for x in fa for y in fb])

@@ -17,9 +17,10 @@ generator reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
-from .complexes import SimplicialComplex, from_facets, void_complex
+from .complexes import SimplicialComplex, face_mask, from_masks, mask_face, void_complex
 from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError
 from .graphs import Graph, independent_sets, induced_k_independent
 
@@ -31,9 +32,12 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     complex and a graph with no vertices the void complex."""
     if g.n == 0:
         return void_complex(())
-    gens = [tuple(sorted(g.adj[v])) for v in range(g.n) if g.adj[v]]
-    gens.append(())
-    return from_facets(g.labels, gens)
+    return from_masks(g.labels, g.adjacency_masks() + (0,))
+
+
+def _cut_masks(g: Graph, k: int) -> list[int]:
+    """The complements of the independent k-sets of ``g``, as vertex masks."""
+    return [((1 << g.n) - 1) ^ face_mask(s) for s in independent_sets(g, k)]
 
 
 def total_cut_complex(g: Graph, k: int) -> SimplicialComplex:
@@ -41,16 +45,15 @@ def total_cut_complex(g: Graph, k: int) -> SimplicialComplex:
     are none, pure of dimension |V| - k - 1 otherwise."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    everything = set(range(g.n))
-    facets = [tuple(sorted(everything - set(s))) for s in independent_sets(g, k)]
-    return from_facets(g.labels, facets)
+    return from_masks(g.labels, _cut_masks(g, k))
 
 
 @dataclass(frozen=True)
 class Cover:
     """An ordered family of downward-closed face sets over a base complex,
-    presented by generators: ``(face, holders)`` pairs, where ``holders`` is
-    the frozenset of indices of the parts that ``face`` generates."""
+    presented by generators: ``(face, holders)`` pairs of bitmasks, the
+    vertices of a face of the base and the indices of the parts that it
+    generates."""
 
     base: SimplicialComplex
     part_labels: tuple
@@ -62,17 +65,19 @@ class Cover:
             raise InvalidParameterError("part labels must be unique")
         if self.base.is_void():
             raise InvalidParameterError("cannot cover the void complex")
-        gens = tuple((tuple(sorted(f)), frozenset(h)) for f, h in self.generators)
+        gens = tuple(self.generators)
+        facets = self.base.facet_masks()
+        lookup = set(facets)
         for face, holders in gens:
-            if not self.base.contains_face(face):
-                raise InvalidFaceError(f"generator {face} is not a face of the base")
-            if holders and not (0 <= min(holders) and max(holders) < len(labels)):
-                raise InvalidParameterError(f"generator {face} has a holder out of range")
+            if face not in lookup and face not in map(face.__and__, facets):
+                raise InvalidFaceError(f"generator {mask_face(face)} is not a face of the base")
+            if holders < 0 or holders >> len(labels):
+                raise InvalidParameterError(f"generator {mask_face(face)} has a holder out of range")
         # cover property: every nonempty facet of the base must be generated
-        gen_faces = {face for face, _ in gens}
-        for facet in self.base.facets:
-            if facet and facet not in gen_faces:
-                raise InvalidParameterError(f"facet {facet} of the base is not covered by any part")
+        missing = lookup.difference(face for face, _ in gens).difference((0,))
+        if missing:
+            facet = min(map(mask_face, missing))
+            raise InvalidParameterError(f"facet {facet} of the base is not covered by any part")
         object.__setattr__(self, "part_labels", labels)
         object.__setattr__(self, "generators", gens)
 
@@ -80,36 +85,37 @@ class Cover:
     def n_parts(self) -> int:
         return len(self.part_labels)
 
-    def _index_set(self, indices) -> frozenset:
+    def _index_set(self, indices) -> int:
+        """The parts of ``indices`` as a bitmask, each checked in range."""
         idx = frozenset(indices)
         if not idx:
             raise InvalidParameterError("index set must be nonempty")
         for i in sorted(idx):
             if not (0 <= i < self.n_parts):
                 raise InvalidParameterError(f"part index {i} out of range")
-        return idx
+        return face_mask(idx)
 
     @cached_property
-    def _supports(self) -> tuple[frozenset, ...]:
-        """Per part, the set of base vertices covered by its generators."""
-        sup = [set() for _ in self.part_labels]
+    def _supports(self) -> tuple[int, ...]:
+        """Per part, the mask of base vertices covered by its generators."""
+        sup = [0] * self.n_parts
         for face, holders in self.generators:
-            for i in holders:
-                sup[i].update(face)
-        return tuple(frozenset(s) for s in sup)
+            for i in mask_face(holders):
+                sup[i] |= face
+        return tuple(sup)
 
     def raw_intersection_nonempty(self, indices) -> bool:
         """Geometric reading: do the parts of ``indices`` share a nonempty
         face?  For downward-closed parts this is a shared base vertex."""
-        sups = self._supports
-        return bool(frozenset.intersection(*(sups[i] for i in self._index_set(indices))))
+        idx = self._index_set(indices)
+        return bool(reduce(and_, map(self._supports.__getitem__, mask_face(idx))))
 
     def generated_nonempty(self, indices) -> bool:
         """Generator reading: does one nonempty face have holders containing
         ``indices``?  The same as ``cover_intersection(cover,
         indices).has_vertices()``, without building the complex."""
         idx = self._index_set(indices)
-        return any(face and idx <= holders for face, holders in self.generators)
+        return any(face and idx & holders == idx for face, holders in self.generators)
 
 
 def nerve(cover: Cover) -> SimplicialComplex:
@@ -121,8 +127,7 @@ def nerve(cover: Cover) -> SimplicialComplex:
     face-set reading makes strictly more index sets intersect and breaks the
     advertised identities with total cut complexes (see
     ``raw_intersection_nonempty`` for the comparison hook)."""
-    facets = [tuple(sorted(holders)) for _, holders in cover.generators]
-    return from_facets(cover.part_labels, facets or [()])
+    return from_masks(cover.part_labels, [holders for _, holders in cover.generators] or [0])
 
 
 def independent_cover(g: Graph, k: int) -> Cover:
@@ -132,9 +137,8 @@ def independent_cover(g: Graph, k: int) -> Cover:
     h = induced_k_independent(g, k)
     if h.n == 0:
         raise EmptyCoverError(f"no independent {k}-sets: cannot build the cover")
-    everything = frozenset(range(g.n))
-    sets = independent_sets(g, k)  # parallel to h's vertex order
-    generators = [(tuple(sorted(h.adj[j])), everything - set(s)) for j, s in enumerate(sets)]
+    # h's vertices are the independent k-sets, in the order _cut_masks lists them
+    generators = zip(h.adjacency_masks(), _cut_masks(g, k))
     return Cover(neighborhood_complex(h), g.labels, generators)
 
 
@@ -142,7 +146,7 @@ def cover_intersection(cover: Cover, indices) -> SimplicialComplex:
     """Subcomplex generated by the faces held by every part of the index
     set; void when no generator qualifies."""
     idx = cover._index_set(indices)
-    return from_facets(cover.base.labels, [f for f, holders in cover.generators if idx <= holders])
+    return from_masks(cover.base.labels, [f for f, holders in cover.generators if idx & holders == idx])
 
 
 def facet_star_cover(base: SimplicialComplex, markers) -> Cover:
@@ -159,6 +163,6 @@ def facet_star_cover(base: SimplicialComplex, markers) -> Cover:
             raise InvalidParameterError(f"marker index {m} is outside 0..{n - 1}")
         marker_idx.append(m)
     generators = [
-        (f, frozenset(i for i, v in enumerate(marker_idx) if v in f)) for f in base.facets if f
+        (f, sum(1 << i for i, v in enumerate(marker_idx) if f >> v & 1)) for f in base.facet_masks() if f
     ]
     return Cover(base, [base.labels[v] for v in marker_idx], generators)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input check of the
+JSON readers."""
+
+import json
 
 
 class InvalidParameterError(ValueError):
@@ -36,3 +39,16 @@ class ResourceLimitError(RuntimeError):
 
 class GuardError(ValueError):
     """A scenario parameter lies outside its desk-scale guard."""
+
+
+def check_json_ground(labels, groups, what: str):
+    """Labels read from JSON must be strings, and each ``what`` (face or
+    edge) must list int vertex indices: JSON ``true`` is not vertex 1."""
+    for lab in labels:
+        if not isinstance(lab, str):
+            raise InvalidParameterError(f"vertex label {json.dumps(lab)} is not a string")
+    for group in groups:
+        for v in group:
+            if type(v) is not int:
+                raise InvalidParameterError(
+                    f"{what} {json.dumps(group)} has {json.dumps(v)} for a vertex index")

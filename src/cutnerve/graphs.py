@@ -12,35 +12,36 @@ import json
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_json_ground
 
 
 class Graph:
     """Immutable undirected graph with labeled vertices.
 
-    ``adj[i]`` is the frozenset of neighbors of vertex i.  The adjacency is
-    validated to be symmetric and irreflexive on construction.
+    The stored form is one neighbor bitmask per vertex, symmetric and
+    irreflexive by construction; ``adj[i]``, the frozenset of neighbors of
+    vertex i, is a view built on first use.
     """
 
-    __slots__ = ("labels", "adj", "_masks", "_sets")
+    __slots__ = ("labels", "_masks", "_adj", "_sets")
 
     def __init__(self, labels: list[str] | tuple[str, ...], edges):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise InvalidParameterError("vertex labels must be unique")
         n = len(labels)
-        nbrs = [set() for _ in range(n)]
+        masks = [0] * n
         for e in edges:
             i, j = e
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidParameterError(f"edge {e} references unknown vertex")
             if i == j:
                 raise InvalidParameterError(f"self-loop at vertex {i}")
-            nbrs[i].add(j)
-            nbrs[j].add(i)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in nbrs))
-        object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_sets", {})
 
     def __setattr__(self, name, value):
@@ -50,34 +51,39 @@ class Graph:
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def adj(self) -> tuple[frozenset, ...]:
+        """Per vertex, the frozenset of its neighbors; built on first use."""
+        if self._adj is None:
+            adj = tuple(frozenset(j for j in range(m.bit_length()) if m >> j & 1) for m in self._masks)
+            object.__setattr__(self, "_adj", adj)
+        return self._adj
+
     def edges(self) -> list[tuple[int, int]]:
-        return sorted((i, j) for i in range(self.n) for j in self.adj[i] if i < j)
+        return [(i, j) for i, m in enumerate(self._masks) for j in range(i + 1, m.bit_length()) if m >> j & 1]
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def degree(self, i: int) -> int:
-        return len(self.adj[i])
+        return self._masks[i].bit_count()
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
+        return 0 <= j and bool(self._masks[i] >> j & 1)
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbor bitmasks, built lazily; used by the set enumerators."""
-        if self._masks is None:
-            masks = tuple(sum(1 << j for j in self.adj[i]) for i in range(self.n))
-            object.__setattr__(self, "_masks", masks)
+        """Neighbor bitmasks: the stored form."""
         return self._masks
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.labels == other.labels
-            and self.adj == other.adj
+            and self._masks == other._masks
         )
 
     def __hash__(self):
-        return hash((self.labels, self.adj))
+        return hash((self.labels, self._masks))
 
     def __repr__(self):
         return f"Graph({self.n} vertices, {self.edge_count()} edges)"
@@ -93,7 +99,9 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> "Graph":
         doc = json.loads(text)
-        return Graph(doc["vertices"], [tuple(e) for e in doc["edges"]])
+        labels, edges = doc["vertices"], [tuple(e) for e in doc["edges"]]
+        check_json_ground(labels, edges, "edge")
+        return Graph(labels, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .complexes import SimplicialComplex, face_budget, from_facets, mask_face
+from .complexes import SimplicialComplex, face_budget, from_facets, from_masks
 from .errors import (
     InvalidCollapseError,
     InvalidMatchingError,
@@ -368,11 +368,11 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     "unknown" is not a refutation."""
     if cx.is_void():
         raise VoidComplexError("cannot collapse the void complex")
-    if sum(1 << len(f) for f in cx.facets) > face_budget():
+    if sum(1 << f.bit_count() for f in cx.facet_masks()) > face_budget():
         cx.all_faces()
     dominations = []
     core = _strong_collapse(cx.facet_masks(), dominations)
-    faces = {f for f in from_facets(cx.labels, map(mask_face, core)).all_faces() if f}
+    faces = {f for f in from_masks(cx.labels, core).all_faces() if f}
     cof = _coface_map(faces)
     heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)

@@ -134,30 +134,20 @@ def run_thm_3_1(params):
         "neighborhood-sphere-profile", hom.reduced_homology(cover.base), sphere))
     # every geometrically nonempty intersection must collapse to a point;
     # the search is a semi-decision, so a stranded search is "unknown"
-    unresolved = []
-    tested = 0
-    for face in nerve_cx.all_faces():
-        if not face:
-            continue
+    unresolved, tested = [], 0
+    for face in filter(None, nerve_cx.all_faces()):
         inter = cons.cover_intersection(cover, face)
-        if not inter.has_vertices():
-            continue
-        tested += 1
-        witness = morse.greedy_collapse(inter)
-        if not witness.is_collapsible():
-            unresolved.append(list(face))
+        if inter.has_vertices():
+            tested += 1
+            if not morse.greedy_collapse(inter).is_collapsible():
+                unresolved.append(list(face))
     checks.append(_check("intersections-collapsible", not unresolved,
                          {"collapsible": tested}, {"tested": tested, "unresolved": unresolved},
                          miss="unknown"))
     # index sets where the raw face-sharing reading disagrees with the
     # generator reading: a figure, not a check
-    gaps = 0
-    for m in range(1, n + 1):
-        for idx in combinations(range(n), m):
-            raw = cover.raw_intersection_nonempty(idx)
-            char = cover.generated_nonempty(idx)
-            if raw != char:
-                gaps += 1
+    gaps = sum(cover.raw_intersection_nonempty(idx) != cover.generated_nonempty(idx)
+               for m in range(1, n + 1) for idx in combinations(range(n), m))
     return checks, {"nerve": _digest(nerve_cx), "total_cut": _digest(tc)}, {"raw-vs-generator-gap": gaps}
 
 
@@ -389,12 +379,14 @@ def corpus_graph(index: int, seed: int) -> gr.Graph:
 
 
 def run_prop_4_10(params):
-    count = params["count"]
-    seed = params["seed"]
+    """The check holds by construction: under the generator reading the
+    nerve's facets are the holder masks full ^ S and the total cut complex's
+    are the same masks, one per independent k-set S.  So it catches only a
+    regression in those constructors, not a failure of the correspondence."""
+    count, seed = params["count"], params["seed"]
     _guard(1 <= count <= 200, f"prop-4-10 guard: 1 <= count <= 200, got count={count}")
-    instances = 0
+    instances = isolated_flags = 0
     failures = []
-    isolated_flags = 0
     for i in range(count):
         g = corpus_graph(i, seed)
         for k in (2, 3):

@@ -6,7 +6,8 @@ test, so agreement is meaningful evidence.  The one exception is
 ``snf_homology``, the full-boundary path that ``reduced_homology`` replaced:
 it shares only ``smith_normal_form``, which ``dense_snf`` checks in turn,
 and none of the Morse reduction.  ``tuple_strong_collapse`` is likewise the
-tuple-and-set strong collapse that the bitmask one replaced.
+tuple-and-set strong collapse that the bitmask one replaced, and
+``TupleCover`` the tuple-and-frozenset cover readings.
 """
 
 from __future__ import annotations
@@ -354,6 +355,56 @@ def closure_element_matching(c, vertices, pairs=()) -> tuple:
                 pairs.append((sigma, tau))
                 taken.update((sigma, tau))
     return tuple(sorted(pairs, key=lambda p: (len(p[0]), p[0])))
+
+
+# ---------------------------------------------------------------------------
+# covers on tuples and frozensets
+# ---------------------------------------------------------------------------
+
+class TupleCover:
+    """The readings of a cover on ``(face, holders)`` generators given as
+    vertex tuples and frozensets of part indices, as the bitmask ``Cover``
+    replaced them: intersections by subset tests on holder sets, supports as
+    vertex sets."""
+
+    def __init__(self, n_parts: int, generators):
+        self.n_parts = n_parts
+        self.generators = [(tuple(sorted(f)), frozenset(h)) for f, h in generators]
+
+    def intersection_generators(self, idx) -> list[tuple[int, ...]]:
+        """The faces held by every part of ``idx``."""
+        idx = frozenset(idx)
+        return [f for f, holders in self.generators if idx <= holders]
+
+    def generated_nonempty(self, idx) -> bool:
+        return any(self.intersection_generators(idx))
+
+    def raw_intersection_nonempty(self, idx) -> bool:
+        supports = [set() for _ in range(self.n_parts)]
+        for f, holders in self.generators:
+            for i in holders:
+                supports[i].update(f)
+        return bool(set.intersection(*(supports[i] for i in idx)))
+
+    def nerve_facets(self) -> list[tuple[int, ...]]:
+        return brute_antichain([tuple(sorted(h)) for _, h in self.generators] or [()])
+
+
+def independent_cover_generators(n: int, edges, k: int) -> list:
+    """The independent cover's generators from first principles: for each
+    independent k-set S, the faces are the indices of the k-sets disjoint
+    from S (the neighbourhood of S in I_k), and the holders the vertices
+    outside S."""
+    sets = filter_independent_sets(n, edges, k)
+    return [
+        ([j for j, t in enumerate(sets) if not set(s) & set(t)], frozenset(range(n)) - set(s))
+        for s in sets
+    ]
+
+
+def facet_star_generators(facets, markers) -> list:
+    """One generator per nonempty facet, held by the markers it contains."""
+    return [(f, frozenset(i for i, m in enumerate(markers) if m in f)) for f in facets if f]
 
 
 # ---------------------------------------------------------------------------

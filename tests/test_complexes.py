@@ -64,9 +64,13 @@ def test_from_facets_unknown_vertex():
 
 
 def test_antichain_against_brute_force():
+    # a complex stores the mask antichain of its faces: the tuple
+    # constructor, the mask constructor and the brute-force antichain must
+    # agree, and so must equality and hashing
     rng = random.Random(29)
     for _ in range(400):
         n = rng.choice((3, 6, 10, 70, 130))
+        labels = [f"v{i}" for i in range(n)]
         faces = []
         for _ in range(rng.randint(0, 8)):
             # unsorted, with repeated vertices and the empty face
@@ -74,13 +78,22 @@ def test_antichain_against_brute_force():
             faces.append(face)
             if rng.random() < 0.3:
                 faces.append(face[::-1])
-        assert cx.antichain(faces) == brute_antichain(faces), faces
-    assert cx.antichain([(2, 1, 2)]) == [(1, 2)]
-    assert cx.antichain([(1, 2), (2, 1, 2)]) == [(1, 2)]
-    assert cx.antichain([(), ()]) == [()]
-    assert cx.antichain([]) == []
-    assert cx.antichain([(), (65,), (0,)]) == [(0,), (65,)]
-    assert cx.antichain([(64, 0), (0,), (0, 64, 64), (63, 64)]) == [(0, 64), (63, 64)]
+        by_tuples = cx.from_facets(labels, faces)
+        by_masks = cx.from_masks(labels, map(cx.face_mask, faces))
+        assert list(by_tuples.facets) == brute_antichain(faces), faces
+        assert by_masks == by_tuples and hash(by_masks) == hash(by_tuples), faces
+        assert by_masks.facet_masks() == tuple(sorted(map(cx.face_mask, by_masks.facets)))
+        assert by_masks.is_void() == (not faces) and by_masks.has_vertices() == any(faces)
+
+    def antichain(faces):
+        return list(cx.from_facets([f"v{i}" for i in range(70)], faces).facets)
+
+    assert antichain([(2, 1, 2)]) == [(1, 2)]
+    assert antichain([(1, 2), (2, 1, 2)]) == [(1, 2)]
+    assert antichain([(), ()]) == [()]
+    assert antichain([]) == []
+    assert antichain([(), (65,), (0,)]) == [(0,), (65,)]
+    assert antichain([(64, 0), (0,), (0, 64, 64), (63, 64)]) == [(0, 64), (63, 64)]
 
 
 def test_from_facets_out_of_range_vertex():
@@ -94,6 +107,21 @@ def test_from_facets_out_of_range_vertex():
     ]:
         with pytest.raises(InvalidFaceError, match=re.escape(message)):
             cx.from_facets("abc", faces)
+
+
+def test_vertex_guards_shift_no_bit_out_of_range():
+    # a vertex of 10**12 must give its one-line error, never a 2**(10**12) mask
+    for faces in ([(0, 10**12)], [(1,), (10**12, 0)]):
+        with pytest.raises(InvalidFaceError, match=re.escape(f"references unknown vertex {10**12}")):
+            cx.from_facets(("a", "b"), faces)
+    c = cx.full_simplex("ab")
+    assert not c.contains_face((0, 10**12))
+    with pytest.raises(InvalidFaceError, match="not a face"):
+        cx.link(c, (10**12,))
+    # a mask that names a vertex outside the ground set is refused too
+    for masks in ([0b100], [-1]):
+        with pytest.raises(InvalidFaceError, match="outside 0..1"):
+            cx.from_masks("ab", masks)
 
 
 def test_contains_face_on_masks():
@@ -389,6 +417,18 @@ def test_complex_json_roundtrip():
         back = cx.SimplicialComplex.from_json(c.to_json())
         assert cx.equals_labeled(back, c)
         assert back.to_json() == c.to_json()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"vertices":["a","b"],"facets":[[0,true]]}', "face [0, true] has true for a vertex index"),
+    ('{"vertices":["a","b"],"facets":[[0,"b"]]}', 'face [0, "b"] has "b" for a vertex index'),
+    ('{"vertices":["a","b"],"facets":[[0,1.0]]}', "face [0, 1.0] has 1.0 for a vertex index"),
+    ('{"vertices":[1,2],"facets":[[0,1]]}', "vertex label 1 is not a string"),
+    ('{"vertices":["a",null],"facets":[[0]]}', "vertex label null is not a string"),
+])
+def test_complex_json_needs_int_vertices_and_string_labels(text, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        cx.SimplicialComplex.from_json(text)
 
 
 def test_void_json_roundtrip():

@@ -1,6 +1,7 @@
 """Neighborhood complexes, total cut complexes, covers, and nerves."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,13 @@ from cutnerve import graphs as gr
 from cutnerve import homology as hom
 from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError
 
-from oracles import brute_homology
+from oracles import (
+    TupleCover,
+    brute_antichain,
+    brute_homology,
+    facet_star_generators,
+    independent_cover_generators,
+)
 
 
 def small_graph_corpus():
@@ -327,7 +334,7 @@ def test_facet_star_cover_invalid_marker():
 def test_cover_rejects_duplicate_part_labels():
     base = cx.full_simplex("ab")
     with pytest.raises(InvalidParameterError, match="unique"):
-        cons.Cover(base, ["x", "x"], [((0, 1), {0, 1})])
+        cons.Cover(base, ["x", "x"], [(0b11, 0b11)])
 
 
 def test_cover_rejects_void_base():
@@ -338,20 +345,21 @@ def test_cover_rejects_void_base():
 def test_cover_rejects_generator_outside_base():
     base = cx.from_facets("abc", [(0, 1), (1, 2)])
     with pytest.raises(InvalidFaceError):
-        cons.Cover(base, ["x"], [((0, 1), {0}), ((1, 2), {0}), ((0, 2), {0})])
+        cons.Cover(base, ["x"], [(0b011, 0b1), (0b110, 0b1), (0b101, 0b1)])
 
 
 def test_cover_rejects_holder_out_of_range():
     base = cx.full_simplex("ab")
-    for holders in ({0, 2}, {-1}):
+    # parts {0, 2} of two, and a negative holder mask
+    for holders in (0b101, -1):
         with pytest.raises(InvalidParameterError, match="out of range"):
-            cons.Cover(base, ["x", "y"], [((0, 1), holders)])
+            cons.Cover(base, ["x", "y"], [(0b11, holders)])
 
 
 def test_cover_rejects_ungenerated_facet():
     base = cx.from_facets("abc", [(0, 1), (1, 2)])
     with pytest.raises(InvalidParameterError, match="not covered"):
-        cons.Cover(base, ["x"], [((0, 1), {0}), ((1,), {0})])
+        cons.Cover(base, ["x"], [(0b011, 0b1), (0b010, 0b1)])
 
 
 def test_cover_index_sets_nonempty_and_in_range():
@@ -368,17 +376,63 @@ def test_cover_keeps_generators_that_share_a_face():
     # neighbourhood; keyed by face they would merge into one generator
     g = gr.star(3)
     cover = cons.independent_cover(g, 2)
-    assert [face for face, _ in cover.generators] == [(), (), ()]
+    assert [face for face, _ in cover.generators] == [0, 0, 0]
     assert len({holders for _, holders in cover.generators}) == 3
     assert cx.equals_labeled(cons.nerve(cover), cons.total_cut_complex(g, 2))
     # the same on a base with a nonempty shared face
     base = cx.full_simplex("ab")
-    cover = cons.Cover(base, "xyz", [((0, 1), {0, 1}), ((0, 1), {1, 2})])
+    cover = cons.Cover(base, "xyz", [(0b11, 0b011), (0b11, 0b110)])
     assert len(cover.generators) == 2
     assert cons.nerve(cover).facet_label_family() == frozenset(
         {frozenset("xy"), frozenset("yz")}
     )
     assert cons.cover_intersection(cover, [0, 2]).is_void()
+
+
+def _oracle_covers():
+    """The thm-3-1 covers (n <= 8, k = 2, 3) and the prism marker covers
+    (n = 3..5), each with its tuple-and-frozenset oracle."""
+    for k in (2, 3):
+        for n in range(2 * k, 9):
+            g = gr.cycle(n)
+            yield cons.independent_cover(g, k), TupleCover(n, independent_cover_generators(n, g.edges(), k))
+    for n in (3, 4, 5):
+        g = gr.prism(n)
+        base = cons.neighborhood_complex(gr.induced_k_independent(g, 2))
+        labels = [gr.set_label(g, [2 * (i - 1), 2 * (i % n) + 1]) for i in range(1, n + 1)]
+        markers = [base.labels.index(m) for m in labels]
+        yield cons.facet_star_cover(base, labels), TupleCover(n, facet_star_generators(base.facets, markers))
+
+
+def test_mask_cover_against_tuple_oracle():
+    covers = 0
+    for cover, oracle in _oracle_covers():
+        covers += 1
+        assert list(cons.nerve(cover).facets) == oracle.nerve_facets()
+        for m in range(1, cover.n_parts + 1):
+            for idx in combinations(range(cover.n_parts), m):
+                gens = oracle.intersection_generators(idx)
+                assert list(cons.cover_intersection(cover, idx).facets) == brute_antichain(gens), idx
+                assert cover.generated_nonempty(idx) == oracle.generated_nonempty(idx), idx
+                assert cover.raw_intersection_nonempty(idx) == oracle.raw_intersection_nonempty(idx), idx
+    assert covers == 11
+
+
+def test_cover_guards_shift_no_bit_out_of_range():
+    base = cx.full_simplex("ab")
+    # a holder mask for part 10**12 would itself be a 2**(10**12) integer;
+    # part 4096 stands in for it
+    for holders in (1 << 4096, -(1 << 4096)):
+        message = "generator (0, 1) has a holder out of range"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            cons.Cover(base, ["x", "y"], [(0b11, holders)])
+    cover = cons.independent_cover(gr.cycle(6), 2)
+    for bad, part in (([-1], -1), ([10**12], 10**12), ([0, 10**12], 10**12)):
+        message = f"part index {part} out of range"
+        for read in (cover.raw_intersection_nonempty, cover.generated_nonempty,
+                     lambda idx: cons.cover_intersection(cover, idx)):
+            with pytest.raises(InvalidParameterError, match=re.escape(message)):
+                read(bad)
 
 
 # -- spot check profiles through the construction stack ----------------------------

@@ -1,11 +1,13 @@
 """Graph families, independent-set enumeration, and isomorphism witnesses."""
 
 import random
-from itertools import permutations
+import re
+from itertools import combinations, permutations
 
 import pytest
 
 from cutnerve import graphs as gr
+from cutnerve.cli import _parse_file
 from cutnerve.errors import InvalidParameterError
 
 from oracles import (
@@ -190,6 +192,29 @@ def test_constructors_symmetric_irreflexive():
 
 # -- independent sets -------------------------------------------------------
 
+def test_mask_storage_against_edge_sets():
+    # adjacency is stored as neighbor masks; every reading must match sets
+    # built from the edge list, duplicates and reversed edges included
+    rng = random.Random(47)
+    for _ in range(120):
+        n = rng.choice((1, 5, 9, 70))
+        pairs = list(combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
+        edges += [(j, i) for i, j in edges if rng.random() < 0.3]
+        g = gr.Graph([str(i) for i in range(n)], edges)
+        nbrs = [set() for _ in range(n)]
+        for i, j in edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        assert g.adj == tuple(map(frozenset, nbrs))
+        assert g.edge_count() == len({frozenset(e) for e in edges})
+        assert g.edges() == sorted({tuple(sorted(e)) for e in edges})
+        for i in range(n):
+            assert g.degree(i) == len(nbrs[i])
+            assert all(g.has_edge(i, j) == (j in nbrs[i]) for j in range(-1, n + 2))
+        assert g == gr.Graph(g.labels, g.edges()) and hash(g) == hash(gr.Graph(g.labels, g.edges()))
+
+
 def test_independent_sets_examples():
     assert gr.independent_sets(gr.complete(4), 2) == []
     sets = gr.independent_sets(gr.cycle(6), 3)
@@ -303,6 +328,22 @@ def test_graph_json_roundtrip():
         # differently from g; a second round trip must be exact
         assert g.to_json() == h.to_json()
         assert gr.Graph.from_json(h.to_json()) == h
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"vertices":["a","b"],"edges":[[0,true]]}', "edge [0, true] has true for a vertex index"),
+    ('{"vertices":["a","b"],"edges":[["a",1]]}', 'edge ["a", 1] has "a" for a vertex index'),
+    ('{"vertices":[1,2],"edges":[[0,1]]}', "vertex label 1 is not a string"),
+])
+def test_graph_json_needs_int_vertices_and_string_labels(tmp_path, text, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        gr.Graph.from_json(text)
+    # the reader behind the CLI turns it into the one-line usage error (exit 2)
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    with pytest.raises(InvalidParameterError, match=re.escape(message)) as info:
+        _parse_file(str(path), gr.Graph.from_json, "graph")
+    assert "\n" not in str(info.value)
 
 
 def test_graph_json_deterministic_order():

@@ -315,6 +315,20 @@ def test_cli_bad_complex_file(tmp_path, capsys, command):
         assert main([command, str(void)] + extra) == 0
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"vertices":["a","b"],"facets":[[0,true]]}', "has true for a vertex index"),
+    ('{"vertices":["a","b"],"facets":[[0,"b"]]}', 'has "b" for a vertex index'),
+    ('{"vertices":[1,2],"facets":[[0,1]]}', "vertex label 1 is not a string"),
+])
+def test_cli_refuses_non_int_vertex_and_non_string_label(tmp_path, capsys, text, named):
+    path = tmp_path / "complex.json"
+    path.write_text(text)
+    for argv in (["homology"], ["collapse"], ["morse", "--vertices", "a"]):
+        assert _cli_error(capsys, [argv[0], str(path)] + argv[1:]) == 2
+    main(["homology", str(path)])
+    assert named in capsys.readouterr().err
+
+
 def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
     cpath = str(tmp_path / "complex.json")
     main(["build", "total-cut", "cycle", "--n", "6", "--k", "2", "--out", cpath])
