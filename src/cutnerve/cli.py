@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import constructions as cons
@@ -53,17 +52,12 @@ def _parse_params(items):
 
 
 def _cmd_verify(args) -> int:
-    if not args.all and (args.size_class is not None or args.workers is not None):
-        raise InvalidParameterError("--class and --workers apply only to --all")
-    workers = 1 if args.workers is None else args.workers
-    if workers < 1:
-        raise InvalidParameterError(f"--workers must be at least 1, got {workers}")
+    if not args.all and args.size_class is not None:
+        raise InvalidParameterError("--class applies only to --all")
     if args.all:
         if args.scenario or args.param:
             raise InvalidParameterError("--all runs a whole size class; give no scenario id or --param")
-        # more processes than CPUs only add start-up cost and memory
-        workers = min(workers, os.cpu_count() or 1)
-        reports = run_all(args.size_class or "desk", workers=workers)
+        reports = run_all(args.size_class or "desk")
     else:
         if not args.scenario:
             raise InvalidParameterError("give a scenario id or --all")
@@ -186,9 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--param", action="append", help="name=value, repeatable")
     p_verify.add_argument("--all", action="store_true", help="run every scenario in a size class")
     p_verify.add_argument("--class", dest="size_class", choices=SIZE_CLASSES, help="default desk")
-    p_verify.add_argument(
-        "--workers", type=int, help="worker processes for --all (default 1), at most the CPU count"
-    )
     p_verify.add_argument("--json", help="write report JSON to this path")
     p_verify.add_argument("--timings", action="store_true", help="include wall times in the JSON")
     p_verify.set_defaults(fn=_cmd_verify)

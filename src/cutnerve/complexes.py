@@ -198,9 +198,6 @@ class SimplicialComplex:
             out.setdefault(len(f) - 1, []).append(f)
         return out
 
-    def face_count(self) -> int:
-        return len(self.all_faces())
-
     def f_vector(self) -> tuple[int, ...]:
         """Counts (f_-1, f_0, ..., f_d); empty tuple for the void complex."""
         if self.void:
@@ -208,15 +205,6 @@ class SimplicialComplex:
         by_dim = self.faces_by_dim()
         top = max(by_dim)
         return tuple(len(by_dim.get(d, [])) for d in range(-1, top + 1))
-
-    def euler_characteristic_reduced(self) -> int:
-        """chi~ = -1 + sum_{d>=0} (-1)^d f_d; 0 for the void complex."""
-        if self.void:
-            return 0
-        # position i of the f-vector counts faces of dimension i - 1; the sign
-        # stays an int (``(-1) ** -1`` would be the float -1.0)
-        fv = self.f_vector()
-        return sum(count if i % 2 else -count for i, count in enumerate(fv))
 
     # -- equality and serialization ------------------------------------------
 
@@ -332,40 +320,6 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
         return void_complex(labels)
     off = a.n_vertices
     return from_masks(labels, [fa | fb << off for fa in a._masks for fb in b._masks])
-
-
-def cone(a: SimplicialComplex, apex: str) -> SimplicialComplex:
-    if apex in a.labels:
-        raise InvalidParameterError(f"apex label {apex!r} already a vertex")
-    return join(a, full_simplex([apex]))
-
-
-def suspension(a: SimplicialComplex, poles: tuple[str, str] = ("susp+", "susp-")) -> SimplicialComplex:
-    lo, hi = poles
-    if lo == hi:
-        raise InvalidParameterError("suspension poles must differ")
-    for p in poles:
-        if p in a.labels:
-            raise InvalidParameterError(f"pole label {p!r} already a vertex")
-    return join(a, discrete_points(poles))
-
-
-def link(a: SimplicialComplex, face) -> SimplicialComplex:
-    """Link of a face: tau with tau disjoint from sigma and sigma U tau a face."""
-    sigma = tuple(sorted(set(face)))
-    if not a.contains_face(sigma):
-        raise InvalidFaceError(f"{sigma} is not a face of the complex")
-    s = face_mask(sigma)
-    return from_masks(a.labels, [f ^ s for f in a._masks if f & s == s])
-
-
-def skeleton(a: SimplicialComplex, d: int) -> SimplicialComplex:
-    """All faces of dimension at most d."""
-    if d < -1:
-        raise InvalidParameterError(f"skeleton dimension must be >= -1, got {d}")
-    if a.void:
-        return void_complex(a.labels)
-    return SimplicialComplex(a.labels, [c for f in a.facets for c in combinations(f, min(len(f), d + 1))])
 
 
 def _merge_ground(a: SimplicialComplex, b: SimplicialComplex) -> tuple:

@@ -69,6 +69,8 @@ class Cover:
         facets = self.base.facet_masks()
         lookup = set(facets)
         for face, holders in gens:
+            if type(face) is not int or type(holders) is not int:
+                raise InvalidParameterError(f"generator {(face, holders)!r} is not a pair of int bitmasks")
             if face not in lookup and face not in map(face.__and__, facets):
                 raise InvalidFaceError(f"generator {mask_face(face)} is not a face of the base")
             if holders < 0 or holders >> len(labels):

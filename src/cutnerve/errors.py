@@ -16,10 +16,6 @@ class InvalidMatchingError(ValueError):
     """A matching violates the partial-matching or acyclicity requirements."""
 
 
-class InvalidCollapseError(ValueError):
-    """The requested (free face, coface) pair is not free in the complex."""
-
-
 class VoidComplexError(ValueError):
     """The operation is undefined on the void complex."""
 

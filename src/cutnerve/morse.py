@@ -2,9 +2,9 @@
 
 The face poset includes the empty face: it is covered by every vertex, so a
 perfect matching on a full simplex pairs the empty face with the apex and no
-artificial critical 0-cell survives.  Reported critical cells and free faces
-exclude the empty face; collapses stop at a single vertex.  Element matchings
-come from the recursion in ``homology``; ``is_acyclic`` and
+artificial critical 0-cell survives.  Reported critical cells and collapse
+steps exclude the empty face; collapses stop at a single vertex.  Element
+matchings come from the recursion in ``homology``; ``is_acyclic`` and
 ``critical_cells`` replay a matching on the closure, sharing no code with it.
 """
 
@@ -14,16 +14,10 @@ import heapq
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from operator import and_, or_
 
 from .complexes import SimplicialComplex, face_budget, from_facets, from_masks
-from .errors import (
-    InvalidCollapseError,
-    InvalidMatchingError,
-    InvalidParameterError,
-    VoidComplexError,
-)
+from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError
 from .homology import ElementMatching
 
 
@@ -192,18 +186,6 @@ def _coface_map(faces: set) -> dict[tuple, set]:
     return cof
 
 
-def free_faces(cx: SimplicialComplex) -> list[tuple[tuple, tuple]]:
-    """All pairs (sigma, tau) where the nonempty face sigma lies in exactly
-    one other face, its unique coface tau of one dimension higher."""
-    if cx.is_void():
-        raise VoidComplexError("free faces are undefined on the void complex")
-    faces = {f for f in cx.all_faces() if f}
-    cof = _coface_map(faces)
-    out = [(s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
-    out.sort(key=lambda p: (len(p[0]), p[0]))
-    return out
-
-
 def _remove_pair(faces: set, cof: dict, sigma, tau) -> list[tuple]:
     """Remove the free pair (sigma, tau) from ``faces`` and from the coface
     sets of their facets.  Returns the faces whose coface sets shrank."""
@@ -218,25 +200,6 @@ def _remove_pair(faces: set, cof: dict, sigma, tau) -> list[tuple]:
                     cof[sub].discard(g)
                     touched.append(sub)
     return touched
-
-
-def _collapse_interval(faces: set, cof: dict, sigma, tau):
-    """Remove {gamma : sigma <= gamma <= tau} as pair steps: fix a vertex e
-    of tau - sigma and pair each gamma from sigma up to tau - {e} with
-    gamma + {e}, largest gamma first, checking each pair free."""
-    if sigma not in faces or tau not in faces:
-        raise InvalidCollapseError(f"({sigma}, {tau}): not faces of the complex")
-    if not set(sigma) < set(tau):
-        raise InvalidCollapseError(f"({sigma}, {tau}): not a nested pair")
-    *extra, e = (v for v in tau if v not in sigma)
-    for r in range(len(extra), -1, -1):
-        for add in combinations(extra, r):
-            gamma = tuple(sorted(sigma + add))
-            up = tuple(sorted(gamma + (e,)))
-            if cof[gamma] != {up}:
-                other = min(cof[gamma] - {up})
-                raise InvalidCollapseError(f"{sigma} is not free: also contained in {other}")
-            _remove_pair(faces, cof, gamma, up)
 
 
 @dataclass(frozen=True)
@@ -286,22 +249,24 @@ class CollapseWitness:
         return CollapseWitness(steps, terminal, doc["verdict"], dominations)
 
 
-def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
-    """Re-run the witness on facets and coface sets of its own, sharing no
-    collapse code with the search: each domination (v, w) needs v != w, v
-    still a vertex and w in every facet through v; each step on the core's
-    closure needs a free pair; the terminal face set must match, and the
-    verdict be "collapsible" exactly when it is one vertex."""
-    if witness.verdict != ("collapsible" if len(witness.terminal) == 1 else "unknown"):
-        return False
+def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tuple[tuple, ...]]:
+    """Apply strong collapses, then free pairs, on facets and coface sets of
+    their own, sharing no collapse code with the search: each domination
+    (v, w) needs v != w, v still a vertex and w in every facet through v;
+    each step (sigma, tau) on the closure of the core left needs the
+    nonempty face sigma free in tau.  Stops at the first that does not
+    hold; returns how many were applied and the nonempty faces left."""
     facets = {frozenset(f) for f in cx.facets}
-    for v, w in witness.dominations:
+    applied = 0
+    for v, w in dominations:
         star = [f for f in facets if v in f]
         if v == w or not star or not all(w in f for f in star):
-            return False
+            steps = ()  # nothing applies after a failed step
+            break
         facets.difference_update(star)
         links = {f - {v} for f in star}
         facets |= {g for g in links if not any(g < h for h in facets | links)}
+        applied += 1
     core = from_facets(cx.labels, [tuple(sorted(f)) for f in facets])
     faces = {f for f in core.all_faces() if f}
     cof: dict[tuple, set] = {f: set() for f in faces}
@@ -309,10 +274,10 @@ def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
         if len(f) >= 2:
             for pos in range(len(f)):
                 cof[f[:pos] + f[pos + 1:]].add(f)
-    for sigma, tau in witness.steps:
+    for sigma, tau in steps:
         # a coface set holds only faces still present
         if sigma not in faces or cof[sigma] != {tau}:
-            return False
+            break
         faces.discard(sigma)
         faces.discard(tau)
         for g in (sigma, tau):
@@ -320,7 +285,18 @@ def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
                 sub = g[:pos] + g[pos + 1:]
                 if sub in faces:
                     cof[sub].discard(g)
-    return tuple(sorted(faces)) == witness.terminal
+        applied += 1
+    return applied, tuple(sorted(faces))
+
+
+def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
+    """Replay the witness with ``apply_collapses``: every domination and
+    step must apply and leave exactly the faces ``terminal``, and the
+    verdict be "collapsible" exactly when that is one vertex."""
+    if witness.verdict != ("collapsible" if len(witness.terminal) == 1 else "unknown"):
+        return False
+    applied, left = apply_collapses(cx, witness.dominations, witness.steps)
+    return applied == witness.steps_tried and left == witness.terminal
 
 
 def _strong_collapse(facets, dominations: list) -> list[int]:
@@ -388,16 +364,3 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     verdict = "collapsible" if len(faces) == 1 else "unknown"
     return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, tuple(dominations))
 
-
-def collapse_complex(cx: SimplicialComplex, steps) -> SimplicialComplex:
-    """Apply a sequence of collapses and return the result.  Each step
-    (sigma, tau) removes every face between the free nonempty face sigma
-    and its unique maximal coface tau: exactly the pair when dim tau =
-    dim sigma + 1, else the whole interval (an even face count, and a
-    composite of single-step collapses, so the homotopy type is unchanged
-    either way)."""
-    faces = {f for f in cx.all_faces() if f}
-    cof = _coface_map(faces)
-    for sigma, tau in steps:
-        _collapse_interval(faces, cof, tuple(sorted(sigma)), tuple(sorted(tau)))
-    return from_facets(cx.labels, faces if faces else [()])

@@ -303,13 +303,10 @@ def run_thm_4_6(params):
             tm = tuple(sorted((_ladder_minus(n, i), _ladder_plus(n, i + 1), _ladder_minus(n, i + 2))))
             pairs.append((sp, tp))
             pairs.append((sm, tm))
-        free = set(morse.free_faces(nc))
-        stated_free = all(p in free for p in pairs)
-        checks.append(_check("stated-free-faces-present", stated_free,
-                             2 * n, sum(p in free for p in pairs)))
-        collapsed = morse.collapse_complex(nc, pairs)
+        applied, left = morse.apply_collapses(nc, (), pairs)
+        checks.append(_check("stated-free-faces-present", applied == 2 * n, 2 * n, applied))
         checks.append(_check_profile(
-            "collapsed-circle-profile", hom.reduced_homology(collapsed),
+            "collapsed-circle-profile", hom.reduced_homology(cx.from_facets(nc.labels, left)),
             hom.HomologyProfile.sphere(1)))
     else:
         nh = cons.neighborhood_complex(h)
@@ -590,22 +587,11 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> Report:
     return Report(scenario_id, merged, checks, digests, time.perf_counter() - start, *metrics)
 
 
-def _run_one(args):
-    scenario_id, params = args
-    return run_scenario(scenario_id, params)
-
-
-def run_all(size_class: str = "desk", workers: int = 1) -> list[Report]:
+def run_all(size_class: str = "desk") -> list[Report]:
     if size_class not in SIZE_CLASSES:
         raise InvalidParameterError(f"size class must be one of {SIZE_CLASSES}, got {size_class!r}")
-    jobs = [(sid, p) for sid in sorted(SCENARIOS) for p in SCENARIOS[sid].class_params[size_class]]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, jobs))
-    else:
-        reports = [_run_one(j) for j in jobs]
+    reports = [run_scenario(sid, p) for sid in sorted(SCENARIOS)
+               for p in SCENARIOS[sid].class_params[size_class]]
     reports.sort(key=lambda r: (r.scenario, sorted(r.params.items())))
     return reports
 

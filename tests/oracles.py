@@ -7,7 +7,10 @@ test, so agreement is meaningful evidence.  The one exception is
 it shares only ``smith_normal_form``, which ``dense_snf`` checks in turn,
 and none of the Morse reduction.  ``tuple_strong_collapse`` is likewise the
 tuple-and-set strong collapse that the bitmask one replaced, and
-``TupleCover`` the tuple-and-frozenset cover readings.
+``TupleCover`` the tuple-and-frozenset cover readings.  The complex
+operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
+counts build test inputs and expected values on top of ``complexes``; no
+code under test calls them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 import heapq
 from itertools import combinations, permutations
 
-from cutnerve.errors import VoidComplexError
+from cutnerve import complexes as cx
+from cutnerve.errors import InvalidFaceError, InvalidParameterError, VoidComplexError
 from cutnerve.homology import HomologyProfile, SparseIntMatrix, smith_normal_form
 
 
@@ -150,6 +154,56 @@ def to_dense(matrix) -> list[list[int]]:
         for c, v in row.items():
             out[r][c] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# complex operations and face counts
+# ---------------------------------------------------------------------------
+
+def face_count(c) -> int:
+    """Every face of the closure, the empty face included."""
+    return len(c.all_faces())
+
+
+def euler_characteristic_reduced(c) -> int:
+    """chi~ = -1 + sum_{d>=0} (-1)^d f_d; 0 for the void complex."""
+    # position i of the f-vector counts faces of dimension i - 1; the sign
+    # stays an int (``(-1) ** -1`` would be the float -1.0)
+    return sum(count if i % 2 else -count for i, count in enumerate(c.f_vector()))
+
+
+def cone(a, apex: str):
+    if apex in a.labels:
+        raise InvalidParameterError(f"apex label {apex!r} already a vertex")
+    return cx.join(a, cx.full_simplex([apex]))
+
+
+def suspension(a, poles: tuple[str, str] = ("susp+", "susp-")):
+    lo, hi = poles
+    if lo == hi:
+        raise InvalidParameterError("suspension poles must differ")
+    for p in poles:
+        if p in a.labels:
+            raise InvalidParameterError(f"pole label {p!r} already a vertex")
+    return cx.join(a, cx.discrete_points(poles))
+
+
+def link(a, face):
+    """Link of a face: tau with tau disjoint from sigma and sigma U tau a face."""
+    sigma = tuple(sorted(set(face)))
+    if not a.contains_face(sigma):
+        raise InvalidFaceError(f"{sigma} is not a face of the complex")
+    s = cx.face_mask(sigma)
+    return cx.from_masks(a.labels, [f ^ s for f in a.facet_masks() if f & s == s])
+
+
+def skeleton(a, d: int):
+    """All faces of dimension at most d."""
+    if d < -1:
+        raise InvalidParameterError(f"skeleton dimension must be >= -1, got {d}")
+    if a.is_void():
+        return cx.void_complex(a.labels)
+    return cx.from_facets(a.labels, [c for f in a.facets for c in combinations(f, min(len(f), d + 1))])
 
 
 # ---------------------------------------------------------------------------

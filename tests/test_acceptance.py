@@ -25,9 +25,12 @@ from oracles import (
     RP2_FACETS,
     brute_homology,
     dense_snf,
+    euler_characteristic_reduced,
+    face_count,
     free_ranks,
     join_ranks,
     ladder_rule_witness,
+    suspension,
 )
 
 
@@ -116,7 +119,7 @@ def test_criterion_04_prism_neighborhood(n):
     expected = PRISM_NEIGHBORHOOD_PROFILES[n]
     # SNF-free evidence: chi~ from the face counts must match the profile's
     # alternating sum, and for n >= 4 it rules out the sphere S^(n-2)
-    chi = nb.euler_characteristic_reduced()
+    chi = euler_characteristic_reduced(nb)
     assert type(chi) is int
     assert chi == sum((-1) ** d * b for d, b in expected.nonzero().items()), (n, chi)
     if n >= 4:
@@ -200,9 +203,10 @@ def test_criterion_07_ladder_neighborhood():
                 nc.face_of_labels([f"{i}-", f"{(i + 1) % n + 1}-"]),
                 nc.face_of_labels([f"{i}-", f"{i % n + 1}+", f"{(i + 1) % n + 1}-"]),
             ))
-        free = set(morse.free_faces(nc))
-        assert all(p in free for p in pairs), n
-        collapsed = morse.collapse_complex(nc, pairs)
+        # every stated pair is free in turn, and the 2n collapses leave a circle
+        applied, left = morse.apply_collapses(nc, (), pairs)
+        assert applied == 2 * n, n
+        collapsed = cx.from_facets(nc.labels, left)
         assert hom.reduced_homology(collapsed) == hom.HomologyProfile.sphere(1), n
     for n in (4, 6):
         h = gr.induced_k_independent(gr.circular_ladder(n), n - 1)
@@ -287,7 +291,7 @@ def test_criterion_11_engine_oracles():
         corpus.append(cx.from_facets([f"v{i}" for i in range(nv)], gens))
     checked = 0
     for c in corpus:
-        if c.face_count() > 200:
+        if face_count(c) > 200:
             continue
         oracle = brute_homology(c.facets)
         profile = hom.reduced_homology(c)
@@ -310,7 +314,7 @@ def test_criterion_11_engine_oracles():
         complexes.append(cx.from_facets([f"w{i}" for i in range(nv)], gens))
     for c in complexes:
         before = hom.reduced_homology(c)
-        after = hom.reduced_homology(cx.suspension(c))
+        after = hom.reduced_homology(suspension(c))
         for d in range(len(before.betti) + 1):
             assert after.betti_number(d + 1) == before.betti_number(d)
         assert after.betti_number(0) == before.minus_one_rank

@@ -16,6 +16,7 @@ from oracles import (
     TupleCover,
     brute_antichain,
     brute_homology,
+    euler_characteristic_reduced,
     facet_star_generators,
     independent_cover_generators,
 )
@@ -356,6 +357,15 @@ def test_cover_rejects_holder_out_of_range():
             cons.Cover(base, ["x", "y"], [(0b11, holders)])
 
 
+def test_cover_rejects_tuple_generators():
+    # the old (vertex tuple, holder set) form names the generator, not a bit operation
+    base = cx.full_simplex("ab")
+    with pytest.raises(InvalidParameterError, match=r"generator \(\(0, 1\), \{0\}\)"):
+        cons.Cover(base, ["x"], [((0, 1), {0})])
+    with pytest.raises(InvalidParameterError, match="not a pair of int bitmasks"):
+        cons.Cover(base, ["x"], [(0b11, {0})])
+
+
 def test_cover_rejects_ungenerated_facet():
     base = cx.from_facets("abc", [(0, 1), (1, 2)])
     with pytest.raises(InvalidParameterError, match="not covered"):
@@ -445,7 +455,7 @@ def test_prism_neighborhood_profile_refutation_is_oracle_backed():
     2-spheres' worth of rank, in agreement with the production engine."""
     nb = cons.neighborhood_complex(gr.induced_k_independent(gr.prism(4), 2))
     assert nb.f_vector() == (1, 12, 66, 212, 306, 228, 84, 12)
-    assert nb.euler_characteristic_reduced() == 7
+    assert euler_characteristic_reduced(nb) == 7
     oracle = brute_homology(nb.facets)
     assert oracle["betti"] == {2: 7} and oracle["torsion"] == {}
     profile = hom.reduced_homology(nb)

@@ -18,10 +18,14 @@ from oracles import (
     RP2_FACETS,
     boundary_matrix,
     brute_homology,
+    cone,
     dense_snf,
+    euler_characteristic_reduced,
+    face_count,
     free_ranks,
     join_ranks,
     snf_homology,
+    suspension,
     to_dense,
 )
 
@@ -247,7 +251,7 @@ def test_total_cut_c8_is_s4():
 
 def test_against_dense_oracle_corpus():
     for c in homology_corpus():
-        if c.face_count() <= 200:
+        if face_count(c) <= 200:
             profile_matches_oracle(c)
 
 
@@ -275,7 +279,7 @@ def test_euler_characteristic_consistency():
         chi = sum((-1) ** d * b for d, b in enumerate(profile.betti))
         if profile.minus_one_rank:
             chi -= 1
-        assert chi == c.euler_characteristic_reduced()
+        assert chi == euler_characteristic_reduced(c)
 
 
 def test_void_and_empty_profiles():
@@ -337,11 +341,11 @@ def test_reduced_homology_matches_snf_on_cones_joins_suspensions():
     bases += seeded_random_complexes(12, 404, n_vertices=6)
     factors = [cx.simplex_boundary(["c1", "c2", "c3"]), cx.from_facets([f"q{j}" for j in range(6)], RP2_FACETS)]
     for i, base in enumerate(bases):
-        profile_against_snf(cx.cone(base, "apex"), ("cone", i))
-        profile_against_snf(cx.suspension(base), ("suspension", i))
-        profile_against_snf(cx.suspension(reindexed(base, rng)), ("suspension", i))
+        profile_against_snf(cone(base, "apex"), ("cone", i))
+        profile_against_snf(suspension(base), ("suspension", i))
+        profile_against_snf(suspension(reindexed(base, rng)), ("suspension", i))
         profile_against_snf(cx.join(base, factors[i % 2]), ("join", i))
-    assert hom.reduced_homology(cx.suspension(rp2)).torsion == ((2, (2,)),)
+    assert hom.reduced_homology(suspension(rp2)).torsion == ((2, (2,)),)
     assert hom.reduced_homology(cx.join(rp2, circle)).torsion == ((3, (2,)),)
 
 
@@ -462,7 +466,7 @@ def seeded_random_complexes(count, seed, n_vertices=5):
 def test_suspension_shift_on_seeded_complexes():
     for i, c in enumerate(seeded_random_complexes(20, 77)):
         before = hom.reduced_homology(c)
-        after = hom.reduced_homology(cx.suspension(c))
+        after = hom.reduced_homology(suspension(c))
         assert after.minus_one_rank == 0
         assert after.betti_number(0) == before.minus_one_rank
         for d in range(len(before.betti) + 1):

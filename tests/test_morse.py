@@ -12,13 +12,18 @@ from cutnerve import graphs as gr
 from cutnerve import homology as hom
 from cutnerve import morse
 from cutnerve.errors import (
-    InvalidCollapseError,
     InvalidMatchingError,
     InvalidParameterError,
     ResourceLimitError,
 )
 
-from oracles import closure_element_matching, descent_collapse, tuple_strong_collapse
+from oracles import (
+    closure_element_matching,
+    cone,
+    descent_collapse,
+    face_count,
+    tuple_strong_collapse,
+)
 
 
 def ladder_total_cut(n):
@@ -76,7 +81,7 @@ def assert_matches_closure_oracle(c, vertices):
 def test_element_matching_full_simplex_is_perfect():
     c = cx.full_simplex("abcd")
     m = assert_matches_closure_oracle(c, ["a"])
-    assert len(m.pairs) * 2 == c.face_count()
+    assert len(m.pairs) * 2 == face_count(c)
     assert m.partner(()) == (0,)
     assert morse.critical_cells(c, m) == []
 
@@ -103,7 +108,7 @@ def test_ladder7_sequential_matching_critical_count():
 
 def test_element_matching_sequence_is_iterated_element_matching():
     for c in matching_corpus():
-        if c.is_void() or c.face_count() > 200:
+        if c.is_void() or face_count(c) > 200:
             continue
         m = ()
         for v in range(c.n_vertices):
@@ -179,7 +184,7 @@ def test_empty_matching_acyclic():
 def test_sequential_matchings_acyclic_on_corpus():
     rng = random.Random(53)
     for c in matching_corpus():
-        if c.is_void() or c.face_count() > 200:
+        if c.is_void() or face_count(c) > 200:
             continue
         verts = list(range(c.n_vertices))
         rng.shuffle(verts)
@@ -221,7 +226,7 @@ def test_matching_rejects_reused_faces():
 
 def test_morse_inequality_on_corpus():
     for c in matching_corpus():
-        if c.is_void() or c.face_count() > 200:
+        if c.is_void() or face_count(c) > 200:
             continue
         m = morse.element_matching_sequence(c, range(c.n_vertices))
         cells = morse.critical_cells(c, m)
@@ -233,54 +238,56 @@ def test_morse_inequality_on_corpus():
             assert by_dim.get(d, 0) >= profile.betti_number(d)
 
 
-# -- free faces and collapses --------------------------------------------------------
+# -- collapses ------------------------------------------------------------------------
 
-def test_free_faces_of_edge():
-    c = cx.full_simplex("ab")
-    assert morse.free_faces(c) == [((0,), (0, 1)), ((1,), (0, 1))]
+def free_pairs(c):
+    """Every (sigma, tau) with sigma nonempty and tau its only coface, by
+    subset enumeration over the closure."""
+    faces = [f for f in c.all_faces() if f]
+    out = []
+    for s in faces:
+        cofaces = [t for t in faces if len(t) == len(s) + 1 and set(s) < set(t)]
+        if len(cofaces) == 1:
+            out.append((s, cofaces[0]))
+    return out
 
 
-def test_free_faces_of_boundary_empty():
-    assert morse.free_faces(cx.simplex_boundary("abcd")) == []
+def collapsed(c, steps):
+    """The complex left by ``steps``, which must all apply."""
+    applied, left = morse.apply_collapses(c, (), steps)
+    assert applied == len(steps)
+    return cx.from_facets(c.labels, left)
 
 
 def test_ladder_neighborhood_free_faces():
     n = 5
     nc = cons.neighborhood_complex(gr.circular_ladder(n))
-    free = set(morse.free_faces(nc))
     for i in range(1, n + 1):
-        sp = face_of(nc, [f"{i}+", f"{(i + 1) % n + 1}+"])
-        sm = face_of(nc, [f"{i}-", f"{(i + 1) % n + 1}-"])
-        assert any(s == sp for s, _ in free)
-        assert any(s == sm for s, _ in free)
+        for sign, other in (("+", "-"), ("-", "+")):
+            sigma = face_of(nc, [f"{i}{sign}", f"{(i + 1) % n + 1}{sign}"])
+            tau = face_of(nc, [f"{i}{sign}", f"{i % n + 1}{other}", f"{(i + 1) % n + 1}{sign}"])
+            applied, left = morse.apply_collapses(nc, (), [(sigma, tau)])
+            assert applied == 1 and sigma not in left and tau not in left
 
 
 def test_elementary_collapse_edge_to_point():
     c = cx.full_simplex("ab")
-    out = morse.collapse_complex(c, [((0,), (0, 1))])
-    assert out.facets == ((1,),)
+    assert morse.apply_collapses(c, (), [((0,), (0, 1))]) == (1, ((1,),))
 
 
 def test_elementary_collapse_rejects_non_free():
+    # the applier stops at the first step that does not hold
     c = cx.simplex_boundary("abc")
-    with pytest.raises(InvalidCollapseError):
-        morse.collapse_complex(c, [((0,), (0, 1))])
+    faces = tuple(f for f in c.all_faces() if f)
+    assert morse.apply_collapses(c, (), [((0,), (0, 1))]) == (0, faces)
     # the empty face is never collapsed
-    with pytest.raises(InvalidCollapseError):
-        morse.collapse_complex(cx.full_simplex("ab"), [((), (0,))])
-
-
-def test_elementary_collapse_interval():
-    # [a, abc] removes a, ab, ac and abc from the triangle, leaving the edge bc
+    c = cx.full_simplex("ab")
+    applied, _ = morse.apply_collapses(c, (), [((), (0,)), ((0,), (0, 1))])
+    assert applied == 0
+    # nor is a pair after one that failed
     c = cx.full_simplex("abc")
-    out = morse.collapse_complex(c, [((0,), (0, 1, 2))])
-    assert out.facets == ((1, 2),)
-    # with the extra edge ad, a also lies outside the interval
-    c = cx.from_facets("abcd", [(0, 1, 2), (0, 3)])
-    with pytest.raises(InvalidCollapseError):
-        morse.collapse_complex(c, [((0,), (0, 1, 2))])
-    with pytest.raises(InvalidCollapseError):
-        morse.collapse_complex(c, [((0, 1), (0, 3))])
+    applied, left = morse.apply_collapses(c, (), [((0, 1), (0, 1, 2)), ((0,), (0, 1)), ((1,), (1, 2))])
+    assert applied == 1 and (1, 2) in left
 
 
 def test_collapse_preserves_homology():
@@ -289,19 +296,32 @@ def test_collapse_preserves_homology():
     for c in matching_corpus():
         if c.is_void():
             continue
-        free = morse.free_faces(c)
+        free = free_pairs(c)
         if not free:
             continue
         sigma, tau = free[rng.randrange(len(free))]
-        out = morse.collapse_complex(c, [(sigma, tau)])
-        assert out.face_count() == c.face_count() - 2
+        out = collapsed(c, [(sigma, tau)])
+        assert face_count(out) == face_count(c) - 2
         assert hom.reduced_homology(out) == hom.reduced_homology(c)
         checked += 1
     assert checked >= 4
 
 
+def interval_steps(sigma, tau):
+    """The pair steps that remove {gamma : sigma <= gamma <= tau}: fix a
+    vertex e of tau - sigma and pair each gamma from sigma up to tau - {e}
+    with gamma + {e}, largest gamma first."""
+    *extra, e = (v for v in tau if v not in sigma)
+    return [
+        (gamma, tuple(sorted(gamma + (e,))))
+        for r in range(len(extra), -1, -1)
+        for gamma in (tuple(sorted(sigma + add)) for add in combinations(extra, r))
+    ]
+
+
 def test_squared_cycle_band_collapse():
-    # collapsing the stated free pair of every facet leaves the cyclic band
+    # collapsing the interval from the stated free edge of every facet up to
+    # the facet, one pair at a time, leaves the cyclic band
     k = 3
     m = 3 * k + 1
     h = gr.induced_k_independent(gr.squared_cycle(m), k)
@@ -310,8 +330,8 @@ def test_squared_cycle_band_collapse():
     for i in range(1, m + 1):
         sigma = tuple(sorted(((i + k - 1) % m, (i + 2 * k) % m)))
         tau = tuple(sorted((i + d - 1) % m for d in range(k, 2 * k + 2)))
-        steps.append((sigma, tau))
-    out = morse.collapse_complex(nc, steps)
+        steps += interval_steps(sigma, tau)
+    out = collapsed(nc, steps)
     expected = {
         tuple(sorted((i + d) % m for d in range(k + 1))) for i in range(m)
     }
@@ -326,7 +346,7 @@ def test_greedy_collapse_cones():
     for c in matching_corpus()[:6]:
         if c.is_void():
             continue
-        coned = cx.cone(c, "apex")
+        coned = cone(c, "apex")
         witness = morse.greedy_collapse(coned)
         assert witness.is_collapsible()
         assert morse.replay_collapse(coned, witness)
@@ -383,7 +403,7 @@ def test_greedy_collapse_differential_against_descent():
     # descent, and both witnesses must replay
     rng = random.Random(71)
     corpus = [c for c in matching_corpus() if not c.is_void()]
-    corpus += [cx.cone(c, "apex") for c in corpus]
+    corpus += [cone(c, "apex") for c in corpus]
     for _ in range(300):
         n = rng.randint(3, 8)
         gens = [
@@ -391,7 +411,7 @@ def test_greedy_collapse_differential_against_descent():
             for _ in range(rng.randint(1, 6))
         ]
         c = cx.from_facets([f"v{i}" for i in range(n)], gens)
-        corpus.append(cx.cone(c, "apex") if rng.random() < 0.3 else c)
+        corpus.append(cone(c, "apex") if rng.random() < 0.3 else c)
     verdicts = set()
     for c in corpus:
         witness = morse.greedy_collapse(c)
@@ -412,7 +432,7 @@ def test_greedy_collapse_differential_against_descent():
 
 def test_strong_collapse_cone_to_apex():
     # four dominations reach the apex; no face closure is built for them
-    coned = cx.cone(cx.simplex_boundary("abcd"), "w")
+    coned = cone(cx.simplex_boundary("abcd"), "w")
     witness = morse.greedy_collapse(coned)
     assert witness.is_collapsible()
     assert witness.terminal == ((coned.labels.index("w"),),)
@@ -425,7 +445,7 @@ def test_strong_collapse_cone_to_apex():
 def test_greedy_collapse_face_guard_is_exact(monkeypatch):
     # the cone has 30 faces, the empty face included; its strong collapses
     # alone would finish, but the guard counts the input's closure
-    coned = cx.cone(cx.simplex_boundary("abcd"), "w")
+    coned = cone(cx.simplex_boundary("abcd"), "w")
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "29")
     with pytest.raises(ResourceLimitError):
         morse.greedy_collapse(coned)
@@ -457,10 +477,10 @@ def test_strong_collapse_matches_tuple_oracle():
     # order as the tuple-and-set ones, and stop at the same core
     rng = random.Random(73)
     corpus = [
-        cx.cone(cx.simplex_boundary("abcd"), "w"),
+        cone(cx.simplex_boundary("abcd"), "w"),
         cx.from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)]),
     ]
-    corpus += [cx.cone(c, "apex") for c in matching_corpus() if not c.is_void()]
+    corpus += [cone(c, "apex") for c in matching_corpus() if not c.is_void()]
     for _ in range(300):
         n = rng.randint(2, 9)
         # some grounds put the vertices past bit 64
@@ -470,7 +490,7 @@ def test_strong_collapse_matches_tuple_oracle():
             for _ in range(rng.randint(1, 7))
         ]
         c = cx.from_facets([f"v{i}" for i in range(n + shift)], gens)
-        corpus.append(cx.cone(c, "apex") if rng.random() < 0.3 else c)
+        corpus.append(cone(c, "apex") if rng.random() < 0.3 else c)
     for k in (2, 3):
         for n in range(2 * k, 9):
             corpus += cycle_cover_intersections(n, k)
@@ -511,7 +531,7 @@ def test_replay_checks_dominations():
 def test_greedy_collapse_past_the_strong_collapses():
     # the strong collapses of some thm-3-1 n=7 k=2 intersections stop at a
     # core with no dominated vertex, which the descent then collapses
-    inter = next(c for c in cycle_cover_intersections(7, 2) if strong_core(c).face_count() > 2)
+    inter = next(c for c in cycle_cover_intersections(7, 2) if face_count(strong_core(c)) > 2)
     witness = morse.greedy_collapse(inter)
     assert witness.is_collapsible()
     assert morse.replay_collapse(inter, witness)

@@ -102,6 +102,17 @@ def test_desk_report_digest_is_pinned():
         assert check.verdict == "fail" and check.actual["betti"] == betti
 
 
+# sha256 of the whole extended-class report, written the same way
+EXTENDED_REPORT_SHA256 = "ffc6be54213489e700abab6c963646eea469e1f4da8b127b33715e8efd7adf39"
+
+
+def test_extended_report_digest_is_pinned():
+    docs = [r.to_dict() for r in verify.run_all("extended")]
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert len(docs) == 70
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTENDED_REPORT_SHA256
+
+
 def test_desk_class_covers_every_scenario():
     jobs = {
         sid for sid in verify.SCENARIOS
@@ -120,6 +131,18 @@ def test_report_json_roundtrip_and_determinism():
     assert "seconds" in json.loads(r1.to_json(include_timings=True))
     # frozen: canonical complex JSON (and hence its digest) must not drift
     assert r1.digests == {"total_cut": "76af1a062bab6240"}
+
+
+def test_thm_4_6_reports_a_stated_pair_that_is_not_free(monkeypatch):
+    # a stated pair that is not free is a failed check with the count of
+    # pairs applied before it, not an uncaught error
+    assert verify.run_scenario("thm-4-6", {"n": 5}).verdict == "pass"
+    orig = verify._ladder_minus
+    monkeypatch.setattr(verify, "_ladder_minus", lambda n, i: orig(n, i + 1))
+    r = verify.run_scenario("thm-4-6", {"n": 5})
+    check = next(c for c in r.checks if c.name == "stated-free-faces-present")
+    assert (check.verdict, check.expected, check.actual) == ("fail", 10, 0)
+    assert r.verdict == "fail"
 
 
 def test_thm_4_2_verdicts():
@@ -178,40 +201,34 @@ def test_cli_verify_unknown_scenario(capsys):
     assert main(["verify", "nope"]) == 2
 
 
-def test_cli_verify_workers_below_one(capsys):
-    for workers in ("0", "-1"):
-        assert _cli_error(capsys, ["verify", "--all", "--class", "smoke", "--workers", workers]) == 2
+def test_cli_verify_workers_is_refused(monkeypatch, capsys):
+    # one serial path is left; run_all is replaced, so a regression runs no jobs
+    monkeypatch.setattr(cli, "run_all", lambda size_class: [])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_cli_verify_all_refuses_scenario_and_param(monkeypatch, capsys):
     # run_all is replaced, so a regression runs no jobs
-    monkeypatch.setattr(cli, "run_all", lambda size_class, workers: [])
+    monkeypatch.setattr(cli, "run_all", lambda size_class: [])
     for extra in (["thm-4-2"], ["--param", "n=5"], ["thm-4-2", "--param", "n=5"]):
         assert _cli_error(capsys, ["verify", *extra, "--all", "--class", "smoke"]) == 2
 
 
-def test_cli_verify_single_refuses_class_and_workers(capsys):
+def test_cli_verify_single_refuses_class(capsys):
     base = ["verify", "thm-4-2", "--param", "n=3"]
-    for extra in (["--class", "smoke"], ["--workers", "4"], ["--class", "smoke", "--workers", "4"]):
+    for extra in (["--class", "smoke"], ["--class", "desk"]):
         assert _cli_error(capsys, base + extra) == 2
     assert main(base) == 0
 
 
 def test_cli_verify_all_defaults_to_desk(monkeypatch, capsys):
     seen = []
-    monkeypatch.setattr(cli, "run_all", lambda size_class, workers: seen.append((size_class, workers)) or [])
+    monkeypatch.setattr(cli, "run_all", lambda size_class: seen.append(size_class) or [])
     assert main(["verify", "--all"]) == 0
-    assert seen == [("desk", 1)]
-
-
-def test_cli_verify_workers_clamped_to_cpu_count(monkeypatch, capsys):
-    # run_all is replaced, so no process pool is started
-    seen = []
-    monkeypatch.setattr(cli, "run_all", lambda size_class, workers: seen.append(workers) or [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    for workers in ("64", "2", "1"):
-        assert main(["verify", "--all", "--class", "smoke", "--workers", workers]) == 0
-    assert seen == [2, 2, 1]
+    assert seen == ["desk"]
 
 
 def test_cli_build_homology_pipeline(tmp_path, capsys):
