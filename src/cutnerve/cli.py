@@ -20,7 +20,7 @@ import sys
 from . import constructions as cons
 from . import graphs as gr
 from . import morse
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, mask_face
 from .errors import (GuardError, InvalidMatchingError, InvalidParameterError,
                      ResourceLimitError, VoidComplexError)
 from .homology import reduced_homology
@@ -138,12 +138,12 @@ def _cmd_homology(args) -> int:
 def _cmd_morse(args) -> int:
     cx = _load_complex(args.file)
     vertices = [v.strip() for v in args.vertices.split(",") if v.strip()]
-    matching = morse.element_matching_sequence(cx, vertices)
+    pairs = morse.element_matching_sequence(cx, vertices)
     try:
-        critical = [list(cx.labels_of_face(f)) for f in morse.critical_cells(cx, matching)]
+        critical = [list(cx.labels_of_face(mask_face(f))) for f in morse.critical_cells(cx, pairs)]
     except InvalidMatchingError:
         critical = None
-    doc = {"pairs": len(matching), "acyclic": critical is not None, "critical": critical}
+    doc = {"pairs": len(pairs), "acyclic": critical is not None, "critical": critical}
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     return 0
 

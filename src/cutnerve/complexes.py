@@ -66,6 +66,21 @@ def mask_antichain(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
+def closure_masks(masks, limit: int) -> set[int]:
+    """Every face of the faces ``masks`` as a bitmask, each enumerated as a
+    submask; the empty face is in it unless ``masks`` is empty.  More than
+    ``limit`` faces raise ResourceLimitError."""
+    faces = {0} if masks else set()
+    for f in masks:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+        if len(faces) > limit:
+            raise ResourceLimitError("total face count", limit)
+    return faces
+
+
 def _checked_masks(faces, n: int):
     """Vertex bitmasks of ``faces``, lazily: no bit is shifted before every
     vertex is checked to lie in 0..n-1."""
@@ -177,19 +192,11 @@ class SimplicialComplex:
     # -- closure ------------------------------------------------------------
 
     def all_faces(self) -> list[tuple[int, ...]]:
-        """Every face including the empty face, lexicographically sorted."""
-        if self.void:
-            return []
+        """Every face including the empty face, lexicographically sorted:
+        the tuple view of ``closure_masks``, cached."""
         if self._closure is None:
-            limit = face_budget()
-            faces: set[tuple[int, ...]] = set()
-            for facet in self.facets:
-                for r in range(len(facet) + 1):
-                    for c in combinations(facet, r):
-                        faces.add(c)
-                if len(faces) > limit:
-                    raise ResourceLimitError("total face count", limit)
-            object.__setattr__(self, "_closure", sorted(faces))
+            faces = closure_masks(self._masks, face_budget())
+            object.__setattr__(self, "_closure", sorted(map(mask_face, faces)))
         return self._closure
 
     def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
@@ -242,9 +249,11 @@ class SimplicialComplex:
     @staticmethod
     def from_json(text: str) -> "SimplicialComplex":
         doc = json.loads(text)
-        labels, facets = doc["vertices"], [tuple(f) for f in doc["facets"]]
+        labels, facets, void = doc["vertices"], [tuple(f) for f in doc["facets"]], doc.get("void", False)
         check_json_ground(labels, facets, "face")
-        return SimplicialComplex(labels, facets, void=doc.get("void", False))
+        if type(void) is not bool:
+            raise InvalidParameterError(f'"void" is {json.dumps(void)}, not a JSON boolean')
+        return SimplicialComplex(labels, facets, void=void)
 
 
 def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:

@@ -33,24 +33,20 @@ Clearing a row is the same routine with the two maps swapped.  The pivot's
 absolute value falls at every move, so each pivot ends alone in its row and
 column and its absolute value is a diagonal entry.
 
-The pivot rule puts units first, since they are the bulk of any boundary
-matrix and clear a column in one sweep (Dumas, Heckenbach, Saunders and
-Welker, 2003): take a +-1 entry of the sparsest column that has one, in
-that column's shortest row.  Columns come from a heap of column counts that
-is checked again on pop, so fill-in needs no push.  Once no popped column
-holds a unit, take an entry of least absolute value.  The non-unit diagonal
-is normalized into a divisibility chain at the end; the invariant factors
-are unique, so the pivot order cannot affect results.
+The pivot rule takes the columns in index order, and in each the entry of
+least (absolute value, row length, row index): a unit clears its column in
+one sweep, and the shortest row brings the least fill-in.  The non-unit
+diagonal is normalized into a divisibility chain at the end; the invariant
+factors are unique, so the pivot order cannot affect results.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, face_budget, mask_antichain
+from .complexes import SimplicialComplex, closure_masks, face_budget, mask_antichain
 from .errors import InvalidParameterError, ResourceLimitError
 
 
@@ -114,26 +110,6 @@ def _clear_line(lines: dict, mirror: dict, p: int, c: int) -> int:
         p = min(rest, key=lambda r: (abs(mirror[c][r]), r))
 
 
-def _pivot(rows: dict, cols: dict, heap: list) -> tuple[int, int]:
-    """A +-1 entry of the sparsest column that has one, in that column's
-    shortest row; once no popped column holds a unit, an entry of least
-    absolute value.  ``heap`` holds ``(count, column)`` pairs; a count that
-    is stale on pop is pushed again with the column's current count."""
-    while heap:
-        n, c = heapq.heappop(heap)
-        col = cols.get(c)
-        if col is None:
-            continue
-        if len(col) != n:
-            heapq.heappush(heap, (len(col), c))
-            continue
-        units = [r for r, v in col.items() if v == 1 or v == -1]
-        if units:
-            return min(units, key=lambda r: (len(rows[r]), r)), c
-    _, p, c = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
-    return p, c
-
-
 def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
     vals = [abs(v) for v in values if v]
     changed = True
@@ -154,21 +130,22 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     """Diagonal invariants d_1 | d_2 | ... | d_r of the matrix; r = rank."""
     rows = {r: dict(row) for r, row in m.rows.items()}
     cols = {c: dict(col) for c, col in m.cols.items()}
-    heap = [(len(col), c) for c, col in cols.items()]
-    heapq.heapify(heap)
     ones = 0
     rest: list[int] = []
-    while rows:
-        p, c = _pivot(rows, cols, heap)
-        while len(rows[p]) > 1 or len(cols[c]) > 1:
-            p = _clear_line(rows, cols, p, c)
-            c = _clear_line(cols, rows, c, p)
-        v = abs(rows.pop(p)[c])
-        del cols[c]
-        if v == 1:
-            ones += 1
-        else:
-            rest.append(v)
+    # an emptied column is in no row, so no later sweep fills it again
+    for first in sorted(cols):
+        while first in cols:
+            col = cols[first]
+            p, c = min(col, key=lambda r: (abs(col[r]), len(rows[r]), r)), first
+            while len(rows[p]) > 1 or len(cols[c]) > 1:
+                p = _clear_line(rows, cols, p, c)
+                c = _clear_line(cols, rows, c, p)
+            v = abs(rows.pop(p)[c])
+            del cols[c]
+            if v == 1:
+                ones += 1
+            else:
+                rest.append(v)
     return (1,) * ones + _divisibility_chain(rest)
 
 
@@ -315,17 +292,6 @@ def _within(face: int, facets) -> bool:
     return face in map(face.__and__, facets)
 
 
-def _closure(facets) -> set[int]:
-    """Every face of the facets, each enumerated as a submask."""
-    faces = {0} if facets else set()
-    for f in facets:
-        s = f
-        while s:
-            faces.add(s)
-            s = (s - 1) & f
-    return faces
-
-
 def _boundary(face: int) -> list[tuple[int, int]]:
     """(incidence, facet) pairs of a face: dropping its i-th vertex in index
     order has incidence (-1)^i."""
@@ -439,7 +405,8 @@ class ElementMatching:
     def _faces_outside(self, facets, others) -> list[int]:
         """The faces of ``facets`` that lie in no member of ``others``."""
         self._charge(sum(1 << f.bit_count() for f in facets + others))
-        return list(_closure(facets) - _closure(others))
+        # the charge bounds both closures, so their limit never fires
+        return list(closure_masks(facets, self.budget) - closure_masks(others, self.budget))
 
     def pairs(self) -> list[tuple[int, int]]:
         """Every matched pair: on each path down to a node at v, (rho + path,

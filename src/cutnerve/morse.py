@@ -1,11 +1,13 @@
 """Discrete Morse matchings, elementary collapses, and collapsibility search.
 
-The face poset includes the empty face: it is covered by every vertex, so a
-perfect matching on a full simplex pairs the empty face with the apex and no
-artificial critical 0-cell survives.  Reported critical cells and collapse
-steps exclude the empty face; collapses stop at a single vertex.  Element
-matchings come from the recursion in ``homology``; ``is_acyclic`` and
-``critical_cells`` replay a matching on the closure, sharing no code with it.
+Faces are vertex bitmasks in the complex's own bit order; labels appear only
+in witness JSON.  The face poset includes the empty face: it is covered by
+every vertex, so a perfect matching on a full simplex pairs the empty face
+with the apex and no artificial critical 0-cell survives.  Reported
+critical cells and collapse steps exclude the empty face; collapses stop at
+a single vertex.  Element matchings come from the recursion in
+``homology``; ``is_acyclic`` and ``critical_cells`` check a list of pairs
+against the facets and the closure, sharing no code with it.
 """
 
 from __future__ import annotations
@@ -16,52 +18,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .complexes import SimplicialComplex, face_budget, from_facets, from_masks
+from .complexes import SimplicialComplex, closure_masks, face_budget, face_mask, mask_face
 from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError
 from .homology import ElementMatching
-
-
-class Matching:
-    """A partial matching on covering pairs (sigma, sigma + {v}) of the face
-    poset; no face belongs to two pairs."""
-
-    __slots__ = ("pairs", "_partner")
-
-    def __init__(self, pairs):
-        partner: dict[tuple, tuple] = {}
-        canon = []
-        for sigma, tau in pairs:
-            sigma, tau = tuple(sigma), tuple(tau)
-            if len(tau) != len(sigma) + 1 or not set(sigma) < set(tau):
-                raise InvalidMatchingError(f"({sigma}, {tau}) is not a covering pair")
-            for f in (sigma, tau):
-                if f in partner:
-                    raise InvalidMatchingError(f"face {f} appears in two pairs")
-            partner[sigma] = tau
-            partner[tau] = sigma
-            canon.append((sigma, tau))
-        canon.sort(key=lambda p: (len(p[0]), p[0]))
-        object.__setattr__(self, "pairs", tuple(canon))
-        object.__setattr__(self, "_partner", partner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matching is immutable")
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def is_matched(self, face) -> bool:
-        return tuple(face) in self._partner
-
-    def partner(self, face):
-        return self._partner.get(tuple(face))
-
-    def matched_up(self, face):
-        """The coface this face is matched with, if it is the lower face."""
-        p = self._partner.get(tuple(face))
-        if p is not None and len(p) == len(face) + 1:
-            return p
-        return None
 
 
 def _resolve_vertex(cx: SimplicialComplex, v) -> int:
@@ -74,131 +33,127 @@ def _resolve_vertex(cx: SimplicialComplex, v) -> int:
     return v
 
 
-def element_matching_sequence(cx: SimplicialComplex, vertices) -> Matching:
-    """The element matching over ``vertices`` in turn, a repeated vertex
-    dropped (it pairs nothing more): the pairs of ``ElementMatching`` with
-    the sequence first in its bit order.  Each mask becomes a vertex tuple
-    by one table lookup per byte, sorted unless the order already is."""
+def _relabel(masks, target) -> list[int]:
+    """Each mask with its bit i moved to bit ``target[i]``, by one table
+    lookup per byte."""
+    out = [0] * len(masks)
+    for shift in range(0, len(target), 8):
+        table = [0]
+        for t in target[shift:shift + 8]:
+            table += [m | 1 << t for m in table]
+        out = [o | table[m >> shift & 255] for o, m in zip(out, masks)]
+    return out
+
+
+def element_matching_sequence(cx: SimplicialComplex, vertices) -> list[tuple[int, int]]:
+    """The pairs (sigma, sigma + v) of the element matching over
+    ``vertices`` in turn, a repeated vertex dropped (it pairs nothing
+    more): the pairs of ``ElementMatching`` with the sequence first in its
+    bit order, carried back to the complex's bit order."""
     seq = list(dict.fromkeys(_resolve_vertex(cx, v) for v in vertices))
     order = seq + sorted(set(range(cx.n_vertices)).difference(seq))
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    facets = [sum(bit[v] for v in f) for f in cx.facets]
+    position = sorted(range(len(order)), key=order.__getitem__)
+    facets = _relabel(cx.facet_masks(), position)
     pairs = ElementMatching(facets, face_budget(), (1 << len(seq)) - 1).pairs()
-    masks = [m for pair in pairs for m in pair]
-    faces = [()] * len(masks)
-    for shift in range(0, len(order), 8):
-        table = [()]
-        for v in order[shift:shift + 8]:
-            table += [t + (v,) for t in table]
-        faces = [f + table[m >> shift & 255] for f, m in zip(faces, masks)]
-    if order != sorted(order):
-        faces = [tuple(sorted(f)) for f in faces]
-    return Matching(zip(faces[::2], faces[1::2]))
+    masks = _relabel([m for pair in pairs for m in pair], order)
+    return list(zip(masks[::2], masks[1::2]))
 
 
-def is_acyclic(cx: SimplicialComplex, matching: Matching):
-    """Check the modified Hasse diagram for directed cycles.
+def is_acyclic(cx: SimplicialComplex, pairs):
+    """Check that ``pairs`` is an acyclic matching on the face poset of the
+    complex.  Each pair must be a covering pair (sigma, sigma + v) of faces
+    of the complex, and no face may lie in two pairs; InvalidMatchingError
+    otherwise.
 
-    V-paths live inside one dimension layer: from an up-matched d-face sigma
-    step to any other d-face of its matched coface.  Returns (True, None) or
-    (False, cycle) where the cycle alternates lower and upper faces."""
-    faces = set(cx.all_faces())
-    for s, t in matching.pairs:
-        if s not in faces or t not in faces:
-            raise InvalidMatchingError(f"pair ({s}, {t}) uses faces outside the complex")
-    by_dim: dict[int, list[tuple]] = {}
-    for s, t in matching.pairs:
-        by_dim.setdefault(len(s), []).append(s)
-    for d, nodes in sorted(by_dim.items()):
-        up = {s: matching.matched_up(s) for s in nodes}
-        color: dict[tuple, int] = {}
-        parent: dict[tuple, tuple] = {}
+    V-paths live inside one dimension layer: from an up-matched face sigma
+    step to any other facet of its matched coface that is up-matched too.
+    Returns (True, None) or (False, cycle) where the cycle alternates lower
+    and upper faces."""
+    up: dict[int, int] = {}
+    matched: set[int] = set()
+    for s, t in pairs:
+        if s & t != s or (s ^ t).bit_count() != 1:
+            raise InvalidMatchingError(f"({mask_face(s)}, {mask_face(t)}) is not a covering pair")
+        if t not in map(t.__and__, cx.facet_masks()):
+            raise InvalidMatchingError(f"pair ({mask_face(s)}, {mask_face(t)}) uses faces outside the complex")
+        for f in (s, t):
+            if f in matched:
+                raise InvalidMatchingError(f"face {mask_face(f)} appears in two pairs")
+            matched.add(f)
+        up[s] = t
 
-        def neighbors(s):
-            tau = up[s]
-            out = []
-            for pos in range(len(tau)):
-                s2 = tau[:pos] + tau[pos + 1:]
-                if s2 != s and s2 in up:
-                    out.append(s2)
-            return out
+    def neighbors(s):
+        tau = rest = up[s]
+        out = []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if tau ^ low != s and tau ^ low in up:
+                out.append(tau ^ low)
+        return out
 
-        for start in nodes:
-            if color.get(start):
-                continue
-            stack = [(start, iter(neighbors(start)))]
-            color[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt) == 1:
-                        # back edge: walk parents to reconstruct the loop
-                        cyc = [nxt]
-                        cur = node
-                        while cur != nxt:
-                            cyc.append(cur)
-                            cur = parent[cur]
-                        cyc.reverse()
-                        witness = []
-                        for s in cyc:
-                            witness.append(s)
-                            witness.append(up[s])
-                        return False, witness
-                    if color.get(nxt) is None:
-                        color[nxt] = 1
-                        parent[nxt] = node
-                        stack.append((nxt, iter(neighbors(nxt))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
+    # depth-first search; a face is on ``path`` (True) or done (False)
+    on_path: dict[int, bool] = {}
+    for start in up:
+        if start in on_path:
+            continue
+        on_path[start] = True
+        path, its = [start], [iter(neighbors(start))]
+        while path:
+            nxt = next(its[-1], None)
+            if nxt is None:
+                on_path[path.pop()] = False
+                its.pop()
+            elif on_path.get(nxt):
+                # a back edge closes the loop from nxt along the path
+                return False, [f for s in path[path.index(nxt):] for f in (s, up[s])]
+            elif nxt not in on_path:
+                on_path[nxt] = True
+                path.append(nxt)
+                its.append(iter(neighbors(nxt)))
     return True, None
 
 
-def critical_cells(cx: SimplicialComplex, matching: Matching) -> list[tuple]:
+def critical_cells(cx: SimplicialComplex, pairs) -> list[int]:
     """Unmatched nonempty faces, sorted by (dimension, vertex tuple)."""
-    ok, witness = is_acyclic(cx, matching)
+    ok, witness = is_acyclic(cx, pairs)
     if not ok:
-        raise InvalidMatchingError(f"matching contains a directed cycle: {witness}")
-    out = [
-        f
-        for f in cx.all_faces()
-        if f and not matching.is_matched(f)
-    ]
-    out.sort(key=lambda f: (len(f), f))
-    return out
+        raise InvalidMatchingError(f"matching contains a directed cycle: {list(map(mask_face, witness))}")
+    cells = closure_masks(cx.facet_masks(), face_budget()).difference(*pairs)
+    cells.discard(0)
+    return sorted(cells, key=lambda f: (f.bit_count(), mask_face(f)))
 
 
 # ---------------------------------------------------------------------------
 # collapses
 # ---------------------------------------------------------------------------
 
-def _coface_map(faces: set) -> dict[tuple, set]:
-    cof: dict[tuple, set] = {f: set() for f in faces}
+def _coface_map(faces: set) -> dict[int, set]:
+    cof: dict[int, set] = {f: set() for f in faces}
     for f in faces:
-        if len(f) >= 2:
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                if sub in cof:
-                    cof[sub].add(f)
+        if f & (f - 1):
+            rest = f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cof[f ^ low].add(f)
     return cof
 
 
-def _remove_pair(faces: set, cof: dict, sigma, tau) -> list[tuple]:
+def _remove_pair(faces: set, cof: dict, sigma: int, tau: int) -> list[int]:
     """Remove the free pair (sigma, tau) from ``faces`` and from the coface
     sets of their facets.  Returns the faces whose coface sets shrank."""
     faces.discard(sigma)
     faces.discard(tau)
     touched = []
     for g in (sigma, tau):
-        if len(g) >= 2:
-            for pos in range(len(g)):
-                sub = g[:pos] + g[pos + 1:]
-                if sub in faces:
-                    cof[sub].discard(g)
-                    touched.append(sub)
+        rest = g
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if g ^ low in faces:
+                cof[g ^ low].discard(g)
+                touched.append(g ^ low)
     return touched
 
 
@@ -207,11 +162,12 @@ class CollapseWitness:
     """A replayable collapse certificate: strong collapses ``dominations``,
     each (v, w) deleting a vertex v that w != v dominates (a sequence of
     elementary collapses, by Barmak–Minian), then the free pairs ``steps``
-    on the core left, ending at the faces ``terminal``.  ``verdict`` is
-    "collapsible" when that is a single vertex, otherwise "unknown"."""
+    of face masks on the core left, ending at the sorted face masks
+    ``terminal``.  ``verdict`` is "collapsible" when that is a single
+    vertex, otherwise "unknown"."""
 
-    steps: tuple[tuple[tuple, tuple], ...]
-    terminal: tuple[tuple, ...]
+    steps: tuple[tuple[int, int], ...]
+    terminal: tuple[int, ...]
     verdict: str
     dominations: tuple[tuple[int, int], ...] = ()
 
@@ -223,68 +179,76 @@ class CollapseWitness:
         return self.verdict == "collapsible"
 
     def to_json(self, cx: SimplicialComplex) -> str:
+        """Faces as label lists; ``terminal`` in vertex-tuple order."""
+        def labels(face):
+            return [cx.labels[v] for v in mask_face(face)]
+
         doc = {
             "verdict": self.verdict,
             "steps_tried": self.steps_tried,
             "dominations": [[cx.labels[v], cx.labels[w]] for v, w in self.dominations],
-            "steps": [
-                [list(cx.labels_of_face(s)), list(cx.labels_of_face(t))]
-                for s, t in self.steps
-            ],
-            "terminal": [list(cx.labels_of_face(f)) for f in self.terminal],
+            "steps": [[labels(s), labels(t)] for s, t in self.steps],
+            "terminal": [labels(f) for f in sorted(self.terminal, key=mask_face)],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json(cx: SimplicialComplex, text: str) -> "CollapseWitness":
+        """Read a witness; a face that repeats a label is no face of any
+        complex, so it becomes the mask -1, which no step or terminal
+        matches."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise InvalidParameterError("a witness must be a JSON object")
+
+        def mask(labels):
+            face = cx.face_of_labels(labels)
+            return face_mask(face) if len(set(face)) == len(face) else -1
+
         dominations = tuple(
             (cx.face_of_labels([v])[0], cx.face_of_labels([w])[0])
             for v, w in doc.get("dominations", ())
         )
-        steps = tuple(
-            (cx.face_of_labels(s), cx.face_of_labels(t)) for s, t in doc["steps"]
-        )
-        terminal = tuple(sorted(cx.face_of_labels(f) for f in doc["terminal"]))
+        steps = tuple((mask(s), mask(t)) for s, t in doc["steps"])
+        terminal = tuple(sorted(map(mask, doc["terminal"])))
         return CollapseWitness(steps, terminal, doc["verdict"], dominations)
 
 
-def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tuple[tuple, ...]]:
+def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tuple[int, ...]]:
     """Apply strong collapses, then free pairs, on facets and coface sets of
     their own, sharing no collapse code with the search: each domination
     (v, w) needs v != w, v still a vertex and w in every facet through v;
-    each step (sigma, tau) on the closure of the core left needs the
-    nonempty face sigma free in tau.  Stops at the first that does not
-    hold; returns how many were applied and the nonempty faces left."""
-    facets = {frozenset(f) for f in cx.facets}
+    each step (sigma, tau) of face masks on the closure of the core left
+    needs the nonempty face sigma free in tau.  Stops at the first that
+    does not hold; returns how many were applied and the sorted masks of
+    the nonempty faces left."""
+    facets = set(cx.facet_masks())
     applied = 0
     for v, w in dominations:
-        star = [f for f in facets if v in f]
-        if v == w or not star or not all(w in f for f in star):
+        star = [f for f in facets if f >> v & 1]
+        if v == w or not star or not all(f >> w & 1 for f in star):
             steps = ()  # nothing applies after a failed step
             break
         facets.difference_update(star)
-        links = {f - {v} for f in star}
-        facets |= {g for g in links if not any(g < h for h in facets | links)}
+        links = {f ^ 1 << v for f in star}
+        facets |= {g for g in links if not any(g & h == g != h for h in facets | links)}
         applied += 1
-    core = from_facets(cx.labels, [tuple(sorted(f)) for f in facets])
-    faces = {f for f in core.all_faces() if f}
-    cof: dict[tuple, set] = {f: set() for f in faces}
+    faces = closure_masks(facets, face_budget())
+    faces.discard(0)
+    cof: dict[int, set] = {f: set() for f in faces}
     for f in faces:
-        if len(f) >= 2:
-            for pos in range(len(f)):
-                cof[f[:pos] + f[pos + 1:]].add(f)
+        for v in range(f.bit_length()):
+            if f >> v & 1 and (f ^ 1 << v) in cof:
+                cof[f ^ 1 << v].add(f)
     for sigma, tau in steps:
         # a coface set holds only faces still present
         if sigma not in faces or cof[sigma] != {tau}:
             break
-        faces.discard(sigma)
-        faces.discard(tau)
+        faces -= {sigma, tau}
         for g in (sigma, tau):
-            for pos in range(len(g)):
-                sub = g[:pos] + g[pos + 1:]
-                if sub in faces:
-                    cof[sub].discard(g)
+            for v in range(g.bit_length()):
+                if g >> v & 1 and (g ^ 1 << v) in faces:
+                    cof[g ^ 1 << v].discard(g)
         applied += 1
     return applied, tuple(sorted(faces))
 
@@ -336,7 +300,7 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     vertex tuple) on a lazy heap over the faces of the core's closure.
 
     Only the core's closure is built.  The face guard stays exact on the
-    input's closure, which is materialized only when the bound sum 2^|f|
+    input's closure, which is enumerated only when the bound sum 2^|f|
     over the facets exceeds the budget; each step removes two faces, so
     the guard bounds the search.  A search that strands yields verdict
     "unknown" with its dominations, steps and the faces left, which replay
@@ -344,23 +308,24 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     "unknown" is not a refutation."""
     if cx.is_void():
         raise VoidComplexError("cannot collapse the void complex")
-    if sum(1 << f.bit_count() for f in cx.facet_masks()) > face_budget():
-        cx.all_faces()
+    budget = face_budget()
+    if sum(1 << f.bit_count() for f in cx.facet_masks()) > budget:
+        closure_masks(cx.facet_masks(), budget)
     dominations = []
     core = _strong_collapse(cx.facet_masks(), dominations)
-    faces = {f for f in from_masks(cx.labels, core).all_faces() if f}
+    faces = closure_masks(core, budget)
+    faces.discard(0)
     cof = _coface_map(faces)
-    heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
+    heap = [(s.bit_count(), mask_face(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)
     steps = []
     while len(faces) > 1 and heap:
-        _, sigma, tau = heapq.heappop(heap)
+        _, _, sigma, tau = heapq.heappop(heap)
         if sigma not in faces or cof[sigma] != {tau}:
             continue
         steps.append((sigma, tau))
         for sub in _remove_pair(faces, cof, sigma, tau):
             if len(cof[sub]) == 1:
-                heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
+                heapq.heappush(heap, (sub.bit_count(), mask_face(sub), sub, next(iter(cof[sub]))))
     verdict = "collapsible" if len(faces) == 1 else "unknown"
     return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, tuple(dominations))
-

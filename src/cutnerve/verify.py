@@ -245,15 +245,15 @@ def run_thm_4_4(params):
         "total-cut-wedge-profile", hom.reduced_homology(tc), hom.HomologyProfile.wedge(2, count))]
     digests = {"total_cut": _digest(tc)}
     if n % 2:
-        matching = morse.element_matching_sequence(tc, ["1+", "1-"])
+        pairs = morse.element_matching_sequence(tc, ["1+", "1-"])
         try:
-            cells = [list(tc.labels_of_face(c)) for c in morse.critical_cells(tc, matching)]
+            cells = [list(tc.labels_of_face(cx.mask_face(c))) for c in morse.critical_cells(tc, pairs)]
         except InvalidMatchingError:
             cells = None
         checks.append(_check("sequential-matching-acyclic", cells is not None, True, cells is not None))
-        empty_partner = matching.partner(())
-        checks.append(_check("empty-face-matched-with-first-vertex", empty_partner == (0,),
-                             ["1+"], list(tc.labels_of_face(empty_partner or ()))))
+        empty_partner = dict(pairs).get(0, 0)
+        checks.append(_check("empty-face-matched-with-first-vertex", empty_partner == 1,
+                             ["1+"], list(tc.labels_of_face(cx.mask_face(empty_partner)))))
         expected_cells = [list(tc.labels_of_face(c)) for c in sorted(
             tuple(sorted((1, _ladder_plus(n, j), _ladder_minus(n, j)))) for j in range(2, n + 1)
         )]
@@ -297,16 +297,13 @@ def run_thm_4_6(params):
         digests["neighborhood"] = _digest(nc)
         pairs = []
         for i in range(1, n + 1):
-            sp = tuple(sorted((_ladder_plus(n, i), _ladder_plus(n, i + 2))))
-            tp = tuple(sorted((_ladder_plus(n, i), _ladder_minus(n, i + 1), _ladder_plus(n, i + 2))))
-            sm = tuple(sorted((_ladder_minus(n, i), _ladder_minus(n, i + 2))))
-            tm = tuple(sorted((_ladder_minus(n, i), _ladder_plus(n, i + 1), _ladder_minus(n, i + 2))))
-            pairs.append((sp, tp))
-            pairs.append((sm, tm))
+            for side, other in ((_ladder_plus, _ladder_minus), (_ladder_minus, _ladder_plus)):
+                sigma = cx.face_mask((side(n, i), side(n, i + 2)))
+                pairs.append((sigma, sigma | 1 << other(n, i + 1)))
         applied, left = morse.apply_collapses(nc, (), pairs)
         checks.append(_check("stated-free-faces-present", applied == 2 * n, 2 * n, applied))
         checks.append(_check_profile(
-            "collapsed-circle-profile", hom.reduced_homology(cx.from_facets(nc.labels, left)),
+            "collapsed-circle-profile", hom.reduced_homology(cx.from_masks(nc.labels, left)),
             hom.HomologyProfile.sphere(1)))
     else:
         nh = cons.neighborhood_complex(h)

@@ -187,6 +187,29 @@ def test_closure_matches_subset_oracle():
         assert set(c.all_faces()) == closure_of(c.facets)
 
 
+def test_closure_masks_matches_subset_oracle():
+    # the one closure enumerator against the tuple oracle, on grounds with
+    # bits past 64 too; a limit equal to the face count passes and one
+    # less raises
+    rng = random.Random(89)
+    for _ in range(200):
+        n, shift = rng.randint(1, 9), rng.choice((0, 0, 60))
+        gens = [[shift + v for v in rng.sample(range(n), rng.randint(0, min(4, n)))]
+                for _ in range(rng.randint(1, 6))]
+        c = cx.from_facets([f"v{i}" for i in range(n + shift)], gens)
+        expected = closure_of(c.facets)
+        faces = cx.closure_masks(c.facet_masks(), len(expected))
+        assert sorted(map(cx.mask_face, faces)) == sorted(expected)
+        with pytest.raises(ResourceLimitError) as err:
+            cx.closure_masks(c.facet_masks(), len(expected) - 1)
+        assert err.value.budget == len(expected) - 1
+    # no face has no closure, and the empty face is its own
+    assert cx.closure_masks((), 0) == set()
+    assert cx.closure_masks((0,), 1) == {0}
+    with pytest.raises(ResourceLimitError):
+        cx.closure_masks((0,), 0)
+
+
 def test_closure_downward_closed():
     for c in complex_corpus():
         faces = set(c.all_faces())
@@ -434,6 +457,9 @@ def test_complex_json_roundtrip():
     ('{"vertices":["a","b"],"facets":[[0,1.0]]}', "face [0, 1.0] has 1.0 for a vertex index"),
     ('{"vertices":[1,2],"facets":[[0,1]]}', "vertex label 1 is not a string"),
     ('{"vertices":["a",null],"facets":[[0]]}', "vertex label null is not a string"),
+    ('{"vertices":["a"],"facets":[],"void":"no"}', '"void" is "no", not a JSON boolean'),
+    ('{"vertices":["a"],"facets":[[0]],"void":0}', '"void" is 0, not a JSON boolean'),
+    ('{"vertices":["a"],"facets":[],"void":null}', '"void" is null, not a JSON boolean'),
 ])
 def test_complex_json_needs_int_vertices_and_string_labels(text, message):
     with pytest.raises(InvalidParameterError, match=re.escape(message)):

@@ -34,6 +34,39 @@ def face_of(c, labels):
     return c.face_of_labels(labels)
 
 
+def tuple_pairs(pairs):
+    """Mask pairs as vertex-tuple pairs sorted by (dimension, lower face),
+    the order of the closure oracle."""
+    return tuple(sorted(((cx.mask_face(s), cx.mask_face(t)) for s, t in pairs),
+                        key=lambda p: (len(p[0]), p[0])))
+
+
+def partner(pairs, face):
+    """The vertex tuple matched with ``face`` by a list of mask pairs, or
+    None when it is unmatched."""
+    m = cx.face_mask(face)
+    return next((cx.mask_face(s ^ t ^ m) for s, t in pairs if m in (s, t)), None)
+
+
+def faces_of_cells(c, pairs):
+    """The critical cells as vertex tuples, in the order reported."""
+    return [cx.mask_face(f) for f in morse.critical_cells(c, pairs)]
+
+
+def mask_pairs(pairs):
+    return tuple((cx.face_mask(s), cx.face_mask(t)) for s, t in pairs)
+
+
+def faces_of(masks):
+    """Sorted vertex tuples of face masks."""
+    return tuple(sorted(map(cx.mask_face, masks)))
+
+
+def masks_of(faces):
+    """Sorted masks of vertex tuples, as a witness's terminal."""
+    return tuple(sorted(map(cx.face_mask, faces)))
+
+
 def matching_corpus():
     rng = random.Random(41)
     out = [
@@ -69,28 +102,29 @@ def assert_matches_closure_oracle(c, vertices):
     m = morse.element_matching_sequence(c, vertices)
     expected = closure_element_matching(c, [c.face_of_labels([v])[0] if isinstance(v, str) else v
                                             for v in vertices])
-    assert m.pairs == expected
-    partner = {f: g for s, t in expected for f, g in ((s, t), (t, s))}
+    assert tuple_pairs(m) == expected
+    expected_partner = {f: g for s, t in expected for f, g in ((s, t), (t, s))}
     faces = c.all_faces()
-    assert all(m.partner(f) == partner.get(f) for f in faces)
-    critical = [f for f in faces if f and f not in partner]
-    assert morse.critical_cells(c, m) == sorted(critical, key=lambda f: (len(f), f))
+    assert all(partner(m, f) == expected_partner.get(f) for f in faces)
+    critical = [f for f in faces if f and f not in expected_partner]
+    assert faces_of_cells(c, m) == sorted(critical, key=lambda f: (len(f), f))
     return m
+
 
 
 def test_element_matching_full_simplex_is_perfect():
     c = cx.full_simplex("abcd")
     m = assert_matches_closure_oracle(c, ["a"])
-    assert len(m.pairs) * 2 == face_count(c)
-    assert m.partner(()) == (0,)
+    assert len(m) * 2 == face_count(c)
+    assert partner(m, ()) == (0,)
     assert morse.critical_cells(c, m) == []
 
 
 def test_ladder5_sequential_matching_critical_cells():
     c = ladder_total_cut(5)
     m = morse.element_matching_sequence(c, ["1+", "1-"])
-    assert m.partner(()) == face_of(c, ["1+"])
-    cells = morse.critical_cells(c, m)
+    assert partner(m, ()) == face_of(c, ["1+"])
+    cells = faces_of_cells(c, m)
     expected = sorted(
         face_of(c, ["1-", f"{j}+", f"{j}-"]) for j in range(2, 6)
     )
@@ -101,7 +135,7 @@ def test_ladder5_sequential_matching_critical_cells():
 def test_ladder7_sequential_matching_critical_count():
     c = ladder_total_cut(7)
     m = morse.element_matching_sequence(c, ["1+", "1-"])
-    cells = morse.critical_cells(c, m)
+    cells = faces_of_cells(c, m)
     assert len(cells) == 6
     assert all(len(f) == 3 for f in cells)
 
@@ -113,7 +147,7 @@ def test_element_matching_sequence_is_iterated_element_matching():
         m = ()
         for v in range(c.n_vertices):
             m = closure_element_matching(c, [v], m)
-        assert morse.element_matching_sequence(c, range(c.n_vertices)).pairs == m
+        assert tuple_pairs(morse.element_matching_sequence(c, range(c.n_vertices))) == m
 
 
 def test_element_matching_unknown_vertex():
@@ -148,7 +182,7 @@ def test_element_matching_sequence_edge_cases():
     c = cons.total_cut_complex(gr.cycle(6), 2)
     # a repeated vertex pairs nothing more the second time
     m = assert_matches_closure_oracle(c, ["3", "1", "1", "3"])
-    assert m.pairs == morse.element_matching_sequence(c, ["3", "1"]).pairs
+    assert tuple_pairs(m) == tuple_pairs(morse.element_matching_sequence(c, ["3", "1"]))
     # the empty sequence matches nothing, so every nonempty face is critical
     m = assert_matches_closure_oracle(c, [])
     assert len(m) == 0 and len(morse.critical_cells(c, m)) == 50
@@ -177,7 +211,7 @@ def test_element_matching_sequence_charges_the_face_budget(monkeypatch):
 # -- acyclicity --------------------------------------------------------------------
 
 def test_empty_matching_acyclic():
-    ok, witness = morse.is_acyclic(cx.simplex_boundary("abc"), morse.Matching([]))
+    ok, witness = morse.is_acyclic(cx.simplex_boundary("abc"), [])
     assert ok and witness is None
 
 
@@ -197,7 +231,7 @@ def test_hand_built_cycle_detected():
     # square: vertices 1..4, edges 12, 23, 34, 14; match each vertex upward
     # around the loop so the V-path walks forever
     c = cx.from_facets("1234", [(0, 1), (1, 2), (2, 3), (0, 3)])
-    m = morse.Matching([
+    m = mask_pairs([
         ((0,), (0, 1)),
         ((1,), (1, 2)),
         ((2,), (2, 3)),
@@ -207,10 +241,11 @@ def test_hand_built_cycle_detected():
     assert not ok
     assert witness is not None and len(witness) >= 4
     # the witness alternates matched pairs: re-walk it by hand
+    witness = [cx.mask_face(f) for f in witness]
     lowers = witness[0::2]
     uppers = witness[1::2]
     for i, s in enumerate(lowers):
-        assert m.partner(s) == uppers[i]
+        assert partner(m, s) == uppers[i]
         nxt = lowers[(i + 1) % len(lowers)]
         assert set(nxt) < set(uppers[i]) or nxt == lowers[i]
     with pytest.raises(InvalidMatchingError):
@@ -218,10 +253,14 @@ def test_hand_built_cycle_detected():
 
 
 def test_matching_rejects_reused_faces():
+    c = cx.full_simplex("abc")
     with pytest.raises(InvalidMatchingError):
-        morse.Matching([((0,), (0, 1)), ((0,), (0, 2))])
+        morse.is_acyclic(c, mask_pairs([((0,), (0, 1)), ((0,), (0, 2))]))
     with pytest.raises(InvalidMatchingError):
-        morse.Matching([((0,), (0, 1, 2))])
+        morse.is_acyclic(c, mask_pairs([((0,), (0, 1, 2))]))
+    # a pair outside the complex
+    with pytest.raises(InvalidMatchingError):
+        morse.is_acyclic(cx.full_simplex("ab"), mask_pairs([((0,), (0, 2))]))
 
 
 def test_morse_inequality_on_corpus():
@@ -229,7 +268,7 @@ def test_morse_inequality_on_corpus():
         if c.is_void() or face_count(c) > 200:
             continue
         m = morse.element_matching_sequence(c, range(c.n_vertices))
-        cells = morse.critical_cells(c, m)
+        cells = faces_of_cells(c, m)
         profile = hom.reduced_homology(c)
         by_dim = {}
         for f in cells:
@@ -254,9 +293,9 @@ def free_pairs(c):
 
 def collapsed(c, steps):
     """The complex left by ``steps``, which must all apply."""
-    applied, left = morse.apply_collapses(c, (), steps)
+    applied, left = morse.apply_collapses(c, (), mask_pairs(steps))
     assert applied == len(steps)
-    return cx.from_facets(c.labels, left)
+    return cx.from_masks(c.labels, left)
 
 
 def test_ladder_neighborhood_free_faces():
@@ -266,28 +305,31 @@ def test_ladder_neighborhood_free_faces():
         for sign, other in (("+", "-"), ("-", "+")):
             sigma = face_of(nc, [f"{i}{sign}", f"{(i + 1) % n + 1}{sign}"])
             tau = face_of(nc, [f"{i}{sign}", f"{i % n + 1}{other}", f"{(i + 1) % n + 1}{sign}"])
-            applied, left = morse.apply_collapses(nc, (), [(sigma, tau)])
-            assert applied == 1 and sigma not in left and tau not in left
+            applied, left = morse.apply_collapses(nc, (), mask_pairs([(sigma, tau)]))
+            assert applied == 1 and sigma not in faces_of(left) and tau not in faces_of(left)
 
 
 def test_elementary_collapse_edge_to_point():
     c = cx.full_simplex("ab")
-    assert morse.apply_collapses(c, (), [((0,), (0, 1))]) == (1, ((1,),))
+    applied, left = morse.apply_collapses(c, (), mask_pairs([((0,), (0, 1))]))
+    assert (applied, faces_of(left)) == (1, ((1,),))
 
 
 def test_elementary_collapse_rejects_non_free():
     # the applier stops at the first step that does not hold
     c = cx.simplex_boundary("abc")
     faces = tuple(f for f in c.all_faces() if f)
-    assert morse.apply_collapses(c, (), [((0,), (0, 1))]) == (0, faces)
+    applied, left = morse.apply_collapses(c, (), mask_pairs([((0,), (0, 1))]))
+    assert (applied, faces_of(left)) == (0, faces)
     # the empty face is never collapsed
     c = cx.full_simplex("ab")
-    applied, _ = morse.apply_collapses(c, (), [((), (0,)), ((0,), (0, 1))])
+    applied, _ = morse.apply_collapses(c, (), mask_pairs([((), (0,)), ((0,), (0, 1))]))
     assert applied == 0
     # nor is a pair after one that failed
     c = cx.full_simplex("abc")
-    applied, left = morse.apply_collapses(c, (), [((0, 1), (0, 1, 2)), ((0,), (0, 1)), ((1,), (1, 2))])
-    assert applied == 1 and (1, 2) in left
+    applied, left = morse.apply_collapses(
+        c, (), mask_pairs([((0, 1), (0, 1, 2)), ((0,), (0, 1)), ((1,), (1, 2))]))
+    assert applied == 1 and (1, 2) in faces_of(left)
 
 
 def test_collapse_preserves_homology():
@@ -423,7 +465,7 @@ def test_greedy_collapse_differential_against_descent():
         for v, w in witness.dominations:
             core = delete_vertex(core, v)
         assert dominated_vertex(core) is None
-        by_hand = morse.CollapseWitness(steps, terminal, verdict)
+        by_hand = morse.CollapseWitness(mask_pairs(steps), masks_of(terminal), verdict)
         assert by_hand.steps_tried == len(steps)
         assert morse.replay_collapse(c, by_hand)
         verdicts.add(verdict)
@@ -435,7 +477,7 @@ def test_strong_collapse_cone_to_apex():
     coned = cone(cx.simplex_boundary("abcd"), "w")
     witness = morse.greedy_collapse(coned)
     assert witness.is_collapsible()
-    assert witness.terminal == ((coned.labels.index("w"),),)
+    assert faces_of(witness.terminal) == ((coned.labels.index("w"),),)
     assert len(witness.dominations) == witness.steps_tried == 4
     assert witness.steps == ()
     assert coned._closure is None
@@ -468,7 +510,7 @@ def test_strong_collapse_order():
     witness = morse.greedy_collapse(c)
     assert witness.dominations == ((0, 2), (2, 1), (3, 1), (1, 4))
     assert witness.steps == ()
-    assert witness.terminal == ((4,),)
+    assert faces_of(witness.terminal) == ((4,),)
     assert morse.replay_collapse(c, witness)
 
 
@@ -508,22 +550,24 @@ def test_strong_collapse_matches_tuple_oracle():
 def test_replay_checks_dominations():
     c = cx.from_facets("abcdef", [(0, 2, 3), (1, 2, 3), (1, 4)])
     good = ((0, 2), (2, 1), (3, 1), (1, 4))
-    assert morse.replay_collapse(c, morse.CollapseWitness((), ((4,),), "collapsible", good))
+    assert morse.replay_collapse(c, morse.CollapseWitness((), masks_of([(4,)]), "collapsible", good))
     for dominations in [
         ((2, 1), (0, 2), (3, 1), (1, 4)),   # b misses the facet acd through c
         ((0, 0), (2, 1), (3, 1), (1, 4)),   # v == w
         ((0, 2), (0, 2), (2, 1), (3, 1), (1, 4)),   # a is already deleted
         ((5, 4), (0, 2), (2, 1), (3, 1), (1, 4)),   # f lies in no face
     ]:
-        witness = morse.CollapseWitness((), ((4,),), "collapsible", dominations)
+        witness = morse.CollapseWitness((), masks_of([(4,)]), "collapsible", dominations)
         assert not morse.replay_collapse(c, witness), dominations
     # valid dominations cannot vouch for a wrong terminal
-    assert not morse.replay_collapse(c, morse.CollapseWitness((), ((1,),), "collapsible", good))
-    assert not morse.replay_collapse(c, morse.CollapseWitness((), ((1,), (4,)), "unknown", good[:3]))
+    assert not morse.replay_collapse(c, morse.CollapseWitness((), masks_of([(1,)]), "collapsible", good))
+    assert not morse.replay_collapse(
+        c, morse.CollapseWitness((), masks_of([(1,), (4,)]), "unknown", good[:3]))
     # a short domination list hands its core to the pair steps
     core = delete_vertex(c, 0)
     steps, terminal, verdict = descent_collapse(core.facets)
     assert verdict == "collapsible"
+    steps, terminal = mask_pairs(steps), masks_of(terminal)
     assert morse.replay_collapse(c, morse.CollapseWitness(steps, terminal, verdict, ((0, 2),)))
     assert not morse.replay_collapse(c, morse.CollapseWitness(steps, terminal, verdict))
 
@@ -540,7 +584,29 @@ def test_greedy_collapse_past_the_strong_collapses():
     witness = morse.greedy_collapse(core)
     assert witness.is_collapsible()
     assert morse.replay_collapse(core, witness)
-    assert witness.steps == descent_collapse(core.facets)[0]
+    assert witness.steps == mask_pairs(descent_collapse(core.facets)[0])
+
+
+def test_checkers_share_no_code_with_the_search(monkeypatch):
+    # is_acyclic, critical_cells and the replay run with the element
+    # matching recursion, the collapse search and its coface code disabled
+    c = ladder_total_cut(5)
+    pairs = morse.element_matching_sequence(c, ["1+", "1-"])
+    cells = morse.critical_cells(c, pairs)
+    tc = next(c for c in cycle_cover_intersections(7, 2) if face_count(strong_core(c)) > 2)
+    witness = morse.greedy_collapse(tc)
+    assert witness.steps and witness.dominations
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker called the search")
+
+    for name in ("ElementMatching", "greedy_collapse", "_strong_collapse", "_coface_map", "_remove_pair"):
+        monkeypatch.setattr(morse, name, refuse)
+    monkeypatch.setattr(hom, "ElementMatching", refuse)
+    assert morse.is_acyclic(c, pairs) == (True, None)
+    assert morse.critical_cells(c, pairs) == cells
+    assert morse.replay_collapse(tc, witness)
+    assert morse.apply_collapses(tc, witness.dominations, witness.steps) == (witness.steps_tried, witness.terminal)
 
 
 def test_greedy_collapse_sphere_unknown():
@@ -556,7 +622,7 @@ def test_greedy_collapse_unknown_witnesses_replay():
     assert witness.verdict == "unknown"
     assert witness.dominations == ((0, 1), (2, 3))
     assert witness.steps == ()
-    assert witness.terminal == ((1,), (3,))
+    assert faces_of(witness.terminal) == ((1,), (3,))
     assert morse.replay_collapse(c, witness)
     # every witness replays, collapsible or not
     for c in matching_corpus():
@@ -583,7 +649,7 @@ def test_replay_refuses_collapsible_two_points():
     two = cx.discrete_points("ab")
     doc = '{"verdict":"collapsible","steps":[],"terminal":[["a"],["b"]]}'
     assert not morse.replay_collapse(two, morse.CollapseWitness.from_json(two, doc))
-    assert morse.replay_collapse(two, morse.CollapseWitness((), ((0,), (1,)), "unknown"))
+    assert morse.replay_collapse(two, morse.CollapseWitness((), masks_of([(0,), (1,)]), "unknown"))
     # the empty complex's witness has no terminal faces and stays valid
     empty = cx.empty_complex("a")
     assert morse.replay_collapse(empty, morse.greedy_collapse(empty))
@@ -591,13 +657,14 @@ def test_replay_refuses_collapsible_two_points():
 
 def test_replay_refuses_unknown_one_vertex():
     edge = cx.full_simplex("ab")
-    steps = (((1,), (0, 1)),)
-    assert morse.replay_collapse(edge, morse.CollapseWitness(steps, ((0,),), "collapsible"))
-    assert not morse.replay_collapse(edge, morse.CollapseWitness(steps, ((0,),), "unknown"))
+    steps = mask_pairs([((1,), (0, 1))])
+    assert morse.replay_collapse(edge, morse.CollapseWitness(steps, masks_of([(0,)]), "collapsible"))
+    assert not morse.replay_collapse(edge, morse.CollapseWitness(steps, masks_of([(0,)]), "unknown"))
 
 
 def test_replay_refuses_unrecognised_verdict():
     edge = cx.full_simplex("ab")
-    assert not morse.replay_collapse(edge, morse.CollapseWitness((((1,), (0, 1)),), ((0,),), "banana"))
+    steps = mask_pairs([((1,), (0, 1))])
+    assert not morse.replay_collapse(edge, morse.CollapseWitness(steps, masks_of([(0,)]), "banana"))
     two = cx.discrete_points("ab")
-    assert not morse.replay_collapse(two, morse.CollapseWitness((), ((0,), (1,)), "banana"))
+    assert not morse.replay_collapse(two, morse.CollapseWitness((), masks_of([(0,), (1,)]), "banana"))

@@ -288,6 +288,33 @@ def test_cli_morse(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_cli_morse_stdout_is_pinned(tmp_path, capsys):
+    # the order of "critical", and the faces carried back from the
+    # sequence's bit order to the complex's, byte for byte
+    cpath = str(tmp_path / "tc.json")
+    main(["build", "total-cut", "circular-ladder", "--n", "5", "--k", "4", "--out", cpath])
+    capsys.readouterr()
+    every_label_reversed = ",".join(f"{i}{side}" for i in range(5, 0, -1) for side in "-+")
+    for vertices, out in (
+        ("1-,1+", '{"acyclic":true,"critical":[["1+","2+","2-"],["1+","3+","3-"],'
+                  '["1+","4+","4-"],["1+","5+","5-"]],"pairs":156}\n'),
+        (every_label_reversed, '{"acyclic":true,"critical":[["1+","1-","5+"],["2+","2-","5+"],'
+                               '["3+","3-","5+"],["4+","4-","5+"]],"pairs":156}\n'),
+    ):
+        assert main(["morse", cpath, "--vertices", vertices]) == 0
+        assert capsys.readouterr().out == out
+    # the same complex with its vertex list in reverse order
+    doc = json.loads((tmp_path / "tc.json").read_text())
+    top = len(doc["vertices"]) - 1
+    rpath = tmp_path / "tc-reversed.json"
+    rpath.write_text(json.dumps({"vertices": doc["vertices"][::-1], "void": False,
+                                 "facets": [sorted(top - v for v in f) for f in doc["facets"]]}))
+    assert main(["morse", str(rpath), "--vertices", "1-,1+"]) == 0
+    assert capsys.readouterr().out == (
+        '{"acyclic":true,"critical":[["5-","5+","1+"],["4-","4+","1+"],["3-","3+","1+"],'
+        '["2-","2+","1+"]],"pairs":156}\n')
+
+
 def test_cli_collapse_and_replay(tmp_path, capsys):
     cpath = str(tmp_path / "star.json")
     wpath = str(tmp_path / "witness.json")
@@ -336,6 +363,7 @@ def test_cli_bad_complex_file(tmp_path, capsys, command):
     ('{"vertices":["a","b"],"facets":[[0,true]]}', "has true for a vertex index"),
     ('{"vertices":["a","b"],"facets":[[0,"b"]]}', 'has "b" for a vertex index'),
     ('{"vertices":[1,2],"facets":[[0,1]]}', "vertex label 1 is not a string"),
+    ('{"vertices":["a"],"facets":[],"void":"no"}', '"void" is "no", not a JSON boolean'),
 ])
 def test_cli_refuses_non_int_vertex_and_non_string_label(tmp_path, capsys, text, named):
     path = tmp_path / "complex.json"
@@ -401,6 +429,27 @@ def test_cli_replay_accepts_witness_without_dominations(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
 
 
+def test_cli_replay_refuses_repeated_label_faces(tmp_path, capsys):
+    # a face that repeats a label is no face of the complex: a witness that
+    # names one in a step, the terminal or a domination replays invalid
+    cpath = tmp_path / "edge.json"
+    cpath.write_text('{"vertices":["a","b"],"facets":[[0,1]],"void":false}')
+    wpath = tmp_path / "w.json"
+    for dominations, steps, terminal, code in (
+        ('[]', '[[["a"],["a","b"]]]', '[["b"]]', 0),
+        ('[]', '[[["a","a"],["a","b"]]]', '[["b"]]', 1),
+        ('[]', '[[["a"],["a","b","b"]]]', '[["b"]]', 1),
+        ('[]', '[[["a"],["a","b"]]]', '[["b","b"]]', 1),
+        ('[["a","b"]]', '[]', '[["b"]]', 0),
+        ('[["a","a"]]', '[]', '[["a"]]', 1),
+        ('[["a","b"]]', '[]', '[["b","b"]]', 1),
+    ):
+        wpath.write_text('{"verdict":"collapsible","dominations":%s,"steps":%s,"terminal":%s}'
+                         % (dominations, steps, terminal))
+        assert main(["collapse", str(cpath), "--replay", str(wpath)]) == code, (dominations, steps, terminal)
+        assert json.loads(capsys.readouterr().out) == {"replay": "invalid" if code else "valid"}
+
+
 def test_cli_replay_refuses_malformed_dominations(tmp_path, capsys):
     cpath = tmp_path / "edges.json"
     cpath.write_text('{"vertices":["a","b","c","d"],"facets":[[0,1],[2,3]],"void":false}')
@@ -410,5 +459,11 @@ def test_cli_replay_refuses_malformed_dominations(tmp_path, capsys):
             '{"verdict":"unknown","dominations":%s,"steps":[],"terminal":[["b"],["d"]]}' % dominations
         )
         assert _cli_error(capsys, ["collapse", str(cpath), "--replay", str(wpath)]) == 2, dominations
+    # JSON that is not an object is no witness
+    for text in ("[]", '"x"', "5", "null"):
+        wpath.write_text(text)
+        main(["collapse", str(cpath), "--replay", str(wpath)])
+        assert "a witness must be a JSON object" in capsys.readouterr().err
+        assert _cli_error(capsys, ["collapse", str(cpath), "--replay", str(wpath)]) == 2, text
     wpath.write_text('{"verdict":"unknown","dominations":[["a","b"],["c","d"]],"steps":[],"terminal":[["b"],["d"]]}')
     assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0
