@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
-from .complexes import SimplicialComplex, face_mask, from_masks, mask_face, void_complex
-from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError
+from .complexes import (SimplicialComplex, closure_masks, face_budget, face_mask, from_masks, mask_face,
+                        void_complex)
+from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
 from .graphs import Graph, independent_sets, induced_k_independent
 
 
@@ -88,14 +89,16 @@ class Cover:
         return len(self.part_labels)
 
     def _index_set(self, indices) -> int:
-        """The parts of ``indices`` as a bitmask, each checked in range."""
-        idx = frozenset(indices)
+        """The parts of ``indices`` as a bitmask, each checked in range
+        before its bit is set."""
+        idx = 0
+        for i in indices:
+            if not 0 <= i < self.n_parts:
+                raise InvalidParameterError(f"part index {i} out of range")
+            idx |= 1 << i
         if not idx:
             raise InvalidParameterError("index set must be nonempty")
-        for i in sorted(idx):
-            if not (0 <= i < self.n_parts):
-                raise InvalidParameterError(f"part index {i} out of range")
-        return face_mask(idx)
+        return idx
 
     @cached_property
     def _supports(self) -> tuple[int, ...]:
@@ -118,6 +121,31 @@ class Cover:
         indices).has_vertices()``, without building the complex."""
         idx = self._index_set(indices)
         return any(face and idx & holders == idx for face, holders in self.generators)
+
+    def reading_gap(self) -> int:
+        """How many nonempty index sets the two readings disagree on: the
+        count of I with ``raw_intersection_nonempty(I) !=
+        generated_nonempty(I)``, read off one table over all index sets.
+
+        A generator's face lies in each part that holds it, so every
+        generated index set is raw-nonempty and the count is #raw -
+        #generated.  ``raw[I]`` is the AND of the supports of I, built from
+        I minus its lowest part; the generated index sets are the nonempty
+        subsets of the holders of generators with a nonempty face."""
+        budget = face_budget()
+        if 1 << self.n_parts > budget:
+            raise ResourceLimitError("index-set table", budget)
+        sup = self._supports
+        raw = [-1]  # the empty index set: every vertex
+        raw_count = 0
+        for idx in range(1, 1 << self.n_parts):
+            low = idx & -idx
+            meet = raw[idx ^ low] & sup[low.bit_length() - 1]
+            raw.append(meet)
+            raw_count += meet != 0
+        generated = closure_masks([holders for face, holders in self.generators if face], len(raw))
+        generated.discard(0)
+        return raw_count - len(generated)
 
 
 def nerve(cover: Cover) -> SimplicialComplex:

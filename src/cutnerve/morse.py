@@ -196,7 +196,9 @@ class CollapseWitness:
     def from_json(cx: SimplicialComplex, text: str) -> "CollapseWitness":
         """Read a witness; a face that repeats a label is no face of any
         complex, so it becomes the mask -1, which no step or terminal
-        matches."""
+        matches.  A verdict other than "collapsible" or "unknown", or a
+        ``steps_tried`` that is not the count of dominations and steps, is
+        malformed."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise InvalidParameterError("a witness must be a JSON object")
@@ -211,7 +213,15 @@ class CollapseWitness:
         )
         steps = tuple((mask(s), mask(t)) for s, t in doc["steps"])
         terminal = tuple(sorted(map(mask, doc["terminal"])))
-        return CollapseWitness(steps, terminal, doc["verdict"], dominations)
+        verdict = doc["verdict"]
+        if verdict not in ("collapsible", "unknown"):
+            raise InvalidParameterError(f'verdict {json.dumps(verdict)} is not "collapsible" or "unknown"')
+        witness = CollapseWitness(steps, terminal, verdict, dominations)
+        tried = doc.get("steps_tried", witness.steps_tried)
+        if type(tried) is not int or tried != witness.steps_tried:
+            raise InvalidParameterError(
+                f"steps_tried {json.dumps(tried)} is not the {witness.steps_tried} dominations and steps")
+        return witness
 
 
 def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tuple[int, ...]]:

@@ -10,7 +10,7 @@ from cutnerve import complexes as cx
 from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
-from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError
+from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
 
 from oracles import (
     TupleCover,
@@ -275,6 +275,57 @@ def test_generated_nonempty_is_the_generator_reading():
             cover.generated_nonempty(bad)
 
 
+def reading_gap_by_index_sets(cover):
+    """The reading gap as the old per-index-set comparison."""
+    parts = range(cover.n_parts)
+    return sum(cover.raw_intersection_nonempty(idx) != cover.generated_nonempty(idx)
+               for m in parts for idx in combinations(parts, m + 1))
+
+
+def random_covers(seed, count):
+    """Covers of random bases by random generators: each facet with random
+    holders, then random faces, the empty face among them, with theirs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, parts = rng.randint(1, 6), rng.randint(1, 6)
+        faces = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
+        base = cx.from_masks([str(v) for v in range(n)], faces)
+        facets = base.facet_masks()
+        generators = [(f, rng.randrange(1 << parts)) for f in facets]
+        generators += [(rng.choice(facets) & rng.randrange(1 << n), rng.randrange(1 << parts))
+                       for _ in range(rng.randint(0, 5))]
+        yield cons.Cover(base, [f"p{i}" for i in range(parts)], generators)
+
+
+def test_reading_gap_table_matches_the_index_set_readings():
+    octahedron = gr.Graph([str(i + 1) for i in range(6)], [
+        (a, b) for a in range(6) for b in range(a + 1, 6)
+        if {a, b} not in ({0, 5}, {1, 4}, {2, 3})
+    ])
+    path = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
+    covers = [cons.independent_cover(gr.cycle(n), k) for k in (2, 3) for n in range(max(4, 2 * k), 10)]
+    covers += [cons.independent_cover(g, k) for g in small_graph_corpus() + [octahedron, path, gr.star(3)]
+               for k in (2, 3) if gr.independent_sets(g, k)]
+    covers += [cons.facet_star_cover(cx.full_simplex("abcd"), "abcd"),
+               cons.Cover(cx.full_simplex("ab"), "xyz", [(0b11, 0b011), (0b11, 0b110)])]
+    covers += random_covers(23, 200)
+    gaps = []
+    for cover in covers:
+        gaps.append(reading_gap_by_index_sets(cover))
+        assert cover.reading_gap() == gaps[-1], (cover.part_labels, cover.generators)
+    assert gaps[:3] == [0, 10, 13]  # the 4-, 5- and 6-cycle covers at k = 2
+    assert sum(map(bool, gaps)) > len(gaps) // 4
+
+
+def test_reading_gap_table_is_bounded_by_the_face_budget(monkeypatch):
+    cover = cons.independent_cover(gr.cycle(6), 2)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "63")
+    with pytest.raises(ResourceLimitError):
+        cover.reading_gap()
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "64")
+    assert cover.reading_gap() == 13
+
+
 def test_nerve_equals_total_cut_on_corpus():
     for g in small_graph_corpus():
         for k in (2, 3):
@@ -294,6 +345,21 @@ def test_isolated_independent_set_keeps_nerve_equality():
     tc = cons.total_cut_complex(g, 2)
     assert cx.equals_labeled(nerve, tc)
     assert not cover.raw_intersection_nonempty([1])  # no nonempty face anywhere
+
+
+def test_isolated_independent_set_is_a_generator_with_the_empty_face():
+    # prop-4-10 reads its isolated-set flag off the generators
+    flagged = 0
+    for g in small_graph_corpus() + [gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)]), gr.star(3)]:
+        for k in (2, 3):
+            sets = [frozenset(s) for s in gr.independent_sets(g, k)]
+            if not sets:
+                continue
+            cover = cons.independent_cover(g, k)
+            isolated = [all(a & b for b in sets if b is not a) for a in sets]
+            assert [face == 0 for face, _ in cover.generators] == isolated, (g.labels, g.edges(), k)
+            flagged += any(isolated)
+    assert flagged >= 3
 
 
 def test_facet_star_cover_full_simplex():
@@ -379,6 +445,9 @@ def test_cover_index_sets_nonempty_and_in_range():
             cons.cover_intersection(cover, bad)
         with pytest.raises(InvalidParameterError):
             cover.raw_intersection_nonempty(bad)
+    # any iterable, read once; a repeated index counts once
+    assert cons.cover_intersection(cover, iter([2, 0, 2])) == cons.cover_intersection(cover, [0, 2])
+    assert cover.raw_intersection_nonempty(i for i in (1, 1))
 
 
 def test_cover_keeps_generators_that_share_a_face():

@@ -10,7 +10,7 @@ from cutnerve import complexes as cx
 from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
-from cutnerve import morse
+from cutnerve import morse, verify
 from cutnerve.errors import (
     InvalidMatchingError,
     InvalidParameterError,
@@ -416,6 +416,27 @@ def test_greedy_collapse_cycle_cover_intersections():
             witness = morse.greedy_collapse(inter)
             assert witness.is_collapsible()
             assert morse.replay_collapse(inter, witness)
+
+
+def test_greedy_collapse_is_the_oracle_of_the_cone_apex():
+    # thm-3-1 passes a cone intersection on its apex alone; the search must
+    # find every such cone collapsible, with a witness that replays
+    cones = []
+    for k in (2, 3):
+        for n in range(2 * k, 9):
+            cones += [inter for inter in cycle_cover_intersections(n, k) if verify._cone_apexes(inter)]
+    assert len(cones) == 319 + 222  # the cycle-collapse sizes, then n = 8, k = 2
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        apex = 1 << rng.randrange(n)
+        facets = [rng.randrange(1 << n) | apex for _ in range(rng.randint(1, 6))]
+        cones.append(cx.from_masks([str(v) for v in range(n)], facets))
+    for c in cones:
+        assert verify._cone_apexes(c)
+        witness = morse.greedy_collapse(c)
+        assert witness.is_collapsible(), c
+        assert morse.replay_collapse(c, witness), c
 
 
 def dominated_vertex(c):

@@ -163,6 +163,19 @@ def test_corpus_graph_deterministic():
     assert verify.corpus_graph(5, 2027).to_json() != g1.to_json()
 
 
+def test_thm_3_1_cone_certificate_reports_match_the_search_everywhere(monkeypatch):
+    # with no apex found the search runs on every intersection; the
+    # extended-class reports must not change by a byte
+    params = verify.SCENARIOS["thm-3-1"].class_params["extended"]
+
+    def reports():
+        return [json.dumps(verify.run_scenario("thm-3-1", p).to_dict(), sort_keys=True) for p in params]
+
+    certified = reports()
+    monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
+    assert reports() == certified
+
+
 def test_prop_4_10_small_run():
     r = verify.run_scenario("prop-4-10", {"count": 12, "seed": 2026})
     assert r.verdict == "pass"
@@ -448,6 +461,24 @@ def test_cli_replay_refuses_repeated_label_faces(tmp_path, capsys):
                          % (dominations, steps, terminal))
         assert main(["collapse", str(cpath), "--replay", str(wpath)]) == code, (dominations, steps, terminal)
         assert json.loads(capsys.readouterr().out) == {"replay": "invalid" if code else "valid"}
+
+
+def test_cli_replay_refuses_malformed_verdict_and_steps_tried(tmp_path, capsys):
+    cpath = tmp_path / "point.json"
+    cpath.write_text('{"vertices":["a"],"facets":[[0]],"void":false}')
+    wpath = tmp_path / "w.json"
+    witness = '{"verdict":%s,%s"dominations":[],"steps":[],"terminal":[["a"]]}'
+    for verdict in ("5", '"yes"', "null", '["collapsible"]'):
+        wpath.write_text(witness % (verdict, ""))
+        assert _cli_error(capsys, ["collapse", str(cpath), "--replay", str(wpath)]) == 2, verdict
+    for tried in ('"x"', "1", "-1", "true", "0.0", "null"):
+        wpath.write_text(witness % ('"collapsible"', '"steps_tried":%s,' % tried))
+        assert _cli_error(capsys, ["collapse", str(cpath), "--replay", str(wpath)]) == 2, tried
+    # a count that matches, or none, replays
+    for tried in ('"steps_tried":0,', ""):
+        wpath.write_text(witness % ('"collapsible"', tried))
+        assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0, tried
+        assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
 
 
 def test_cli_replay_refuses_malformed_dominations(tmp_path, capsys):
