@@ -20,7 +20,7 @@ import sys
 from . import constructions as cons
 from . import graphs as gr
 from . import morse
-from .complexes import SimplicialComplex, mask_face
+from .complexes import SimplicialComplex
 from .errors import (GuardError, InvalidMatchingError, InvalidParameterError,
                      ResourceLimitError, VoidComplexError)
 from .homology import reduced_homology
@@ -140,7 +140,7 @@ def _cmd_morse(args) -> int:
     vertices = [v.strip() for v in args.vertices.split(",") if v.strip()]
     pairs = morse.element_matching_sequence(cx, vertices)
     try:
-        critical = [list(cx.labels_of_face(mask_face(f))) for f in morse.critical_cells(cx, pairs)]
+        critical = [list(cx.labels_of_face(f)) for f in morse.critical_cells(cx, pairs)]
     except InvalidMatchingError:
         critical = None
     doc = {"pairs": len(pairs), "acyclic": critical is not None, "critical": critical}

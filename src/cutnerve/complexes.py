@@ -1,10 +1,11 @@
 """Simplicial complexes with facet-based storage.
 
-Faces are strictly sorted tuples of vertex indices, or vertex bitmasks; the
-empty tuple (mask 0) is the empty face.  A complex stores only the bitmasks
-of its inclusion-maximal faces (facets), builds their tuples on first use,
-and enumerates the downward closure on demand, guarded by a configurable
-total face budget (env var CUTNERVE_FACE_BUDGET, default 2_000_000).
+Faces are vertex bitmasks, or strictly sorted tuples of vertex indices where
+a report or a test reads them; mask 0 (the empty tuple) is the empty face.
+A complex is built from face masks and stores only those of its
+inclusion-maximal faces (facets), builds their tuples on first use, and
+enumerates the downward closure on demand, guarded by a configurable total
+face budget (env var CUTNERVE_FACE_BUDGET, default 2_000_000).
 
 Two degenerate complexes are distinguished: the void complex has no faces at
 all, while the empty complex contains exactly the empty face.  Vertex
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 from functools import reduce
-from itertools import combinations
 from operator import or_
 
 from .errors import (
@@ -81,53 +81,24 @@ def closure_masks(masks, limit: int) -> set[int]:
     return faces
 
 
-def _checked_masks(faces, n: int):
-    """Vertex bitmasks of ``faces``, lazily: no bit is shifted before every
-    vertex is checked to lie in 0..n-1."""
-    used = set().union(*faces)
-    if used and not (0 <= min(used) and max(used) < n):
-        f, v = next((f, v) for f in faces for v in f if not 0 <= v < n)
-        raise InvalidFaceError(f"face {f} references unknown vertex {v}")
-    yield from map(face_mask, faces)
-
-
 class SimplicialComplex:
-    """Immutable simplicial complex over a labeled ground set.  The stored
-    form is the sorted tuple of facet bitmasks; ``facets``, the sorted
-    vertex tuples, is a view built on first use."""
+    """Immutable simplicial complex over a labeled ground set, generated by
+    the faces ``masks`` (vertex bitmasks): [] is the void complex and [0]
+    the empty complex.  The stored form is the sorted facet antichain of
+    ``masks``; ``facets``, the sorted vertex tuples, is a view built on
+    first use."""
 
-    __slots__ = ("labels", "void", "_masks", "_facets", "_closure", "_homology")
+    __slots__ = ("labels", "_masks", "_facets", "_closure", "_homology")
 
-    def __init__(self, labels, facets, void: bool = False):
+    def __init__(self, labels, masks):
         labels = tuple(labels)
-        faces = [tuple(f) for f in facets]
-        # the void complex only needs to know that it was given no face
-        self._setup(labels, faces if void else _checked_masks(faces, len(labels)), void)
-
-    def _setup(self, labels: tuple, masks, void: bool):
-        """The one set-up of both constructors: unique labels, then the
-        facet antichain of ``masks``."""
         if len(set(labels)) != len(labels):
             raise InvalidParameterError("ground labels must be unique")
-        if void:
-            if masks:
-                raise InvalidParameterError("the void complex has no facets")
-            masks = ()
-        else:
-            masks = mask_antichain(masks)
-            if not masks:
-                raise InvalidParameterError(
-                    "a non-void complex needs at least the empty face; "
-                    "pass void=True or facets=[()]"
-                )
-            if masks[0] < 0 or masks[-1] >> len(labels):
-                raise InvalidFaceError(f"a face mask references a vertex outside 0..{len(labels) - 1}")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "void", void)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_facets", None)
-        object.__setattr__(self, "_closure", None)
-        object.__setattr__(self, "_homology", None)
+        masks = mask_antichain(masks)
+        if masks and (masks[0] < 0 or masks[-1] >> len(labels)):
+            raise InvalidFaceError(f"a face mask references a vertex outside 0..{len(labels) - 1}")
+        for name, value in zip(self.__slots__, (labels, masks, None, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -138,12 +109,17 @@ class SimplicialComplex:
     def n_vertices(self) -> int:
         return len(self.labels)
 
+    @property
+    def void(self) -> bool:
+        """True for the void complex, the one with no face at all."""
+        return not self._masks
+
     def is_void(self) -> bool:
         return self.void
 
     def is_empty_complex(self) -> bool:
         """True for the complex whose only face is the empty face."""
-        return not self.void and self._masks == (0,)
+        return self._masks == (0,)
 
     def has_vertices(self) -> bool:
         """True when the complex contains at least one nonempty face."""
@@ -179,15 +155,20 @@ class SimplicialComplex:
         m = face_mask(face)
         return m in map(m.__and__, self._masks)
 
-    def face_of_labels(self, labels) -> tuple[int, ...]:
+    def face_of_labels(self, labels) -> int:
+        """The vertex bitmask of the face with these labels; a repeated
+        label gives -1, which is no face of any complex."""
         idx = {lab: i for i, lab in enumerate(self.labels)}
         try:
-            return tuple(sorted(idx[l] for l in labels))
+            bits = [1 << idx[lab] for lab in labels]
         except KeyError as e:
             raise InvalidFaceError(f"unknown vertex label {e.args[0]!r}") from None
+        m = reduce(or_, bits, 0)
+        return m if m.bit_count() == len(bits) else -1
 
-    def labels_of_face(self, face) -> tuple[str, ...]:
-        return tuple(self.labels[v] for v in face)
+    def labels_of_face(self, m: int) -> tuple[str, ...]:
+        """The labels of the face with vertex bitmask ``m``, in index order."""
+        return tuple(self.labels[v] for v in mask_face(m))
 
     # -- closure ------------------------------------------------------------
 
@@ -223,11 +204,10 @@ class SimplicialComplex:
             isinstance(other, SimplicialComplex)
             and self.labels == other.labels
             and self._masks == other._masks
-            and self.void == other.void
         )
 
     def __hash__(self):
-        return hash((self.labels, self._masks, self.void))
+        return hash((self.labels, self._masks))
 
     def __repr__(self):
         if self.void:
@@ -248,12 +228,17 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json(text: str) -> "SimplicialComplex":
+        """Read ``to_json`` output; ``"void"`` must agree with the facets."""
         doc = json.loads(text)
-        labels, facets, void = doc["vertices"], [tuple(f) for f in doc["facets"]], doc.get("void", False)
-        check_json_ground(labels, facets, "face")
+        labels, facets, void = doc["vertices"], doc["facets"], doc.get("void", False)
+        check_json_ground(labels, facets)
         if type(void) is not bool:
             raise InvalidParameterError(f'"void" is {json.dumps(void)}, not a JSON boolean')
-        return SimplicialComplex(labels, facets, void=void)
+        cx = from_facets(labels, facets)
+        if void != cx.void:
+            raise InvalidParameterError("the void complex has no facets" if void else (
+                "a non-void complex needs at least the empty face; pass void=True or facets=[()]"))
+        return cx
 
 
 def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:
@@ -261,8 +246,6 @@ def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 
     Ground labels that appear in no face do not affect the comparison.
     """
-    if a.void or b.void:
-        return a.void == b.void
     if a.labels == b.labels:
         return a._masks == b._masks
     return a.facet_label_family() == b.facet_label_family()
@@ -273,46 +256,43 @@ def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:
 # ---------------------------------------------------------------------------
 
 def from_facets(labels, faces) -> SimplicialComplex:
-    """Complex generated by ``faces``; [] yields the void complex and [()]
-    the empty complex."""
-    faces = list(faces)
-    return SimplicialComplex(labels, faces, void=not faces)
-
-
-def from_masks(labels, masks) -> SimplicialComplex:
-    """``from_facets`` on faces given as vertex bitmasks: [] yields the void
-    complex and [0] the empty complex."""
-    masks = list(masks)
-    cx = SimplicialComplex.__new__(SimplicialComplex)
-    cx._setup(tuple(labels), masks, not masks)
-    return cx
+    """Complex generated by the vertex tuples ``faces``: [] yields the void
+    complex and [()] the empty complex.  No bit is shifted before every
+    vertex is checked to lie in 0..n-1."""
+    labels, faces = tuple(labels), [tuple(f) for f in faces]
+    used = set().union(*faces)
+    if used and not (0 <= min(used) and max(used) < len(labels)):
+        f, v = next((f, v) for f in faces for v in f if not 0 <= v < len(labels))
+        raise InvalidFaceError(f"face {f} references unknown vertex {v}")
+    return SimplicialComplex(labels, map(face_mask, faces))
 
 
 def void_complex(labels=()) -> SimplicialComplex:
-    return SimplicialComplex(labels, [], void=True)
+    return SimplicialComplex(labels, [])
 
 
 def empty_complex(labels=()) -> SimplicialComplex:
-    return SimplicialComplex(labels, [()])
+    return SimplicialComplex(labels, [0])
 
 
 def full_simplex(labels) -> SimplicialComplex:
     labels = tuple(labels)
-    return SimplicialComplex(labels, [tuple(range(len(labels)))])
+    return SimplicialComplex(labels, [(1 << len(labels)) - 1])
 
 
 def simplex_boundary(labels) -> SimplicialComplex:
     """Boundary of the full simplex on the given labels."""
     labels = tuple(labels)
-    n = len(labels)
-    if n == 0:
+    if not labels:
         raise InvalidParameterError("boundary needs at least one vertex")
-    return SimplicialComplex(labels, combinations(range(n), n - 1))
+    full = (1 << len(labels)) - 1
+    return SimplicialComplex(labels, [full ^ 1 << v for v in range(len(labels))])
 
 
 def discrete_points(labels) -> SimplicialComplex:
+    """One vertex per label; the empty complex on no labels."""
     labels = tuple(labels)
-    return SimplicialComplex(labels, [(i,) for i in range(len(labels))])
+    return SimplicialComplex(labels, [0] + [1 << v for v in range(len(labels))])
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +300,12 @@ def discrete_points(labels) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Join: facets are unions of facet pairs.  Join with void is void."""
+    """Join: facets are unions of facet pairs, so a join with void is void."""
     overlap = set(a.labels) & set(b.labels)
     if overlap:
         raise InvalidParameterError(f"join requires disjoint labels, shared: {sorted(overlap)}")
-    labels = a.labels + b.labels
-    if a.void or b.void:
-        return void_complex(labels)
     off = a.n_vertices
-    return from_masks(labels, [fa | fb << off for fa in a._masks for fb in b._masks])
+    return SimplicialComplex(a.labels + b.labels, [fa | fb << off for fa in a._masks for fb in b._masks])
 
 
 def _merge_ground(a: SimplicialComplex, b: SimplicialComplex) -> tuple:
@@ -341,14 +318,10 @@ def _merge_ground(a: SimplicialComplex, b: SimplicialComplex) -> tuple:
 def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Union of face sets over the merged label universe."""
     labels, fa, fb = _merge_ground(a, b)
-    if a.void and b.void:
-        return void_complex(labels)
-    return from_masks(labels, fa + fb)
+    return SimplicialComplex(labels, fa + fb)
 
 
 def intersection(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Intersection of face sets, generated by pairwise facet intersections."""
     labels, fa, fb = _merge_ground(a, b)
-    if a.void or b.void:
-        return void_complex(labels)
-    return from_masks(labels, [x & y for x in fa for y in fb])
+    return SimplicialComplex(labels, [x & y for x in fa for y in fb])

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
-from .complexes import (SimplicialComplex, closure_masks, face_budget, face_mask, from_masks, mask_face,
-                        void_complex)
+from .complexes import SimplicialComplex, closure_masks, face_budget, face_mask, mask_face
 from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
 from .graphs import Graph, independent_sets, induced_k_independent
 
@@ -31,9 +30,7 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
     maximal neighborhoods N(v).  Vertices without neighbors stay in the
     ground set but appear in no face; a graph with no edges yields the empty
     complex and a graph with no vertices the void complex."""
-    if g.n == 0:
-        return void_complex(())
-    return from_masks(g.labels, g.adjacency_masks() + (0,))
+    return SimplicialComplex(g.labels, g.adjacency_masks() + (0,) if g.n else ())
 
 
 def _cut_masks(g: Graph, k: int) -> list[int]:
@@ -46,7 +43,7 @@ def total_cut_complex(g: Graph, k: int) -> SimplicialComplex:
     are none, pure of dimension |V| - k - 1 otherwise."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    return from_masks(g.labels, _cut_masks(g, k))
+    return SimplicialComplex(g.labels, _cut_masks(g, k))
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def nerve(cover: Cover) -> SimplicialComplex:
     face-set reading makes strictly more index sets intersect and breaks the
     advertised identities with total cut complexes (see
     ``raw_intersection_nonempty`` for the comparison hook)."""
-    return from_masks(cover.part_labels, [holders for _, holders in cover.generators] or [0])
+    return SimplicialComplex(cover.part_labels, [holders for _, holders in cover.generators] or [0])
 
 
 def independent_cover(g: Graph, k: int) -> Cover:
@@ -176,7 +173,7 @@ def cover_intersection(cover: Cover, indices) -> SimplicialComplex:
     """Subcomplex generated by the faces held by every part of the index
     set; void when no generator qualifies."""
     idx = cover._index_set(indices)
-    return from_masks(cover.base.labels, [f for f, holders in cover.generators if idx & holders == idx])
+    return SimplicialComplex(cover.base.labels, [f for f, holders in cover.generators if idx & holders == idx])
 
 
 def facet_star_cover(base: SimplicialComplex, markers) -> Cover:

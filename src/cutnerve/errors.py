@@ -37,14 +37,25 @@ class GuardError(ValueError):
     """A scenario parameter lies outside its desk-scale guard."""
 
 
-def check_json_ground(labels, groups, what: str):
-    """Labels read from JSON must be strings, and each ``what`` (face or
-    edge) must list int vertex indices: JSON ``true`` is not vertex 1."""
-    for lab in labels:
+def json_array(value, what: str, length: int | None = None) -> list:
+    """``value`` when it is a JSON array, of ``length`` items if given: a
+    string or an object iterates too, as characters or keys, so neither
+    passes."""
+    if type(value) is not list:
+        raise InvalidParameterError(f"{what} is {json.dumps(value)}, not a JSON array")
+    if length is not None and len(value) != length:
+        raise InvalidParameterError(f"{what} {json.dumps(value)} has {len(value)} items, not {length}")
+    return value
+
+
+def check_json_ground(labels, faces):
+    """The labels read from JSON must be an array of strings, and the faces
+    an array of arrays of int vertex indices: JSON ``true`` is not vertex
+    1."""
+    for lab in json_array(labels, '"vertices"'):
         if not isinstance(lab, str):
             raise InvalidParameterError(f"vertex label {json.dumps(lab)} is not a string")
-    for group in groups:
-        for v in group:
+    for face in json_array(faces, '"facets"'):
+        for v in json_array(face, "a face"):
             if type(v) is not int:
-                raise InvalidParameterError(
-                    f"{what} {json.dumps(group)} has {json.dumps(v)} for a vertex index")
+                raise InvalidParameterError(f"face {json.dumps(face)} has {json.dumps(v)} for a vertex index")

@@ -12,18 +12,17 @@ import json
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidParameterError, check_json_ground
+from .errors import InvalidParameterError
 
 
 class Graph:
     """Immutable undirected graph with labeled vertices.
 
     The stored form is one neighbor bitmask per vertex, symmetric and
-    irreflexive by construction; ``adj[i]``, the frozenset of neighbors of
-    vertex i, is a view built on first use.
+    irreflexive by construction.
     """
 
-    __slots__ = ("labels", "_masks", "_adj", "_sets")
+    __slots__ = ("labels", "_masks", "_sets")
 
     def __init__(self, labels: list[str] | tuple[str, ...], edges):
         labels = tuple(labels)
@@ -41,7 +40,6 @@ class Graph:
             masks[j] |= 1 << i
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_sets", {})
 
     def __setattr__(self, name, value):
@@ -50,14 +48,6 @@ class Graph:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def adj(self) -> tuple[frozenset, ...]:
-        """Per vertex, the frozenset of its neighbors; built on first use."""
-        if self._adj is None:
-            adj = tuple(frozenset(j for j in range(m.bit_length()) if m >> j & 1) for m in self._masks)
-            object.__setattr__(self, "_adj", adj)
-        return self._adj
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, m in enumerate(self._masks) for j in range(i + 1, m.bit_length()) if m >> j & 1]
@@ -95,13 +85,6 @@ class Graph:
         edges = sorted(tuple(sorted((pos[i], pos[j]))) for i, j in self.edges())
         doc = {"vertices": [self.labels[i] for i in order], "edges": [list(e) for e in edges]}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        doc = json.loads(text)
-        labels, edges = doc["vertices"], [tuple(e) for e in doc["edges"]]
-        check_json_ground(labels, edges, "edge")
-        return Graph(labels, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -208,20 +208,6 @@ class HomologyProfile:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_json(text: str) -> "HomologyProfile":
-        doc = json.loads(text)
-        grouped: dict[int, list[int]] = {}
-        for d, c in doc.get("torsion", []):
-            grouped.setdefault(d, []).append(c)
-        torsion = tuple((d, tuple(sorted(cs))) for d, cs in sorted(grouped.items()))
-        return HomologyProfile(
-            betti=tuple(doc.get("betti", [])),
-            torsion=torsion,
-            minus_one_rank=doc.get("minus_one", 0),
-            void=doc.get("void", False),
-        )
-
-    @staticmethod
     def sphere(d: int) -> "HomologyProfile":
         return HomologyProfile.wedge(d, 1)
 

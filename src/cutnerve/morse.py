@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .complexes import SimplicialComplex, closure_masks, face_budget, face_mask, mask_face
-from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError
+from .complexes import SimplicialComplex, closure_masks, face_budget, mask_face
+from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array
 from .homology import ElementMatching
 
 
@@ -181,7 +181,7 @@ class CollapseWitness:
     def to_json(self, cx: SimplicialComplex) -> str:
         """Faces as label lists; ``terminal`` in vertex-tuple order."""
         def labels(face):
-            return [cx.labels[v] for v in mask_face(face)]
+            return list(cx.labels_of_face(face))
 
         doc = {
             "verdict": self.verdict,
@@ -196,23 +196,24 @@ class CollapseWitness:
     def from_json(cx: SimplicialComplex, text: str) -> "CollapseWitness":
         """Read a witness; a face that repeats a label is no face of any
         complex, so it becomes the mask -1, which no step or terminal
-        matches.  A verdict other than "collapsible" or "unknown", or a
-        ``steps_tried`` that is not the count of dominations and steps, is
-        malformed."""
+        matches.  Faces, steps, dominations and their lists must be JSON
+        arrays, a step two faces and a domination two labels; a verdict
+        other than "collapsible" or "unknown", or a ``steps_tried`` that is
+        not the count of dominations and steps, is malformed too."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise InvalidParameterError("a witness must be a JSON object")
 
-        def mask(labels):
-            face = cx.face_of_labels(labels)
-            return face_mask(face) if len(set(face)) == len(face) else -1
+        def mask(face):
+            return cx.face_of_labels(json_array(face, "a witness face"))
 
         dominations = tuple(
-            (cx.face_of_labels([v])[0], cx.face_of_labels([w])[0])
-            for v, w in doc.get("dominations", ())
+            tuple(cx.face_of_labels([lab]).bit_length() - 1 for lab in json_array(pair, "a domination", 2))
+            for pair in json_array(doc.get("dominations", []), '"dominations"')
         )
-        steps = tuple((mask(s), mask(t)) for s, t in doc["steps"])
-        terminal = tuple(sorted(map(mask, doc["terminal"])))
+        steps = tuple(tuple(map(mask, json_array(step, "a step", 2)))
+                      for step in json_array(doc["steps"], '"steps"'))
+        terminal = tuple(sorted(map(mask, json_array(doc["terminal"], '"terminal"'))))
         verdict = doc["verdict"]
         if verdict not in ("collapsible", "unknown"):
             raise InvalidParameterError(f'verdict {json.dumps(verdict)} is not "collapsible" or "unknown"')

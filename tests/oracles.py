@@ -194,7 +194,7 @@ def link(a, face):
     if not a.contains_face(sigma):
         raise InvalidFaceError(f"{sigma} is not a face of the complex")
     s = cx.face_mask(sigma)
-    return cx.from_masks(a.labels, [f ^ s for f in a.facet_masks() if f & s == s])
+    return cx.SimplicialComplex(a.labels, [f ^ s for f in a.facet_masks() if f & s == s])
 
 
 def skeleton(a, d: int):

@@ -67,6 +67,25 @@ def test_from_facets_void_and_empty():
     assert e.dimension() == -1
 
 
+def test_mask_constructors_match_their_tuple_facets():
+    # every constructor builds its facet masks directly; from_facets on the
+    # vertex tuples is the oracle, past bit 64 too
+    for n in range(71):
+        labels = [f"v{i}" for i in range(n)]
+        full = tuple(range(n))
+        assert cx.void_complex(labels) == cx.from_facets(labels, [])
+        assert cx.empty_complex(labels) == cx.from_facets(labels, [()])
+        assert cx.full_simplex(labels) == cx.from_facets(labels, [full])
+        assert cx.discrete_points(labels) == cx.from_facets(labels, [()] + [(v,) for v in full])
+        if n:
+            assert cx.simplex_boundary(labels) == cx.from_facets(labels, combinations(full, n - 1))
+    assert cx.SimplicialComplex("ab", []).is_void() and cx.SimplicialComplex("ab", []).void
+    assert cx.SimplicialComplex("ab", [0]).is_empty_complex()
+    assert cx.discrete_points("").is_empty_complex()
+    with pytest.raises(InvalidParameterError, match="boundary needs at least one vertex"):
+        cx.simplex_boundary("")
+
+
 def test_from_facets_unknown_vertex():
     with pytest.raises(InvalidFaceError):
         cx.from_facets("ab", [(0, 5)])
@@ -88,7 +107,7 @@ def test_antichain_against_brute_force():
             if rng.random() < 0.3:
                 faces.append(face[::-1])
         by_tuples = cx.from_facets(labels, faces)
-        by_masks = cx.from_masks(labels, map(cx.face_mask, faces))
+        by_masks = cx.SimplicialComplex(labels, map(cx.face_mask, faces))
         assert list(by_tuples.facets) == brute_antichain(faces), faces
         assert by_masks == by_tuples and hash(by_masks) == hash(by_tuples), faces
         assert by_masks.facet_masks() == tuple(sorted(map(cx.face_mask, by_masks.facets)))
@@ -130,7 +149,7 @@ def test_vertex_guards_shift_no_bit_out_of_range():
     # a mask that names a vertex outside the ground set is refused too
     for masks in ([0b100], [-1]):
         with pytest.raises(InvalidFaceError, match="outside 0..1"):
-            cx.from_masks("ab", masks)
+            cx.SimplicialComplex("ab", masks)
 
 
 def test_contains_face_on_masks():
@@ -460,6 +479,16 @@ def test_complex_json_roundtrip():
     ('{"vertices":["a"],"facets":[],"void":"no"}', '"void" is "no", not a JSON boolean'),
     ('{"vertices":["a"],"facets":[[0]],"void":0}', '"void" is 0, not a JSON boolean'),
     ('{"vertices":["a"],"facets":[],"void":null}', '"void" is null, not a JSON boolean'),
+    ('{"vertices":["a"],"facets":[[0]],"void":true}', "the void complex has no facets"),
+    ('{"vertices":["a"],"facets":[],"void":false}',
+     "a non-void complex needs at least the empty face; pass void=True or facets=[()]"),
+    ('{"vertices":["a"],"facets":[]}', "a non-void complex needs at least the empty face"),
+    # a string or an object iterates as characters or keys, so neither is an array
+    ('{"vertices":"abc","facets":[[0,1],[2]],"void":false}', '"vertices" is "abc", not a JSON array'),
+    ('{"vertices":{"a":1,"b":2},"facets":[[0,1]]}', '"vertices" is {"a": 1, "b": 2}, not a JSON array'),
+    ('{"vertices":["a"],"facets":{},"void":true}', '"facets" is {}, not a JSON array'),
+    ('{"vertices":["a"],"facets":[""]}', 'a face is "", not a JSON array'),
+    ('{"vertices":["a"],"facets":[[0],{}]}', "a face is {}, not a JSON array"),
 ])
 def test_complex_json_needs_int_vertices_and_string_labels(text, message):
     with pytest.raises(InvalidParameterError, match=re.escape(message)):

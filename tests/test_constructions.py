@@ -289,7 +289,7 @@ def random_covers(seed, count):
     for _ in range(count):
         n, parts = rng.randint(1, 6), rng.randint(1, 6)
         faces = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
-        base = cx.from_masks([str(v) for v in range(n)], faces)
+        base = cx.SimplicialComplex([str(v) for v in range(n)], faces)
         facets = base.facet_masks()
         generators = [(f, rng.randrange(1 << parts)) for f in facets]
         generators += [(rng.choice(facets) & rng.randrange(1 << n), rng.randrange(1 << parts))

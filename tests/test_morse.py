@@ -31,7 +31,8 @@ def ladder_total_cut(n):
 
 
 def face_of(c, labels):
-    return c.face_of_labels(labels)
+    """The vertex tuple of the face with these labels."""
+    return cx.mask_face(c.face_of_labels(labels))
 
 
 def tuple_pairs(pairs):
@@ -100,8 +101,7 @@ def assert_matches_closure_oracle(c, vertices):
     """The pairs, every face's partner and the critical cells of the
     sequence's matching are the closure oracle's."""
     m = morse.element_matching_sequence(c, vertices)
-    expected = closure_element_matching(c, [c.face_of_labels([v])[0] if isinstance(v, str) else v
-                                            for v in vertices])
+    expected = closure_element_matching(c, [c.labels.index(v) if isinstance(v, str) else v for v in vertices])
     assert tuple_pairs(m) == expected
     expected_partner = {f: g for s, t in expected for f, g in ((s, t), (t, s))}
     faces = c.all_faces()
@@ -295,7 +295,7 @@ def collapsed(c, steps):
     """The complex left by ``steps``, which must all apply."""
     applied, left = morse.apply_collapses(c, (), mask_pairs(steps))
     assert applied == len(steps)
-    return cx.from_masks(c.labels, left)
+    return cx.SimplicialComplex(c.labels, left)
 
 
 def test_ladder_neighborhood_free_faces():
@@ -303,10 +303,10 @@ def test_ladder_neighborhood_free_faces():
     nc = cons.neighborhood_complex(gr.circular_ladder(n))
     for i in range(1, n + 1):
         for sign, other in (("+", "-"), ("-", "+")):
-            sigma = face_of(nc, [f"{i}{sign}", f"{(i + 1) % n + 1}{sign}"])
-            tau = face_of(nc, [f"{i}{sign}", f"{i % n + 1}{other}", f"{(i + 1) % n + 1}{sign}"])
-            applied, left = morse.apply_collapses(nc, (), mask_pairs([(sigma, tau)]))
-            assert applied == 1 and sigma not in faces_of(left) and tau not in faces_of(left)
+            sigma = nc.face_of_labels([f"{i}{sign}", f"{(i + 1) % n + 1}{sign}"])
+            tau = nc.face_of_labels([f"{i}{sign}", f"{i % n + 1}{other}", f"{(i + 1) % n + 1}{sign}"])
+            applied, left = morse.apply_collapses(nc, (), [(sigma, tau)])
+            assert applied == 1 and sigma not in left and tau not in left
 
 
 def test_elementary_collapse_edge_to_point():
@@ -431,7 +431,7 @@ def test_greedy_collapse_is_the_oracle_of_the_cone_apex():
         n = rng.randint(1, 7)
         apex = 1 << rng.randrange(n)
         facets = [rng.randrange(1 << n) | apex for _ in range(rng.randint(1, 6))]
-        cones.append(cx.from_masks([str(v) for v in range(n)], facets))
+        cones.append(cx.SimplicialComplex([str(v) for v in range(n)], facets))
     for c in cones:
         assert verify._cone_apexes(c)
         witness = morse.greedy_collapse(c)

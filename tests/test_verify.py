@@ -7,7 +7,7 @@ import pytest
 
 from cutnerve import cli, verify
 from cutnerve.cli import main
-from cutnerve.complexes import SimplicialComplex
+from cutnerve.complexes import SimplicialComplex, face_mask
 from cutnerve.errors import GuardError, InvalidParameterError
 
 from oracles import descent_collapse
@@ -377,6 +377,10 @@ def test_cli_bad_complex_file(tmp_path, capsys, command):
     ('{"vertices":["a","b"],"facets":[[0,"b"]]}', 'has "b" for a vertex index'),
     ('{"vertices":[1,2],"facets":[[0,1]]}', "vertex label 1 is not a string"),
     ('{"vertices":["a"],"facets":[],"void":"no"}', '"void" is "no", not a JSON boolean'),
+    ('{"vertices":"abc","facets":[[0,1],[2]],"void":false}', '"vertices" is "abc", not a JSON array'),
+    ('{"vertices":{"a":1,"b":2},"facets":[[0,1]],"void":false}', "not a JSON array"),
+    ('{"vertices":["a"],"facets":{},"void":true}', '"facets" is {}, not a JSON array'),
+    ('{"vertices":["a"],"facets":["",[0]],"void":false}', 'a face is "", not a JSON array'),
 ])
 def test_cli_refuses_non_int_vertex_and_non_string_label(tmp_path, capsys, text, named):
     path = tmp_path / "complex.json"
@@ -432,10 +436,13 @@ def test_cli_replay_accepts_witness_without_dominations(tmp_path, capsys):
     steps, terminal, verdict = descent_collapse(c.facets)
     assert verdict == "collapsible"
     wpath = tmp_path / "w.json"
+    def labels(face):
+        return c.labels_of_face(face_mask(face))
+
     wpath.write_text(json.dumps({
         "verdict": verdict,
-        "steps": [[c.labels_of_face(s), c.labels_of_face(t)] for s, t in steps],
-        "terminal": [c.labels_of_face(f) for f in terminal],
+        "steps": [[labels(s), labels(t)] for s, t in steps],
+        "terminal": [labels(f) for f in terminal],
     }))
     capsys.readouterr()
     assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0
@@ -479,6 +486,46 @@ def test_cli_replay_refuses_malformed_verdict_and_steps_tried(tmp_path, capsys):
         wpath.write_text(witness % ('"collapsible"', tried))
         assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0, tried
         assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
+
+
+@pytest.mark.parametrize("complex_text, witness, named", [
+    # a string or an object iterates as labels or keys, so each of these
+    # once replayed "valid"; every part of a witness must be a JSON array
+    ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","steps":[],"terminal":"a"}',
+     '"terminal" is "a", not a JSON array'),
+    ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","steps":[],"terminal":{"a":1}}',
+     '"terminal" is {"a": 1}, not a JSON array'),
+    ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","steps":[],"terminal":["a"]}',
+     'a witness face is "a", not a JSON array'),
+    ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","steps":{},"terminal":[["a"]]}',
+     '"steps" is {}, not a JSON array'),
+    ('{"vertices":["a"],"facets":[[0]]}',
+     '{"verdict":"collapsible","dominations":{},"steps":[],"terminal":[["a"]]}',
+     '"dominations" is {}, not a JSON array'),
+    ('{"vertices":["a","b"],"facets":[[0,1]]}',
+     '{"verdict":"collapsible","steps":[{"a":0,"ab":1}],"terminal":[["b"]]}',
+     'a step is {"a": 0, "ab": 1}, not a JSON array'),
+    ('{"vertices":["a","b"],"facets":[[0,1]]}',
+     '{"verdict":"collapsible","steps":[[["a"],"ab"]],"terminal":[["b"]]}',
+     'a witness face is "ab", not a JSON array'),
+    ('{"vertices":["a","c"],"facets":[[0,1]]}',
+     '{"verdict":"collapsible","dominations":["ac"],"steps":[],"terminal":[["c"]]}',
+     'a domination is "ac", not a JSON array'),
+    ('{"vertices":["a","c"],"facets":[[0,1]]}',
+     '{"verdict":"collapsible","dominations":[{"a":0,"c":1}],"steps":[],"terminal":[["c"]]}',
+     'a domination is {"a": 0, "c": 1}, not a JSON array'),
+    ('{"vertices":["a","b"],"facets":[[0,1]]}',
+     '{"verdict":"collapsible","steps":[[["a"],["a","b"],["b"]]],"terminal":[["b"]]}',
+     'a step [["a"], ["a", "b"], ["b"]] has 3 items, not 2'),
+])
+def test_cli_replay_refuses_non_array_witness_parts(tmp_path, capsys, complex_text, witness, named):
+    cpath = tmp_path / "complex.json"
+    cpath.write_text(complex_text)
+    wpath = tmp_path / "w.json"
+    wpath.write_text(witness)
+    assert _cli_error(capsys, ["collapse", str(cpath), "--replay", str(wpath)]) == 2
+    main(["collapse", str(cpath), "--replay", str(wpath)])
+    assert named in capsys.readouterr().err
 
 
 def test_cli_replay_refuses_malformed_dominations(tmp_path, capsys):
