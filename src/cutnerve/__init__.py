@@ -4,7 +4,7 @@ nerves of covers, exact integer homology, and discrete Morse machinery.
 The package is organized by layer:
 
 - ``graphs``         graph families and independent-set machinery
-- ``complexes``      simplicial complexes and the join/union/intersection operations
+- ``complexes``      simplicial complexes as facet masks, compared by ``==``
 - ``constructions``  derived complexes (neighborhood, total cut, covers, nerves)
 - ``homology``       reduced integer homology by Morse reduction and Smith normal form
 - ``morse``          matchings, collapses, collapsibility search

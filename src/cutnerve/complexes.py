@@ -8,9 +8,9 @@ enumerates the downward closure on demand, guarded by a configurable total
 face budget (env var CUTNERVE_FACE_BUDGET, default 2_000_000).
 
 Two degenerate complexes are distinguished: the void complex has no faces at
-all, while the empty complex contains exactly the empty face.  Vertex
-identity across complexes is by label string, so complexes produced by
-different constructors can be joined, intersected, and compared.
+all, while the empty complex contains exactly the empty face.  Two complexes
+are equal when they have the same label tuple and the same facet masks;
+``facet_label_family`` compares complexes over different grounds.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class SimplicialComplex:
     ``masks``; ``facets``, the sorted vertex tuples, is a view built on
     first use."""
 
-    __slots__ = ("labels", "_masks", "_facets", "_closure", "_homology")
+    __slots__ = ("labels", "_masks", "_facets", "_bits", "_closure", "_homology")
 
     def __init__(self, labels, masks):
         labels = tuple(labels)
@@ -97,7 +97,7 @@ class SimplicialComplex:
         masks = mask_antichain(masks)
         if masks and (masks[0] < 0 or masks[-1] >> len(labels)):
             raise InvalidFaceError(f"a face mask references a vertex outside 0..{len(labels) - 1}")
-        for name, value in zip(self.__slots__, (labels, masks, None, None, None)):
+        for name, value in zip(self.__slots__, (labels, masks, None, None, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -114,13 +114,6 @@ class SimplicialComplex:
         """True for the void complex, the one with no face at all."""
         return not self._masks
 
-    def is_void(self) -> bool:
-        return self.void
-
-    def is_empty_complex(self) -> bool:
-        """True for the complex whose only face is the empty face."""
-        return self._masks == (0,)
-
     def has_vertices(self) -> bool:
         """True when the complex contains at least one nonempty face."""
         return bool(self._masks) and self._masks != (0,)
@@ -132,10 +125,6 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         return len(set(map(int.bit_count, self._masks))) <= 1
-
-    def vertex_support(self) -> tuple[int, ...]:
-        """Indices that appear in at least one face."""
-        return mask_face(reduce(or_, self._masks, 0))
 
     def facet_masks(self) -> tuple[int, ...]:
         """Vertex bitmasks of the facets, sorted: the stored form."""
@@ -149,18 +138,14 @@ class SimplicialComplex:
             object.__setattr__(self, "_facets", tuple(sorted(map(mask_face, self._masks))))
         return self._facets
 
-    def contains_face(self, face) -> bool:
-        if not all(0 <= v < len(self.labels) for v in face):
-            return False
-        m = face_mask(face)
-        return m in map(m.__and__, self._masks)
-
     def face_of_labels(self, labels) -> int:
         """The vertex bitmask of the face with these labels; a repeated
-        label gives -1, which is no face of any complex."""
-        idx = {lab: i for i, lab in enumerate(self.labels)}
+        label gives -1, which is no face of any complex.  The label -> bit
+        map is built on first use."""
+        if self._bits is None:
+            object.__setattr__(self, "_bits", {lab: 1 << i for i, lab in enumerate(self.labels)})
         try:
-            bits = [1 << idx[lab] for lab in labels]
+            bits = [self._bits[lab] for lab in labels]
         except KeyError as e:
             raise InvalidFaceError(f"unknown vertex label {e.args[0]!r}") from None
         m = reduce(or_, bits, 0)
@@ -237,18 +222,8 @@ class SimplicialComplex:
         cx = from_facets(labels, facets)
         if void != cx.void:
             raise InvalidParameterError("the void complex has no facets" if void else (
-                "a non-void complex needs at least the empty face; pass void=True or facets=[()]"))
+                'a non-void complex needs at least the empty face: "void": true or "facets": [[]]'))
         return cx
-
-
-def equals_labeled(a: SimplicialComplex, b: SimplicialComplex) -> bool:
-    """Exact equality of facet families as label sets (void matches void).
-
-    Ground labels that appear in no face do not affect the comparison.
-    """
-    if a.labels == b.labels:
-        return a._masks == b._masks
-    return a.facet_label_family() == b.facet_label_family()
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +282,3 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     off = a.n_vertices
     return SimplicialComplex(a.labels + b.labels, [fa | fb << off for fa in a._masks for fb in b._masks])
 
-
-def _merge_ground(a: SimplicialComplex, b: SimplicialComplex) -> tuple:
-    """The merged label universe, then each complex's facet masks over it."""
-    labels = tuple(dict.fromkeys(a.labels + b.labels))
-    bit = {lab: 1 << i for i, lab in enumerate(labels)}
-    return labels, *([sum(bit[c.labels[v]] for v in f) for f in c.facets] for c in (a, b))
-
-
-def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Union of face sets over the merged label universe."""
-    labels, fa, fb = _merge_ground(a, b)
-    return SimplicialComplex(labels, fa + fb)
-
-
-def intersection(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Intersection of face sets, generated by pairwise facet intersections."""
-    labels, fa, fb = _merge_ground(a, b)
-    return SimplicialComplex(labels, [x & y for x in fa for y in fb])

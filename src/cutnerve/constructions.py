@@ -8,17 +8,15 @@ faces whose holders contain i.  Intersections of parts are read on the
 generators: the intersection over an index set I is the subcomplex
 generated by the faces whose holders contain I.  Two generators may share a
 face and differ in their holders, and both count.  The raw face-set reading
-of part intersections can be strictly larger; it is available separately
-for diagnostics (``raw_intersection_nonempty``) because the two readings
-provably differ on some inputs while all advertised identities hold for the
-generator reading.
+of part intersections (do the parts share a nonempty face?) can be strictly
+larger; ``Cover.reading_gap`` counts the index sets where the two readings
+differ, because they provably differ on some inputs while all advertised
+identities hold for the generator reading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import and_
 
 from .complexes import SimplicialComplex, closure_masks, face_budget, face_mask, mask_face
 from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
@@ -61,7 +59,7 @@ class Cover:
         labels = tuple(self.part_labels)
         if len(set(labels)) != len(labels):
             raise InvalidParameterError("part labels must be unique")
-        if self.base.is_void():
+        if self.base.void:
             raise InvalidParameterError("cannot cover the void complex")
         gens = tuple(self.generators)
         facets = self.base.facet_masks()
@@ -97,42 +95,27 @@ class Cover:
             raise InvalidParameterError("index set must be nonempty")
         return idx
 
-    @cached_property
-    def _supports(self) -> tuple[int, ...]:
-        """Per part, the mask of base vertices covered by its generators."""
+    def reading_gap(self) -> int:
+        """How many nonempty index sets the two readings disagree on, read
+        off one table over all index sets.  The raw reading of I asks whether
+        the parts of I share a base vertex (for downward-closed parts, a
+        nonempty face); the generator reading asks whether one nonempty face
+        has holders containing I, which is
+        ``cover_intersection(cover, I).has_vertices()``.
+
+        A generator's face lies in each part that holds it, so every
+        generated index set is raw-nonempty and the count is #raw -
+        #generated.  ``raw[I]`` is the AND of the supports of I (a part's
+        support is the base vertices of its generators), built from I minus
+        its lowest part; the generated index sets are the nonempty subsets
+        of the holders of generators with a nonempty face."""
+        budget = face_budget()
+        if 1 << self.n_parts > budget:
+            raise ResourceLimitError("index-set table", budget)
         sup = [0] * self.n_parts
         for face, holders in self.generators:
             for i in mask_face(holders):
                 sup[i] |= face
-        return tuple(sup)
-
-    def raw_intersection_nonempty(self, indices) -> bool:
-        """Geometric reading: do the parts of ``indices`` share a nonempty
-        face?  For downward-closed parts this is a shared base vertex."""
-        idx = self._index_set(indices)
-        return bool(reduce(and_, map(self._supports.__getitem__, mask_face(idx))))
-
-    def generated_nonempty(self, indices) -> bool:
-        """Generator reading: does one nonempty face have holders containing
-        ``indices``?  The same as ``cover_intersection(cover,
-        indices).has_vertices()``, without building the complex."""
-        idx = self._index_set(indices)
-        return any(face and idx & holders == idx for face, holders in self.generators)
-
-    def reading_gap(self) -> int:
-        """How many nonempty index sets the two readings disagree on: the
-        count of I with ``raw_intersection_nonempty(I) !=
-        generated_nonempty(I)``, read off one table over all index sets.
-
-        A generator's face lies in each part that holds it, so every
-        generated index set is raw-nonempty and the count is #raw -
-        #generated.  ``raw[I]`` is the AND of the supports of I, built from
-        I minus its lowest part; the generated index sets are the nonempty
-        subsets of the holders of generators with a nonempty face."""
-        budget = face_budget()
-        if 1 << self.n_parts > budget:
-            raise ResourceLimitError("index-set table", budget)
-        sup = self._supports
         raw = [-1]  # the empty index set: every vertex
         raw_count = 0
         for idx in range(1, 1 << self.n_parts):
@@ -152,8 +135,8 @@ def nerve(cover: Cover) -> SimplicialComplex:
 
     The witness is a shared generator rather than a shared face: the raw
     face-set reading makes strictly more index sets intersect and breaks the
-    advertised identities with total cut complexes (see
-    ``raw_intersection_nonempty`` for the comparison hook)."""
+    advertised identities with total cut complexes (``Cover.reading_gap``
+    counts the index sets where the readings differ)."""
     return SimplicialComplex(cover.part_labels, [holders for _, holders in cover.generators] or [0])
 
 

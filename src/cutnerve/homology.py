@@ -160,40 +160,16 @@ class HomologyProfile:
 
     ``minus_one_rank`` is 1 exactly for the empty complex, whose augmented
     chain complex has one leftover Z in degree -1.  The void complex carries
-    the empty profile with ``void`` set.
+    the empty profile with ``void`` set.  A profile is trimmed (no trailing
+    zero rank, no empty torsion entry), so it is compared by equality:
+    ``== sphere(d)``, ``== wedge(d, m)``, and ``== HomologyProfile()`` for
+    homology-trivial.
     """
 
     betti: tuple[int, ...] = ()
     torsion: tuple[tuple[int, tuple[int, ...]], ...] = ()
     minus_one_rank: int = 0
     void: bool = False
-
-    def betti_number(self, d: int) -> int:
-        return self.betti[d] if 0 <= d < len(self.betti) else 0
-
-    def has_torsion(self) -> bool:
-        return bool(self.torsion)
-
-    def is_trivial(self) -> bool:
-        """All reduced homology vanishes (the profile of a contractible space)."""
-        return (
-            not self.void
-            and self.minus_one_rank == 0
-            and not self.torsion
-            and all(b == 0 for b in self.betti)
-        )
-
-    def is_sphere(self, d: int) -> bool:
-        return self.is_wedge(d, 1)
-
-    def is_wedge(self, d: int, m: int) -> bool:
-        """Exactly m copies of Z in degree d and nothing else; m = 0 means
-        homology-trivial."""
-        if m == 0:
-            return self.is_trivial()
-        if self.void or self.minus_one_rank or self.torsion:
-            return False
-        return self.betti_number(d) == m and sum(self.betti) == m
 
     def nonzero(self) -> dict[int, int]:
         return {d: b for d, b in enumerate(self.betti) if b}
@@ -230,7 +206,7 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
     """Exact reduced homology profile of the complex, from its facets alone."""
     if cx._homology is not None:
         return cx._homology
-    if cx.is_void():
+    if cx.void:
         profile = HomologyProfile(void=True)
     else:
         matching = ElementMatching(cx.facet_masks(), face_budget(), (1 << cx.n_vertices) - 1)

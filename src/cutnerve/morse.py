@@ -317,7 +317,7 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     "unknown" with its dominations, steps and the faces left, which replay
     like any other witness.  Collapsibility is NP-complete in general, so
     "unknown" is not a refutation."""
-    if cx.is_void():
+    if cx.void:
         raise VoidComplexError("cannot collapse the void complex")
     budget = face_budget()
     if sum(1 << f.bit_count() for f in cx.facet_masks()) > budget:

@@ -100,8 +100,8 @@ def run_thm_1_4(params):
     tc = cons.total_cut_complex(gr.cycle(n), k)
     checks = []
     if n < 2 * k:
-        checks.append(_check("void-below-threshold", tc.is_void(),
-                             "void", "void" if tc.is_void() else "non-void"))
+        checks.append(_check("void-below-threshold", tc.void,
+                             "void", "void" if tc.void else "non-void"))
     else:
         checks.append(_check_profile(
             "total-cut-sphere-profile", hom.reduced_homology(tc), hom.HomologyProfile.sphere(n - 2 * k)))
@@ -134,7 +134,7 @@ def run_thm_3_1(params):
     cover = cons.independent_cover(g, k)
     nerve_cx = cons.nerve(cover)
     tc = cons.total_cut_complex(g, k)
-    equal = cx.equals_labeled(nerve_cx, tc)
+    equal = nerve_cx == tc
     checks = [_check("nerve-equals-total-cut", equal,
                      "labeled equality", "equal" if equal else "different")]
     sphere = hom.HomologyProfile.sphere(n - 2 * k)
@@ -195,7 +195,7 @@ def run_thm_4_2(params):
     cover = cons.facet_star_cover(nb, _prism_markers(n))
     nerve_cx = cons.nerve(cover)
     boundary = cx.simplex_boundary(cover.part_labels)
-    equal = cx.equals_labeled(nerve_cx, boundary)
+    equal = nerve_cx == boundary
     checks.append(_check("nerve-is-simplex-boundary", equal,
                          "boundary of (n-1)-simplex", "equal" if equal else "different"))
     cone_failures = []
@@ -268,21 +268,21 @@ def run_thm_4_4(params):
         expected_cells = [["1-", f"{j}+", f"{j}-"] for j in range(2, n + 1)]
         checks.append(_check("critical-cells", cells == expected_cells, expected_cells, cells))
     else:
-        a_labels = [f"{i}+" if i % 2 else f"{i}-" for i in range(1, n + 1)]
-        b_labels = [f"{i}-" if i % 2 else f"{i}+" for i in range(1, n + 1)]
-        x = cx.join(cx.full_simplex(a_labels), cx.discrete_points(b_labels))
-        y = cx.join(cx.full_simplex(b_labels), cx.discrete_points(a_labels))
-        union_ok = cx.equals_labeled(cx.union(x, y), tc)
+        # X = Δ^A ∗ B and Y = Δ^B ∗ A as facet masks over tc's labels: A
+        # takes i+ for odd i and i- for even i (bit 2i + i % 2, 0-based i)
+        a = sum(1 << (2 * i + i % 2) for i in range(n))
+        b = a ^ ((1 << tc.n_vertices) - 1)
+        x_facets = [a | 1 << v for v in cx.mask_face(b)]
+        y_facets = [b | 1 << u for u in cx.mask_face(a)]
+        x, y = cx.SimplicialComplex(tc.labels, x_facets), cx.SimplicialComplex(tc.labels, y_facets)
+        union_ok = cx.SimplicialComplex(tc.labels, x_facets + y_facets) == tc
         checks.append(_check("decomposition-union", union_ok, "X u Y = total cut", union_ok))
         for name, part in (("x-homology-trivial", x), ("y-homology-trivial", y)):
-            trivial = hom.reduced_homology(part).is_trivial()
+            trivial = hom.reduced_homology(part) == hom.HomologyProfile()
             checks.append(_check(name, trivial, True, trivial))
-        inter = cx.intersection(x, y)
-        bipartite_skeleton = cx.from_facets(
-            tuple(a_labels) + tuple(b_labels),
-            [(i, n + j) for i in range(n) for j in range(n)],
-        )
-        skel_ok = cx.equals_labeled(inter, bipartite_skeleton)
+        inter = cx.SimplicialComplex(tc.labels, [p & q for p in x_facets for q in y_facets])
+        edges = [1 << u | 1 << v for u in cx.mask_face(a) for v in cx.mask_face(b)]
+        skel_ok = inter == cx.SimplicialComplex(tc.labels, edges)
         checks.append(_check("intersection-is-bipartite-skeleton", skel_ok,
                              "1-skeleton of K_{n,n}", skel_ok))
         checks.append(_check_profile(
@@ -400,7 +400,7 @@ def run_prop_4_10(params):
             instances += 1
             nerve_cx = cons.nerve(cover)
             tc = cons.total_cut_complex(g, k)
-            if not cx.equals_labeled(nerve_cx, tc):
+            if nerve_cx != tc:
                 failures.append({"graph": i, "k": k})
             # an independent set that meets every other is an isolated vertex
             # of I_k(G), so its generator has the empty face

@@ -103,7 +103,7 @@ def boundary_matrix(c, d: int):
     (d-1)-chains, with the orientation induced by sorted vertex order.
     Degree 0 maps vertices onto the empty face (the augmentation), which is
     what makes the homology reduced."""
-    if c.is_void():
+    if c.void:
         raise VoidComplexError("boundary matrices are undefined on the void complex")
     return boundary_from_faces(c.faces_by_dim(), d)
 
@@ -126,7 +126,7 @@ def boundary_from_faces(by_dim: dict[int, list], d: int):
 def snf_homology(c) -> HomologyProfile:
     """Reduced homology of a ``SimplicialComplex`` from the Smith normal
     form of every boundary matrix of its closure."""
-    if c.is_void():
+    if c.void:
         return HomologyProfile(void=True)
     by_dim = c.faces_by_dim()
     top = max(by_dim)
@@ -191,7 +191,7 @@ def suspension(a, poles: tuple[str, str] = ("susp+", "susp-")):
 def link(a, face):
     """Link of a face: tau with tau disjoint from sigma and sigma U tau a face."""
     sigma = tuple(sorted(set(face)))
-    if not a.contains_face(sigma):
+    if sigma not in a.all_faces():
         raise InvalidFaceError(f"{sigma} is not a face of the complex")
     s = cx.face_mask(sigma)
     return cx.SimplicialComplex(a.labels, [f ^ s for f in a.facet_masks() if f & s == s])
@@ -201,7 +201,7 @@ def skeleton(a, d: int):
     """All faces of dimension at most d."""
     if d < -1:
         raise InvalidParameterError(f"skeleton dimension must be >= -1, got {d}")
-    if a.is_void():
+    if a.void:
         return cx.void_complex(a.labels)
     return cx.from_facets(a.labels, [c for f in a.facets for c in combinations(f, min(len(f), d + 1))])
 

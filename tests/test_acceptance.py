@@ -47,7 +47,7 @@ def test_criterion_01_cycle_total_cut_spheres():
         profile = hom.reduced_homology(tc)
         assert profile == hom.HomologyProfile.sphere(n - 2 * k), (n, k, profile)
     for n, k in [(3, 2), (5, 3)]:
-        assert cons.total_cut_complex(gr.cycle(n), k).is_void(), (n, k)
+        assert cons.total_cut_complex(gr.cycle(n), k).void, (n, k)
     _report(1, True, f"cycle total cut profiles ({time.perf_counter() - t0:.1f}s)")
 
 
@@ -70,7 +70,7 @@ def test_criterion_03_cycle_cover_nerve_and_collapses():
             cover = cons.independent_cover(g, k)
             nerve = cons.nerve(cover)
             tc = cons.total_cut_complex(g, k)
-            assert cx.equals_labeled(nerve, tc), (n, k)
+            assert nerve == tc, (n, k)
             expected = gr.stable_kneser_facet_count(n, k)
             assert len(tc.facets) == expected, (n, k, len(tc.facets), expected)
             for face in nerve.all_faces():
@@ -110,7 +110,7 @@ def test_criterion_04_prism_neighborhood(n):
     markers = [gr.set_label(g, [2 * (i - 1), 2 * (i % n)  + 1]) for i in range(1, n + 1)]
     cover = cons.facet_star_cover(nb, markers)
     nerve = cons.nerve(cover)
-    assert cx.equals_labeled(nerve, cx.simplex_boundary(cover.part_labels))
+    assert nerve == cx.simplex_boundary(cover.part_labels)
     for pair in combinations(range(n), 2):
         inter = cons.cover_intersection(cover, pair)
         # a cone over the first marker
@@ -169,20 +169,21 @@ def test_criterion_06_ladder_total_cut():
                 (tc.face_of_labels(["1-", f"{j}+", f"{j}-"]) for j in range(2, n + 1)), key=cx.mask_face
             )
             assert cells == expected, n
-        else:
-            a_labels = [f"{i}+" if i % 2 else f"{i}-" for i in range(1, n + 1)]
-            b_labels = [f"{i}-" if i % 2 else f"{i}+" for i in range(1, n + 1)]
-            x = cx.join(cx.full_simplex(a_labels), cx.discrete_points(b_labels))
-            y = cx.join(cx.full_simplex(b_labels), cx.discrete_points(a_labels))
-            assert cx.equals_labeled(cx.union(x, y), tc), n
-            assert hom.reduced_homology(x).is_trivial() and hom.reduced_homology(y).is_trivial()
-            inter = cx.intersection(x, y)
-            skel = cx.from_facets(
-                tuple(a_labels) + tuple(b_labels),
-                [(i, n + j) for i in range(n) for j in range(n)],
-            )
-            assert cx.equals_labeled(inter, skel), n
-            assert hom.reduced_homology(inter).betti_number(1) == (n - 1) ** 2, n
+    # even n: X = Δ^A ∗ B and Y = Δ^B ∗ A built by joins on their own
+    # grounds, an independent reference for thm-4-4's facet masks
+    for n in (4, 6, 8):
+        tc = cons.total_cut_complex(gr.circular_ladder(n), n - 1)
+        a_labels = [f"{i}+" if i % 2 else f"{i}-" for i in range(1, n + 1)]
+        b_labels = [f"{i}-" if i % 2 else f"{i}+" for i in range(1, n + 1)]
+        x = cx.join(cx.full_simplex(a_labels), cx.discrete_points(b_labels))
+        y = cx.join(cx.full_simplex(b_labels), cx.discrete_points(a_labels))
+        fx, fy = x.facet_label_family(), y.facet_label_family()
+        assert fx | fy == tc.facet_label_family(), n
+        assert hom.reduced_homology(x) == hom.reduced_homology(y) == hom.HomologyProfile(), n
+        skel = cx.join(cx.discrete_points(a_labels), cx.discrete_points(b_labels))
+        assert {p & q for p in fx for q in fy} == skel.facet_label_family(), n
+        assert hom.reduced_homology(skel) == hom.HomologyProfile.wedge(1, (n - 1) ** 2), n
+        assert verify.run_scenario("thm-4-4", {"n": n}).verdict == "pass", n
     _report(6, True, f"ladder total cut wedges and certificates ({time.perf_counter() - t0:.1f}s)")
 
 
@@ -260,7 +261,7 @@ def test_criterion_10_random_corpus_nerves():
                 continue
             instances += 1
             cover = cons.independent_cover(g, k)
-            assert cx.equals_labeled(cons.nerve(cover), cons.total_cut_complex(g, k)), (i, k)
+            assert cons.nerve(cover) == cons.total_cut_complex(g, k), (i, k)
     assert instances >= 50, instances
     _report(10, True, f"{instances} corpus instances ({time.perf_counter() - t0:.1f}s)")
 
@@ -315,9 +316,10 @@ def test_criterion_11_engine_oracles():
     for c in complexes:
         before = hom.reduced_homology(c)
         after = hom.reduced_homology(suspension(c))
-        for d in range(len(before.betti) + 1):
-            assert after.betti_number(d + 1) == before.betti_number(d)
-        assert after.betti_number(0) == before.minus_one_rank
+        shifted = {d + 1: b for d, b in before.nonzero().items()}
+        if before.minus_one_rank:
+            shifted[0] = before.minus_one_rank
+        assert after.nonzero() == shifted
     # the join rank identity on every pair, torsion or not
     for a, b in zip(complexes[:10], complexes[10:]):
         b2 = cx.from_facets([f"u{i}" for i in range(b.n_vertices)], b.facets)

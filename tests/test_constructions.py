@@ -35,6 +35,11 @@ def small_graph_corpus():
     return graphs
 
 
+def tuple_cover(cover):
+    """The tuple-and-frozenset oracle on a cover's own generators."""
+    return TupleCover(cover.n_parts, [(cx.mask_face(f), cx.mask_face(h)) for f, h in cover.generators])
+
+
 def part_faces(cover, i):
     """Nonempty faces of part i of the cover, explicitly."""
     return {f for f in cons.cover_intersection(cover, [i]).all_faces() if f}
@@ -47,7 +52,7 @@ def test_neighborhood_of_triangle_is_circle():
     assert nc.facet_label_family() == frozenset(
         {frozenset({"1", "2"}), frozenset({"2", "3"}), frozenset({"1", "3"})}
     )
-    assert hom.reduced_homology(nc).is_sphere(1)
+    assert hom.reduced_homology(nc) == hom.HomologyProfile.sphere(1)
 
 
 def test_neighborhood_of_ladder_facets():
@@ -70,12 +75,12 @@ def test_neighborhood_of_kneser52():
 def test_neighborhood_edge_cases():
     edgeless = gr.Graph(["a", "b"], [])
     nc = cons.neighborhood_complex(edgeless)
-    assert nc.is_empty_complex()
-    assert cons.neighborhood_complex(gr.Graph([], [])).is_void()
+    assert nc == cx.empty_complex(edgeless.labels)
+    assert cons.neighborhood_complex(gr.Graph([], [])).void
     # isolated vertices stay out of every face
     g = gr.Graph(["a", "b", "c"], [(0, 1)])
     nc = cons.neighborhood_complex(g)
-    assert nc.vertex_support() == (0, 1)
+    assert nc.facets == ((0,), (1,))
 
 
 def test_neighborhood_of_star():
@@ -90,7 +95,7 @@ def test_neighborhood_of_star():
 def test_neighborhood_dimension_bound():
     for g in small_graph_corpus():
         nc = cons.neighborhood_complex(g)
-        if nc.is_void() or nc.is_empty_complex():
+        if not nc.has_vertices():
             continue
         maxdeg = max(g.degree(i) for i in range(g.n))
         assert nc.dimension() <= maxdeg - 1
@@ -113,13 +118,13 @@ def test_total_cut_cycle6():
 
 
 def test_total_cut_void_below_threshold():
-    assert cons.total_cut_complex(gr.cycle(3), 2).is_void()
-    assert cons.total_cut_complex(gr.cycle(5), 3).is_void()
+    assert cons.total_cut_complex(gr.cycle(3), 2).void
+    assert cons.total_cut_complex(gr.cycle(5), 3).void
 
 
 def test_total_cut_star_contractible():
     tc = cons.total_cut_complex(gr.star(5), 2)
-    assert hom.reduced_homology(tc).is_trivial()
+    assert hom.reduced_homology(tc) == hom.HomologyProfile()
 
 
 def test_total_cut_purity_and_facet_count():
@@ -128,7 +133,7 @@ def test_total_cut_purity_and_facet_count():
             sets = gr.independent_sets(g, k)
             tc = cons.total_cut_complex(g, k)
             if not sets:
-                assert tc.is_void()
+                assert tc.void
                 continue
             assert len(tc.facets) == len(sets)
             assert tc.is_pure()
@@ -149,7 +154,7 @@ def test_nerve_of_cycle_cover_equals_total_cut():
         cover = cons.independent_cover(gr.cycle(n), k)
         nerve = cons.nerve(cover)
         tc = cons.total_cut_complex(gr.cycle(n), k)
-        assert cx.equals_labeled(nerve, tc)
+        assert nerve == tc
 
 
 def test_nerve_of_prism_marker_cover_is_simplex_boundary():
@@ -159,7 +164,7 @@ def test_nerve_of_prism_marker_cover_is_simplex_boundary():
     markers = [gr.set_label(g, [2 * (i - 1), 2 * (i % 4) + 1]) for i in range(1, 5)]
     cover = cons.facet_star_cover(base, markers)
     nerve = cons.nerve(cover)
-    assert cx.equals_labeled(nerve, cx.simplex_boundary(cover.part_labels))
+    assert nerve == cx.simplex_boundary(cover.part_labels)
 
 
 def test_independent_cover_validity():
@@ -197,12 +202,12 @@ def test_cover_intersection_single_index_is_part():
             nbhd = {s: [vertex[gr.set_label(g, t)] for t in sets if not s & t] for s in sets}
             for i in range(g.n):
                 part = cx.from_facets(cover.base.labels, [nbhd[s] for s in sets if i not in s])
-                assert cx.equals_labeled(cons.cover_intersection(cover, [i]), part), (g.labels, k, i)
+                assert cons.cover_intersection(cover, [i]) == part, (g.labels, k, i)
 
 
 def test_cover_intersection_all_indices_void():
     cover = cons.independent_cover(gr.cycle(6), 2)
-    assert cons.cover_intersection(cover, range(6)).is_void()
+    assert cons.cover_intersection(cover, range(6)).void
 
 
 def test_cover_intersection_agrees_with_explicit_faces_when_small():
@@ -211,7 +216,7 @@ def test_cover_intersection_agrees_with_explicit_faces_when_small():
     for m in (1, 2, 3):
         for idx in combinations(range(6), m):
             inter = cons.cover_intersection(cover, idx)
-            if inter.is_void():
+            if inter.void:
                 continue
             raw = set.intersection(*(part_faces(cover, i) for i in idx))
             mine = {f for f in inter.all_faces() if f}
@@ -224,15 +229,15 @@ def test_raw_and_generator_readings_differ_and_are_flagged():
     rather than hidden.  The 4-element index set below is the smallest cycle
     witness: each part contains the face through a different generator."""
     cover = cons.independent_cover(gr.cycle(6), 2)
+    raw = tuple_cover(cover).raw_intersection_nonempty
     idx = (0, 1, 2, 3)
-    assert cons.cover_intersection(cover, idx).is_void()
-    assert cover.raw_intersection_nonempty(idx)
+    assert cons.cover_intersection(cover, idx).void
+    assert raw(idx)
     gaps = [
         idx2
         for m in range(1, 7)
         for idx2 in combinations(range(6), m)
-        if cover.raw_intersection_nonempty(idx2)
-        != cons.cover_intersection(cover, idx2).has_vertices()
+        if raw(idx2) != cons.cover_intersection(cover, idx2).has_vertices()
     ]
     assert len(gaps) == 13  # frozen census for the 6-cycle cover at k=2
 
@@ -248,13 +253,13 @@ def test_octahedron_raw_reading_differs():
     cover = cons.independent_cover(g, 2)
     nerve = cons.nerve(cover)
     tc = cons.total_cut_complex(g, 2)
-    assert cx.equals_labeled(nerve, tc)
+    assert nerve == tc
     idx = (3, 4, 5)
-    assert cover.raw_intersection_nonempty(idx)
+    assert tuple_cover(cover).raw_intersection_nonempty(idx)
     assert not cons.cover_intersection(cover, idx).has_vertices()
 
 
-def test_generated_nonempty_is_the_generator_reading():
+def test_cover_intersection_has_vertices_is_the_generator_reading():
     # on the covers of the reading tests above, and the thm-3-1 cycle
     # covers up to n = 8, on every index set
     octahedron = gr.Graph([str(i + 1) for i in range(6)], [
@@ -268,17 +273,17 @@ def test_generated_nonempty_is_the_generator_reading():
         parts = range(cover.n_parts)
         for m in parts:
             for idx in combinations(parts, m + 1):
-                expected = cons.cover_intersection(cover, idx).has_vertices()
-                assert cover.generated_nonempty(idx) == expected, (cover.part_labels, idx)
+                expected = tuple_cover(cover).generated_nonempty(idx)
+                assert cons.cover_intersection(cover, idx).has_vertices() == expected, (cover.part_labels, idx)
     for bad in ([], [cover.n_parts], [0, -1]):
         with pytest.raises(InvalidParameterError):
-            cover.generated_nonempty(bad)
+            cons.cover_intersection(cover, bad)
 
 
 def reading_gap_by_index_sets(cover):
-    """The reading gap as the old per-index-set comparison."""
-    parts = range(cover.n_parts)
-    return sum(cover.raw_intersection_nonempty(idx) != cover.generated_nonempty(idx)
+    """The reading gap as a per-index-set comparison of the oracle's readings."""
+    oracle, parts = tuple_cover(cover), range(cover.n_parts)
+    return sum(oracle.raw_intersection_nonempty(idx) != oracle.generated_nonempty(idx)
                for m in parts for idx in combinations(parts, m + 1))
 
 
@@ -332,7 +337,7 @@ def test_nerve_equals_total_cut_on_corpus():
             if not gr.independent_sets(g, k):
                 continue
             cover = cons.independent_cover(g, k)
-            assert cx.equals_labeled(cons.nerve(cover), cons.total_cut_complex(g, k))
+            assert cons.nerve(cover) == cons.total_cut_complex(g, k)
 
 
 def test_isolated_independent_set_keeps_nerve_equality():
@@ -343,8 +348,8 @@ def test_isolated_independent_set_keeps_nerve_equality():
     cover = cons.independent_cover(g, 2)
     nerve = cons.nerve(cover)
     tc = cons.total_cut_complex(g, 2)
-    assert cx.equals_labeled(nerve, tc)
-    assert not cover.raw_intersection_nonempty([1])  # no nonempty face anywhere
+    assert nerve == tc
+    assert not tuple_cover(cover).raw_intersection_nonempty([1])  # no nonempty face anywhere
 
 
 def test_isolated_independent_set_is_a_generator_with_the_empty_face():
@@ -366,7 +371,7 @@ def test_facet_star_cover_full_simplex():
     base = cx.full_simplex("abcd")
     cover = cons.facet_star_cover(base, list("abcd"))
     for i in range(4):
-        assert cx.equals_labeled(cons.cover_intersection(cover, [i]), base)
+        assert cons.cover_intersection(cover, [i]) == base
 
 
 def test_facet_star_cover_prism_intersections():
@@ -378,7 +383,7 @@ def test_facet_star_cover_prism_intersections():
     for idx in combinations(range(4), 3):
         inter = cons.cover_intersection(cover, idx)
         assert inter.has_vertices()
-    assert cons.cover_intersection(cover, range(4)).is_void()
+    assert cons.cover_intersection(cover, range(4)).void
     # pairwise intersections are cones over the first marker
     for idx in combinations(range(4), 2):
         inter = cons.cover_intersection(cover, idx)
@@ -443,11 +448,9 @@ def test_cover_index_sets_nonempty_and_in_range():
     for bad in ([], [6], [0, -1]):
         with pytest.raises(InvalidParameterError):
             cons.cover_intersection(cover, bad)
-        with pytest.raises(InvalidParameterError):
-            cover.raw_intersection_nonempty(bad)
     # any iterable, read once; a repeated index counts once
     assert cons.cover_intersection(cover, iter([2, 0, 2])) == cons.cover_intersection(cover, [0, 2])
-    assert cover.raw_intersection_nonempty(i for i in (1, 1))
+    assert cons.cover_intersection(cover, (i for i in (1, 1))) == cons.cover_intersection(cover, [1])
 
 
 def test_cover_keeps_generators_that_share_a_face():
@@ -457,7 +460,7 @@ def test_cover_keeps_generators_that_share_a_face():
     cover = cons.independent_cover(g, 2)
     assert [face for face, _ in cover.generators] == [0, 0, 0]
     assert len({holders for _, holders in cover.generators}) == 3
-    assert cx.equals_labeled(cons.nerve(cover), cons.total_cut_complex(g, 2))
+    assert cons.nerve(cover) == cons.total_cut_complex(g, 2)
     # the same on a base with a nonempty shared face
     base = cx.full_simplex("ab")
     cover = cons.Cover(base, "xyz", [(0b11, 0b011), (0b11, 0b110)])
@@ -465,7 +468,7 @@ def test_cover_keeps_generators_that_share_a_face():
     assert cons.nerve(cover).facet_label_family() == frozenset(
         {frozenset("xy"), frozenset("yz")}
     )
-    assert cons.cover_intersection(cover, [0, 2]).is_void()
+    assert cons.cover_intersection(cover, [0, 2]).void
 
 
 def _oracle_covers():
@@ -488,12 +491,15 @@ def test_mask_cover_against_tuple_oracle():
     for cover, oracle in _oracle_covers():
         covers += 1
         assert list(cons.nerve(cover).facets) == oracle.nerve_facets()
+        gap = 0
         for m in range(1, cover.n_parts + 1):
             for idx in combinations(range(cover.n_parts), m):
                 gens = oracle.intersection_generators(idx)
-                assert list(cons.cover_intersection(cover, idx).facets) == brute_antichain(gens), idx
-                assert cover.generated_nonempty(idx) == oracle.generated_nonempty(idx), idx
-                assert cover.raw_intersection_nonempty(idx) == oracle.raw_intersection_nonempty(idx), idx
+                inter = cons.cover_intersection(cover, idx)
+                assert list(inter.facets) == brute_antichain(gens), idx
+                assert inter.has_vertices() == oracle.generated_nonempty(idx), idx
+                gap += oracle.raw_intersection_nonempty(idx) != oracle.generated_nonempty(idx)
+        assert cover.reading_gap() == gap
     assert covers == 11
 
 
@@ -508,10 +514,8 @@ def test_cover_guards_shift_no_bit_out_of_range():
     cover = cons.independent_cover(gr.cycle(6), 2)
     for bad, part in (([-1], -1), ([10**12], 10**12), ([0, 10**12], 10**12)):
         message = f"part index {part} out of range"
-        for read in (cover.raw_intersection_nonempty, cover.generated_nonempty,
-                     lambda idx: cons.cover_intersection(cover, idx)):
-            with pytest.raises(InvalidParameterError, match=re.escape(message)):
-                read(bad)
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            cons.cover_intersection(cover, bad)
 
 
 # -- spot check profiles through the construction stack ----------------------------
@@ -528,7 +532,7 @@ def test_prism_neighborhood_profile_refutation_is_oracle_backed():
     oracle = brute_homology(nb.facets)
     assert oracle["betti"] == {2: 7} and oracle["torsion"] == {}
     profile = hom.reduced_homology(nb)
-    assert profile.nonzero() == {2: 7} and not profile.has_torsion()
+    assert profile.nonzero() == {2: 7} and not profile.torsion
 
 
 def test_constructed_profiles_match_oracle():

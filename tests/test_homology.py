@@ -209,7 +209,7 @@ def test_boundary_of_edge():
 
 def test_boundary_squared_is_zero():
     for c in homology_corpus():
-        if c.is_void() or c.is_empty_complex():
+        if not c.has_vertices():
             continue
         for d in range(1, c.dimension() + 1):
             dense_low = to_dense(boundary_matrix(c, d - 1))
@@ -247,7 +247,7 @@ def test_projective_plane_torsion():
 
 def test_total_cut_c8_is_s4():
     c = cons.total_cut_complex(gr.cycle(8), 2)
-    assert hom.reduced_homology(c).is_sphere(4)
+    assert hom.reduced_homology(c) == hom.HomologyProfile.sphere(4)
 
 
 def test_against_dense_oracle_corpus():
@@ -274,7 +274,7 @@ def test_relabeling_invariance():
 
 def test_euler_characteristic_consistency():
     for c in homology_corpus():
-        if c.is_void():
+        if c.void:
             continue
         profile = hom.reduced_homology(c)
         chi = sum((-1) ** d * b for d, b in enumerate(profile.betti))
@@ -331,7 +331,7 @@ def test_reduced_homology_matches_snf_on_random_complexes():
         gens = [rng.sample(range(n), rng.randint(2, min(5, n))) for _ in range(rng.randint(2, 8))]
         c = cx.from_facets([f"v{j}" for j in range(n)], gens)
         shuffled = reindexed(c, rng)
-        assert cx.equals_labeled(c, shuffled)
+        assert c.facet_label_family() == shuffled.facet_label_family()
         assert profile_against_snf(c, i) == profile_against_snf(shuffled, i)
 
 
@@ -365,7 +365,7 @@ def test_reduced_homology_matches_snf_on_corpus_graphs():
                 profile = hom.reduced_homology(c)
                 assert c._closure is None, name
                 assert hom.reduced_homology(reindexed(c, rng)) == profile, name
-                if c.is_void() or sum(1 << len(f) for f in c.facets) <= ORACLE_FACE_BOUND:
+                if c.void or sum(1 << len(f) for f in c.facets) <= ORACLE_FACE_BOUND:
                     assert profile == snf_homology(c), name
                     compared += 1
     assert compared == 114
@@ -386,7 +386,7 @@ def test_reduced_homology_charges_the_face_budget(monkeypatch):
         hom.reduced_homology(tc)
     assert err.value.budget == 9
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
-    assert hom.reduced_homology(tc).is_sphere(2)
+    assert hom.reduced_homology(tc) == hom.HomologyProfile.sphere(2)
     assert tc._closure is None
     # the flow is charged too: RP^2 takes 18 units to its critical cells
     # in degrees 1 and 2, and 15 more for the faces its Morse boundary flows
@@ -402,18 +402,18 @@ def test_reduced_homology_charges_the_face_budget(monkeypatch):
 # -- wedge checks ----------------------------------------------------------------
 
 def test_wedge_profile_examples():
-    assert hom.reduced_homology(cx.simplex_boundary("abc")).is_wedge(1, 1)
+    assert hom.reduced_homology(cx.simplex_boundary("abc")) == hom.HomologyProfile.wedge(1, 1)
     tc = cons.total_cut_complex(gr.prism(3), 2)
-    assert hom.reduced_homology(tc).is_wedge(2, 2)
+    assert hom.reduced_homology(tc) == hom.HomologyProfile.wedge(2, 2)
     tc4 = cons.total_cut_complex(gr.circular_ladder(4), 3)
-    assert hom.reduced_homology(tc4).is_wedge(2, 9)
+    assert hom.reduced_homology(tc4) == hom.HomologyProfile.wedge(2, 9)
 
 
 def test_wedge_rejects_torsion_and_void():
     rp2 = cx.from_facets([str(i) for i in range(6)], RP2_FACETS)
-    assert not hom.reduced_homology(rp2).is_wedge(1, 1)
-    assert not hom.reduced_homology(cx.void_complex("a")).is_wedge(0, 0)
-    assert hom.reduced_homology(cx.full_simplex("abc")).is_wedge(3, 0)
+    assert hom.reduced_homology(rp2) != hom.HomologyProfile.wedge(1, 1)
+    assert hom.reduced_homology(cx.void_complex("a")) != hom.HomologyProfile.wedge(0, 0)
+    assert hom.reduced_homology(cx.full_simplex("abc")) == hom.HomologyProfile.wedge(3, 0)
 
 
 # -- join identity -----------------------------------------------------------------
@@ -430,7 +430,7 @@ def test_join_check_spheres():
     circle1 = cx.simplex_boundary("abc")
     circle2 = cx.simplex_boundary("xyz")
     joined = cx.join(circle1, circle2)
-    assert hom.reduced_homology(joined).is_sphere(3)
+    assert hom.reduced_homology(joined) == hom.HomologyProfile.sphere(3)
     assert join_ranks_hold(circle1, circle2)
     assert join_ranks([0, 0, 1], [0, 0, 1]) == [0, 0, 0, 0, 1]
 
@@ -471,9 +471,10 @@ def test_suspension_shift_on_seeded_complexes():
         before = hom.reduced_homology(c)
         after = hom.reduced_homology(suspension(c))
         assert after.minus_one_rank == 0
-        assert after.betti_number(0) == before.minus_one_rank
-        for d in range(len(before.betti) + 1):
-            assert after.betti_number(d + 1) == before.betti_number(d)
+        shifted = {d + 1: b for d, b in before.nonzero().items()}
+        if before.minus_one_rank:
+            shifted[0] = before.minus_one_rank
+        assert after.nonzero() == shifted
         shifted_torsion = tuple((d + 1, t) for d, t in before.torsion)
         assert after.torsion == shifted_torsion
 

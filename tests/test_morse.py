@@ -142,7 +142,7 @@ def test_ladder7_sequential_matching_critical_count():
 
 def test_element_matching_sequence_is_iterated_element_matching():
     for c in matching_corpus():
-        if c.is_void() or face_count(c) > 200:
+        if c.void or face_count(c) > 200:
             continue
         m = ()
         for v in range(c.n_vertices):
@@ -218,7 +218,7 @@ def test_empty_matching_acyclic():
 def test_sequential_matchings_acyclic_on_corpus():
     rng = random.Random(53)
     for c in matching_corpus():
-        if c.is_void() or face_count(c) > 200:
+        if c.void or face_count(c) > 200:
             continue
         verts = list(range(c.n_vertices))
         rng.shuffle(verts)
@@ -265,7 +265,7 @@ def test_matching_rejects_reused_faces():
 
 def test_morse_inequality_on_corpus():
     for c in matching_corpus():
-        if c.is_void() or face_count(c) > 200:
+        if c.void or face_count(c) > 200:
             continue
         m = morse.element_matching_sequence(c, range(c.n_vertices))
         cells = faces_of_cells(c, m)
@@ -274,7 +274,7 @@ def test_morse_inequality_on_corpus():
         for f in cells:
             by_dim[len(f) - 1] = by_dim.get(len(f) - 1, 0) + 1
         for d in range(len(profile.betti)):
-            assert by_dim.get(d, 0) >= profile.betti_number(d)
+            assert by_dim.get(d, 0) >= profile.betti[d]
 
 
 # -- collapses ------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def test_collapse_preserves_homology():
     rng = random.Random(61)
     checked = 0
     for c in matching_corpus():
-        if c.is_void():
+        if c.void:
             continue
         free = free_pairs(c)
         if not free:
@@ -386,7 +386,7 @@ def test_squared_cycle_band_collapse():
 def test_greedy_collapse_cones():
     rng = random.Random(67)
     for c in matching_corpus()[:6]:
-        if c.is_void():
+        if c.void:
             continue
         coned = cone(c, "apex")
         witness = morse.greedy_collapse(coned)
@@ -441,7 +441,7 @@ def test_greedy_collapse_is_the_oracle_of_the_cone_apex():
 
 def dominated_vertex(c):
     """The least vertex with another vertex in every facet through it."""
-    for v in c.vertex_support():
+    for v in sorted(set().union(*c.facets)):
         common = set.intersection(*(set(f) for f in c.facets if v in f))
         if common - {v}:
             return v
@@ -465,7 +465,7 @@ def test_greedy_collapse_differential_against_descent():
     # the strong-collapse prelude must not change a verdict of the plain
     # descent, and both witnesses must replay
     rng = random.Random(71)
-    corpus = [c for c in matching_corpus() if not c.is_void()]
+    corpus = [c for c in matching_corpus() if not c.void]
     corpus += [cone(c, "apex") for c in corpus]
     for _ in range(300):
         n = rng.randint(3, 8)
@@ -543,7 +543,7 @@ def test_strong_collapse_matches_tuple_oracle():
         cone(cx.simplex_boundary("abcd"), "w"),
         cx.from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)]),
     ]
-    corpus += [cone(c, "apex") for c in matching_corpus() if not c.is_void()]
+    corpus += [cone(c, "apex") for c in matching_corpus() if not c.void]
     for _ in range(300):
         n = rng.randint(2, 9)
         # some grounds put the vertices past bit 64
@@ -647,7 +647,7 @@ def test_greedy_collapse_unknown_witnesses_replay():
     assert morse.replay_collapse(c, witness)
     # every witness replays, collapsible or not
     for c in matching_corpus():
-        if c.is_void():
+        if c.void:
             continue
         assert morse.replay_collapse(c, morse.greedy_collapse(c))
 

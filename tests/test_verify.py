@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,20 @@ def test_desk_report_digest_is_pinned():
         assert prism[n].verdict == "fail"
         check = next(c for c in prism[n].checks if c.name == "neighborhood-sphere-profile")
         assert check.verdict == "fail" and check.actual["betti"] == betti
+
+
+def test_cli_writes_the_pinned_desk_report(tmp_path):
+    # the console entry point end to end: `python -m cutnerve` in a fresh
+    # process writes the desk report's bytes and exits 1 on the thm-4-2
+    # refutations
+    out = tmp_path / "desk.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "cutnerve", "verify", "--all", "--class", "desk", "--json", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 1, run.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DESK_REPORT_SHA256
 
 
 # sha256 of the whole extended-class report, written the same way
