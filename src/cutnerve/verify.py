@@ -233,6 +233,11 @@ def _ladder_minus(n: int, i: int) -> int:
     return 2 * ((i - 1) % n) + 1
 
 
+def _ladder_side_a(n: int) -> int:
+    """A of thm-4-4 for even n: i+ for odd i, i- for even i (bit 2i + i % 2, 0-based i)."""
+    return sum(1 << (2 * i + i % 2) for i in range(n))
+
+
 def _ladder_isomorphism(g: gr.Graph) -> dict[int, int]:
     """I_{n-1}(CL_n) -> CL_n for odd n: an independent (n-1)-set misses one
     rung p and goes to rung p's vertex on the side it takes at rung p + 1."""
@@ -268,9 +273,8 @@ def run_thm_4_4(params):
         expected_cells = [["1-", f"{j}+", f"{j}-"] for j in range(2, n + 1)]
         checks.append(_check("critical-cells", cells == expected_cells, expected_cells, cells))
     else:
-        # X = Δ^A ∗ B and Y = Δ^B ∗ A as facet masks over tc's labels: A
-        # takes i+ for odd i and i- for even i (bit 2i + i % 2, 0-based i)
-        a = sum(1 << (2 * i + i % 2) for i in range(n))
+        # X = Δ^A ∗ B and Y = Δ^B ∗ A as facet masks over tc's labels
+        a = _ladder_side_a(n)
         b = a ^ ((1 << tc.n_vertices) - 1)
         x_facets = [a | 1 << v for v in cx.mask_face(b)]
         y_facets = [b | 1 << u for u in cx.mask_face(a)]

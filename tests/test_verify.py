@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cutnerve import cli, verify
+from cutnerve import cli, constructions, graphs, verify
 from cutnerve.cli import main
 from cutnerve.complexes import SimplicialComplex, face_mask
 from cutnerve.errors import GuardError, InvalidParameterError
@@ -104,6 +104,19 @@ def test_desk_report_digest_is_pinned():
         assert prism[n].verdict == "fail"
         check = next(c for c in prism[n].checks if c.name == "neighborhood-sphere-profile")
         assert check.verdict == "fail" and check.actual["betti"] == betti
+
+
+def test_thm_4_4_decomposition_refuses_a_wrong_side(monkeypatch):
+    # A is i+ for odd i and i- for even i; with A all i+, X u Y misses
+    # faces of the total cut complex and the certificate must fail
+    for n in (4, 6, 8):
+        tc = constructions.total_cut_complex(graphs.circular_ladder(n), n - 1)
+        a_labels = tuple(f"{i}+" if i % 2 else f"{i}-" for i in range(1, n + 1))
+        assert tc.labels_of_face(verify._ladder_side_a(n)) == a_labels, n
+    monkeypatch.setattr(verify, "_ladder_side_a", lambda n: sum(1 << 2 * i for i in range(n)))
+    report = verify.run_scenario("thm-4-4", {"n": 4})
+    verdicts = {c.name: c.verdict for c in report.checks}
+    assert verdicts["decomposition-union"] == "fail" and report.verdict == "fail"
 
 
 def test_cli_writes_the_pinned_desk_report(tmp_path):
