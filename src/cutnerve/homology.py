@@ -162,8 +162,8 @@ class HomologyProfile:
     chain complex has one leftover Z in degree -1.  The void complex carries
     the empty profile with ``void`` set.  A profile is trimmed (no trailing
     zero rank, no empty torsion entry), so it is compared by equality:
-    ``== sphere(d)``, ``== wedge(d, m)``, and ``== HomologyProfile()`` for
-    homology-trivial.
+    ``== wedge(d, m)`` (a sphere is ``wedge(d, 1)``), and
+    ``== HomologyProfile()`` for homology-trivial.
     """
 
     betti: tuple[int, ...] = ()
@@ -182,10 +182,6 @@ class HomologyProfile:
             "void": self.void,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def sphere(d: int) -> "HomologyProfile":
-        return HomologyProfile.wedge(d, 1)
 
     @staticmethod
     def wedge(d: int, m: int) -> "HomologyProfile":

@@ -79,7 +79,10 @@ def _check(name: str, ok: bool, expected, actual, miss: str = "fail") -> CheckRe
     return CheckResult(name, "pass" if ok else miss, expected, actual)
 
 
-def _check_profile(name: str, profile: hom.HomologyProfile, expected: hom.HomologyProfile) -> CheckResult:
+def _claim(name: str, c: cx.SimplicialComplex, degree: int, count: int = 1) -> CheckResult:
+    """The claim that ``c`` is a wedge of ``count`` spheres of dimension
+    ``degree`` (one sphere by default), checked on its reduced homology."""
+    profile, expected = hom.reduced_homology(c), hom.HomologyProfile.wedge(degree, count)
     return _check(name, profile == expected,
                   json.loads(expected.to_json()), json.loads(profile.to_json()))
 
@@ -103,8 +106,7 @@ def run_thm_1_4(params):
         checks.append(_check("void-below-threshold", tc.void,
                              "void", "void" if tc.void else "non-void"))
     else:
-        checks.append(_check_profile(
-            "total-cut-sphere-profile", hom.reduced_homology(tc), hom.HomologyProfile.sphere(n - 2 * k)))
+        checks.append(_claim("total-cut-sphere-profile", tc, n - 2 * k))
     return checks, {"total_cut": _digest(tc)}
 
 
@@ -113,8 +115,7 @@ def run_thm_1_3(params):
     _guard(1 <= k <= 3, f"thm-1-3 guard: 1 <= k <= 3, got k={k}")
     _guard(2 * k <= n <= 9, f"thm-1-3 guard: 2k <= n <= 9, got n={n}")
     nc = cons.neighborhood_complex(gr.stable_kneser(n, k))
-    checks = [_check_profile(
-        "neighborhood-sphere-profile", hom.reduced_homology(nc), hom.HomologyProfile.sphere(n - 2 * k))]
+    checks = [_claim("neighborhood-sphere-profile", nc, n - 2 * k)]
     return checks, {"neighborhood": _digest(nc)}
 
 
@@ -137,11 +138,9 @@ def run_thm_3_1(params):
     equal = nerve_cx == tc
     checks = [_check("nerve-equals-total-cut", equal,
                      "labeled equality", "equal" if equal else "different")]
-    sphere = hom.HomologyProfile.sphere(n - 2 * k)
-    checks.append(_check_profile("total-cut-sphere-profile", hom.reduced_homology(tc), sphere))
+    checks.append(_claim("total-cut-sphere-profile", tc, n - 2 * k))
     # the cover's base is N(I_k(C_n)) = N(SG(n, k))
-    checks.append(_check_profile(
-        "neighborhood-sphere-profile", hom.reduced_homology(cover.base), sphere))
+    checks.append(_claim("neighborhood-sphere-profile", cover.base, n - 2 * k))
     # every geometrically nonempty intersection must collapse to a point: a
     # cone collapses to its apex, and any other needs the greedy search, a
     # semi-decision, so a stranded search is "unknown"
@@ -210,8 +209,7 @@ def run_thm_4_2(params):
             cone_failures.append({"pair": list(pair), "reason": "not a cone"})
     checks.append(_check("pairwise-intersections-cone-collapse", not cone_failures,
                          "cone collapse witness per pair", cone_failures or "all witnessed"))
-    checks.append(_check_profile(
-        "neighborhood-sphere-profile", hom.reduced_homology(nb), hom.HomologyProfile.sphere(n - 2)))
+    checks.append(_claim("neighborhood-sphere-profile", nb, n - 2))
     return checks, {"neighborhood": _digest(nb), "nerve": _digest(nerve_cx)}
 
 
@@ -219,9 +217,7 @@ def run_thm_4_3(params):
     n = params["n"]
     _guard(2 <= n <= 5, f"thm-4-3 guard: 2 <= n <= 5, got n={n}")
     tc = cons.total_cut_complex(gr.prism(n), 2)
-    checks = [_check_profile(
-        "total-cut-wedge-profile", hom.reduced_homology(tc),
-        hom.HomologyProfile.wedge(2 * n - 4, n - 1))]
+    checks = [_claim("total-cut-wedge-profile", tc, 2 * n - 4, n - 1)]
     return checks, {"total_cut": _digest(tc)}
 
 
@@ -256,8 +252,7 @@ def run_thm_4_4(params):
     g = gr.circular_ladder(n)
     tc = cons.total_cut_complex(g, n - 1)
     count = (n - 1) if n % 2 else (n - 1) ** 2
-    checks = [_check_profile(
-        "total-cut-wedge-profile", hom.reduced_homology(tc), hom.HomologyProfile.wedge(2, count))]
+    checks = [_claim("total-cut-wedge-profile", tc, 2, count)]
     digests = {"total_cut": _digest(tc)}
     if n % 2:
         pairs = morse.element_matching_sequence(tc, ["1+", "1-"])
@@ -289,9 +284,7 @@ def run_thm_4_4(params):
         skel_ok = inter == cx.SimplicialComplex(tc.labels, edges)
         checks.append(_check("intersection-is-bipartite-skeleton", skel_ok,
                              "1-skeleton of K_{n,n}", skel_ok))
-        checks.append(_check_profile(
-            "intersection-wedge-profile", hom.reduced_homology(inter),
-            hom.HomologyProfile.wedge(1, (n - 1) ** 2)))
+        checks.append(_claim("intersection-wedge-profile", inter, 1, (n - 1) ** 2))
     return checks, digests
 
 
@@ -315,17 +308,14 @@ def run_thm_4_6(params):
                 pairs.append((sigma, sigma | 1 << other(n, i + 1)))
         applied, left = morse.apply_collapses(nc, (), pairs)
         checks.append(_check("stated-free-faces-present", applied == 2 * n, 2 * n, applied))
-        checks.append(_check_profile(
-            "collapsed-circle-profile", hom.reduced_homology(cx.SimplicialComplex(nc.labels, left)),
-            hom.HomologyProfile.sphere(1)))
+        checks.append(_claim("collapsed-circle-profile", cx.SimplicialComplex(nc.labels, left), 1))
     else:
         nh = cons.neighborhood_complex(h)
         digests["neighborhood"] = _digest(nh)
         two = len(nh.facets) == 2
         disjoint = two and not (set(nh.facets[0]) & set(nh.facets[1]))
         checks.append(_check("two-disjoint-simplex-facets", two and disjoint, 2, len(nh.facets)))
-        checks.append(_check_profile(
-            "neighborhood-profile", hom.reduced_homology(nh), hom.HomologyProfile.sphere(0)))
+        checks.append(_claim("neighborhood-profile", nh, 0))
     return checks, digests
 
 
@@ -333,8 +323,7 @@ def run_thm_4_7(params):
     k = params["k"]
     _guard(3 <= k <= 5, f"thm-4-7 guard: 3 <= k <= 5, got k={k}")
     tc = cons.total_cut_complex(gr.squared_cycle(3 * k + 1), k)
-    checks = [_check_profile(
-        "total-cut-sphere-profile", hom.reduced_homology(tc), hom.HomologyProfile.sphere(3))]
+    checks = [_claim("total-cut-sphere-profile", tc, 3)]
     return checks, {"total_cut": _digest(tc)}
 
 
@@ -355,8 +344,7 @@ def run_thm_4_8(params):
     actual_facets = set(nb.facets)
     checks.append(_check("cyclic-window-facets", expected_facets == actual_facets,
                          len(expected_facets), len(actual_facets)))
-    checks.append(_check_profile(
-        "neighborhood-circle-profile", hom.reduced_homology(nb), hom.HomologyProfile.sphere(1)))
+    checks.append(_claim("neighborhood-circle-profile", nb, 1))
     return checks, {"neighborhood": _digest(nb)}
 
 
@@ -368,9 +356,7 @@ def run_ex_4_9(params):
     checks = [_check("star-total-cut-collapsible", witness.is_collapsible(),
                      "collapsible", witness.verdict, miss="unknown")]
     nb = cons.neighborhood_complex(gr.kneser(n, 2))
-    checks.append(_check_profile(
-        "kneser-neighborhood-wedge-profile", hom.reduced_homology(nb),
-        hom.HomologyProfile.wedge(n - 4, n * n - 3 * n + 1)))
+    checks.append(_claim("kneser-neighborhood-wedge-profile", nb, n - 4, n * n - 3 * n + 1))
     return checks, {"total_cut": _digest(tc), "neighborhood": _digest(nb)}
 
 

@@ -45,7 +45,7 @@ def test_criterion_01_cycle_total_cut_spheres():
     for n, k in [(4, 2), (6, 2), (7, 2), (8, 2), (6, 3), (8, 3), (9, 3)]:
         tc = cons.total_cut_complex(gr.cycle(n), k)
         profile = hom.reduced_homology(tc)
-        assert profile == hom.HomologyProfile.sphere(n - 2 * k), (n, k, profile)
+        assert profile == hom.HomologyProfile.wedge(n - 2 * k, 1), (n, k, profile)
     for n, k in [(3, 2), (5, 3)]:
         assert cons.total_cut_complex(gr.cycle(n), k).void, (n, k)
     _report(1, True, f"cycle total cut profiles ({time.perf_counter() - t0:.1f}s)")
@@ -56,7 +56,7 @@ def test_criterion_02_stable_kneser_neighborhood_spheres():
     for n, k in [(4, 2), (6, 2), (7, 2), (8, 2), (6, 3), (8, 3)]:
         nc = cons.neighborhood_complex(gr.stable_kneser(n, k))
         profile = hom.reduced_homology(nc)
-        assert profile == hom.HomologyProfile.sphere(n - 2 * k), (n, k, profile)
+        assert profile == hom.HomologyProfile.wedge(n - 2 * k, 1), (n, k, profile)
     _report(2, True, f"stable Kneser neighborhood profiles ({time.perf_counter() - t0:.1f}s)")
 
 
@@ -90,7 +90,7 @@ def test_criterion_03_cycle_cover_nerve_and_collapses():
 # circle S^1 that the registered claim predicts; n = 4 and 5 refute its
 # sphere S^(n-2) (README, "A known refuted claim").
 PRISM_NEIGHBORHOOD_PROFILES = {
-    3: hom.HomologyProfile.sphere(1),
+    3: hom.HomologyProfile.wedge(1, 1),
     4: hom.HomologyProfile.wedge(2, 7),
     5: hom.HomologyProfile(betti=(0, 0, 0, 2, 11)),
 }
@@ -136,7 +136,7 @@ def test_criterion_04_prism_neighborhood(n):
         assert expected == hom.HomologyProfile.wedge(d, m), (n, dict(dims))
     profile = hom.reduced_homology(nb)
     ok = profile == expected
-    claim = "confirmed" if profile == hom.HomologyProfile.sphere(n - 2) else "refuted"
+    claim = "confirmed" if profile == hom.HomologyProfile.wedge(n - 2, 1) else "refuted"
     _report(
         4,
         ok,
@@ -208,13 +208,13 @@ def test_criterion_07_ladder_neighborhood():
         applied, left = morse.apply_collapses(nc, (), pairs)
         assert applied == 2 * n, n
         collapsed = cx.SimplicialComplex(nc.labels, left)
-        assert hom.reduced_homology(collapsed) == hom.HomologyProfile.sphere(1), n
+        assert hom.reduced_homology(collapsed) == hom.HomologyProfile.wedge(1, 1), n
     for n in (4, 6):
         h = gr.induced_k_independent(gr.circular_ladder(n), n - 1)
         nh = cons.neighborhood_complex(h)
         assert len(nh.facets) == 2, n
         assert not (set(nh.facets[0]) & set(nh.facets[1])), n
-        assert hom.reduced_homology(nh) == hom.HomologyProfile.sphere(0), n
+        assert hom.reduced_homology(nh) == hom.HomologyProfile.wedge(0, 1), n
     _report(7, True, f"ladder neighborhood checks ({time.perf_counter() - t0:.1f}s)")
 
 
@@ -232,9 +232,9 @@ def test_criterion_08_squared_cycle():
             tuple(sorted((i + d) % m for d in range(k, 2 * k + 2))) for i in range(m)
         }
         assert set(nb.facets) == expected_facets, k
-        assert hom.reduced_homology(nb) == hom.HomologyProfile.sphere(1), k
+        assert hom.reduced_homology(nb) == hom.HomologyProfile.wedge(1, 1), k
         tc = cons.total_cut_complex(g, k)
-        assert hom.reduced_homology(tc) == hom.HomologyProfile.sphere(3), k
+        assert hom.reduced_homology(tc) == hom.HomologyProfile.wedge(3, 1), k
     _report(8, True, f"squared cycle checks ({time.perf_counter() - t0:.1f}s)")
 
 

@@ -52,7 +52,7 @@ def test_neighborhood_of_triangle_is_circle():
     assert nc.facet_label_family() == frozenset(
         {frozenset({"1", "2"}), frozenset({"2", "3"}), frozenset({"1", "3"})}
     )
-    assert hom.reduced_homology(nc) == hom.HomologyProfile.sphere(1)
+    assert hom.reduced_homology(nc) == hom.HomologyProfile.wedge(1, 1)
 
 
 def test_neighborhood_of_ladder_facets():

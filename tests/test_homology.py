@@ -235,7 +235,7 @@ def test_boundary_on_void_rejected():
 def test_spheres():
     for d in range(4):
         c = cx.simplex_boundary([str(i) for i in range(d + 2)])
-        assert hom.reduced_homology(c) == hom.HomologyProfile.sphere(d)
+        assert hom.reduced_homology(c) == hom.HomologyProfile.wedge(d, 1)
 
 
 def test_projective_plane_torsion():
@@ -247,7 +247,7 @@ def test_projective_plane_torsion():
 
 def test_total_cut_c8_is_s4():
     c = cons.total_cut_complex(gr.cycle(8), 2)
-    assert hom.reduced_homology(c) == hom.HomologyProfile.sphere(4)
+    assert hom.reduced_homology(c) == hom.HomologyProfile.wedge(4, 1)
 
 
 def test_against_dense_oracle_corpus():
@@ -386,7 +386,7 @@ def test_reduced_homology_charges_the_face_budget(monkeypatch):
         hom.reduced_homology(tc)
     assert err.value.budget == 9
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
-    assert hom.reduced_homology(tc) == hom.HomologyProfile.sphere(2)
+    assert hom.reduced_homology(tc) == hom.HomologyProfile.wedge(2, 1)
     assert tc._closure is None
     # the flow is charged too: RP^2 takes 18 units to its critical cells
     # in degrees 1 and 2, and 15 more for the faces its Morse boundary flows
@@ -430,7 +430,7 @@ def test_join_check_spheres():
     circle1 = cx.simplex_boundary("abc")
     circle2 = cx.simplex_boundary("xyz")
     joined = cx.join(circle1, circle2)
-    assert hom.reduced_homology(joined) == hom.HomologyProfile.sphere(3)
+    assert hom.reduced_homology(joined) == hom.HomologyProfile.wedge(3, 1)
     assert join_ranks_hold(circle1, circle2)
     assert join_ranks([0, 0, 1], [0, 0, 1]) == [0, 0, 0, 0, 1]
 
