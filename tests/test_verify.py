@@ -78,7 +78,7 @@ def test_smoke_class_all_pass_and_reports_deterministic():
 
 # sha256 of the smoke reports, serialised as `cutnerve verify --json` writes
 # them; a change that alters the report on purpose updates this digest
-SMOKE_REPORT_SHA256 = "540ce49e30a0a2d18113438d934e50ac71b90376f1dc5cc74ae1173e85a25443"
+SMOKE_REPORT_SHA256 = "41fcf3ce2d65c86d965c10e19a73996e9a471d080c4e5f9e3654518a9a5a705d"
 
 
 def test_smoke_report_digest_is_pinned():
@@ -90,7 +90,7 @@ def test_smoke_report_digest_is_pinned():
 
 # sha256 of the whole desk-class report, written the same way; it includes
 # the thm-4-2 refutations pinned below
-DESK_REPORT_SHA256 = "9ff6748b261bfca57a2e7030f44157684404a2177f352e94065ac3ec3bb2db86"
+DESK_REPORT_SHA256 = "61aca6b50c47416a31ed5a46ddc9f197480f5684873cf600ed091fe7e2669f42"
 
 
 def test_desk_report_digest_is_pinned():
@@ -134,7 +134,7 @@ def test_cli_writes_the_pinned_desk_report(tmp_path):
 
 
 # sha256 of the whole extended-class report, written the same way
-EXTENDED_REPORT_SHA256 = "ffc6be54213489e700abab6c963646eea469e1f4da8b127b33715e8efd7adf39"
+EXTENDED_REPORT_SHA256 = "d6da9496cc425500eda4892a44e987b7a269d13fa78696c652738b7d485eeaef"
 
 
 def test_extended_report_digest_is_pinned():
