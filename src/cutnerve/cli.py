@@ -54,6 +54,8 @@ def _parse_params(items):
 def _cmd_verify(args) -> int:
     if not args.all and args.size_class is not None:
         raise InvalidParameterError("--class applies only to --all")
+    if args.timings and not args.json:
+        raise InvalidParameterError("--timings applies only to --json")
     if args.all:
         if args.scenario or args.param:
             raise InvalidParameterError("--all runs a whole size class; give no scenario id or --param")
@@ -87,6 +89,8 @@ def _build_graph(args) -> gr.Graph:
 
 
 def _cmd_build(args) -> int:
+    if args.independent_k is not None and args.construction != "neighborhood":
+        raise InvalidParameterError("--independent-k applies only to neighborhood")
     g = _build_graph(args)
     if args.construction == "graph":
         text = g.to_json()

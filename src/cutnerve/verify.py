@@ -581,6 +581,9 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> Report:
     missing = set(scenario.param_names) - set(merged)
     if missing:
         raise InvalidParameterError(f"{scenario_id} needs parameters {sorted(missing)}")
+    for name, value in merged.items():
+        if type(value) is not int:  # a bool is no parameter value either
+            raise InvalidParameterError(f"{scenario_id} parameter {name!r} must be an integer, got {value!r}")
     start = time.perf_counter()
     checks, digests, *metrics = scenario.runner(merged)
     return Report(scenario_id, merged, checks, digests, time.perf_counter() - start, *metrics)

@@ -50,6 +50,15 @@ def test_unknown_parameter():
         verify.run_scenario("thm-1-4", {"n": 6, "z": 1})
 
 
+@pytest.mark.parametrize("value", [True, 4.0, "4"])
+def test_non_int_parameter_is_refused(value):
+    # a bool would run as k = 1 and be written as true; a float or a string
+    # would raise a TypeError deep in a runner
+    with pytest.raises(InvalidParameterError) as err:
+        verify.run_scenario("thm-1-4", {"n": 6, "k": value})
+    assert "'k'" in str(err.value)
+
+
 def test_missing_parameter():
     with pytest.raises(InvalidParameterError) as err:
         verify.run_scenario("thm-1-4", {"n": 6})
@@ -268,6 +277,13 @@ def test_cli_verify_single_refuses_class(capsys):
     assert main(base) == 0
 
 
+def test_cli_verify_timings_needs_json(monkeypatch, capsys):
+    # run_all is replaced, so a regression runs no jobs
+    monkeypatch.setattr(cli, "run_all", lambda size_class: [])
+    assert _cli_error(capsys, ["verify", "--all", "--timings"]) == 2
+    assert _cli_error(capsys, ["verify", "thm-4-2", "--param", "n=3", "--timings"]) == 2
+
+
 def test_cli_verify_all_defaults_to_desk(monkeypatch, capsys):
     seen = []
     monkeypatch.setattr(cli, "run_all", lambda size_class: seen.append(size_class) or [])
@@ -298,6 +314,12 @@ def test_cli_build_plain_neighborhood(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["facets"]) == 10
+
+
+def test_cli_build_refuses_independent_k_outside_neighborhood(capsys):
+    assert _cli_error(capsys, ["build", "graph", "prism", "--n", "3", "--independent-k", "2"]) == 2
+    assert _cli_error(capsys, [
+        "build", "total-cut", "cycle", "--n", "6", "--k", "2", "--independent-k", "2"]) == 2
 
 
 def test_cli_build_neighborhood_of_induced(tmp_path, capsys):
