@@ -44,6 +44,8 @@ def _parse_params(items):
         if "=" not in item:
             raise InvalidParameterError(f"--param expects name=value, got {item!r}")
         name, _, value = item.partition("=")
+        if name in params:
+            raise InvalidParameterError(f"--param {name} given twice")
         try:
             params[name] = int(value)
         except ValueError:
@@ -85,6 +87,9 @@ def _build_graph(args) -> gr.Graph:
         if v is None:
             raise InvalidParameterError(f"family {args.family!r} needs --{name}")
         values.append(v)
+    if args.k is not None and "k" not in names and args.construction != "total-cut":
+        raise InvalidParameterError(
+            f"--k applies only to total-cut and the kneser families, not {args.construction} {args.family}")
     return fn(*values)
 
 

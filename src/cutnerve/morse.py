@@ -308,7 +308,7 @@ def _strong_collapse(facets, dominations: list) -> list[int]:
 def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     """Collapse toward a single vertex: strong collapses on the facet list,
     then one descent that always takes the least free pair by (dimension,
-    vertex tuple) on a lazy heap over the faces of the core's closure.
+    mask) on a lazy heap over the faces of the core's closure.
 
     Only the core's closure is built.  The face guard stays exact on the
     input's closure, which is enumerated only when the bound sum 2^|f|
@@ -327,16 +327,16 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     faces = closure_masks(core, budget)
     faces.discard(0)
     cof = _coface_map(faces)
-    heap = [(s.bit_count(), mask_face(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
+    heap = [(s.bit_count(), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)
     steps = []
     while len(faces) > 1 and heap:
-        _, _, sigma, tau = heapq.heappop(heap)
+        _, sigma, tau = heapq.heappop(heap)
         if sigma not in faces or cof[sigma] != {tau}:
             continue
         steps.append((sigma, tau))
         for sub in _remove_pair(faces, cof, sigma, tau):
             if len(cof[sub]) == 1:
-                heapq.heappush(heap, (sub.bit_count(), mask_face(sub), sub, next(iter(cof[sub]))))
+                heapq.heappush(heap, (sub.bit_count(), sub, next(iter(cof[sub]))))
     verdict = "collapsible" if len(faces) == 1 else "unknown"
     return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, tuple(dominations))

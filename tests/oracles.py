@@ -296,9 +296,10 @@ def _trim(ranks: list[int]) -> list[int]:
 
 def descent_collapse(facets):
     """The plain collapse descent: repeatedly take the least free pair by
-    (dimension, vertex tuple) on a lazy heap, until one vertex is left or
-    no pair is free.  Returns (steps, terminal, verdict) with verdict
-    "collapsible" or "unknown"."""
+    (dimension, mask) on a lazy heap, the mask of a face being the sum of
+    2^v over its vertices v, until one vertex is left or no pair is free.
+    Returns (steps, terminal, verdict) with verdict "collapsible" or
+    "unknown"."""
     faces = {f for f in closure_of(facets) if f}
     cof: dict[tuple, set] = {f: set() for f in faces}
     for f in faces:
@@ -306,11 +307,14 @@ def descent_collapse(facets):
             sub = f[:pos] + f[pos + 1:]
             if sub:
                 cof[sub].add(f)
-    heap = [(len(s), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
+    def entry(s):
+        return len(s), sum(1 << v for v in s), s, next(iter(cof[s]))
+
+    heap = [entry(s) for s, ts in cof.items() if len(ts) == 1]
     heapq.heapify(heap)
     steps = []
     while len(faces) > 1 and heap:
-        _, sigma, tau = heapq.heappop(heap)
+        _, _, sigma, tau = heapq.heappop(heap)
         if sigma not in faces or cof[sigma] != {tau}:
             continue
         steps.append((sigma, tau))
@@ -322,7 +326,7 @@ def descent_collapse(facets):
                 if sub in faces:
                     cof[sub].discard(g)
                     if len(cof[sub]) == 1:
-                        heapq.heappush(heap, (len(sub), sub, next(iter(cof[sub]))))
+                        heapq.heappush(heap, entry(sub))
     verdict = "collapsible" if len(faces) == 1 else "unknown"
     return tuple(steps), tuple(sorted(faces)), verdict
 

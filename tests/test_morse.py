@@ -608,6 +608,21 @@ def test_greedy_collapse_past_the_strong_collapses():
     assert witness.steps == mask_pairs(descent_collapse(core.facets)[0])
 
 
+def test_greedy_collapse_takes_the_least_free_pair_by_mask():
+    # a core whose least free edge is (0, 3) by vertex tuple and (1, 2),
+    # mask 0b00110, by mask: the heap is keyed on (dimension, mask)
+    core = cx.from_facets("abcde", [(0, 1, 2), (0, 1, 4), (0, 2, 3), (1, 3, 4), (2, 3, 4)])
+    assert dominated_vertex(core) is None
+    free = free_pairs(core)
+    assert min(free)[0] == (0, 3)
+    assert min(free, key=lambda p: mask_pairs([p])[0])[0] == (1, 2)
+    witness = morse.greedy_collapse(core)
+    assert not witness.dominations
+    assert witness.steps[0] == mask_pairs([((1, 2), (0, 1, 2))])[0]
+    assert witness.steps == mask_pairs(descent_collapse(core.facets)[0])
+    assert morse.replay_collapse(core, witness)
+
+
 def test_checkers_share_no_code_with_the_search(monkeypatch):
     # is_acyclic, critical_cells and the replay run with the element
     # matching recursion, the collapse search and its coface code disabled

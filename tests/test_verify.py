@@ -142,6 +142,14 @@ def test_cli_writes_the_pinned_desk_report(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DESK_REPORT_SHA256
 
 
+def test_cli_smoke_class_exits_0():
+    # smoke is the class with no known refutation, so every check passes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "cutnerve", "verify", "--all", "--class", "smoke"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 # sha256 of the whole extended-class report, written the same way
 EXTENDED_REPORT_SHA256 = "d6da9496cc425500eda4892a44e987b7a269d13fa78696c652738b7d485eeaef"
 
@@ -284,6 +292,15 @@ def test_cli_verify_timings_needs_json(monkeypatch, capsys):
     assert _cli_error(capsys, ["verify", "thm-4-2", "--param", "n=3", "--timings"]) == 2
 
 
+def test_cli_verify_refuses_a_repeated_param(monkeypatch, capsys):
+    # run_scenario is replaced, so a regression runs no job
+    monkeypatch.setattr(cli, "run_scenario", lambda sid, params: pytest.fail(f"ran {params}"))
+    argv = ["verify", "thm-1-4", "--param", "n=6", "--param", "k=2", "--param", "n=8"]
+    assert _cli_error(capsys, argv) == 2
+    main(argv)
+    assert "--param n given twice" in capsys.readouterr().err
+
+
 def test_cli_verify_all_defaults_to_desk(monkeypatch, capsys):
     seen = []
     monkeypatch.setattr(cli, "run_all", lambda size_class: seen.append(size_class) or [])
@@ -320,6 +337,17 @@ def test_cli_build_refuses_independent_k_outside_neighborhood(capsys):
     assert _cli_error(capsys, ["build", "graph", "prism", "--n", "3", "--independent-k", "2"]) == 2
     assert _cli_error(capsys, [
         "build", "total-cut", "cycle", "--n", "6", "--k", "2", "--independent-k", "2"]) == 2
+
+
+def test_cli_build_refuses_k_that_nothing_reads(capsys):
+    for argv in (["graph", "cycle", "--n", "5", "--k", "3"],
+                 ["neighborhood", "prism", "--n", "3", "--k", "9"]):
+        assert _cli_error(capsys, ["build", *argv]) == 2
+    # a kneser family reads --k, and so does total-cut
+    for argv in (["graph", "kneser", "--n", "5", "--k", "2"],
+                 ["neighborhood", "stable-kneser", "--n", "5", "--k", "2"],
+                 ["total-cut", "cycle", "--n", "5", "--k", "2"]):
+        assert main(["build", *argv]) == 0
 
 
 def test_cli_build_neighborhood_of_induced(tmp_path, capsys):
