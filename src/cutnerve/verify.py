@@ -554,9 +554,9 @@ SCENARIOS: dict[str, Scenario] = {s.id: s for s in (
         "seeded random graphs: the independent-cover nerve equals the total cut complex",
         run_prop_4_10, ("count", "seed"),
         {
-            "smoke": [{"count": 10, "seed": 2026}],
+            "smoke": [{"count": 60, "seed": 2026}],
             "desk": [{"count": 60, "seed": 2026}],
-            "extended": [{"count": 120, "seed": 2026}],
+            "extended": [{"count": 60, "seed": 2026}],
         },
         defaults={"count": 60, "seed": 2026},
     ),

@@ -87,7 +87,7 @@ def test_smoke_class_all_pass_and_reports_deterministic():
 
 # sha256 of the smoke reports, serialised as `cutnerve verify --json` writes
 # them; a change that alters the report on purpose updates this digest
-SMOKE_REPORT_SHA256 = "41fcf3ce2d65c86d965c10e19a73996e9a471d080c4e5f9e3654518a9a5a705d"
+SMOKE_REPORT_SHA256 = "cd262f87f7bf203f33cb7499e04846f22259bdf516ed5a01c3deb703b9304db7"
 
 
 def test_smoke_report_digest_is_pinned():
@@ -151,7 +151,7 @@ def test_cli_smoke_class_exits_0():
 
 
 # sha256 of the whole extended-class report, written the same way
-EXTENDED_REPORT_SHA256 = "d6da9496cc425500eda4892a44e987b7a269d13fa78696c652738b7d485eeaef"
+EXTENDED_REPORT_SHA256 = "7db1882c79c92b56b6a1644e8213a9f027f693520feb53c8e0d5977105a81f5c"
 
 
 def test_extended_report_digest_is_pinned():
