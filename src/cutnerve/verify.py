@@ -410,159 +410,74 @@ def run_prop_4_10(params):
 # registry
 # ---------------------------------------------------------------------------
 
+SIZE_CLASSES = ("smoke", "desk", "extended")
+
+
 @dataclass(frozen=True)
 class Scenario:
     id: str
-    description: str
     runner: object
     param_names: tuple[str, ...]
-    class_params: dict
+    jobs: dict            # size class -> the jobs it adds to the smaller classes
     defaults: dict = None
+
+    @property
+    def class_params(self) -> dict[str, list[dict]]:
+        """The parameter dicts each size class runs: its own jobs and those
+        of every smaller class."""
+        runs, out = [], {}
+        for size_class in SIZE_CLASSES:
+            runs = out[size_class] = runs + self.jobs.get(size_class, [])
+        return out
 
 
 SCENARIOS: dict[str, Scenario] = {s.id: s for s in (
-    Scenario(
-        "thm-1-4",
-        "total cut complex of a cycle is a sphere of dimension n-2k (void below n=2k)",
-        run_thm_1_4, ("n", "k"),
-        {
-            "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 3, "k": 2}],
-            "desk": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
-                     {"n": 6, "k": 3}, {"n": 8, "k": 3}, {"n": 9, "k": 3}, {"n": 3, "k": 2},
-                     {"n": 5, "k": 3}],
-            "extended": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
-                         {"n": 6, "k": 3}, {"n": 8, "k": 3}, {"n": 9, "k": 3}, {"n": 3, "k": 2},
-                         {"n": 5, "k": 3}, {"n": 10, "k": 2}, {"n": 10, "k": 3},
-                         {"n": 11, "k": 3}, {"n": 12, "k": 4}],
-        },
-    ),
-    Scenario(
-        "thm-1-3",
-        "neighborhood complex of the stable Kneser graph is a sphere of dimension n-2k",
-        run_thm_1_3, ("n", "k"),
-        {
-            "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}],
-            "desk": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
-                     {"n": 6, "k": 3}, {"n": 8, "k": 3}],
-            "extended": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
-                         {"n": 6, "k": 3}, {"n": 8, "k": 3}, {"n": 9, "k": 3}],
-        },
-    ),
-    Scenario(
-        "thm-3-1",
-        "independent cover of the cycle: nerve equals the total cut complex, "
-        "intersections collapse, both sides are spheres",
-        run_thm_3_1, ("n", "k"),
-        {
-            "smoke": [{"n": 6, "k": 2}],
-            "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
-                     {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
-            "extended": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
-                         {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3},
-                         {"n": 9, "k": 3}],
-        },
-    ),
-    Scenario(
-        "prop-3-3",
-        "facet count of the cycle total cut complex matches (n/(n-k)) C(n-k,k)",
-        run_prop_3_3, ("n", "k"),
-        {
-            "smoke": [{"n": 6, "k": 2}],
-            "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
-                     {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
-            "extended": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 6, "k": 2}, {"n": 7, "k": 2},
-                         {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3},
-                         {"n": 10, "k": 2}, {"n": 12, "k": 3}, {"n": 12, "k": 4}],
-        },
-    ),
-    Scenario(
-        "thm-4-2",
-        "prism: neighborhood complex of the induced 2-independent graph, its "
-        "marker cover, the simplex-boundary nerve, and the claimed sphere profile",
-        run_thm_4_2, ("n",),
-        {
-            "smoke": [{"n": 3}],
-            "desk": [{"n": 3}, {"n": 4}, {"n": 5}],
-            "extended": [{"n": 3}, {"n": 4}, {"n": 5}],
-        },
-    ),
-    Scenario(
-        "thm-4-3",
-        "prism total cut complex is a wedge of n-1 spheres of dimension 2n-4",
-        run_thm_4_3, ("n",),
-        {
-            "smoke": [{"n": 3}],
-            "desk": [{"n": 3}, {"n": 4}, {"n": 5}],
-            "extended": [{"n": 2}, {"n": 3}, {"n": 4}, {"n": 5}],
-        },
-    ),
-    Scenario(
-        "thm-4-4",
-        "circular ladder total cut complex: wedge profile plus the matching "
-        "(odd) or decomposition (even) certificates",
-        run_thm_4_4, ("n",),
-        {
-            "smoke": [{"n": 4}, {"n": 5}],
-            "desk": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}],
-            "extended": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}, {"n": 8}, {"n": 9}],
-        },
-    ),
-    Scenario(
-        "thm-4-6",
-        "circular ladder neighborhood complexes: ladder isomorphism and circle "
-        "profile (odd), two disjoint simplices (even)",
-        run_thm_4_6, ("n",),
-        {
-            "smoke": [{"n": 4}, {"n": 5}],
-            "desk": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}],
-            "extended": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}, {"n": 8}, {"n": 9}],
-        },
-    ),
-    Scenario(
-        "thm-4-7",
-        "squared cycle total cut complex is a 3-sphere",
-        run_thm_4_7, ("k",),
-        {
-            "smoke": [{"k": 3}],
-            "desk": [{"k": 3}, {"k": 4}],
-            "extended": [{"k": 3}, {"k": 4}, {"k": 5}],
-        },
-    ),
-    Scenario(
-        "thm-4-8",
-        "squared cycle induced graph: regularity, cyclic window facets, circle profile",
-        run_thm_4_8, ("k",),
-        {
-            "smoke": [{"k": 3}],
-            "desk": [{"k": 3}, {"k": 4}],
-            "extended": [{"k": 3}, {"k": 4}, {"k": 5}],
-        },
-    ),
-    Scenario(
-        "ex-4-9",
-        "star counterexample: collapsible total cut complex but a wedge for the "
-        "Kneser neighborhood complex",
-        run_ex_4_9, ("n",),
-        {
-            "smoke": [{"n": 5}],
-            "desk": [{"n": 4}, {"n": 5}, {"n": 6}],
-            "extended": [{"n": 4}, {"n": 5}, {"n": 6}, {"n": 7}],
-        },
-    ),
-    Scenario(
-        "prop-4-10",
-        "seeded random graphs: the independent-cover nerve equals the total cut complex",
-        run_prop_4_10, ("count", "seed"),
-        {
-            "smoke": [{"count": 60, "seed": 2026}],
-            "desk": [{"count": 60, "seed": 2026}],
-            "extended": [{"count": 60, "seed": 2026}],
-        },
-        defaults={"count": 60, "seed": 2026},
-    ),
+    Scenario("thm-1-4", run_thm_1_4, ("n", "k"), {
+        "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 3, "k": 2}],
+        "desk": [{"n": 7, "k": 2}, {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 8, "k": 3},
+                 {"n": 9, "k": 3}, {"n": 5, "k": 3}],
+        "extended": [{"n": 10, "k": 2}, {"n": 10, "k": 3}, {"n": 11, "k": 3}, {"n": 12, "k": 4}],
+    }),
+    Scenario("thm-1-3", run_thm_1_3, ("n", "k"), {
+        "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}],
+        "desk": [{"n": 7, "k": 2}, {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 8, "k": 3}],
+        "extended": [{"n": 9, "k": 3}],
+    }),
+    Scenario("thm-3-1", run_thm_3_1, ("n", "k"), {
+        "smoke": [{"n": 6, "k": 2}],
+        "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
+                 {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
+        "extended": [{"n": 9, "k": 3}],
+    }),
+    Scenario("prop-3-3", run_prop_3_3, ("n", "k"), {
+        "smoke": [{"n": 6, "k": 2}],
+        "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
+                 {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
+        "extended": [{"n": 10, "k": 2}, {"n": 12, "k": 3}, {"n": 12, "k": 4}],
+    }),
+    Scenario("thm-4-2", run_thm_4_2, ("n",), {"smoke": [{"n": 3}], "desk": [{"n": 4}, {"n": 5}]}),
+    Scenario("thm-4-3", run_thm_4_3, ("n",), {
+        "smoke": [{"n": 3}], "desk": [{"n": 4}, {"n": 5}], "extended": [{"n": 2}],
+    }),
+    Scenario("thm-4-4", run_thm_4_4, ("n",), {
+        "smoke": [{"n": 4}, {"n": 5}], "desk": [{"n": 6}, {"n": 7}], "extended": [{"n": 8}, {"n": 9}],
+    }),
+    Scenario("thm-4-6", run_thm_4_6, ("n",), {
+        "smoke": [{"n": 4}, {"n": 5}], "desk": [{"n": 6}, {"n": 7}], "extended": [{"n": 8}, {"n": 9}],
+    }),
+    Scenario("thm-4-7", run_thm_4_7, ("k",), {
+        "smoke": [{"k": 3}], "desk": [{"k": 4}], "extended": [{"k": 5}],
+    }),
+    Scenario("thm-4-8", run_thm_4_8, ("k",), {
+        "smoke": [{"k": 3}], "desk": [{"k": 4}], "extended": [{"k": 5}],
+    }),
+    Scenario("ex-4-9", run_ex_4_9, ("n",), {
+        "smoke": [{"n": 5}], "desk": [{"n": 4}, {"n": 6}], "extended": [{"n": 7}],
+    }),
+    # it holds by construction, so one corpus size serves every class
+    Scenario("prop-4-10", run_prop_4_10, ("count", "seed"), {"smoke": [{"count": 60, "seed": 2026}]},
+             defaults={"count": 60, "seed": 2026}),
 )}
-
-SIZE_CLASSES = ("smoke", "desk", "extended")
 
 
 def run_scenario(scenario_id: str, params: dict | None = None) -> Report:

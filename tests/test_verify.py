@@ -29,6 +29,18 @@ def test_registry_complete():
             assert scenario.class_params[size_class], f"{sid} missing {size_class} params"
 
 
+def test_each_job_is_listed_once():
+    # a class runs its own jobs and those of every smaller class, so a job
+    # is listed once, under the smallest class that runs it
+    for sid, scenario in verify.SCENARIOS.items():
+        assert set(scenario.jobs) <= set(verify.SIZE_CLASSES), sid
+        listed = [tuple(sorted(p.items())) for jobs in scenario.jobs.values() for p in jobs]
+        assert len(listed) == len(set(listed)), sid
+        runs = [scenario.class_params[c] for c in verify.SIZE_CLASSES]
+        for smaller, larger in zip(runs, runs[1:]):
+            assert larger[:len(smaller)] == smaller, sid
+
+
 def test_run_scenario_examples():
     r = verify.run_scenario("thm-1-4", {"n": 8, "k": 2})
     assert r.verdict == "pass"
