@@ -94,6 +94,10 @@ def _build_graph(args) -> gr.Graph:
 
 
 def _cmd_build(args) -> int:
+    if args.construction not in ("graph", "total-cut", "neighborhood"):
+        raise InvalidParameterError(
+            f"unknown construction {args.construction!r}; known: graph, total-cut, neighborhood"
+        )
     if args.independent_k is not None and args.construction != "neighborhood":
         raise InvalidParameterError("--independent-k applies only to neighborhood")
     g = _build_graph(args)
@@ -103,14 +107,10 @@ def _cmd_build(args) -> int:
         if args.k is None:
             raise InvalidParameterError("total-cut needs --k")
         text = cons.total_cut_complex(g, args.k).to_json()
-    elif args.construction == "neighborhood":
+    else:
         if args.independent_k is not None:
             g = gr.induced_k_independent(g, args.independent_k)
         text = cons.neighborhood_complex(g).to_json()
-    else:
-        raise InvalidParameterError(
-            f"unknown construction {args.construction!r}; known: graph, total-cut, neighborhood"
-        )
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

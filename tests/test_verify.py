@@ -355,6 +355,11 @@ def test_cli_build_refuses_k_that_nothing_reads(capsys):
     for argv in (["graph", "cycle", "--n", "5", "--k", "3"],
                  ["neighborhood", "prism", "--n", "3", "--k", "9"]):
         assert _cli_error(capsys, ["build", *argv]) == 2
+    # an unknown construction is named as such, not as a misused option
+    for option in (["--k", "2"], ["--independent-k", "2"]):
+        assert _cli_error(capsys, ["build", "foo", "prism", "--n", "3", *option]) == 2
+        main(["build", "foo", "prism", "--n", "3", *option])
+        assert "unknown construction 'foo'" in capsys.readouterr().err
     # a kneser family reads --k, and so does total-cut
     for argv in (["graph", "kneser", "--n", "5", "--k", "2"],
                  ["neighborhood", "stable-kneser", "--n", "5", "--k", "2"],
