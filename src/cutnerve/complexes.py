@@ -26,6 +26,7 @@ from .errors import (
     ResourceLimitError,
     VoidComplexError,
     check_json_ground,
+    json_object,
 )
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -213,8 +214,9 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json(text: str) -> "SimplicialComplex":
-        """Read ``to_json`` output; ``"void"`` must agree with the facets."""
-        doc = json.loads(text)
+        """Read ``to_json`` output: a JSON object with "vertices" and
+        "facets", whose ``"void"`` must agree with the facets."""
+        doc = json_object(json.loads(text), "a complex", ("vertices", "facets"))
         labels, facets, void = doc["vertices"], doc["facets"], doc.get("void", False)
         check_json_ground(labels, facets)
         if type(void) is not bool:

@@ -48,10 +48,20 @@ def json_array(value, what: str, length: int | None = None) -> list:
     return value
 
 
+def json_object(value, what: str, keys) -> dict:
+    """``value`` when it is a JSON object that holds every key in ``keys``."""
+    if type(value) is not dict:
+        raise InvalidParameterError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in value:
+            raise InvalidParameterError(f"{what} has no {json.dumps(key)}")
+    return value
+
+
 def check_json_ground(labels, faces):
     """The labels read from JSON must be an array of strings, and the faces
-    an array of arrays of int vertex indices: JSON ``true`` is not vertex
-    1."""
+    an array of arrays of distinct int vertex indices: JSON ``true`` is not
+    vertex 1, and [0, 0, 1] is no face."""
     for lab in json_array(labels, '"vertices"'):
         if not isinstance(lab, str):
             raise InvalidParameterError(f"vertex label {json.dumps(lab)} is not a string")
@@ -59,3 +69,5 @@ def check_json_ground(labels, faces):
         for v in json_array(face, "a face"):
             if type(v) is not int:
                 raise InvalidParameterError(f"face {json.dumps(face)} has {json.dumps(v)} for a vertex index")
+        if len(set(face)) != len(face):
+            raise InvalidParameterError(f"face {json.dumps(face)} repeats a vertex index")

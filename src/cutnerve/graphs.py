@@ -12,7 +12,8 @@ import json
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidParameterError
+from .complexes import face_budget
+from .errors import InvalidParameterError, ResourceLimitError
 
 
 class Graph:
@@ -186,16 +187,20 @@ def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All independent sets of exactly k vertices, as sorted index tuples in
     lexicographic order, in a fresh list.  Enumerated once per k and graph:
     backtracks over a bitmask of candidates, the least first, each choice
-    dropping its neighbors, while enough candidates remain."""
+    dropping its neighbors, while enough candidates remain.  More sets than
+    the face budget raise ResourceLimitError."""
     if k < 0:
         raise InvalidParameterError(f"k must be >= 0, got {k}")
     if k not in g._sets:
         masks = g.adjacency_masks()
+        budget = face_budget()
         out: list[tuple[int, ...]] = []
 
         def extend(prefix: tuple, cand: int):
             if len(prefix) == k:
                 out.append(prefix)
+                if len(out) > budget:
+                    raise ResourceLimitError("independent set count", budget)
                 return
             while cand.bit_count() >= k - len(prefix):
                 low = cand & -cand
@@ -212,11 +217,15 @@ def induced_k_independent(g: Graph, k: int) -> Graph:
     """Graph on the independent k-sets of ``g``, joined when disjoint.
 
     Vertex labels are the set labels built from the base labels, e.g.
-    "{1+,2-}".  The graph may have zero vertices.
+    "{1+,2-}".  The graph may have zero vertices.  The scan over vertex
+    pairs is refused when their count exceeds the face budget.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     sets = independent_sets(g, k)
+    budget = face_budget()
+    if len(sets) * (len(sets) - 1) // 2 > budget:
+        raise ResourceLimitError("vertex-pair scan", budget)
     labels = [set_label(g, s) for s in sets]
     masks = [sum(1 << v for v in s) for s in sets]
     edges = [(a, b) for a, m in enumerate(masks) for b, x in enumerate(masks[a + 1:], a + 1) if not m & x]

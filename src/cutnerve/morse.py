@@ -19,7 +19,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .complexes import SimplicialComplex, closure_masks, face_budget, mask_face
-from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array
+from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array, json_object
 from .homology import ElementMatching
 
 
@@ -200,9 +200,7 @@ class CollapseWitness:
         arrays, a step two faces and a domination two labels; a verdict
         other than "collapsible" or "unknown", or a ``steps_tried`` that is
         not the count of dominations and steps, is malformed too."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise InvalidParameterError("a witness must be a JSON object")
+        doc = json_object(json.loads(text), "a witness", ("steps", "terminal", "verdict"))
 
         def mask(face):
             return cx.face_of_labels(json_array(face, "a witness face"))

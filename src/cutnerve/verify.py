@@ -1,4 +1,4 @@
-"""Scenario registry: every verified claim is a named scenario with typed
+"""Scenario registry: every verified claim is a named scenario with bounded
 integer parameters, deterministic execution, and a machine-readable report.
 
 Scenario ids are stable API tokens (also used by the CLI); each runner
@@ -92,14 +92,13 @@ def _claim(name: str, c: cx.SimplicialComplex, degree: int, count: int = 1) -> C
 # ---------------------------------------------------------------------------
 
 def _guard(cond: bool, message: str):
+    """A theorem hypothesis that ties two parameters; the registry's
+    ``bounds`` guard each parameter alone."""
     if not cond:
         raise GuardError(message)
 
 
-def run_thm_1_4(params):
-    n, k = params["n"], params["k"]
-    _guard(3 <= n <= 12, f"thm-1-4 guard: 3 <= n <= 12, got n={n}")
-    _guard(1 <= k <= 4, f"thm-1-4 guard: 1 <= k <= 4, got k={k}")
+def run_thm_1_4(n, k):
     tc = cons.total_cut_complex(gr.cycle(n), k)
     checks = []
     if n < 2 * k:
@@ -110,10 +109,8 @@ def run_thm_1_4(params):
     return checks, {"total_cut": _digest(tc)}
 
 
-def run_thm_1_3(params):
-    n, k = params["n"], params["k"]
-    _guard(1 <= k <= 3, f"thm-1-3 guard: 1 <= k <= 3, got k={k}")
-    _guard(2 * k <= n <= 9, f"thm-1-3 guard: 2k <= n <= 9, got n={n}")
+def run_thm_1_3(n, k):
+    _guard(2 * k <= n, f"thm-1-3 guard: 2k <= n, got n={n}, k={k}")
     nc = cons.neighborhood_complex(gr.stable_kneser(n, k))
     checks = [_claim("neighborhood-sphere-profile", nc, n - 2 * k)]
     return checks, {"neighborhood": _digest(nc)}
@@ -127,10 +124,8 @@ def _cone_apexes(c: cx.SimplicialComplex) -> int:
     return reduce(and_, c.facet_masks())
 
 
-def run_thm_3_1(params):
-    n, k = params["n"], params["k"]
-    _guard(1 <= k <= 3, f"thm-3-1 guard: 1 <= k <= 3, got k={k}")
-    _guard(2 * k <= n <= 9, f"thm-3-1 guard: 2k <= n <= 9, got n={n}")
+def run_thm_3_1(n, k):
+    _guard(2 * k <= n, f"thm-3-1 guard: 2k <= n, got n={n}, k={k}")
     g = gr.cycle(n)
     cover = cons.independent_cover(g, k)
     nerve_cx = cons.nerve(cover)
@@ -160,10 +155,8 @@ def run_thm_3_1(params):
     return checks, {"nerve": _digest(nerve_cx), "total_cut": _digest(tc)}, {"raw-vs-generator-gap": gaps}
 
 
-def run_prop_3_3(params):
-    n, k = params["n"], params["k"]
-    _guard(3 <= n <= 12, f"prop-3-3 guard: 3 <= n <= 12, got n={n}")
-    _guard(1 <= k <= 4 and 2 * k <= n, f"prop-3-3 guard: 1 <= k <= 4 and n >= 2k, got k={k}")
+def run_prop_3_3(n, k):
+    _guard(2 * k <= n, f"prop-3-3 guard: 2k <= n, got n={n}, k={k}")
     tc = cons.total_cut_complex(gr.cycle(n), k)
     expected = gr.stable_kneser_facet_count(n, k)
     actual = len(tc.facets)
@@ -180,9 +173,7 @@ def _prism_markers(n: int):
     return markers
 
 
-def run_thm_4_2(params):
-    n = params["n"]
-    _guard(3 <= n <= 5, f"thm-4-2 guard: 3 <= n <= 5, got n={n}")
+def run_thm_4_2(n):
     g = gr.prism(n)
     h2 = gr.induced_k_independent(g, 2)
     nb = cons.neighborhood_complex(h2)
@@ -215,20 +206,10 @@ def run_thm_4_2(params):
     return checks, {"neighborhood": _digest(nb), "nerve": _digest(nerve_cx)}
 
 
-def run_thm_4_3(params):
-    n = params["n"]
-    _guard(2 <= n <= 5, f"thm-4-3 guard: 2 <= n <= 5, got n={n}")
+def run_thm_4_3(n):
     tc = cons.total_cut_complex(gr.prism(n), 2)
     checks = [_claim("total-cut-wedge-profile", tc, 2 * n - 4, n - 1)]
     return checks, {"total_cut": _digest(tc)}
-
-
-def _ladder_plus(n: int, i: int) -> int:
-    return 2 * ((i - 1) % n)
-
-
-def _ladder_minus(n: int, i: int) -> int:
-    return 2 * ((i - 1) % n) + 1
 
 
 def _ladder_side_a(n: int) -> int:
@@ -248,9 +229,7 @@ def _ladder_isomorphism(g: gr.Graph) -> dict[int, int]:
     return witness
 
 
-def run_thm_4_4(params):
-    n = params["n"]
-    _guard(3 <= n <= 9, f"thm-4-4 guard: 3 <= n <= 9, got n={n}")
+def run_thm_4_4(n):
     g = gr.circular_ladder(n)
     tc = cons.total_cut_complex(g, n - 1)
     count = (n - 1) if n % 2 else (n - 1) ** 2
@@ -290,9 +269,7 @@ def run_thm_4_4(params):
     return checks, digests
 
 
-def run_thm_4_6(params):
-    n = params["n"]
-    _guard(3 <= n <= 9, f"thm-4-6 guard: 3 <= n <= 9, got n={n}")
+def run_thm_4_6(n):
     g = gr.circular_ladder(n)
     h = gr.induced_k_independent(g, n - 1)
     checks = []
@@ -303,11 +280,12 @@ def run_thm_4_6(params):
                              "witness bijection", "valid witness" if valid else "invalid witness"))
         nc = cons.neighborhood_complex(g)
         digests["neighborhood"] = _digest(nc)
+        # the paper's pairs: {i s, (i+2) s} is free in its coface with (i+1) o
         pairs = []
         for i in range(1, n + 1):
-            for side, other in ((_ladder_plus, _ladder_minus), (_ladder_minus, _ladder_plus)):
-                sigma = cx.face_mask((side(n, i), side(n, i + 2)))
-                pairs.append((sigma, sigma | 1 << other(n, i + 1)))
+            for s, o in ("+-", "-+"):
+                sigma = nc.face_of_labels([f"{i}{s}", f"{(i + 1) % n + 1}{s}"])
+                pairs.append((sigma, sigma | nc.face_of_labels([f"{i % n + 1}{o}"])))
         applied, left = morse.apply_collapses(nc, (), pairs)
         checks.append(_check("stated-free-faces-present", applied == 2 * n, 2 * n, applied))
         checks.append(_claim("collapsed-circle-profile", cx.SimplicialComplex(nc.labels, left), 1))
@@ -321,17 +299,13 @@ def run_thm_4_6(params):
     return checks, digests
 
 
-def run_thm_4_7(params):
-    k = params["k"]
-    _guard(3 <= k <= 5, f"thm-4-7 guard: 3 <= k <= 5, got k={k}")
+def run_thm_4_7(k):
     tc = cons.total_cut_complex(gr.squared_cycle(3 * k + 1), k)
     checks = [_claim("total-cut-sphere-profile", tc, 3)]
     return checks, {"total_cut": _digest(tc)}
 
 
-def run_thm_4_8(params):
-    k = params["k"]
-    _guard(3 <= k <= 5, f"thm-4-8 guard: 3 <= k <= 5, got k={k}")
+def run_thm_4_8(k):
     m = 3 * k + 1
     g = gr.squared_cycle(m)
     h = gr.induced_k_independent(g, k)
@@ -350,9 +324,7 @@ def run_thm_4_8(params):
     return checks, {"neighborhood": _digest(nb)}
 
 
-def run_ex_4_9(params):
-    n = params["n"]
-    _guard(4 <= n <= 7, f"ex-4-9 guard: 4 <= n <= 7, got n={n}")
+def run_ex_4_9(n):
     tc = cons.total_cut_complex(gr.star(n), 2)
     witness = morse.greedy_collapse(tc)
     checks = [_check("star-total-cut-collapsible", witness.is_collapsible(),
@@ -373,13 +345,11 @@ def corpus_graph(index: int, seed: int) -> gr.Graph:
     return gr.Graph([str(v + 1) for v in range(n)], edges)
 
 
-def run_prop_4_10(params):
+def run_prop_4_10(count, seed):
     """The check holds by construction: under the generator reading the
     nerve's facets are the holder masks full ^ S and the total cut complex's
     are the same masks, one per independent k-set S.  So it catches only a
     regression in those constructors, not a failure of the correspondence."""
-    count, seed = params["count"], params["seed"]
-    _guard(1 <= count <= 200, f"prop-4-10 guard: 1 <= count <= 200, got count={count}")
     instances = isolated_flags = 0
     failures = []
     for i in range(count):
@@ -417,9 +387,13 @@ SIZE_CLASSES = ("smoke", "desk", "extended")
 class Scenario:
     id: str
     runner: object
-    param_names: tuple[str, ...]
+    bounds: dict          # parameter -> (least, greatest), or None for any int
     jobs: dict            # size class -> the jobs it adds to the smaller classes
     defaults: dict = None
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(self.bounds)
 
     @property
     def class_params(self) -> dict[str, list[dict]]:
@@ -432,51 +406,51 @@ class Scenario:
 
 
 SCENARIOS: dict[str, Scenario] = {s.id: s for s in (
-    Scenario("thm-1-4", run_thm_1_4, ("n", "k"), {
+    Scenario("thm-1-4", run_thm_1_4, {"n": (3, 12), "k": (1, 4)}, {
         "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}, {"n": 3, "k": 2}],
         "desk": [{"n": 7, "k": 2}, {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 8, "k": 3},
                  {"n": 9, "k": 3}, {"n": 5, "k": 3}],
         "extended": [{"n": 10, "k": 2}, {"n": 10, "k": 3}, {"n": 11, "k": 3}, {"n": 12, "k": 4}],
     }),
-    Scenario("thm-1-3", run_thm_1_3, ("n", "k"), {
+    Scenario("thm-1-3", run_thm_1_3, {"k": (1, 3), "n": (2, 9)}, {
         "smoke": [{"n": 4, "k": 2}, {"n": 6, "k": 2}],
         "desk": [{"n": 7, "k": 2}, {"n": 8, "k": 2}, {"n": 6, "k": 3}, {"n": 8, "k": 3}],
         "extended": [{"n": 9, "k": 3}],
     }),
-    Scenario("thm-3-1", run_thm_3_1, ("n", "k"), {
+    Scenario("thm-3-1", run_thm_3_1, {"k": (1, 3), "n": (3, 9)}, {
         "smoke": [{"n": 6, "k": 2}],
         "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
                  {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
         "extended": [{"n": 9, "k": 3}],
     }),
-    Scenario("prop-3-3", run_prop_3_3, ("n", "k"), {
+    Scenario("prop-3-3", run_prop_3_3, {"n": (3, 12), "k": (1, 4)}, {
         "smoke": [{"n": 6, "k": 2}],
         "desk": [{"n": 4, "k": 2}, {"n": 5, "k": 2}, {"n": 7, "k": 2}, {"n": 8, "k": 2},
                  {"n": 6, "k": 3}, {"n": 7, "k": 3}, {"n": 8, "k": 3}],
         "extended": [{"n": 10, "k": 2}, {"n": 12, "k": 3}, {"n": 12, "k": 4}],
     }),
-    Scenario("thm-4-2", run_thm_4_2, ("n",), {"smoke": [{"n": 3}], "desk": [{"n": 4}, {"n": 5}]}),
-    Scenario("thm-4-3", run_thm_4_3, ("n",), {
+    Scenario("thm-4-2", run_thm_4_2, {"n": (3, 5)}, {"smoke": [{"n": 3}], "desk": [{"n": 4}, {"n": 5}]}),
+    Scenario("thm-4-3", run_thm_4_3, {"n": (2, 5)}, {
         "smoke": [{"n": 3}], "desk": [{"n": 4}, {"n": 5}], "extended": [{"n": 2}],
     }),
-    Scenario("thm-4-4", run_thm_4_4, ("n",), {
+    Scenario("thm-4-4", run_thm_4_4, {"n": (3, 9)}, {
         "smoke": [{"n": 4}, {"n": 5}], "desk": [{"n": 6}, {"n": 7}], "extended": [{"n": 8}, {"n": 9}],
     }),
-    Scenario("thm-4-6", run_thm_4_6, ("n",), {
+    Scenario("thm-4-6", run_thm_4_6, {"n": (3, 9)}, {
         "smoke": [{"n": 4}, {"n": 5}], "desk": [{"n": 6}, {"n": 7}], "extended": [{"n": 8}, {"n": 9}],
     }),
-    Scenario("thm-4-7", run_thm_4_7, ("k",), {
+    Scenario("thm-4-7", run_thm_4_7, {"k": (3, 5)}, {
         "smoke": [{"k": 3}], "desk": [{"k": 4}], "extended": [{"k": 5}],
     }),
-    Scenario("thm-4-8", run_thm_4_8, ("k",), {
+    Scenario("thm-4-8", run_thm_4_8, {"k": (3, 5)}, {
         "smoke": [{"k": 3}], "desk": [{"k": 4}], "extended": [{"k": 5}],
     }),
-    Scenario("ex-4-9", run_ex_4_9, ("n",), {
+    Scenario("ex-4-9", run_ex_4_9, {"n": (4, 7)}, {
         "smoke": [{"n": 5}], "desk": [{"n": 4}, {"n": 6}], "extended": [{"n": 7}],
     }),
     # it holds by construction, so one corpus size serves every class
-    Scenario("prop-4-10", run_prop_4_10, ("count", "seed"), {"smoke": [{"count": 60, "seed": 2026}]},
-             defaults={"count": 60, "seed": 2026}),
+    Scenario("prop-4-10", run_prop_4_10, {"count": (1, 200), "seed": None},
+             {"smoke": [{"count": 60, "seed": 2026}]}, defaults={"count": 60, "seed": 2026}),
 )}
 
 
@@ -487,20 +461,24 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> Report:
         )
     scenario = SCENARIOS[scenario_id]
     given = dict(params or {})
-    unknown = set(given) - set(scenario.param_names)
+    unknown = set(given) - set(scenario.bounds)
     if unknown:
         raise InvalidParameterError(
             f"{scenario_id} does not take parameters {sorted(unknown)}; expects {scenario.param_names}"
         )
     merged = {**(scenario.defaults or {}), **given}
-    missing = set(scenario.param_names) - set(merged)
+    missing = set(scenario.bounds) - set(merged)
     if missing:
         raise InvalidParameterError(f"{scenario_id} needs parameters {sorted(missing)}")
     for name, value in merged.items():
         if type(value) is not int:  # a bool is no parameter value either
             raise InvalidParameterError(f"{scenario_id} parameter {name!r} must be an integer, got {value!r}")
+    for name, bound in scenario.bounds.items():
+        value = merged[name]
+        if bound and not bound[0] <= value <= bound[1]:
+            raise GuardError(f"{scenario_id} guard: {bound[0]} <= {name} <= {bound[1]}, got {name}={value}")
     start = time.perf_counter()
-    checks, digests, *metrics = scenario.runner(merged)
+    checks, digests, *metrics = scenario.runner(**merged)
     return Report(scenario_id, merged, checks, digests, time.perf_counter() - start, *metrics)
 
 

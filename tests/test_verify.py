@@ -89,6 +89,50 @@ def test_guard_violation_names_limit():
     assert "3 <= n <= 5" in str(err.value)
 
 
+def test_every_job_lies_inside_its_bounds():
+    for sid, scenario in verify.SCENARIOS.items():
+        for size_class in verify.SIZE_CLASSES:
+            for params in scenario.class_params[size_class]:
+                assert set(params) == set(scenario.bounds), (sid, params)
+                for name, bound in scenario.bounds.items():
+                    assert bound is None or bound[0] <= params[name] <= bound[1], (sid, params)
+
+
+def test_one_past_each_bound_is_a_guard_error():
+    for sid, scenario in verify.SCENARIOS.items():
+        job = scenario.class_params["smoke"][0]
+        for name, bound in scenario.bounds.items():
+            if bound is None:
+                continue
+            lo, hi = bound
+            for value in (lo - 1, hi + 1):
+                with pytest.raises(GuardError) as err:
+                    verify.run_scenario(sid, {**job, name: value})
+                assert str(err.value) == f"{sid} guard: {lo} <= {name} <= {hi}, got {name}={value}"
+
+
+def test_the_2k_hypothesis_names_n_and_k():
+    for sid in ("thm-1-3", "thm-3-1", "prop-3-3"):
+        with pytest.raises(GuardError) as err:
+            verify.run_scenario(sid, {"n": 5, "k": 3})
+        assert str(err.value) == f"{sid} guard: 2k <= n, got n=5, k=3"
+
+
+def _bounds_text(bounds):
+    return ", ".join(f"{p} any int" if b is None else f"{b[0]} <= {p} <= {b[1]}" for p, b in bounds.items())
+
+
+def test_readme_scenario_table_lists_the_registry():
+    # README's scenario table gives each id once, in sorted order, with the
+    # registry's bounds, so the docs cannot drift from the registry
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("The scenario ids and their parameters:")[1].split("\n\n")[1]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+    assert [row[0] for row in rows] == sorted(verify.SCENARIOS)
+    for row in rows:
+        assert row[2] == _bounds_text(verify.SCENARIOS[row[0]].bounds), row[0]
+
+
 def test_smoke_class_all_pass_and_reports_deterministic():
     first = verify.run_all("smoke")
     assert first
@@ -197,8 +241,16 @@ def test_thm_4_6_reports_a_stated_pair_that_is_not_free(monkeypatch):
     # a stated pair that is not free is a failed check with the count of
     # pairs applied before it, not an uncaught error
     assert verify.run_scenario("thm-4-6", {"n": 5}).verdict == "pass"
-    orig = verify._ladder_minus
-    monkeypatch.setattr(verify, "_ladder_minus", lambda n, i: orig(n, i + 1))
+    orig = constructions.neighborhood_complex
+
+    def minus_labels_one_rung_down(g):
+        # vertex j- is labelled (j-1)-, so every stated "i-" names the
+        # vertex (i+1)- and no stated pair is a pair of the complex
+        nc = orig(g)
+        labels = [lab if lab.endswith("+") else f"{(int(lab[:-1]) - 2) % 5 + 1}-" for lab in nc.labels]
+        return SimplicialComplex(labels, nc.facet_masks())
+
+    monkeypatch.setattr(constructions, "neighborhood_complex", minus_labels_one_rung_down)
     r = verify.run_scenario("thm-4-6", {"n": 5})
     check = next(c for c in r.checks if c.name == "stated-free-faces-present")
     assert (check.verdict, check.expected, check.actual) == ("fail", 10, 0)
@@ -479,6 +531,12 @@ def test_cli_bad_complex_file(tmp_path, capsys, command):
     ('{"vertices":{"a":1,"b":2},"facets":[[0,1]],"void":false}', "not a JSON array"),
     ('{"vertices":["a"],"facets":{},"void":true}', '"facets" is {}, not a JSON array'),
     ('{"vertices":["a"],"facets":["",[0]],"void":false}', 'a face is "", not a JSON array'),
+    # a facet read as its set of vertices would turn [0, 0, 1] into an edge
+    ('{"vertices":["a","b"],"facets":[[0,0,1]]}', "face [0, 0, 1] repeats a vertex index"),
+    ('[1]', "a complex must be a JSON object"),
+    ('"abc"', "a complex must be a JSON object"),
+    ('{"vertices":["a"]}', 'a complex has no "facets"'),
+    ('{"facets":[[0]]}', 'a complex has no "vertices"'),
 ])
 def test_cli_refuses_non_int_vertex_and_non_string_label(tmp_path, capsys, text, named):
     path = tmp_path / "complex.json"
@@ -487,6 +545,25 @@ def test_cli_refuses_non_int_vertex_and_non_string_label(tmp_path, capsys, text,
         assert _cli_error(capsys, [argv[0], str(path)] + argv[1:]) == 2
     main(["homology", str(path)])
     assert named in capsys.readouterr().err
+
+
+def test_cli_build_charges_independent_sets_to_the_face_budget(capsys, monkeypatch):
+    # C8 has 20 independent 2-sets, so I_2(C8) has 190 vertex pairs to scan
+    # for edges; KG(5,2) has 10 vertices and 45 pairs
+    sets, pairs = "independent set count", "vertex-pair scan"
+    total_cut = ["total-cut", "cycle", "--n", "8", "--k", "2"]
+    induced = ["neighborhood", "cycle", "--n", "8", "--independent-k", "2"]
+    kneser = ["graph", "kneser", "--n", "5", "--k", "2"]
+    for argv, budget, refused in ((total_cut, 19, sets), (total_cut, 20, None),
+                                  (induced, 19, sets), (induced, 189, pairs), (induced, 190, None),
+                                  (kneser, 44, pairs), (kneser, 45, None)):
+        monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(budget))
+        if refused:
+            assert _cli_error(capsys, ["build", *argv]) == 2
+            main(["build", *argv])
+            assert f"{refused} exceeded the configured budget of {budget}" in capsys.readouterr().err
+        else:
+            assert main(["build", *argv]) == 0, (argv, budget)
 
 
 def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
