@@ -692,6 +692,8 @@ def test_cli_replay_refuses_malformed_verdict_and_steps_tried(tmp_path, capsys):
     ('{"vertices":["a","b"],"facets":[[0,1]]}',
      '{"verdict":"collapsible","steps":[[["a"],["a","b"],["b"]]],"terminal":[["b"]]}',
      'a step [["a"], ["a", "b"], ["b"]] has 3 items, not 2'),
+    ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","terminal":[["a"]]}',
+     'a witness has no "steps"'),
 ])
 def test_cli_replay_refuses_non_array_witness_parts(tmp_path, capsys, complex_text, witness, named):
     cpath = tmp_path / "complex.json"
