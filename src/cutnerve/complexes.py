@@ -139,6 +139,17 @@ class SimplicialComplex:
             object.__setattr__(self, "_facets", tuple(sorted(map(mask_face, self._masks))))
         return self._facets
 
+    def vertex(self, v) -> int:
+        """The index of the vertex ``v``, given by its label or by its int
+        index; anything else is refused."""
+        if isinstance(v, str):
+            if v not in self.labels:
+                raise InvalidParameterError(f"unknown vertex {v!r}")
+            return self.labels.index(v)
+        if type(v) is not int or not 0 <= v < self.n_vertices:
+            raise InvalidParameterError(f"vertex {v!r} is not a label or an index in 0..{self.n_vertices - 1}")
+        return v
+
     def face_of_labels(self, labels) -> int:
         """The vertex bitmask of the face with these labels; a repeated
         label gives -1, which is no face of any complex.  The label -> bit

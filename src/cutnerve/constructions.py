@@ -162,16 +162,7 @@ def cover_intersection(cover: Cover, indices) -> SimplicialComplex:
 def facet_star_cover(base: SimplicialComplex, markers) -> Cover:
     """One part per marker vertex, generated by the facets containing it:
     each nonempty facet is held by the markers it contains."""
-    marker_idx = []
-    n = len(base.labels)
-    for m in markers:
-        if isinstance(m, str):
-            if m not in base.labels:
-                raise InvalidParameterError(f"marker {m!r} is not a vertex of the complex")
-            m = base.labels.index(m)
-        elif not 0 <= m < n:
-            raise InvalidParameterError(f"marker index {m} is outside 0..{n - 1}")
-        marker_idx.append(m)
+    marker_idx = [base.vertex(m) for m in markers]
     generators = [
         (f, sum(1 << i for i, v in enumerate(marker_idx) if f >> v & 1)) for f in base.facet_masks() if f
     ]

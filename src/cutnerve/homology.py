@@ -8,7 +8,7 @@ growth and torsion are exact.
 Homology comes from discrete Morse theory (Forman, *Morse theory for cell
 complexes*, Adv. Math. 1998).  The acyclic matching is Jonsson's element
 matching (*Simplicial Complexes of Graphs*, LNM 1928, 2008): each vertex v
-of a queried sequence in turn pairs every unmatched face sigma without v
+of a vertex sequence in turn pairs every unmatched face sigma without v
 with sigma + v when that face is unmatched too.  It is computed as Forman's
 decision tree (*Morse theory and evasiveness*, Combinatorica 2000), by a
 link/deletion recursion on relative pairs of facet lists.  Homology queries
@@ -205,7 +205,7 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
     if cx.void:
         profile = HomologyProfile(void=True)
     else:
-        matching = ElementMatching(cx.facet_masks(), face_budget(), (1 << cx.n_vertices) - 1)
+        matching = ElementMatching(cx.facet_masks(), face_budget(), range(cx.n_vertices))
         profile = _morse_homology(matching)
     object.__setattr__(cx, "_homology", profile)
     return profile
@@ -276,13 +276,13 @@ class _Node:
 
 
 class ElementMatching:
-    """The element matching of a complex over the vertices of the bitmask
-    ``queried``, in index order: each such v in turn pairs every unmatched
-    face sigma without v with sigma + v when that face is unmatched too.  It
-    is acyclic (Jonsson, LNM 1928), and it is computed on facet lists only.
+    """The element matching of a complex over the vertex sequence ``order``:
+    each v of it in turn pairs every unmatched face sigma without v with
+    sigma + v when that face is unmatched too.  It is acyclic (Jonsson, LNM
+    1928), and it is computed on facet lists only.
 
     A node is a relative pair (A, B) of facet lists of bitmasks, B inside A,
-    at v, the least queried vertex of A's support.  The faces still
+    at v, the first vertex of ``order`` in A's support.  The faces still
     unmatched under the node are the faces of A that are not in B, each
     joined with the node's path face: the vertices taken on the way down.
     Deciding v pairs rho + v with rho wherever rho lies in lk_v A but not in
@@ -291,19 +291,19 @@ class ElementMatching:
     - with v: (lk_v A meet del_v B, lk_v B), whose cells gain v;
     - without v: (del_v A, lk_v A join del_v B).
 
-    A node is pruned when A lies in B.  At a leaf no queried vertex is left,
-    and the faces of A outside B, joined with its path face, are critical;
-    with every vertex queried, that is the empty face alone.  Nodes are
-    memoized on (A, B), so the recursion is a DAG.
+    A node is pruned when A lies in B.  At a leaf no vertex of ``order`` is
+    left, and the faces of A outside B, joined with its path face, are
+    critical; with every vertex in ``order``, that is the empty face alone.
+    Nodes are memoized on (A, B), so the recursion is a DAG.
 
     Every node is charged one unit of work, an inner node one more per
     critical cell below it, and the gradient flow one per face it visits;
     listing a leaf's cells or a node's pairs is charged the bound sum 2^|f|
     over the facets it enumerates.  The work may not exceed ``budget``."""
 
-    def __init__(self, facets, budget: int, queried: int):
+    def __init__(self, facets, budget: int, order):
         self.budget = budget
-        self.queried = queried
+        self.order = tuple(order)
         self.work = 0
         self.nodes: dict[tuple, _Node] = {}
         self.root = self._node(mask_antichain(facets), ())
@@ -325,8 +325,8 @@ class ElementMatching:
             support = 0
             for f in a:
                 support |= f
-            rest = support & self.queried
-            node = self.nodes[a, b] = _Node(a, b, (rest & -rest).bit_length() - 1)
+            v = next((v for v in self.order if support >> v & 1), -1)
+            node = self.nodes[a, b] = _Node(a, b, v)
         return node
 
     def _expand(self, node: _Node):

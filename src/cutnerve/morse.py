@@ -23,40 +23,12 @@ from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexErro
 from .homology import ElementMatching
 
 
-def _resolve_vertex(cx: SimplicialComplex, v) -> int:
-    if isinstance(v, str):
-        if v not in cx.labels:
-            raise InvalidParameterError(f"unknown vertex {v!r}")
-        return cx.labels.index(v)
-    if not (0 <= v < cx.n_vertices):
-        raise InvalidParameterError(f"vertex index {v} out of range")
-    return v
-
-
-def _relabel(masks, target) -> list[int]:
-    """Each mask with its bit i moved to bit ``target[i]``, by one table
-    lookup per byte."""
-    out = [0] * len(masks)
-    for shift in range(0, len(target), 8):
-        table = [0]
-        for t in target[shift:shift + 8]:
-            table += [m | 1 << t for m in table]
-        out = [o | table[m >> shift & 255] for o, m in zip(out, masks)]
-    return out
-
-
 def element_matching_sequence(cx: SimplicialComplex, vertices) -> list[tuple[int, int]]:
     """The pairs (sigma, sigma + v) of the element matching over
-    ``vertices`` in turn, a repeated vertex dropped (it pairs nothing
-    more): the pairs of ``ElementMatching`` with the sequence first in its
-    bit order, carried back to the complex's bit order."""
-    seq = list(dict.fromkeys(_resolve_vertex(cx, v) for v in vertices))
-    order = seq + sorted(set(range(cx.n_vertices)).difference(seq))
-    position = sorted(range(len(order)), key=order.__getitem__)
-    facets = _relabel(cx.facet_masks(), position)
-    pairs = ElementMatching(facets, face_budget(), (1 << len(seq)) - 1).pairs()
-    masks = _relabel([m for pair in pairs for m in pair], order)
-    return list(zip(masks[::2], masks[1::2]))
+    ``vertices`` in turn, each a label or an index; a repeated vertex is
+    dropped (it pairs nothing more)."""
+    order = dict.fromkeys(map(cx.vertex, vertices))
+    return ElementMatching(cx.facet_masks(), face_budget(), order).pairs()
 
 
 def is_acyclic(cx: SimplicialComplex, pairs):

@@ -68,9 +68,8 @@ class Report:
         return json.dumps(self.to_dict(include_timings), sort_keys=True, separators=(",", ":"))
 
 
-def _digest(complex_or_json) -> str:
-    text = complex_or_json if isinstance(complex_or_json, str) else complex_or_json.to_json()
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _digest(c: cx.SimplicialComplex) -> str:
+    return hashlib.sha256(c.to_json().encode()).hexdigest()[:16]
 
 
 def _check(name: str, ok: bool, expected, actual, miss: str = "fail") -> CheckResult:
@@ -197,7 +196,7 @@ def run_thm_4_2(n):
             cone_failures.append({"pair": list(pair), "reason": "empty"})
             continue
         # a cone over the first marker collapses to its apex
-        apex = cover.base.labels.index(cover.part_labels[pair[0]])
+        apex = cover.base.vertex(cover.part_labels[pair[0]])
         if not _cone_apexes(inter) >> apex & 1:
             cone_failures.append({"pair": list(pair), "reason": "not a cone"})
     checks.append(_check("generator-pairwise-intersections-cone-collapse", not cone_failures,

@@ -394,7 +394,7 @@ def test_facet_star_cover_prism_intersections():
 def test_facet_star_cover_invalid_marker():
     with pytest.raises(InvalidParameterError):
         cons.facet_star_cover(cx.full_simplex("abc"), ["z"])
-    for m in (5, 3, -1):
+    for m in (5, 3, -1, True, 1.0, None):
         with pytest.raises(InvalidParameterError):
             cons.facet_star_cover(cx.full_simplex("abc"), [m])
     cover = cons.facet_star_cover(cx.full_simplex("abc"), [0, 2])

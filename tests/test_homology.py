@@ -4,6 +4,7 @@ reduced homology against the full-boundary SNF oracle."""
 import copy
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -397,6 +398,21 @@ def test_reduced_homology_charges_the_face_budget(monkeypatch):
         hom.reduced_homology(rp2)
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "33")
     assert hom.reduced_homology(rp2).torsion == ((1, (2,)),)
+
+
+@pytest.mark.parametrize("n, index_cells, reversed_cells", [
+    (7, {2: 1, 3: 2}, {3: 1}),
+    (8, {3: 2, 4: 3}, {4: 1}),
+])
+def test_element_matching_order_on_stable_kneser_neighborhood(n, index_cells, reversed_cells):
+    # the vertex sequence is the matching's one argument for its order: on
+    # N(SG(n,2)) the reversed order leaves a single critical cell, the
+    # index order cells in two degrees; neither leaves the empty face
+    nc = cons.neighborhood_complex(gr.stable_kneser(n, 2))
+    index_order = range(nc.n_vertices)
+    for order, expected in ((index_order, index_cells), (reversed(index_order), reversed_cells)):
+        em = hom.ElementMatching(nc.facet_masks(), cx.face_budget(), order)
+        assert Counter(cell.bit_count() - 1 for cell in em.cells) == expected
 
 
 # -- wedge checks ----------------------------------------------------------------

@@ -151,14 +151,16 @@ def test_element_matching_sequence_is_iterated_element_matching():
 
 
 def test_element_matching_unknown_vertex():
-    with pytest.raises(InvalidParameterError):
-        morse.element_matching_sequence(cx.full_simplex("ab"), ["z"])
+    # a vertex is a label or an int index in range; True is no vertex 1
+    for v in ("z", 2, -1, True, 1.0, None):
+        with pytest.raises(InvalidParameterError):
+            morse.element_matching_sequence(cx.full_simplex("ab"), [v])
 
 
 def test_element_matching_sequence_matches_closure_oracle():
     # partial sequences in shuffled order; the recursion itself is also
-    # checked with the same vertices queried in index order, for its
-    # critical cells (the empty face included) and its partner walk
+    # checked on the same sequence, for its critical cells (the empty face
+    # included) and its partner walk
     rng = random.Random(2027)
     for _ in range(300):
         c = random_complex(rng)
@@ -167,8 +169,8 @@ def test_element_matching_sequence_matches_closure_oracle():
         seq = verts[: rng.randint(0, len(verts))]
         assert_matches_closure_oracle(c, seq)
         masks = [sum(1 << v for v in f) for f in c.facets]
-        em = hom.ElementMatching(masks, 10**6, sum(1 << v for v in seq))
-        expected = closure_element_matching(c, sorted(seq))
+        em = hom.ElementMatching(masks, 10**6, seq)
+        expected = closure_element_matching(c, seq)
         partner = {f: g for s, t in expected for f, g in ((s, t), (t, s))}
         as_face = lambda m: tuple(v for v in range(c.n_vertices) if m >> v & 1)
         assert sorted(map(as_face, em.cells)) == sorted(f for f in c.all_faces() if f not in partner)

@@ -133,6 +133,25 @@ def test_readme_scenario_table_lists_the_registry():
         assert row[2] == _bounds_text(verify.SCENARIOS[row[0]].bounds), row[0]
 
 
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # each command of README's CLI block runs, in order, since later ones
+    # read the files earlier ones write; none is a usage error (exit 2).
+    # The desk class exits 1 on the thm-4-2 refutations, and the greedy
+    # search leaves Delta_4(CL_5), a wedge of spheres, uncollapsed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n")[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    codes = []
+    for line in block.splitlines():
+        prog, *argv = line.replace("[--timings]", "--timings").split()
+        assert prog == "cutnerve", line
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    assert codes == [0, 1, 0, 0, 0, 0, 0, 1, 0]
+
+
 def test_smoke_class_all_pass_and_reports_deterministic():
     first = verify.run_all("smoke")
     assert first
@@ -449,11 +468,13 @@ def test_cli_morse(tmp_path, capsys):
         assert main(["morse", cpath, "--vertices", vertices]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+    assert main(["morse", cpath, "--vertices", "zz"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertex 'zz'\n"
 
 
 def test_cli_morse_stdout_is_pinned(tmp_path, capsys):
-    # the order of "critical", and the faces carried back from the
-    # sequence's bit order to the complex's, byte for byte
+    # the order of "critical", and the faces in the complex's bit order,
+    # byte for byte
     cpath = str(tmp_path / "tc.json")
     main(["build", "total-cut", "circular-ladder", "--n", "5", "--k", "4", "--out", cpath])
     capsys.readouterr()
