@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from functools import reduce
+from itertools import groupby
 from operator import or_
 
 from .errors import (
@@ -57,12 +58,13 @@ def mask_face(m: int) -> tuple[int, ...]:
 
 def mask_antichain(masks) -> tuple[int, ...]:
     """Inclusion-maximal members of a collection of faces as vertex
-    bitmasks, sorted.  Largest first, each is kept unless it lies in a kept
-    one (``map`` keeps the scan in C)."""
+    bitmasks, sorted.  Size layer by size layer, largest first, each is kept
+    unless it lies in a kept one of a larger size (``map`` keeps the scan
+    in C): two distinct masks of one size never nest, so the largest layer
+    is kept whole without a scan."""
     keep: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if m not in map(m.__and__, keep):
-            keep.append(m)
+    for _, layer in groupby(sorted(set(masks), key=int.bit_count, reverse=True), int.bit_count):
+        keep += [m for m in layer if m not in map(m.__and__, keep)] if keep else layer
     keep.sort()
     return tuple(keep)
 

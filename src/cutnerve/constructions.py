@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, closure_masks, face_budget, face_mask, mask_face
 from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
-from .graphs import Graph, independent_sets, induced_k_independent
+from .graphs import Graph, independent_sets, k_independent_masks
 
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
@@ -33,7 +33,8 @@ def neighborhood_complex(g: Graph) -> SimplicialComplex:
 
 def _cut_masks(g: Graph, k: int) -> list[int]:
     """The complements of the independent k-sets of ``g``, as vertex masks."""
-    return [((1 << g.n) - 1) ^ face_mask(s) for s in independent_sets(g, k)]
+    full = (1 << g.n) - 1
+    return [full ^ face_mask(s) for s in independent_sets(g, k)]
 
 
 def total_cut_complex(g: Graph, k: int) -> SimplicialComplex:
@@ -143,13 +144,15 @@ def nerve(cover: Cover) -> SimplicialComplex:
 def independent_cover(g: Graph, k: int) -> Cover:
     """The cover of the neighborhood complex of the induced k-independent
     graph with one part per vertex of ``g``: the neighborhood simplex of the
-    independent k-set S generates the parts of the vertices outside S."""
-    h = induced_k_independent(g, k)
-    if h.n == 0:
+    independent k-set S generates the parts of the vertices outside S.  The
+    base is built from the neighbor masks of I_k(G), as
+    ``neighborhood_complex`` would build it from the graph."""
+    labels, masks = k_independent_masks(g, k)
+    if not labels:
         raise EmptyCoverError(f"no independent {k}-sets: cannot build the cover")
-    # h's vertices are the independent k-sets, in the order _cut_masks lists them
-    generators = zip(h.adjacency_masks(), _cut_masks(g, k))
-    return Cover(neighborhood_complex(h), g.labels, generators)
+    # the masks follow the independent k-sets in the order _cut_masks lists them
+    generators = zip(masks, _cut_masks(g, k))
+    return Cover(SimplicialComplex(labels, masks + [0]), g.labels, generators)
 
 
 def cover_intersection(cover: Cover, indices) -> SimplicialComplex:

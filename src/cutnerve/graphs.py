@@ -9,8 +9,10 @@ for identifying vertices across derived constructions.
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .complexes import face_budget
 from .errors import InvalidParameterError, ResourceLimitError
@@ -60,7 +62,8 @@ class Graph:
         return self._masks[i].bit_count()
 
     def has_edge(self, i: int, j: int) -> bool:
-        return 0 <= j and bool(self._masks[i] >> j & 1)
+        """False whenever either index lies outside 0..n-1."""
+        return 0 <= i < len(self._masks) and 0 <= j and bool(self._masks[i] >> j & 1)
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks: the stored form."""
@@ -185,56 +188,80 @@ def stable_kneser(n: int, k: int) -> Graph:
 
 def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All independent sets of exactly k vertices, as sorted index tuples in
-    lexicographic order, in a fresh list.  Enumerated once per k and graph:
-    backtracks over a bitmask of candidates, the least first, each choice
-    dropping its neighbors, while enough candidates remain.  More sets than
-    the face budget raise ResourceLimitError."""
+    lexicographic order, in a fresh list.  Enumerated once per k and graph,
+    depth first on an explicit stack of (prefix, candidates) pairs: each
+    candidate of a prefix, the least first, extends it and drops its
+    neighbors from the candidates, while enough candidates remain; a prefix
+    two short of k lists its sets at once.  More sets than the face budget
+    raise ResourceLimitError, checked as they are listed."""
     if k < 0:
         raise InvalidParameterError(f"k must be >= 0, got {k}")
     if k not in g._sets:
         masks = g.adjacency_masks()
         budget = face_budget()
-        out: list[tuple[int, ...]] = []
-
-        def extend(prefix: tuple, cand: int):
-            if len(prefix) == k:
-                out.append(prefix)
-                if len(out) > budget:
-                    raise ResourceLimitError("independent set count", budget)
-                return
-            while cand.bit_count() >= k - len(prefix):
+        out: list[tuple[int, ...]] = [()] if k == 0 else [(v,) for v in range(g.n)] if k == 1 else []
+        stack = [((), (1 << g.n) - 1)] if k > 1 else []
+        while True:
+            if len(out) > budget:
+                raise ResourceLimitError("independent set count", budget)
+            if not stack:
+                break
+            prefix, cand = stack.pop()
+            need = k - len(prefix)
+            children = []
+            while cand.bit_count() >= need:
                 low = cand & -cand
                 cand ^= low
                 v = low.bit_length() - 1
-                extend(prefix + (v,), cand & ~masks[v])
-
-        extend((), (1 << g.n) - 1)
+                children.append((prefix + (v,), cand & ~masks[v]))
+            if need > 2:
+                stack += reversed(children)
+                continue
+            for child, rest in children:
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    out.append(child + (low.bit_length() - 1,))
         g._sets[k] = tuple(out)
     return list(g._sets[k])
 
 
-def induced_k_independent(g: Graph, k: int) -> Graph:
-    """Graph on the independent k-sets of ``g``, joined when disjoint.
-
-    Vertex labels are the set labels built from the base labels, e.g.
-    "{1+,2-}".  The graph may have zero vertices.  The scan over vertex
-    pairs is refused when their count exceeds the face budget.
-    """
+def k_independent_masks(g: Graph, k: int) -> tuple[list[str], list[int]]:
+    """The vertex labels and neighbor masks of I_k(G), one per independent
+    k-set in ``independent_sets`` order.  With ``holding[v]`` the mask of
+    the sets that contain v, the sets disjoint from S are ``full`` minus
+    the union of ``holding[v]`` over v in S.  An I_k(G) on N vertices is
+    refused when its N(N-1)/2 vertex pairs exceed the face budget."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     sets = independent_sets(g, k)
     budget = face_budget()
     if len(sets) * (len(sets) - 1) // 2 > budget:
         raise ResourceLimitError("vertex-pair scan", budget)
-    labels = [set_label(g, s) for s in sets]
-    masks = [sum(1 << v for v in s) for s in sets]
-    edges = [(a, b) for a, m in enumerate(masks) for b, x in enumerate(masks[a + 1:], a + 1) if not m & x]
+    holding = [0] * g.n
+    for i, s in enumerate(sets):
+        for v in s:
+            holding[v] |= 1 << i
+    full = (1 << len(sets)) - 1
+    masks = [full ^ reduce(or_, map(holding.__getitem__, s)) for s in sets]
+    return [set_label(g, s) for s in sets], masks
+
+
+def induced_k_independent(g: Graph, k: int) -> Graph:
+    """Graph on the independent k-sets of ``g``, joined when disjoint.
+
+    Vertex labels are the set labels built from the base labels, e.g.
+    "{1+,2-}".  The graph may have zero vertices.  Its edges are read off
+    ``k_independent_masks``, which keeps the face budget guard.
+    """
+    labels, masks = k_independent_masks(g, k)
+    edges = [(a, b) for a, m in enumerate(masks) for b in range(a + 1, m.bit_length()) if m >> b & 1]
     return Graph(labels, edges)
 
 
 def set_label(g: Graph, indices) -> str:
     """Label for a vertex set of ``g``, members listed in index order."""
-    return "{" + ",".join(g.labels[i] for i in sorted(indices)) + "}"
+    return "{" + ",".join([g.labels[i] for i in sorted(indices)]) + "}"
 
 
 def isomorphism_witness_valid(g: Graph, h: Graph, mapping: dict[int, int]) -> bool:

@@ -7,7 +7,10 @@ test, so agreement is meaningful evidence.  The one exception is
 it shares only ``smith_normal_form``, which ``dense_snf`` checks in turn,
 and none of the Morse reduction.  ``tuple_strong_collapse`` is likewise the
 tuple-and-set strong collapse that the bitmask one replaced, and
-``TupleCover`` the tuple-and-frozenset cover readings.  The complex
+``TupleCover`` the tuple-and-frozenset cover readings, and
+``recursive_independent_sets`` and ``pair_scan_k_independent`` the
+recursive enumeration and the O(N^2) pair scan that the flat enumeration
+and the holder-mask adjacency of I_k(G) replaced.  The complex
 operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
 counts build test inputs and expected values on top of ``complexes``; no
 code under test calls them.
@@ -477,6 +480,38 @@ def filter_independent_sets(n: int, edges, k: int) -> list[tuple[int, ...]]:
         if all(frozenset(p) not in edge_set for p in combinations(c, 2)):
             out.append(c)
     return out
+
+
+def recursive_independent_sets(masks, k: int) -> list[tuple[int, ...]]:
+    """Independent k-sets of the graph with neighbour masks ``masks``, in
+    lexicographic order, by one recursive call per prefix: the least
+    candidate first, each choice dropping its neighbours, while enough
+    candidates remain."""
+    out = []
+
+    def extend(prefix: tuple, cand: int):
+        if len(prefix) == k:
+            out.append(prefix)
+            return
+        while cand.bit_count() >= k - len(prefix):
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            extend(prefix + (v,), cand & ~masks[v])
+
+    extend((), (1 << len(masks)) - 1)
+    return out
+
+
+def pair_scan_k_independent(labels, masks, k: int):
+    """I_k of the graph with vertex labels ``labels`` and neighbour masks
+    ``masks``, as (labels, edges): the independent k-sets from
+    ``recursive_independent_sets``, labelled "{a,b}" in index order, and an
+    edge for each disjoint pair found by scanning all pairs."""
+    sets = recursive_independent_sets(masks, k)
+    set_masks = [sum(1 << v for v in s) for s in sets]
+    edges = [(a, b) for a, b in combinations(range(len(sets)), 2) if not set_masks[a] & set_masks[b]]
+    return ["{" + ",".join(labels[v] for v in s) + "}" for s in sets], edges
 
 
 def is_two_stable(subset, n: int) -> bool:

@@ -124,6 +124,38 @@ def test_antichain_against_brute_force():
     assert antichain([(64, 0), (0,), (0, 64, 64), (63, 64)]) == [(0, 64), (63, 64)]
 
 
+def test_mask_antichain_edge_families_against_brute_force():
+    # the cases a random family seldom hits: one size with duplicates (kept
+    # whole, no containment scan), a nested chain, the empty face among
+    # others, no face at all, and masks above bit 64
+    rng = random.Random(31)
+
+    def check(masks):
+        expected = brute_antichain(map(cx.mask_face, masks))
+        assert cx.mask_antichain(masks) == tuple(sorted(map(cx.face_mask, expected))), masks
+
+    for _ in range(40):
+        n, size = rng.choice(((8, 3), (12, 5), (90, 4), (140, 70)))
+        family = [cx.face_mask(rng.sample(range(n), size)) for _ in range(rng.randint(30, 40))]
+        family += rng.sample(family, 5)
+        check(family)
+        assert cx.mask_antichain(family) == tuple(sorted(set(family)))
+        chain, m = [], 0
+        for v in rng.sample(range(n), min(n, 12)):
+            m |= 1 << v
+            chain.append(m)
+        check(chain)
+        assert cx.mask_antichain(rng.sample(chain, len(chain))) == (m,)
+        check(family + [0])
+        check(family + chain + [0])
+    check([])
+    check([0])
+    check([0, 0])
+    check([0, 1 << 64, 1 << 64 | 1, 1 << 65 | 1 << 130, 1 << 130])
+    assert cx.mask_antichain([]) == () and cx.mask_antichain([0, 0]) == (0,)
+    assert cx.mask_antichain([1 << 64, 1 << 65, 1 << 64 | 1 << 65, 0]) == (1 << 64 | 1 << 65,)
+
+
 def test_from_facets_out_of_range_vertex():
     c = cx.from_facets([f"v{i}" for i in range(70)], [(69, 3, 3), (68,)])
     assert c.facets == ((3, 69), (68,))

@@ -11,6 +11,7 @@ from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
 from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
+from cutnerve.verify import corpus_graph
 
 from oracles import (
     TupleCover,
@@ -182,6 +183,35 @@ def test_independent_cover_validity():
                 for r in range(1, len(f)):
                     for sub in combinations(f, r):
                         assert sub in faces
+
+
+def test_independent_cover_base_is_the_neighborhood_complex_of_i_k():
+    # the base is built from the neighbour masks of I_k(G), not from the
+    # graph; it must equal N(I_k(G)) in labels and masks
+    graphs = small_graph_corpus() + [corpus_graph(i, 2026) for i in range(60)]
+    for g in graphs:
+        for k in (2, 3):
+            if not gr.independent_sets(g, k):
+                continue
+            base = cons.independent_cover(g, k).base
+            expected = cons.neighborhood_complex(gr.induced_k_independent(g, k))
+            assert base.labels == expected.labels and base.facet_masks() == expected.facet_masks(), (g, k)
+
+
+def test_independent_cover_charges_the_vertex_pair_scan(monkeypatch):
+    # C8 has 20 independent 2-sets, so 190 vertex pairs; the cover keeps the
+    # guard without building I_2(C8) as a Graph
+    c8, c8_again = gr.cycle(8), gr.cycle(8)
+
+    def no_graph(*args):
+        raise AssertionError("independent_cover built a Graph")
+
+    monkeypatch.setattr(gr.Graph, "__init__", no_graph)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "189")
+    with pytest.raises(ResourceLimitError, match="vertex-pair scan exceeded the configured budget of 189"):
+        cons.independent_cover(c8, 2)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "190")
+    assert cons.independent_cover(c8_again, 2).base.n_vertices == 20
 
 
 def test_empty_cover_error():

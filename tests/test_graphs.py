@@ -7,7 +7,8 @@ from itertools import combinations, permutations
 import pytest
 
 from cutnerve import graphs as gr
-from cutnerve.errors import InvalidParameterError
+from cutnerve.errors import InvalidParameterError, ResourceLimitError
+from cutnerve.verify import corpus_graph
 
 from oracles import (
     exists_permutation_isomorphism,
@@ -15,6 +16,8 @@ from oracles import (
     is_two_stable,
     kneser_reference,
     ladder_rule_witness,
+    pair_scan_k_independent,
+    recursive_independent_sets,
 )
 
 
@@ -211,8 +214,17 @@ def test_mask_storage_against_edge_sets():
         assert g.edges() == sorted({tuple(sorted(e)) for e in edges})
         for i in range(n):
             assert g.degree(i) == len(nbrs[i])
-            assert all(g.has_edge(i, j) == (j in nbrs[i]) for j in range(-1, n + 2))
+        for i in range(-1, n + 2):
+            assert all(g.has_edge(i, j) == (0 <= i < n and j in nbrs[i]) for j in range(-1, n + 2))
         assert g == gr.Graph(g.labels, g.edges()) and hash(g) == hash(gr.Graph(g.labels, g.edges()))
+
+
+def test_has_edge_is_false_outside_the_vertex_range():
+    # the path a-b-c plus the edge c-a: index -1 must not read vertex 2,
+    # and index 3 must not raise
+    g = gr.Graph("abc", [(0, 1), (1, 2), (2, 0)])
+    assert [g.has_edge(i, j) for i, j in ((-1, 0), (3, 0), (0, 3), (0, -1), (2, 0))] == [
+        False, False, False, False, True]
 
 
 def test_independent_sets_examples():
@@ -255,7 +267,55 @@ def test_independent_sets_memo_returns_fresh_lists():
         gr.independent_sets(g, -1)
 
 
+def oracle_corpus():
+    """The small corpus and the 60 registry corpus graphs of prop-4-10."""
+    return small_corpus() + [corpus_graph(i, 2026) for i in range(60)]
+
+
+def test_independent_sets_match_the_recursive_oracle():
+    for g in oracle_corpus():
+        for k in (2, 3):
+            assert gr.independent_sets(g, k) == recursive_independent_sets(g.adjacency_masks(), k), (g, k)
+    for g in small_corpus():
+        for k in (0, 1, 4, 5):
+            assert gr.independent_sets(g, k) == recursive_independent_sets(g.adjacency_masks(), k), (g, k)
+
+
+def test_independent_sets_budget_counts_the_sets(monkeypatch):
+    # refused at one less than the number of k-sets, listed at the number
+    for g, k in ((gr.cycle(8), 2), (gr.cycle(9), 3), (gr.prism(4), 2), (gr.star(5), 4)):
+        count = len(recursive_independent_sets(g.adjacency_masks(), k))
+        monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(count - 1))
+        with pytest.raises(ResourceLimitError, match="independent set count"):
+            gr.independent_sets(gr.Graph(g.labels, g.edges()), k)
+        monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(count))
+        assert len(gr.independent_sets(gr.Graph(g.labels, g.edges()), k)) == count
+
+
+def test_independent_sets_budget_ignores_prefixes(monkeypatch):
+    # K_{3,3,3}: 9 independent pairs are prefixes of only 3 independent
+    # triples, so any budget from 3 up lists the triples
+    parts = [range(0, 3), range(3, 6), range(6, 9)]
+    edges = [(a, b) for p, q in combinations(parts, 2) for a in p for b in q]
+    labels = [str(i) for i in range(9)]
+    assert len(recursive_independent_sets(gr.Graph(labels, edges).adjacency_masks(), 2)) == 9
+    for budget in range(3, 9):
+        monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(budget))
+        assert gr.independent_sets(gr.Graph(labels, edges), 3) == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "2")
+    with pytest.raises(ResourceLimitError, match="independent set count"):
+        gr.independent_sets(gr.Graph(labels, edges), 3)
+
+
 # -- induced k-independent graphs -------------------------------------------
+
+def test_induced_matches_the_pair_scan_oracle():
+    for g in oracle_corpus():
+        for k in (2, 3):
+            h = gr.induced_k_independent(g, k)
+            assert h == gr.Graph(*pair_scan_k_independent(g.labels, g.adjacency_masks(), k)), (g, k)
+            assert gr.k_independent_masks(g, k) == (list(h.labels), list(h.adjacency_masks()))
+
 
 def test_induced_empty_when_no_sets():
     h = gr.induced_k_independent(gr.prism(4), 3)
