@@ -61,7 +61,7 @@ def mask_antichain(masks) -> tuple[int, ...]:
     bitmasks, sorted.  Size layer by size layer, largest first, each is kept
     unless it lies in a kept one of a larger size (``map`` keeps the scan
     in C): two distinct masks of one size never nest, so the largest layer
-    is kept whole without a scan."""
+    is kept whole, without building a ``map`` per mask."""
     keep: list[int] = []
     for _, layer in groupby(sorted(set(masks), key=int.bit_count, reverse=True), int.bit_count):
         keep += [m for m in layer if m not in map(m.__and__, keep)] if keep else layer

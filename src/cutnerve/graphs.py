@@ -189,39 +189,36 @@ def stable_kneser(n: int, k: int) -> Graph:
 def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All independent sets of exactly k vertices, as sorted index tuples in
     lexicographic order, in a fresh list.  Enumerated once per k and graph,
-    depth first on an explicit stack of (prefix, candidates) pairs: each
-    candidate of a prefix, the least first, extends it and drops its
-    neighbors from the candidates, while enough candidates remain; a prefix
-    two short of k lists its sets at once.  More sets than the face budget
-    raise ResourceLimitError, checked as they are listed."""
+    depth first on an explicit stack of (prefix, candidates) pairs: the
+    least candidate extends the prefix and drops its neighbors from the
+    candidates, while enough candidates remain, and the rest stay on the
+    stack beneath it; a prefix one short of k lists its candidates.  More
+    sets than the face budget raise ResourceLimitError, checked after each
+    prefix's listing, so at most budget + n sets are ever held."""
     if k < 0:
         raise InvalidParameterError(f"k must be >= 0, got {k}")
     if k not in g._sets:
         masks = g.adjacency_masks()
         budget = face_budget()
-        out: list[tuple[int, ...]] = [()] if k == 0 else [(v,) for v in range(g.n)] if k == 1 else []
-        stack = [((), (1 << g.n) - 1)] if k > 1 else []
+        out: list[tuple[int, ...]] = [] if k else [()]
+        stack = [((), (1 << g.n) - 1)] if k else []
         while True:
             if len(out) > budget:
                 raise ResourceLimitError("independent set count", budget)
             if not stack:
                 break
             prefix, cand = stack.pop()
-            need = k - len(prefix)
-            children = []
-            while cand.bit_count() >= need:
+            if len(prefix) + 1 == k:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    out.append(prefix + (low.bit_length() - 1,))
+            elif cand.bit_count() >= k - len(prefix):
                 low = cand & -cand
                 cand ^= low
                 v = low.bit_length() - 1
-                children.append((prefix + (v,), cand & ~masks[v]))
-            if need > 2:
-                stack += reversed(children)
-                continue
-            for child, rest in children:
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    out.append(child + (low.bit_length() - 1,))
+                stack.append((prefix, cand))
+                stack.append((prefix + (v,), cand & ~masks[v]))
         g._sets[k] = tuple(out)
     return list(g._sets[k])
 
@@ -252,10 +249,17 @@ def induced_k_independent(g: Graph, k: int) -> Graph:
 
     Vertex labels are the set labels built from the base labels, e.g.
     "{1+,2-}".  The graph may have zero vertices.  Its edges are read off
-    ``k_independent_masks``, which keeps the face budget guard.
+    ``k_independent_masks``, which keeps the face budget guard, by walking
+    the set bits of each mask above its own index.
     """
     labels, masks = k_independent_masks(g, k)
-    edges = [(a, b) for a, m in enumerate(masks) for b in range(a + 1, m.bit_length()) if m >> b & 1]
+    edges = []
+    for a, m in enumerate(masks):
+        m >>= a + 1
+        while m:
+            low = m & -m
+            m ^= low
+            edges.append((a, a + low.bit_length()))
     return Graph(labels, edges)
 
 

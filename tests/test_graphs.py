@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -306,6 +307,24 @@ def test_independent_sets_budget_ignores_prefixes(monkeypatch):
     with pytest.raises(ResourceLimitError, match="independent set count"):
         gr.independent_sets(gr.Graph(labels, edges), 3)
 
+
+
+def test_independent_sets_budget_stops_the_listing_early(monkeypatch):
+    # C_1000 and the edgeless graph on 1000 vertices have about 500,000
+    # independent pairs; at a budget of 100 the refusal comes after at most
+    # budget + n pairs are listed, so the peak allocation stays far below
+    # the ~36 MB that listing every pair takes
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "100")
+    for g in (gr.cycle(1000), gr.Graph([str(i) for i in range(1000)], [])):
+        g.adjacency_masks()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="independent set count"):
+                gr.independent_sets(g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
 # -- induced k-independent graphs -------------------------------------------
 
