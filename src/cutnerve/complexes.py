@@ -56,6 +56,16 @@ def mask_face(m: int) -> tuple[int, ...]:
     return tuple(v for v in range(m.bit_length()) if m >> v & 1)
 
 
+def permute_mask(m: int, perm) -> int:
+    """The image of the bitmask ``m`` under the vertex map v -> perm[v]."""
+    out = 0
+    while m:
+        low = m & -m
+        m ^= low
+        out |= 1 << perm[low.bit_length() - 1]
+    return out
+
+
 def mask_antichain(masks) -> tuple[int, ...]:
     """Inclusion-maximal members of a collection of faces as vertex
     bitmasks, sorted.  Size layer by size layer, largest first, each is kept

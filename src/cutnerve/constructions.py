@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, closure_masks, face_budget, face_mask, mask_face
+from .complexes import SimplicialComplex, closure_masks, face_budget, face_mask, mask_face, permute_mask
 from .errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
-from .graphs import Graph, independent_sets, k_independent_masks
+from .graphs import Graph, independent_sets, k_independent_masks, set_label
 
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
@@ -89,12 +89,21 @@ class Cover:
         before its bit is set."""
         idx = 0
         for i in indices:
+            if type(i) is not int:
+                raise InvalidParameterError(f"part index {i!r} is not an int")
             if not 0 <= i < self.n_parts:
                 raise InvalidParameterError(f"part index {i} out of range")
             idx |= 1 << i
         if not idx:
             raise InvalidParameterError("index set must be nonempty")
         return idx
+
+    def intersection(self, idx: int) -> SimplicialComplex:
+        """``cover_intersection`` over the nonempty index set with bitmask
+        ``idx``."""
+        if type(idx) is not int or not 0 < idx < 1 << self.n_parts:
+            raise InvalidParameterError(f"index set mask {idx!r} is not a nonempty set of parts")
+        return SimplicialComplex(self.base.labels, [f for f, holders in self.generators if idx & holders == idx])
 
     def reading_gap(self) -> int:
         """How many nonempty index sets the two readings disagree on, read
@@ -155,11 +164,39 @@ def independent_cover(g: Graph, k: int) -> Cover:
     return Cover(SimplicialComplex(labels, masks + [0]), g.labels, generators)
 
 
+def cover_symmetries(cover: Cover, g: Graph, k: int, perms) -> list[tuple[int, ...]]:
+    """The vertex permutations ``perms`` of ``g`` (each a sequence, v -> perm[v])
+    as automorphisms of a cover whose parts are the vertices of ``g`` and
+    whose base vertices are its independent k-sets in ``independent_sets``
+    order, as ``independent_cover`` builds it; or [] when one of them fails.
+
+    Each permutation pi moves base vertex i, the set S_i, to the base vertex
+    labelled ``set_label(g, pi(S_i))``.  It passes when that base action beta
+    is a bijection and (face, holders) -> (beta·face, pi·holders) maps the
+    set of generators onto itself; beta then carries the intersection over
+    an index set I isomorphically onto the one over pi·I.  Only the given
+    permutations are checked, and no symmetry is searched for."""
+    perms = [tuple(perm) for perm in perms]
+    sets = independent_sets(g, k)
+    index = {label: i for i, label in enumerate(cover.base.labels)}
+    if cover.part_labels != g.labels or len(sets) != len(index):
+        return []
+    gens = set(cover.generators)
+    for perm in perms:
+        if sorted(perm) != list(range(g.n)):
+            return []
+        beta = [index.get(set_label(g, [perm[v] for v in s])) for s in sets]
+        if None in beta or len(set(beta)) != len(beta):
+            return []
+        if {(permute_mask(face, beta), permute_mask(holders, perm)) for face, holders in gens} != gens:
+            return []
+    return perms
+
+
 def cover_intersection(cover: Cover, indices) -> SimplicialComplex:
     """Subcomplex generated by the faces held by every part of the index
     set; void when no generator qualifies."""
-    idx = cover._index_set(indices)
-    return SimplicialComplex(cover.base.labels, [f for f, holders in cover.generators if idx & holders == idx])
+    return cover.intersection(cover._index_set(indices))
 
 
 def facet_star_cover(base: SimplicialComplex, markers) -> Cover:

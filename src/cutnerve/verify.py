@@ -123,6 +123,40 @@ def _cone_apexes(c: cx.SimplicialComplex) -> int:
     return reduce(and_, c.facet_masks())
 
 
+def _collapsible(c: cx.SimplicialComplex) -> bool:
+    """Certified collapsible: a cone, by its apex, or any other complex by
+    a greedy witness that replays; a stranded search certifies nothing."""
+    if _cone_apexes(c):
+        return True
+    witness = morse.greedy_collapse(c)
+    return witness.is_collapsible() and morse.replay_collapse(c, witness)
+
+
+def _dihedral(n: int) -> list[tuple[int, ...]]:
+    """The rotation v -> v + 1 and the reflection v -> -v of C_n, which
+    generate its dihedral group."""
+    return [tuple((v + 1) % n for v in range(n)), tuple(-v % n for v in range(n))]
+
+
+def _orbits(faces, perms):
+    """The orbits of the masks ``faces``, a set closed under ``perms``,
+    under the group the permutations generate: one list per orbit, in the
+    order of the first member met, which leads its list."""
+    seen = set()
+    for face in faces:
+        if face in seen:
+            continue
+        seen.add(face)
+        orbit = [face]
+        for m in orbit:  # the list grows as the orbit closes
+            for perm in perms:
+                image = cx.permute_mask(m, perm)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        yield orbit
+
+
 def run_thm_3_1(n, k):
     _guard(2 * k <= n, f"thm-3-1 guard: 2k <= n, got n={n}, k={k}")
     g = gr.cycle(n)
@@ -135,16 +169,21 @@ def run_thm_3_1(n, k):
     checks.append(_claim("total-cut-sphere-profile", tc, n - 2 * k))
     # the cover's base is N(I_k(C_n)) = N(SG(n, k))
     checks.append(_claim("neighborhood-sphere-profile", cover.base, n - 2 * k))
-    # every geometrically nonempty intersection must collapse to a point: a
-    # cone collapses to its apex, and any other needs the greedy search, a
-    # semi-decision, so a stranded search is "unknown"
+    # every geometrically nonempty intersection must collapse to a point,
+    # checked once per orbit of the dihedral group, which acts on the cover;
+    # an orbit whose representative is not certified is searched member by
+    # member, and a stranded search is "unknown"
+    faces = cx.closure_masks(nerve_cx.facet_masks(), cx.face_budget())
+    faces.discard(0)
+    perms = cons.cover_symmetries(cover, g, k, _dihedral(n))
     unresolved, tested = [], 0
-    for face in filter(None, nerve_cx.all_faces()):
-        inter = cons.cover_intersection(cover, face)
+    for orbit in _orbits(sorted(faces, key=cx.mask_face), perms):
+        inter = cover.intersection(orbit[0])
         if inter.has_vertices():
-            tested += 1
-            if not _cone_apexes(inter) and not morse.greedy_collapse(inter).is_collapsible():
-                unresolved.append(list(face))
+            tested += len(orbit)
+            if not _collapsible(inter):
+                unresolved += [orbit[0]] + [m for m in orbit[1:] if not _collapsible(cover.intersection(m))]
+    unresolved = sorted(list(cx.mask_face(m)) for m in unresolved)
     checks.append(_check("intersections-collapsible", not unresolved,
                          {"collapsible": tested}, {"tested": tested, "unresolved": unresolved},
                          miss="unknown"))

@@ -475,12 +475,67 @@ def test_cover_rejects_ungenerated_facet():
 
 def test_cover_index_sets_nonempty_and_in_range():
     cover = cons.independent_cover(gr.cycle(6), 2)
-    for bad in ([], [6], [0, -1]):
+    for bad in ([], [6], [0, -1], [True], [1.0]):
         with pytest.raises(InvalidParameterError):
             cons.cover_intersection(cover, bad)
     # any iterable, read once; a repeated index counts once
     assert cons.cover_intersection(cover, iter([2, 0, 2])) == cons.cover_intersection(cover, [0, 2])
     assert cons.cover_intersection(cover, (i for i in (1, 1))) == cons.cover_intersection(cover, [1])
+
+
+def test_cover_intersection_by_mask():
+    cover = cons.independent_cover(gr.cycle(6), 2)
+    for idx in range(1, 1 << 6):
+        assert cover.intersection(idx) == cons.cover_intersection(cover, cx.mask_face(idx))
+    for bad in (0, 1 << 6, -1, True):
+        with pytest.raises(InvalidParameterError, match="index set mask"):
+            cover.intersection(bad)
+
+
+def dihedral(n):
+    return [[(v + 1) % n for v in range(n)], [-v % n for v in range(n)]]
+
+
+def test_cover_symmetries_accept_the_dihedral_generators():
+    for k in (2, 3):
+        for n in range(max(4, 2 * k), 10):
+            g = gr.cycle(n)
+            cover = cons.independent_cover(g, k)
+            perms = cons.cover_symmetries(cover, g, k, iter(dihedral(n)))
+            assert perms == [tuple(p) for p in dihedral(n)], (n, k)
+            # the generators map the nerve onto itself
+            nerve = cons.nerve(cover)
+            for perm in perms:
+                assert sorted(cx.permute_mask(f, perm) for f in nerve.facet_masks()) == list(nerve.facet_masks())
+    g = gr.cycle(6)
+    assert cons.cover_symmetries(cons.independent_cover(g, 2), g, 2, []) == []
+
+
+def test_cover_symmetries_refuse_what_does_not_map_the_cover():
+    g = gr.cycle(6)
+    cover = cons.independent_cover(g, 2)
+    rotation, reflection = dihedral(6)
+    # swapping two adjacent cycle vertices moves {1,3} to {2,3}, no base vertex
+    swap = [1, 0, 2, 3, 4, 5]
+    for perms in ([swap], [rotation, swap], [reflection, swap]):
+        assert cons.cover_symmetries(cover, g, 2, perms) == []
+    # not a permutation of the vertices
+    for bad in ([0, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 0]):
+        assert cons.cover_symmetries(cover, g, 2, [bad]) == []
+    # a base bijection that does not carry the generators onto themselves:
+    # the generator of {1,3} loses part 1 (the vertex "2") from its holders;
+    # the reflection v -> 2 - v fixes both, so it still maps the cover
+    (face, holders), *rest = cover.generators
+    assert cover.base.labels[0] == "{1,3}" and holders & 0b10
+    forged = cons.Cover(cover.base, cover.part_labels, [(face, holders ^ 0b10)] + rest)
+    fixing = [2, 1, 0, 5, 4, 3]
+    assert cons.cover_symmetries(forged, g, 2, [fixing]) == [tuple(fixing)]
+    for perms in ([rotation], [reflection], [fixing, rotation]):
+        assert cons.cover_symmetries(forged, g, 2, perms) == []
+        assert cons.cover_symmetries(cover, g, 2, perms) == list(map(tuple, perms))
+    # the cover of another graph or another k
+    assert cons.cover_symmetries(cover, gr.cycle(7), 2, [dihedral(7)[0]]) == []
+    assert cons.cover_symmetries(cover, g, 3, [rotation]) == []
 
 
 def test_cover_keeps_generators_that_share_a_face():

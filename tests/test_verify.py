@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cutnerve import cli, constructions, graphs, verify
+from cutnerve import cli, constructions, graphs, morse, verify
 from cutnerve.cli import main
 from cutnerve.complexes import SimplicialComplex, face_mask
 from cutnerve.errors import GuardError, InvalidParameterError
@@ -305,6 +305,85 @@ def test_thm_3_1_cone_certificate_reports_match_the_search_everywhere(monkeypatc
     certified = reports()
     monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
     assert reports() == certified
+
+
+# the thm-3-1 jobs of the cycle-collapse workload: the desk sizes below
+# n=8 k=2, with the smoke job n=6 k=2
+CYCLE_COLLAPSE_SIZES = [(4, 2), (5, 2), (6, 2), (7, 2), (6, 3), (7, 3), (8, 3)]
+
+
+def test_thm_3_1_orbit_reports_match_the_per_face_loop_everywhere(monkeypatch):
+    # with no symmetry every index set is its own orbit and is checked on
+    # its own; the extended-class reports must not change by a byte
+    params = verify.SCENARIOS["thm-3-1"].class_params["extended"]
+
+    def reports():
+        return [json.dumps(verify.run_scenario("thm-3-1", p).to_dict(), sort_keys=True) for p in params]
+
+    by_orbit = reports()
+    monkeypatch.setattr(verify, "_dihedral", lambda n: [])
+    assert reports() == by_orbit
+
+
+def per_face_tested(n, k):
+    """The nonempty index sets of the thm-3-1 cover, as the per-face loop
+    lists them: every nonempty nerve face, in lexicographic order, whose
+    intersection has a vertex."""
+    cover = constructions.independent_cover(graphs.cycle(n), k)
+    faces = filter(None, constructions.nerve(cover).all_faces())
+    return [list(f) for f in faces if constructions.cover_intersection(cover, f).has_vertices()]
+
+
+def test_thm_3_1_forced_strand_keeps_the_per_face_list(monkeypatch):
+    # no cone and no search succeeds: every orbit falls back to its members,
+    # so every tested index set is unresolved, in lexicographic order
+    stranded = morse.CollapseWitness((), (), "unknown")
+    monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
+    monkeypatch.setattr(morse, "greedy_collapse", lambda c: stranded)
+    for n, k in CYCLE_COLLAPSE_SIZES + [(8, 2)]:
+        report = verify.run_scenario("thm-3-1", {"n": n, "k": k})
+        check = next(c for c in report.checks if c.name == "intersections-collapsible")
+        expected = per_face_tested(n, k)
+        assert check.verdict == "unknown"
+        assert check.actual == {"tested": len(expected), "unresolved": expected}, (n, k)
+
+
+def test_thm_3_1_replays_the_searched_witnesses(monkeypatch):
+    # a forged "collapsible" witness that does not replay certifies nothing
+    forged = morse.CollapseWitness((), (1,), "collapsible")
+    monkeypatch.setattr(morse, "greedy_collapse", lambda c: forged)
+    report = verify.run_scenario("thm-3-1", {"n": 7, "k": 2})
+    check = next(c for c in report.checks if c.name == "intersections-collapsible")
+    assert check.verdict == "unknown"
+    assert check.actual["unresolved"] and check.actual["tested"] == len(per_face_tested(7, 2))
+
+
+def test_thm_3_1_orbit_and_search_counts(monkeypatch):
+    # the dihedral group cuts the index sets to their orbits, and the
+    # greedy search runs only on representatives that are not cones
+    searches = []
+    search = morse.greedy_collapse
+    monkeypatch.setattr(morse, "greedy_collapse", lambda c: searches.append(c) or search(c))
+
+    def counts(sizes):
+        tested = orbits = 0
+        for n, k in sizes:
+            g = graphs.cycle(n)
+            cover = constructions.independent_cover(g, k)
+            faces = sorted(filter(None, map(face_mask, constructions.nerve(cover).all_faces())))
+            perms = constructions.cover_symmetries(cover, g, k, verify._dihedral(n))
+            assert len(perms) == 2
+            for orbit in verify._orbits(faces, perms):
+                assert cover.intersection(orbit[0]).has_vertices()
+                tested += len(orbit)
+                orbits += 1
+            report = verify.run_scenario("thm-3-1", {"n": n, "k": k})
+            assert report.verdict == "pass"
+        return tested, orbits, len(searches)
+
+    assert counts(CYCLE_COLLAPSE_SIZES) == (416, 56, 13)
+    searches.clear()
+    assert counts([(8, 2)]) == (238, 26, 2)
 
 
 def test_prop_4_10_small_run():
