@@ -223,12 +223,13 @@ def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     return list(g._sets[k])
 
 
-def k_independent_masks(g: Graph, k: int) -> tuple[list[str], list[int]]:
+def k_independent_masks(g: Graph, k: int) -> tuple[list[str], list[int], list[int]]:
     """The vertex labels and neighbor masks of I_k(G), one per independent
-    k-set in ``independent_sets`` order.  With ``holding[v]`` the mask of
-    the sets that contain v, the sets disjoint from S are ``full`` minus
-    the union of ``holding[v]`` over v in S.  An I_k(G) on N vertices is
-    refused when its N(N-1)/2 vertex pairs exceed the face budget."""
+    k-set in ``independent_sets`` order, and ``holding``: for each vertex v
+    of ``g``, the mask of the sets that contain v.  The sets disjoint from S
+    are ``full`` minus the union of ``holding[v]`` over v in S.  An I_k(G)
+    on N vertices is refused when its N(N-1)/2 vertex pairs exceed the face
+    budget."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     sets = independent_sets(g, k)
@@ -241,7 +242,7 @@ def k_independent_masks(g: Graph, k: int) -> tuple[list[str], list[int]]:
             holding[v] |= 1 << i
     full = (1 << len(sets)) - 1
     masks = [full ^ reduce(or_, map(holding.__getitem__, s)) for s in sets]
-    return [set_label(g, s) for s in sets], masks
+    return [set_label(g, s) for s in sets], masks, holding
 
 
 def induced_k_independent(g: Graph, k: int) -> Graph:
@@ -252,7 +253,7 @@ def induced_k_independent(g: Graph, k: int) -> Graph:
     ``k_independent_masks``, which keeps the face budget guard, by walking
     the set bits of each mask above its own index.
     """
-    labels, masks = k_independent_masks(g, k)
+    labels, masks, _ = k_independent_masks(g, k)
     edges = []
     for a, m in enumerate(masks):
         m >>= a + 1

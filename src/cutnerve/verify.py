@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, or_
 
 from . import complexes as cx
 from . import constructions as cons
@@ -161,7 +161,7 @@ def run_thm_3_1(n, k):
     _guard(2 * k <= n, f"thm-3-1 guard: 2k <= n, got n={n}, k={k}")
     g = gr.cycle(n)
     cover = cons.independent_cover(g, k)
-    nerve_cx = cons.nerve(cover)
+    nerve_cx = cover.nerve()
     tc = cons.total_cut_complex(g, k)
     equal = nerve_cx == tc
     checks = [_check("nerve-equals-total-cut", equal,
@@ -169,28 +169,30 @@ def run_thm_3_1(n, k):
     checks.append(_claim("total-cut-sphere-profile", tc, n - 2 * k))
     # the cover's base is N(I_k(C_n)) = N(SG(n, k))
     checks.append(_claim("neighborhood-sphere-profile", cover.base, n - 2 * k))
-    # every geometrically nonempty intersection must collapse to a point,
-    # checked once per orbit of the dihedral group, which acts on the cover;
-    # an orbit whose representative is not certified is searched member by
-    # member, and a stranded search is "unknown"
+    # the nerve lemma (Björner, Handbook of Combinatorics 1995, Thm 10.6)
+    # needs the parts to cover the base ...
+    uncovered = [list(cover.base.labels_of_face(f)) for f in cover.base.facet_masks()
+                 if all(f & ~w for w in cover.parts)]
+    checks.append(_check("parts-cover-base", not uncovered,
+                         "every base facet in a part", uncovered or "covered"))
+    # ... and every nonempty intersection to be contractible: each must
+    # collapse to a point, checked once per orbit of the dihedral group,
+    # which acts on the cover; an orbit whose representative is not
+    # certified is searched member by member, and a stranded search is
+    # "unknown"
     faces = cx.closure_masks(nerve_cx.facet_masks(), cx.face_budget())
     faces.discard(0)
     perms = cons.cover_symmetries(cover, g, k, _dihedral(n))
     unresolved, tested = [], 0
     for orbit in _orbits(sorted(faces, key=cx.mask_face), perms):
-        inter = cover.intersection(orbit[0])
-        if inter.has_vertices():
-            tested += len(orbit)
-            if not _collapsible(inter):
-                unresolved += [orbit[0]] + [m for m in orbit[1:] if not _collapsible(cover.intersection(m))]
+        tested += len(orbit)
+        if not _collapsible(cover.intersection(orbit[0])):
+            unresolved += [orbit[0]] + [m for m in orbit[1:] if not _collapsible(cover.intersection(m))]
     unresolved = sorted(list(cx.mask_face(m)) for m in unresolved)
     checks.append(_check("intersections-collapsible", not unresolved,
                          {"collapsible": tested}, {"tested": tested, "unresolved": unresolved},
                          miss="unknown"))
-    # index sets where the raw face-sharing reading disagrees with the
-    # generator reading: a figure, not a check
-    gaps = cover.reading_gap()
-    return checks, {"nerve": _digest(nerve_cx), "total_cut": _digest(tc)}, {"raw-vs-generator-gap": gaps}
+    return checks, {"nerve": _digest(nerve_cx), "total_cut": _digest(tc)}
 
 
 def run_prop_3_3(n, k):
@@ -220,24 +222,26 @@ def run_thm_4_2(n):
         _check("facet-count", len(nb.facets) == n * (n - 1), n * (n - 1), len(nb.facets)),
         _check("facet-dimension", dim_ok, n * n - 3 * n + 2, nb.dimension()),
     ]
-    cover = cons.facet_star_cover(nb, _prism_markers(n))
-    nerve_cx = cons.nerve(cover)
-    boundary = cx.simplex_boundary(cover.part_labels)
-    equal = nerve_cx == boundary
-    # this check and the cone check read the cover by its generators; the true
-    # intersections of the marker stars are not acyclic at n >= 4 (README)
+    # both checks below read each marker's star as the facets through the
+    # marker, not as a subcomplex: the true intersections of the stars are
+    # not acyclic at n >= 4 (README)
+    labels = _prism_markers(n)
+    markers = [nb.vertex(m) for m in labels]
+    facets = nb.facet_masks()
+    holders = [sum(1 << i for i, v in enumerate(markers) if f >> v & 1) for f in facets]
+    nerve_cx = cx.SimplicialComplex(labels, holders)
+    equal = nerve_cx == cx.simplex_boundary(labels)
     checks.append(_check("generator-nerve-is-simplex-boundary", equal,
                          "boundary of (n-1)-simplex", "equal" if equal else "different"))
     cone_failures = []
-    for pair in combinations(range(n), 2):
-        inter = cons.cover_intersection(cover, pair)
+    for a, b in combinations(range(n), 2):
+        pair = 1 << markers[a] | 1 << markers[b]
+        inter = cx.SimplicialComplex(nb.labels, [f for f in facets if f & pair == pair])
         if not inter.has_vertices():
-            cone_failures.append({"pair": list(pair), "reason": "empty"})
-            continue
+            cone_failures.append({"pair": [a, b], "reason": "empty"})
         # a cone over the first marker collapses to its apex
-        apex = cover.base.vertex(cover.part_labels[pair[0]])
-        if not _cone_apexes(inter) >> apex & 1:
-            cone_failures.append({"pair": list(pair), "reason": "not a cone"})
+        elif not _cone_apexes(inter) >> markers[a] & 1:
+            cone_failures.append({"pair": [a, b], "reason": "not a cone"})
     checks.append(_check("generator-pairwise-intersections-cone-collapse", not cone_failures,
                          "cone collapse witness per pair", cone_failures or "all witnessed"))
     checks.append(_claim("neighborhood-sphere-profile", nb, n - 2))
@@ -384,34 +388,40 @@ def corpus_graph(index: int, seed: int) -> gr.Graph:
 
 
 def run_prop_4_10(count, seed):
-    """The check holds by construction: under the generator reading the
-    nerve's facets are the holder masks full ^ S and the total cut complex's
-    are the same masks, one per independent k-set S.  So it catches only a
-    regression in those constructors, not a failure of the correspondence."""
-    instances = isolated_flags = 0
+    """The nerve of the full-subcomplex cover of N(I_k(G)) against the total
+    cut complex, on a random corpus at k = 2, 3.  The nerve's facets are the
+    masks full ^ S over the independent k-sets S that are no isolated vertex
+    of I_k(G), and the total cut complex's are full ^ S over all of them, so
+    the two are equal exactly when I_k(G) has no isolated vertex.  Each
+    instance checks both halves of that law; the check catches a regression
+    in those constructors, not a failure of the correspondence.  The metric
+    counts the instances where the nerve differs from the total cut
+    complex."""
+    instances = differ = 0
     failures = []
     for i in range(count):
         g = corpus_graph(i, seed)
+        full = (1 << g.n) - 1
         for k in (2, 3):
             try:
                 cover = cons.independent_cover(g, k)
             except EmptyCoverError:
                 continue  # alpha(G) < k
             instances += 1
-            nerve_cx = cons.nerve(cover)
-            tc = cons.total_cut_complex(g, k)
-            if nerve_cx != tc:
+            nerve_cx, tc = cover.nerve(), cons.total_cut_complex(g, k)
+            # the base vertices in no face are the isolated vertices of I_k(G)
+            sets = gr.independent_sets(g, k)
+            unused = ((1 << len(sets)) - 1) & ~reduce(or_, cover.base.facet_masks())
+            isolated = {full ^ cx.face_mask(sets[j]) for j in cx.mask_face(unused)}
+            equal = nerve_cx == tc
+            differ += not equal
+            kept = [f for f in tc.facet_masks() if f not in isolated] or [0]
+            if list(nerve_cx.facet_masks()) != kept or equal == bool(isolated):
                 failures.append({"graph": i, "k": k})
-            # an independent set that meets every other is an isolated vertex
-            # of I_k(G), so its generator has the empty face
-            if not all(face for face, _ in cover.generators):
-                isolated_flags += 1
     checks = [_check("nerve-equals-total-cut", not failures,
                      {"instances": instances, "failures": 0},
                      {"instances": instances, "failures": failures})]
-    metrics = {"geometric-reading-divergence-flag":
-               {"instances-with-isolated-independent-sets": isolated_flags}}
-    return checks, {}, metrics
+    return checks, {}, {"nerve-differs-from-total-cut": differ}
 
 
 # ---------------------------------------------------------------------------

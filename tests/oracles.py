@@ -7,10 +7,11 @@ test, so agreement is meaningful evidence.  The one exception is
 it shares only ``smith_normal_form``, which ``dense_snf`` checks in turn,
 and none of the Morse reduction.  ``tuple_strong_collapse`` is likewise the
 tuple-and-set strong collapse that the bitmask one replaced, and
-``TupleCover`` the tuple-and-frozenset cover readings, and
 ``recursive_independent_sets`` and ``pair_scan_k_independent`` the
 recursive enumeration and the O(N^2) pair scan that the flat enumeration
-and the holder-mask adjacency of I_k(G) replaced.  The complex
+and the holder-mask adjacency of I_k(G) replaced.  ``FullCover`` builds
+the full-subcomplex cover of N(I_k(G)) from the k-subsets, on frozensets,
+and its intersections by brute-force closure.  The complex
 operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
 counts build test inputs and expected values on top of ``complexes``; no
 code under test calls them.
@@ -419,53 +420,45 @@ def closure_element_matching(c, vertices, pairs=()) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# covers on tuples and frozensets
+# the full-subcomplex cover of N(I_k(G)), from first principles
 # ---------------------------------------------------------------------------
 
-class TupleCover:
-    """The readings of a cover on ``(face, holders)`` generators given as
-    vertex tuples and frozensets of part indices, as the bitmask ``Cover``
-    replaced them: intersections by subset tests on holder sets, supports as
-    vertex sets."""
+class FullCover:
+    """The cover of N(I_k(G)) by full subcomplexes on frozensets: the base
+    vertices are the independent k-sets, found by filtering all k-subsets,
+    and W_v holds the sets that avoid the graph vertex v, found by scanning
+    them."""
 
-    def __init__(self, n_parts: int, generators):
-        self.n_parts = n_parts
-        self.generators = [(tuple(sorted(f)), frozenset(h)) for f, h in generators]
+    def __init__(self, n: int, edges, k: int):
+        self.sets = [frozenset(s) for s in filter_independent_sets(n, edges, k)]
+        self.parts = [frozenset(j for j, s in enumerate(self.sets) if v not in s) for v in range(n)]
+        # the facets of N(I_k(G)) to be: N(S), the sets disjoint from S
+        self.neighborhoods = [frozenset(j for j, t in enumerate(self.sets) if not s & t) for s in self.sets]
+        self._closure = None
 
-    def intersection_generators(self, idx) -> list[tuple[int, ...]]:
-        """The faces held by every part of ``idx``."""
-        idx = frozenset(idx)
-        return [f for f, holders in self.generators if idx <= holders]
+    def meet(self, idx) -> frozenset:
+        """W_I: the sets that every part of ``idx`` holds."""
+        return frozenset.intersection(*(self.parts[v] for v in idx))
 
-    def generated_nonempty(self, idx) -> bool:
-        return any(self.intersection_generators(idx))
+    def intersection_faces(self, idx) -> set[tuple[int, ...]]:
+        """Every face of the intersection over ``idx``: the brute-force
+        closure of N(I_k(G)), restricted to the faces inside W_I."""
+        if self._closure is None:
+            self._closure = closure_of(self.neighborhoods)
+        w = self.meet(idx)
+        return {f for f in self._closure if w.issuperset(f)}
 
-    def raw_intersection_nonempty(self, idx) -> bool:
-        supports = [set() for _ in range(self.n_parts)]
-        for f, holders in self.generators:
-            for i in holders:
-                supports[i].update(f)
-        return bool(set.intersection(*(supports[i] for i in idx)))
+    def intersection_facets(self, idx) -> list[tuple[int, ...]]:
+        """The facets of the same complex, the maximal sets N(S) & W_I, for
+        bases whose closure is too large to list."""
+        w = self.meet(idx)
+        return brute_antichain(nb & w for nb in self.neighborhoods)
 
     def nerve_facets(self) -> list[tuple[int, ...]]:
-        return brute_antichain([tuple(sorted(h)) for _, h in self.generators] or [()])
-
-
-def independent_cover_generators(n: int, edges, k: int) -> list:
-    """The independent cover's generators from first principles: for each
-    independent k-set S, the faces are the indices of the k-sets disjoint
-    from S (the neighbourhood of S in I_k), and the holders the vertices
-    outside S."""
-    sets = filter_independent_sets(n, edges, k)
-    return [
-        ([j for j, t in enumerate(sets) if not set(s) & set(t)], frozenset(range(n)) - set(s))
-        for s in sets
-    ]
-
-
-def facet_star_generators(facets, markers) -> list:
-    """One generator per nonempty facet, held by the markers it contains."""
-    return [(f, frozenset(i for i, m in enumerate(markers) if m in f)) for f in facets if f]
+        """The maximal sets of parts that share a base vertex lying in a
+        face of N(I_k(G)); [()] when no base vertex does."""
+        used = frozenset().union(*self.neighborhoods)
+        return brute_antichain([tuple(v for v, w in enumerate(self.parts) if t in w) for t in used] or [()])
 
 
 # ---------------------------------------------------------------------------

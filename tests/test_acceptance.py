@@ -61,6 +61,10 @@ def test_criterion_02_stable_kneser_neighborhood_spheres():
 
 
 def test_criterion_03_cycle_cover_nerve_and_collapses():
+    # the full-subcomplex cover of N(SG(n, k)) meets both hypotheses of the
+    # nerve lemma: its parts cover the base and every nonempty intersection
+    # collapses, with a witness that replays; its nerve is the total cut
+    # complex
     t0 = time.perf_counter()
     for n in range(4, 9):
         for k in (2, 3):
@@ -68,22 +72,22 @@ def test_criterion_03_cycle_cover_nerve_and_collapses():
                 continue
             g = gr.cycle(n)
             cover = cons.independent_cover(g, k)
-            nerve = cons.nerve(cover)
+            nerve = cover.nerve()
             tc = cons.total_cut_complex(g, k)
             assert nerve == tc, (n, k)
             expected = gr.stable_kneser_facet_count(n, k)
             assert len(tc.facets) == expected, (n, k, len(tc.facets), expected)
+            assert all(any(f & ~w == 0 for w in cover.parts) for f in cover.base.facet_masks()), (n, k)
             for face in nerve.all_faces():
                 if not face:
                     continue
-                inter = cons.cover_intersection(cover, face)
-                if not inter.has_vertices():
-                    continue
+                inter = cover.intersection(cx.face_mask(face))
+                assert inter.has_vertices(), (n, k, face)
                 witness = morse.greedy_collapse(inter)
                 assert witness.is_collapsible(), (n, k, face)
                 assert morse.replay_collapse(inter, witness), (n, k, face)
     assert gr.stable_kneser_facet_count(6, 2) == 9
-    _report(3, True, f"nerve equality, facet counts, replayed collapse witnesses ({time.perf_counter() - t0:.1f}s)")
+    _report(3, True, f"nerve equality, parts cover the base, replayed collapse witnesses ({time.perf_counter() - t0:.1f}s)")
 
 
 # The reduced homology each prism neighborhood complex has.  n = 3 is the
@@ -107,15 +111,16 @@ def test_criterion_04_prism_neighborhood(n):
     nb = cons.neighborhood_complex(gr.induced_k_independent(g, 2))
     assert len(nb.facets) == n * (n - 1)
     assert nb.is_pure() and nb.dimension() == n * n - 3 * n + 2
-    markers = [gr.set_label(g, [2 * (i - 1), 2 * (i % n)  + 1]) for i in range(1, n + 1)]
-    cover = cons.facet_star_cover(nb, markers)
-    nerve = cons.nerve(cover)
-    assert nerve == cx.simplex_boundary(cover.part_labels)
-    for pair in combinations(range(n), 2):
-        inter = cons.cover_intersection(cover, pair)
+    labels = [gr.set_label(g, [2 * (i - 1), 2 * (i % n)  + 1]) for i in range(1, n + 1)]
+    markers = [nb.labels.index(m) for m in labels]
+    # the marker stars read by their generators: each facet is held by the
+    # markers it contains
+    holders = [sum(1 << i for i, m in enumerate(markers) if m in f) for f in nb.facets]
+    assert cx.SimplicialComplex(labels, holders) == cx.simplex_boundary(labels)
+    for a, b in combinations(markers, 2):
+        inter = cx.from_facets(nb.labels, [f for f in nb.facets if a in f and b in f])
         # a cone over the first marker
-        apex = nb.labels.index(cover.part_labels[pair[0]])
-        assert all(apex in f for f in inter.facets)
+        assert inter.has_vertices() and all(a in f for f in inter.facets)
     expected = PRISM_NEIGHBORHOOD_PROFILES[n]
     # SNF-free evidence: chi~ from the face counts must match the profile's
     # alternating sum, and for n >= 4 it rules out the sphere S^(n-2)
@@ -252,18 +257,28 @@ def test_criterion_09_star_and_kneser():
 
 
 def test_criterion_10_random_corpus_nerves():
+    # the nerve's facets are full ^ S over the independent k-sets S that are
+    # no isolated vertex of I_k(G), so it equals the total cut complex
+    # exactly when I_k(G) has no isolated vertex
     t0 = time.perf_counter()
-    instances = 0
+    instances = differ = 0
     for i in range(60):
         g = verify.corpus_graph(i, 2026)
         for k in (2, 3):
-            if not gr.independent_sets(g, k):
+            sets = [frozenset(s) for s in gr.independent_sets(g, k)]
+            if not sets:
                 continue
             instances += 1
-            cover = cons.independent_cover(g, k)
-            assert cons.nerve(cover) == cons.total_cut_complex(g, k), (i, k)
-    assert instances >= 50, instances
-    _report(10, True, f"{instances} corpus instances ({time.perf_counter() - t0:.1f}s)")
+            kept = [s for s in sets if any(not s & t for t in sets)]
+            nerve = cons.independent_cover(g, k).nerve()
+            expected = sorted(tuple(sorted(set(range(g.n)) - s)) for s in kept) or [()]
+            assert list(nerve.facets) == expected, (i, k)
+            equal = nerve == cons.total_cut_complex(g, k)
+            assert equal == (len(kept) == len(sets)), (i, k)
+            differ += not equal
+    assert (instances, differ) == (117, 49)
+    _report(10, True, f"{instances} corpus instances, {differ} with an isolated independent set "
+                      f"({time.perf_counter() - t0:.1f}s)")
 
 
 def test_criterion_11_engine_oracles():

@@ -13,14 +13,7 @@ from cutnerve import homology as hom
 from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
 from cutnerve.verify import corpus_graph
 
-from oracles import (
-    TupleCover,
-    brute_antichain,
-    brute_homology,
-    euler_characteristic_reduced,
-    facet_star_generators,
-    independent_cover_generators,
-)
+from oracles import FullCover, brute_homology, closure_of, euler_characteristic_reduced
 
 
 def small_graph_corpus():
@@ -36,14 +29,9 @@ def small_graph_corpus():
     return graphs
 
 
-def tuple_cover(cover):
-    """The tuple-and-frozenset oracle on a cover's own generators."""
-    return TupleCover(cover.n_parts, [(cx.mask_face(f), cx.mask_face(h)) for f, h in cover.generators])
-
-
 def part_faces(cover, i):
     """Nonempty faces of part i of the cover, explicitly."""
-    return {f for f in cons.cover_intersection(cover, [i]).all_faces() if f}
+    return {f for f in cover.intersection(1 << i).all_faces() if f}
 
 
 # -- neighborhood complexes ----------------------------------------------------
@@ -144,28 +132,14 @@ def test_total_cut_purity_and_facet_count():
 # -- covers and nerves ------------------------------------------------------------
 
 def test_nerve_single_part_cover():
-    base = cx.full_simplex("abc")
-    cover = cons.facet_star_cover(base, ["a"])
-    nerve = cons.nerve(cover)
-    assert nerve.facet_label_family() == frozenset({frozenset({"a"})})
+    cover = cons.Cover(cx.full_simplex("abc"), ["a"], [0b111])
+    assert cover.nerve().facet_label_family() == frozenset({frozenset({"a"})})
 
 
 def test_nerve_of_cycle_cover_equals_total_cut():
     for n, k in [(6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3)]:
         cover = cons.independent_cover(gr.cycle(n), k)
-        nerve = cons.nerve(cover)
-        tc = cons.total_cut_complex(gr.cycle(n), k)
-        assert nerve == tc
-
-
-def test_nerve_of_prism_marker_cover_is_simplex_boundary():
-    g = gr.prism(4)
-    h2 = gr.induced_k_independent(g, 2)
-    base = cons.neighborhood_complex(h2)
-    markers = [gr.set_label(g, [2 * (i - 1), 2 * (i % 4) + 1]) for i in range(1, 5)]
-    cover = cons.facet_star_cover(base, markers)
-    nerve = cons.nerve(cover)
-    assert nerve == cx.simplex_boundary(cover.part_labels)
+        assert cover.nerve() == cons.total_cut_complex(gr.cycle(n), k)
 
 
 def test_independent_cover_validity():
@@ -183,6 +157,8 @@ def test_independent_cover_validity():
                 for r in range(1, len(f)):
                     for sub in combinations(f, r):
                         assert sub in faces
+            # every facet of the base lies in some part
+            assert all(any(f & ~w == 0 for w in cover.parts) for f in cover.base.facet_masks())
 
 
 def test_independent_cover_base_is_the_neighborhood_complex_of_i_k():
@@ -220,8 +196,9 @@ def test_empty_cover_error():
 
 
 def test_cover_intersection_single_index_is_part():
-    # from first principles: part i is generated by N(S) = {T : T and S are
-    # disjoint} over the independent k-sets S that avoid i
+    # from first principles: part i is the full subcomplex of N(I_k(G)) on
+    # the independent k-sets that avoid i, generated by the sets N(S) minus
+    # the k-sets through i
     for g in small_graph_corpus():
         for k in (2, 3):
             sets = [frozenset(s) for s in gr.independent_sets(g, k)]
@@ -229,206 +206,224 @@ def test_cover_intersection_single_index_is_part():
                 continue
             cover = cons.independent_cover(g, k)
             vertex = {lab: j for j, lab in enumerate(cover.base.labels)}
-            nbhd = {s: [vertex[gr.set_label(g, t)] for t in sets if not s & t] for s in sets}
+            nbhd = {s: [t for t in sets if not s & t] for s in sets}
             for i in range(g.n):
-                part = cx.from_facets(cover.base.labels, [nbhd[s] for s in sets if i not in s])
-                assert cons.cover_intersection(cover, [i]) == part, (g.labels, k, i)
+                facets = [[vertex[gr.set_label(g, t)] for t in nbhd[s] if i not in t] for s in sets]
+                assert cover.intersection(1 << i) == cx.from_facets(cover.base.labels, facets), (g.labels, k, i)
 
 
-def test_cover_intersection_all_indices_void():
+def test_cover_intersection_all_indices_is_empty():
+    # no independent pair of C6 avoids every vertex
     cover = cons.independent_cover(gr.cycle(6), 2)
-    assert cons.cover_intersection(cover, range(6)).void
+    assert cover.intersection((1 << 6) - 1) == cx.empty_complex(cover.base.labels)
 
 
 def test_cover_intersection_agrees_with_explicit_faces_when_small():
-    # generator reading is always contained in the raw face-set reading
+    # the full-subcomplex reading is exact: the intersection over I has the
+    # faces that every part of I has, on every index set of C6 at k = 2
     cover = cons.independent_cover(gr.cycle(6), 2)
-    for m in (1, 2, 3):
+    for m in range(1, 7):
         for idx in combinations(range(6), m):
-            inter = cons.cover_intersection(cover, idx)
-            if inter.void:
-                continue
-            raw = set.intersection(*(part_faces(cover, i) for i in idx))
-            mine = {f for f in inter.all_faces() if f}
-            assert mine <= raw
+            faces = {f for f in cover.intersection(cx.face_mask(idx)).all_faces() if f}
+            assert faces == set.intersection(*(part_faces(cover, i) for i in idx)), idx
 
 
-def test_raw_and_generator_readings_differ_and_are_flagged():
-    """The two readings of a part intersection genuinely differ; the raw one
-    would break the nerve/total-cut equality, so disagreements are tracked
-    rather than hidden.  The 4-element index set below is the smallest cycle
-    witness: each part contains the face through a different generator."""
-    cover = cons.independent_cover(gr.cycle(6), 2)
-    raw = tuple_cover(cover).raw_intersection_nonempty
-    idx = (0, 1, 2, 3)
-    assert cons.cover_intersection(cover, idx).void
-    assert raw(idx)
-    gaps = [
-        idx2
-        for m in range(1, 7)
-        for idx2 in combinations(range(6), m)
-        if raw(idx2) != cons.cover_intersection(cover, idx2).has_vertices()
-    ]
-    assert len(gaps) == 13  # frozen census for the 6-cycle cover at k=2
-
-
-def test_octahedron_raw_reading_differs():
-    # complete tripartite K_{2,2,2}: three pairwise disjoint nonedges make
-    # every raw triple intersection nonempty while no generator is shared
-    edges = [
-        (a, b) for a in range(6) for b in range(a + 1, 6)
-        if {a, b} not in ({0, 5}, {1, 4}, {2, 3})
-    ]
-    g = gr.Graph([str(i + 1) for i in range(6)], edges)
-    cover = cons.independent_cover(g, 2)
-    nerve = cons.nerve(cover)
-    tc = cons.total_cut_complex(g, 2)
-    assert nerve == tc
-    idx = (3, 4, 5)
-    assert tuple_cover(cover).raw_intersection_nonempty(idx)
-    assert not cons.cover_intersection(cover, idx).has_vertices()
-
-
-def test_cover_intersection_has_vertices_is_the_generator_reading():
-    # on the covers of the reading tests above, and the thm-3-1 cycle
-    # covers up to n = 8, on every index set
+def test_cover_intersection_has_vertices_exactly_on_nerve_faces():
+    # on the octahedron K_{2,2,2}, the path P3 (one isolated independent
+    # pair), the star K_{1,3} (three) and the thm-3-1 cycle covers up to
+    # n = 8, on every index set
     octahedron = gr.Graph([str(i + 1) for i in range(6)], [
         (a, b) for a in range(6) for b in range(a + 1, 6)
         if {a, b} not in ({0, 5}, {1, 4}, {2, 3})
     ])
     path = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
-    covers = [cons.independent_cover(octahedron, 2), cons.independent_cover(path, 2)]
+    covers = [cons.independent_cover(g, 2) for g in (octahedron, path, gr.star(3))]
     covers += [cons.independent_cover(gr.cycle(n), k) for k in (2, 3) for n in range(2 * k, 9)]
     for cover in covers:
-        parts = range(cover.n_parts)
-        for m in parts:
-            for idx in combinations(parts, m + 1):
-                expected = tuple_cover(cover).generated_nonempty(idx)
-                assert cons.cover_intersection(cover, idx).has_vertices() == expected, (cover.part_labels, idx)
-    for bad in ([], [cover.n_parts], [0, -1]):
-        with pytest.raises(InvalidParameterError):
-            cons.cover_intersection(cover, bad)
+        faces = cx.closure_masks(cover.nerve().facet_masks(), 1 << cover.n_parts)
+        for idx in range(1, 1 << cover.n_parts):
+            assert cover.intersection(idx).has_vertices() == (idx in faces), (cover.part_labels, idx)
 
 
-def reading_gap_by_index_sets(cover):
-    """The reading gap as a per-index-set comparison of the oracle's readings."""
-    oracle, parts = tuple_cover(cover), range(cover.n_parts)
-    return sum(oracle.raw_intersection_nonempty(idx) != oracle.generated_nonempty(idx)
-               for m in parts for idx in combinations(parts, m + 1))
+def test_cover_intersection_by_mask():
+    cover = cons.independent_cover(gr.cycle(6), 2)
+    oracle = FullCover(6, gr.cycle(6).edges(), 2)
+    for idx in range(1, 1 << 6):
+        assert set(cover.intersection(idx).all_faces()) == oracle.intersection_faces(cx.mask_face(idx))
 
 
-def random_covers(seed, count):
-    """Covers of random bases by random generators: each facet with random
-    holders, then random faces, the empty face among them, with theirs."""
+def test_cover_index_sets_nonempty_and_in_range():
+    # an index set is a nonempty int mask of the parts; nothing else reads
+    # as one, not the index list of a part, nor a bool or a float
+    cover = cons.independent_cover(gr.cycle(6), 2)
+    for bad in (0, 1 << 6, 0b1000001, -1, True, 1.0, [1], (0, 2), None):
+        with pytest.raises(InvalidParameterError, match="index set mask"):
+            cover.intersection(bad)
+    assert cover.intersection((1 << 6) - 1) == cx.empty_complex(cover.base.labels)
+    assert cover.intersection(1 << 5).has_vertices()
+
+
+def test_cover_guards_shift_no_bit_out_of_range():
+    # a part mask or an index set mask far out of range is refused by a
+    # compare or a right shift, never by building 1 << mask
+    base = cx.full_simplex("ab")
+    for huge in (1 << 4096, -(1 << 4096)):
+        with pytest.raises(InvalidParameterError, match="one vertex mask of the base per part label"):
+            cons.Cover(base, ["x", "y"], [0b11, huge])
+    cover = cons.independent_cover(gr.cycle(6), 2)
+    for huge in (1 << 4096, -(1 << 4096), 10**12):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"index set mask {huge!r} is not")):
+            cover.intersection(huge)
+
+
+def test_cover_intersection_shrinks_as_the_index_set_grows():
+    # the intersection over I | {i} is a subcomplex of the one over I, on
+    # every index set of the C7 cover at k = 2 and the C8 cover at k = 3
+    for n, k in ((7, 2), (8, 3)):
+        cover = cons.independent_cover(gr.cycle(n), k)
+        faces = {idx: set(cover.intersection(idx).all_faces()) for idx in range(1, 1 << n)}
+        for idx, inter in faces.items():
+            for i in range(n):
+                assert faces[idx | 1 << i] <= inter, (n, k, idx, i)
+
+
+def random_full_covers(seed, count):
+    """Covers of random bases by random vertex masks."""
     rng = random.Random(seed)
     for _ in range(count):
         n, parts = rng.randint(1, 6), rng.randint(1, 6)
-        faces = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))]
+        faces = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
         base = cx.SimplicialComplex([str(v) for v in range(n)], faces)
-        facets = base.facet_masks()
-        generators = [(f, rng.randrange(1 << parts)) for f in facets]
-        generators += [(rng.choice(facets) & rng.randrange(1 << n), rng.randrange(1 << parts))
-                       for _ in range(rng.randint(0, 5))]
-        yield cons.Cover(base, [f"p{i}" for i in range(parts)], generators)
+        yield cons.Cover(base, [f"p{i}" for i in range(parts)], [rng.randrange(1 << n) for _ in range(parts)])
 
 
-def test_reading_gap_table_matches_the_index_set_readings():
-    octahedron = gr.Graph([str(i + 1) for i in range(6)], [
+def test_random_full_covers_against_brute_force():
+    # the intersection over I has the faces of the base inside every part of
+    # I; I is a nerve face when some part-wide vertex lies in a face
+    for cover in random_full_covers(23, 200):
+        faces = closure_of(cover.base.facets)
+        parts = [set(cx.mask_face(w)) for w in cover.parts]
+        nerve = cx.closure_masks(cover.nerve().facet_masks(), 1 << cover.n_parts)
+        used = set().union(*faces)
+        for idx in range(1, 1 << cover.n_parts):
+            w = set.intersection(*(parts[i] for i in cx.mask_face(idx)))
+            assert set(cover.intersection(idx).all_faces()) == {f for f in faces if w.issuperset(f)}
+            assert (idx in nerve) == bool(w & used), (cover, idx)
+
+
+def test_full_cover_against_first_principles_oracle():
+    # the parts, the nerve and every intersection against FullCover: by
+    # brute-force closure on the small corpus, and by facets on the 60
+    # corpus graphs, whose closures reach 1.6 million faces
+    instances = 0
+    for corpus, by_closure in ((small_graph_corpus(), True), ([corpus_graph(i, 2026) for i in range(60)], False)):
+        for g in corpus:
+            for k in (2, 3):
+                oracle = FullCover(g.n, g.edges(), k)
+                if not oracle.sets:
+                    continue
+                instances += 1
+                cover = cons.independent_cover(g, k)
+                assert [set(cx.mask_face(w)) for w in cover.parts] == oracle.parts, (g, k)
+                assert list(cover.nerve().facets) == oracle.nerve_facets(), (g, k)
+                for idx in range(1, 1 << g.n):
+                    inter = cover.intersection(idx)
+                    if by_closure:
+                        assert set(inter.all_faces()) == oracle.intersection_faces(cx.mask_face(idx)), (g, k, idx)
+                    else:
+                        assert list(inter.facets) == oracle.intersection_facets(cx.mask_face(idx)), (g, k, idx)
+    assert instances == 136  # 19 small-corpus and 117 corpus instances
+
+
+def test_nerve_law_on_corpus():
+    # the nerve's facets are full ^ S over the independent k-sets S that are
+    # no isolated vertex of I_k(G), so it equals the total cut complex
+    # exactly when I_k(G) has no isolated vertex
+    # (acceptance criterion 10 runs the same law on the 60 corpus graphs)
+    equal = differ = 0
+    for g in small_graph_corpus() + [gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)]), gr.star(3)]:
+        for k in (2, 3):
+            sets = [frozenset(s) for s in gr.independent_sets(g, k)]
+            if not sets:
+                continue
+            kept = [s for s in sets if any(not s & t for t in sets)]
+            nerve = cons.independent_cover(g, k).nerve()
+            expected = [tuple(sorted(set(range(g.n)) - s)) for s in kept] or [()]
+            assert list(nerve.facets) == sorted(expected), (g, k)
+            same = nerve == cons.total_cut_complex(g, k)
+            assert same == (len(kept) == len(sets)), (g, k)
+            equal += same
+            differ += not same
+    assert (equal, differ) == (11, 11)
+
+
+def test_octahedron_parts_meet_pairwise_but_not_as_a_triple():
+    # complete tripartite K_{2,2,2} with classes {1,6}, {2,5}, {3,4}: the
+    # parts of 4, 5 and 6 meet pairwise in one class each, and the three
+    # classes are pairwise disjoint, so each pairwise intersection is one
+    # point of a face; no class avoids all three, so the triple is no face
+    # of the nerve, as of the total cut complex
+    g = gr.Graph([str(i + 1) for i in range(6)], [
         (a, b) for a in range(6) for b in range(a + 1, 6)
         if {a, b} not in ({0, 5}, {1, 4}, {2, 3})
     ])
-    path = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
-    covers = [cons.independent_cover(gr.cycle(n), k) for k in (2, 3) for n in range(max(4, 2 * k), 10)]
-    covers += [cons.independent_cover(g, k) for g in small_graph_corpus() + [octahedron, path, gr.star(3)]
-               for k in (2, 3) if gr.independent_sets(g, k)]
-    covers += [cons.facet_star_cover(cx.full_simplex("abcd"), "abcd"),
-               cons.Cover(cx.full_simplex("ab"), "xyz", [(0b11, 0b011), (0b11, 0b110)])]
-    covers += random_covers(23, 200)
-    gaps = []
-    for cover in covers:
-        gaps.append(reading_gap_by_index_sets(cover))
-        assert cover.reading_gap() == gaps[-1], (cover.part_labels, cover.generators)
-    assert gaps[:3] == [0, 10, 13]  # the 4-, 5- and 6-cycle covers at k = 2
-    assert sum(map(bool, gaps)) > len(gaps) // 4
+    cover = cons.independent_cover(g, 2)
+    assert cover.nerve() == cons.total_cut_complex(g, 2)
+    for pair, point in (((3, 4), "{1,6}"), ((3, 5), "{2,5}"), ((4, 5), "{3,4}")):
+        assert cover.intersection(cx.face_mask(pair)) == cx.from_facets(cover.base.labels, [[cover.base.vertex(point)]])
+    assert cover.intersection(cx.face_mask((3, 4, 5))) == cx.empty_complex(cover.base.labels)
 
 
-def test_reading_gap_table_is_bounded_by_the_face_budget(monkeypatch):
-    cover = cons.independent_cover(gr.cycle(6), 2)
-    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "63")
-    with pytest.raises(ResourceLimitError):
-        cover.reading_gap()
-    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "64")
-    assert cover.reading_gap() == 13
+def test_star_cover_has_parts_but_no_face():
+    # K_{1,3}: the three leaf pairs meet pairwise, so the base has three
+    # vertices and no nonempty face; every part holds base vertices, yet
+    # every intersection is the empty complex and so is the nerve
+    g = gr.star(3)
+    cover = cons.independent_cover(g, 2)
+    assert cover.base == cx.empty_complex(cover.base.labels) and cover.base.n_vertices == 3
+    assert all(cover.parts)
+    for idx in range(1, 1 << g.n):
+        assert cover.intersection(idx) == cx.empty_complex(cover.base.labels), idx
+    assert cover.nerve() == cx.empty_complex(g.labels) != cons.total_cut_complex(g, 2)
 
 
-def test_nerve_equals_total_cut_on_corpus():
-    for g in small_graph_corpus():
-        for k in (2, 3):
-            if not gr.independent_sets(g, k):
-                continue
-            cover = cons.independent_cover(g, k)
-            assert cons.nerve(cover) == cons.total_cut_complex(g, k)
+def test_cover_nerve_skips_base_vertices_in_no_face():
+    # base on a, b, c with the one facet {a, b}: part y holds c alone, which
+    # lies in no face, so y is no vertex of the nerve, and z, which holds b
+    # and c, meets x in nothing
+    base = cx.from_facets("abc", [(0, 1)])
+    cover = cons.Cover(base, "xyz", [0b001, 0b100, 0b110])
+    assert cover.nerve().facet_label_family() == frozenset({frozenset("x"), frozenset("z")})
+    assert cover.intersection(0b010) == cx.empty_complex("abc")
+    assert cover.intersection(0b101) == cx.empty_complex("abc")
+    assert cover.intersection(0b100) == cx.from_facets("abc", [(1,)])
 
 
-def test_isolated_independent_set_keeps_nerve_equality():
+def test_isolated_independent_set_breaks_nerve_equality():
     # path on three vertices: the single independent pair has no disjoint
-    # partner, so the geometric reading would miss the facet; the generator
-    # reading keeps the advertised equality
+    # partner, so it lies in no face and no index set meets; the nerve is
+    # the empty complex, while the total cut complex has the facet {2}
     g = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
     cover = cons.independent_cover(g, 2)
-    nerve = cons.nerve(cover)
-    tc = cons.total_cut_complex(g, 2)
-    assert nerve == tc
-    assert not tuple_cover(cover).raw_intersection_nonempty([1])  # no nonempty face anywhere
+    assert cover.base == cx.empty_complex(["{1,3}"])
+    assert cover.nerve() == cx.empty_complex(g.labels)
+    assert cons.total_cut_complex(g, 2).facet_label_family() == frozenset({frozenset({"2"})})
 
 
-def test_isolated_independent_set_is_a_generator_with_the_empty_face():
-    # prop-4-10 reads its isolated-set flag off the generators
+def test_isolated_independent_sets_are_the_base_vertices_in_no_face():
+    # prop-4-10 reads the isolated vertices of I_k(G) off the base
     flagged = 0
     for g in small_graph_corpus() + [gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)]), gr.star(3)]:
         for k in (2, 3):
             sets = [frozenset(s) for s in gr.independent_sets(g, k)]
             if not sets:
                 continue
-            cover = cons.independent_cover(g, k)
+            base = cons.independent_cover(g, k).base
+            used = set().union(*base.facets)
             isolated = [all(a & b for b in sets if b is not a) for a in sets]
-            assert [face == 0 for face, _ in cover.generators] == isolated, (g.labels, g.edges(), k)
+            assert [j not in used for j in range(len(sets))] == isolated, (g.labels, g.edges(), k)
             flagged += any(isolated)
     assert flagged >= 3
-
-
-def test_facet_star_cover_full_simplex():
-    base = cx.full_simplex("abcd")
-    cover = cons.facet_star_cover(base, list("abcd"))
-    for i in range(4):
-        assert cons.cover_intersection(cover, [i]) == base
-
-
-def test_facet_star_cover_prism_intersections():
-    g = gr.prism(4)
-    base = cons.neighborhood_complex(gr.induced_k_independent(g, 2))
-    markers = [gr.set_label(g, [2 * (i - 1), 2 * (i % 4) + 1]) for i in range(1, 5)]
-    cover = cons.facet_star_cover(base, markers)
-    # any three parts share a generator, all four do not
-    for idx in combinations(range(4), 3):
-        inter = cons.cover_intersection(cover, idx)
-        assert inter.has_vertices()
-    assert cons.cover_intersection(cover, range(4)).void
-    # pairwise intersections are cones over the first marker
-    for idx in combinations(range(4), 2):
-        inter = cons.cover_intersection(cover, idx)
-        apex = base.labels.index(cover.part_labels[idx[0]])
-        assert all(apex in f for f in inter.facets)
-
-
-def test_facet_star_cover_invalid_marker():
-    with pytest.raises(InvalidParameterError):
-        cons.facet_star_cover(cx.full_simplex("abc"), ["z"])
-    for m in (5, 3, -1, True, 1.0, None):
-        with pytest.raises(InvalidParameterError):
-            cons.facet_star_cover(cx.full_simplex("abc"), [m])
-    cover = cons.facet_star_cover(cx.full_simplex("abc"), [0, 2])
-    assert cover.part_labels == ("a", "c")
 
 
 # -- cover validation ----------------------------------------------------------
@@ -436,60 +431,21 @@ def test_facet_star_cover_invalid_marker():
 def test_cover_rejects_duplicate_part_labels():
     base = cx.full_simplex("ab")
     with pytest.raises(InvalidParameterError, match="unique"):
-        cons.Cover(base, ["x", "x"], [(0b11, 0b11)])
+        cons.Cover(base, ["x", "x"], [0b11, 0b11])
 
 
 def test_cover_rejects_void_base():
     with pytest.raises(InvalidParameterError, match="void"):
-        cons.Cover(cx.void_complex("ab"), ["x"], [])
+        cons.Cover(cx.void_complex("ab"), ["x"], [0b11])
 
 
-def test_cover_rejects_generator_outside_base():
-    base = cx.from_facets("abc", [(0, 1), (1, 2)])
-    with pytest.raises(InvalidFaceError):
-        cons.Cover(base, ["x"], [(0b011, 0b1), (0b110, 0b1), (0b101, 0b1)])
-
-
-def test_cover_rejects_holder_out_of_range():
+def test_cover_rejects_bad_part_masks():
+    # one int vertex mask of the base per part label
     base = cx.full_simplex("ab")
-    # parts {0, 2} of two, and a negative holder mask
-    for holders in (0b101, -1):
-        with pytest.raises(InvalidParameterError, match="out of range"):
-            cons.Cover(base, ["x", "y"], [(0b11, holders)])
-
-
-def test_cover_rejects_tuple_generators():
-    # the old (vertex tuple, holder set) form names the generator, not a bit operation
-    base = cx.full_simplex("ab")
-    with pytest.raises(InvalidParameterError, match=r"generator \(\(0, 1\), \{0\}\)"):
-        cons.Cover(base, ["x"], [((0, 1), {0})])
-    with pytest.raises(InvalidParameterError, match="not a pair of int bitmasks"):
-        cons.Cover(base, ["x"], [(0b11, {0})])
-
-
-def test_cover_rejects_ungenerated_facet():
-    base = cx.from_facets("abc", [(0, 1), (1, 2)])
-    with pytest.raises(InvalidParameterError, match="not covered"):
-        cons.Cover(base, ["x"], [(0b011, 0b1), (0b010, 0b1)])
-
-
-def test_cover_index_sets_nonempty_and_in_range():
-    cover = cons.independent_cover(gr.cycle(6), 2)
-    for bad in ([], [6], [0, -1], [True], [1.0]):
-        with pytest.raises(InvalidParameterError):
-            cons.cover_intersection(cover, bad)
-    # any iterable, read once; a repeated index counts once
-    assert cons.cover_intersection(cover, iter([2, 0, 2])) == cons.cover_intersection(cover, [0, 2])
-    assert cons.cover_intersection(cover, (i for i in (1, 1))) == cons.cover_intersection(cover, [1])
-
-
-def test_cover_intersection_by_mask():
-    cover = cons.independent_cover(gr.cycle(6), 2)
-    for idx in range(1, 1 << 6):
-        assert cover.intersection(idx) == cons.cover_intersection(cover, cx.mask_face(idx))
-    for bad in (0, 1 << 6, -1, True):
-        with pytest.raises(InvalidParameterError, match="index set mask"):
-            cover.intersection(bad)
+    for parts in ([0b11], [0b11, 0b100], [0b11, -1], [0b11, True], [0b11, (0, 1)], [0b1, 0b1, 0b1]):
+        with pytest.raises(InvalidParameterError, match="one vertex mask of the base per part label"):
+            cons.Cover(base, ["x", "y"], parts)
+    assert cons.Cover(base, ["x", "y"], iter([0b01, 0])).parts == (0b01, 0)
 
 
 def dihedral(n):
@@ -504,7 +460,7 @@ def test_cover_symmetries_accept_the_dihedral_generators():
             perms = cons.cover_symmetries(cover, g, k, iter(dihedral(n)))
             assert perms == [tuple(p) for p in dihedral(n)], (n, k)
             # the generators map the nerve onto itself
-            nerve = cons.nerve(cover)
+            nerve = cover.nerve()
             for perm in perms:
                 assert sorted(cx.permute_mask(f, perm) for f in nerve.facet_masks()) == list(nerve.facet_masks())
     g = gr.cycle(6)
@@ -522,85 +478,34 @@ def test_cover_symmetries_refuse_what_does_not_map_the_cover():
     # not a permutation of the vertices
     for bad in ([0, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 0]):
         assert cons.cover_symmetries(cover, g, 2, [bad]) == []
-    # a base bijection that does not carry the generators onto themselves:
-    # the generator of {1,3} loses part 1 (the vertex "2") from its holders;
-    # the reflection v -> 2 - v fixes both, so it still maps the cover
-    (face, holders), *rest = cover.generators
-    assert cover.base.labels[0] == "{1,3}" and holders & 0b10
-    forged = cons.Cover(cover.base, cover.part_labels, [(face, holders ^ 0b10)] + rest)
+    # a base bijection that does not carry part v onto part pi(v): part 1
+    # (the vertex "2") loses the base vertex {1,3}; the reflection
+    # v -> 2 - v fixes both, so it still maps the cover
+    assert cover.base.labels[0] == "{1,3}" and cover.parts[1] & 1
+    parts = list(cover.parts)
+    parts[1] ^= 1
+    forged = cons.Cover(cover.base, cover.part_labels, parts)
     fixing = [2, 1, 0, 5, 4, 3]
     assert cons.cover_symmetries(forged, g, 2, [fixing]) == [tuple(fixing)]
     for perms in ([rotation], [reflection], [fixing, rotation]):
         assert cons.cover_symmetries(forged, g, 2, perms) == []
         assert cons.cover_symmetries(cover, g, 2, perms) == list(map(tuple, perms))
+    # a base bijection that does not carry the base's facets onto
+    # themselves: the base loses the facet N({1,3}), which the reflection
+    # fixes and the rotation moves
+    dropped = cover.base.face_of_labels(["{2,4}", "{2,5}", "{2,6}", "{4,6}"])
+    rest = [f for f in cover.base.facet_masks() if f != dropped]
+    assert len(rest) == len(cover.base.facet_masks()) - 1
+    forged = cons.Cover(cx.SimplicialComplex(cover.base.labels, rest), cover.part_labels, cover.parts)
+    assert cons.cover_symmetries(forged, g, 2, [fixing]) == [tuple(fixing)]
+    assert cons.cover_symmetries(forged, g, 2, [rotation]) == []
+    # all given permutations or none: one bad permutation among good ones
+    # refuses them all, and none given gives none
+    assert cons.cover_symmetries(cover, g, 2, [rotation, [1, 0, 2, 3, 4, 5], reflection]) == []
+    assert cons.cover_symmetries(cover, g, 2, iter([])) == []
     # the cover of another graph or another k
     assert cons.cover_symmetries(cover, gr.cycle(7), 2, [dihedral(7)[0]]) == []
     assert cons.cover_symmetries(cover, g, 3, [rotation]) == []
-
-
-def test_cover_keeps_generators_that_share_a_face():
-    # K_{1,3}: the three leaf pairs meet pairwise, so each has the empty
-    # neighbourhood; keyed by face they would merge into one generator
-    g = gr.star(3)
-    cover = cons.independent_cover(g, 2)
-    assert [face for face, _ in cover.generators] == [0, 0, 0]
-    assert len({holders for _, holders in cover.generators}) == 3
-    assert cons.nerve(cover) == cons.total_cut_complex(g, 2)
-    # the same on a base with a nonempty shared face
-    base = cx.full_simplex("ab")
-    cover = cons.Cover(base, "xyz", [(0b11, 0b011), (0b11, 0b110)])
-    assert len(cover.generators) == 2
-    assert cons.nerve(cover).facet_label_family() == frozenset(
-        {frozenset("xy"), frozenset("yz")}
-    )
-    assert cons.cover_intersection(cover, [0, 2]).void
-
-
-def _oracle_covers():
-    """The thm-3-1 covers (n <= 8, k = 2, 3) and the prism marker covers
-    (n = 3..5), each with its tuple-and-frozenset oracle."""
-    for k in (2, 3):
-        for n in range(2 * k, 9):
-            g = gr.cycle(n)
-            yield cons.independent_cover(g, k), TupleCover(n, independent_cover_generators(n, g.edges(), k))
-    for n in (3, 4, 5):
-        g = gr.prism(n)
-        base = cons.neighborhood_complex(gr.induced_k_independent(g, 2))
-        labels = [gr.set_label(g, [2 * (i - 1), 2 * (i % n) + 1]) for i in range(1, n + 1)]
-        markers = [base.labels.index(m) for m in labels]
-        yield cons.facet_star_cover(base, labels), TupleCover(n, facet_star_generators(base.facets, markers))
-
-
-def test_mask_cover_against_tuple_oracle():
-    covers = 0
-    for cover, oracle in _oracle_covers():
-        covers += 1
-        assert list(cons.nerve(cover).facets) == oracle.nerve_facets()
-        gap = 0
-        for m in range(1, cover.n_parts + 1):
-            for idx in combinations(range(cover.n_parts), m):
-                gens = oracle.intersection_generators(idx)
-                inter = cons.cover_intersection(cover, idx)
-                assert list(inter.facets) == brute_antichain(gens), idx
-                assert inter.has_vertices() == oracle.generated_nonempty(idx), idx
-                gap += oracle.raw_intersection_nonempty(idx) != oracle.generated_nonempty(idx)
-        assert cover.reading_gap() == gap
-    assert covers == 11
-
-
-def test_cover_guards_shift_no_bit_out_of_range():
-    base = cx.full_simplex("ab")
-    # a holder mask for part 10**12 would itself be a 2**(10**12) integer;
-    # part 4096 stands in for it
-    for holders in (1 << 4096, -(1 << 4096)):
-        message = "generator (0, 1) has a holder out of range"
-        with pytest.raises(InvalidParameterError, match=re.escape(message)):
-            cons.Cover(base, ["x", "y"], [(0b11, holders)])
-    cover = cons.independent_cover(gr.cycle(6), 2)
-    for bad, part in (([-1], -1), ([10**12], 10**12), ([0, 10**12], 10**12)):
-        message = f"part index {part} out of range"
-        with pytest.raises(InvalidParameterError, match=re.escape(message)):
-            cons.cover_intersection(cover, bad)
 
 
 # -- spot check profiles through the construction stack ----------------------------

@@ -404,12 +404,11 @@ def test_greedy_collapse_star_total_cut():
 
 
 def cycle_cover_intersections(n, k):
+    """The intersections over the nonempty nerve faces of the thm-3-1 cover."""
     cover = cons.independent_cover(gr.cycle(n), k)
-    for face in cons.nerve(cover).all_faces():
+    for face in cover.nerve().all_faces():
         if face:
-            inter = cons.cover_intersection(cover, face)
-            if inter.has_vertices():
-                yield inter
+            yield cover.intersection(cx.face_mask(face))
 
 
 def test_greedy_collapse_cycle_cover_intersections():
@@ -427,7 +426,7 @@ def test_greedy_collapse_is_the_oracle_of_the_cone_apex():
     for k in (2, 3):
         for n in range(2 * k, 9):
             cones += [inter for inter in cycle_cover_intersections(n, k) if verify._cone_apexes(inter)]
-    assert len(cones) == 319 + 222  # the cycle-collapse sizes, then n = 8, k = 2
+    assert len(cones) == 379 + 222  # the cycle-collapse sizes, then n = 8, k = 2
     rng = random.Random(71)
     for _ in range(60):
         n = rng.randint(1, 7)
@@ -631,7 +630,7 @@ def test_checkers_share_no_code_with_the_search(monkeypatch):
     c = ladder_total_cut(5)
     pairs = morse.element_matching_sequence(c, ["1+", "1-"])
     cells = morse.critical_cells(c, pairs)
-    tc = next(c for c in cycle_cover_intersections(7, 2) if face_count(strong_core(c)) > 2)
+    tc = next(c for c in cycle_cover_intersections(8, 2) if face_count(strong_core(c)) > 2)
     witness = morse.greedy_collapse(tc)
     assert witness.steps and witness.dominations
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from cutnerve.cli import main
 from cutnerve.complexes import SimplicialComplex, face_mask
 from cutnerve.errors import GuardError, InvalidParameterError
 
-from oracles import descent_collapse
+from oracles import FullCover, closure_of, descent_collapse
 
 EXPECTED_IDS = {
     "thm-1-3", "thm-1-4", "thm-3-1", "prop-3-3", "thm-4-2", "thm-4-3",
@@ -162,7 +163,7 @@ def test_smoke_class_all_pass_and_reports_deterministic():
 
 # sha256 of the smoke reports, serialised as `cutnerve verify --json` writes
 # them; a change that alters the report on purpose updates this digest
-SMOKE_REPORT_SHA256 = "cd262f87f7bf203f33cb7499e04846f22259bdf516ed5a01c3deb703b9304db7"
+SMOKE_REPORT_SHA256 = "32d4ea5c96bc0ac44d29befa6fcaf4f277a6233d67cf0c55e15fd145d62fd144"
 
 
 def test_smoke_report_digest_is_pinned():
@@ -174,7 +175,7 @@ def test_smoke_report_digest_is_pinned():
 
 # sha256 of the whole desk-class report, written the same way; it includes
 # the thm-4-2 refutations pinned below
-DESK_REPORT_SHA256 = "61aca6b50c47416a31ed5a46ddc9f197480f5684873cf600ed091fe7e2669f42"
+DESK_REPORT_SHA256 = "c7e90c39e751d3ae2a749c8a6929571a2a0a2727160f0f323fc54d82ec877b96"
 
 
 def test_desk_report_digest_is_pinned():
@@ -226,7 +227,7 @@ def test_cli_smoke_class_exits_0():
 
 
 # sha256 of the whole extended-class report, written the same way
-EXTENDED_REPORT_SHA256 = "7db1882c79c92b56b6a1644e8213a9f027f693520feb53c8e0d5977105a81f5c"
+EXTENDED_REPORT_SHA256 = "851130d032b291e7e523703bf94e1bc5d000a342c3fa72e811e8cf9bc0e6d6f8"
 
 
 def test_extended_report_digest_is_pinned():
@@ -287,6 +288,46 @@ def test_thm_4_2_verdicts():
     assert failed[0].actual["betti"] == [0, 0, 7]
 
 
+def test_thm_4_2_generator_readings_against_the_facet_oracle():
+    # the marker holders of each facet give the generator nerve, and the
+    # facets through two markers their pairwise intersection, a cone over
+    # the first; n = 5 fails only on its profile, with b3 = 2 and b4 = 11
+    for n in (3, 4, 5):
+        g = graphs.prism(n)
+        nb = constructions.neighborhood_complex(graphs.induced_k_independent(g, 2))
+        labels = verify._prism_markers(n)
+        markers = [nb.labels.index(m) for m in labels]
+        holders = [face_mask([i for i, m in enumerate(markers) if m in f]) for f in nb.facets]
+        r = verify.run_scenario("thm-4-2", {"n": n})
+        assert r.digests["nerve"] == verify._digest(SimplicialComplex(labels, holders)), n
+        for a, b in combinations(markers, 2):
+            through = [f for f in nb.facets if a in f and b in f]
+            assert through and all(a in f for f in through), (n, a, b)
+        named = {c.name: c for c in r.checks}
+        assert named["generator-nerve-is-simplex-boundary"].actual == "equal"
+        assert named["generator-pairwise-intersections-cone-collapse"].actual == "all witnessed"
+    failed = [c for c in r.checks if c.verdict != "pass"]
+    assert [c.name for c in failed] == ["neighborhood-sphere-profile"]
+    assert failed[0].actual["betti"] == [0, 0, 0, 2, 11]
+
+
+def test_thm_4_2_generator_checks_can_fail(monkeypatch):
+    # the marker {1+,3-} in place of {2+,3-} at n = 4 gives a nerve that is
+    # not the boundary of the 3-simplex; with no cone apex found, every
+    # pair is listed as not a cone
+    markers = verify._prism_markers
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_prism_markers", lambda n: [markers(n)[0], "{1+,3-}"] + markers(n)[2:])
+        named = {c.name: c for c in verify.run_scenario("thm-4-2", {"n": 4}).checks}
+        assert (named["generator-nerve-is-simplex-boundary"].verdict,
+                named["generator-nerve-is-simplex-boundary"].actual) == ("fail", "different")
+    monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
+    check = next(c for c in verify.run_scenario("thm-4-2", {"n": 4}).checks
+                 if c.name == "generator-pairwise-intersections-cone-collapse")
+    assert check.verdict == "fail"
+    assert check.actual == [{"pair": list(p), "reason": "not a cone"} for p in combinations(range(4), 2)]
+
+
 def test_corpus_graph_deterministic():
     g1 = verify.corpus_graph(5, 2026)
     g2 = verify.corpus_graph(5, 2026)
@@ -330,8 +371,8 @@ def per_face_tested(n, k):
     lists them: every nonempty nerve face, in lexicographic order, whose
     intersection has a vertex."""
     cover = constructions.independent_cover(graphs.cycle(n), k)
-    faces = filter(None, constructions.nerve(cover).all_faces())
-    return [list(f) for f in faces if constructions.cover_intersection(cover, f).has_vertices()]
+    faces = filter(None, cover.nerve().all_faces())
+    return [list(f) for f in faces if cover.intersection(face_mask(f)).has_vertices()]
 
 
 def test_thm_3_1_forced_strand_keeps_the_per_face_list(monkeypatch):
@@ -370,7 +411,7 @@ def test_thm_3_1_orbit_and_search_counts(monkeypatch):
         for n, k in sizes:
             g = graphs.cycle(n)
             cover = constructions.independent_cover(g, k)
-            faces = sorted(filter(None, map(face_mask, constructions.nerve(cover).all_faces())))
+            faces = sorted(filter(None, map(face_mask, cover.nerve().all_faces())))
             perms = constructions.cover_symmetries(cover, g, k, verify._dihedral(n))
             assert len(perms) == 2
             for orbit in verify._orbits(faces, perms):
@@ -381,9 +422,66 @@ def test_thm_3_1_orbit_and_search_counts(monkeypatch):
             assert report.verdict == "pass"
         return tested, orbits, len(searches)
 
-    assert counts(CYCLE_COLLAPSE_SIZES) == (416, 56, 13)
+    assert counts(CYCLE_COLLAPSE_SIZES) == (416, 56, 5)
     searches.clear()
     assert counts([(8, 2)]) == (238, 26, 2)
+    searches.clear()
+    assert counts([(9, 3)]) == (384, 32, 4)
+
+
+def test_thm_3_1_parts_cover_base_at_every_size():
+    params = verify.SCENARIOS["thm-3-1"].class_params
+    for p in params["desk"] + params["extended"]:
+        check = next(c for c in verify.run_scenario("thm-3-1", p).checks if c.name == "parts-cover-base")
+        assert (check.verdict, check.actual) == ("pass", "covered"), p
+
+
+def test_thm_3_1_tests_every_face_of_the_oracle_nerve():
+    # every nonempty face of the nerve has a vertex in its intersection, so
+    # `tested` counts the nonempty faces of the first-principles nerve
+    for n, k in CYCLE_COLLAPSE_SIZES + [(8, 2)]:
+        oracle = FullCover(n, graphs.cycle(n).edges(), k)
+        faces = [f for f in closure_of(oracle.nerve_facets()) if f]
+        check = next(c for c in verify.run_scenario("thm-3-1", {"n": n, "k": k}).checks
+                     if c.name == "intersections-collapsible")
+        assert check.actual == {"tested": len(faces), "unresolved": []}, (n, k)
+
+
+def test_thm_3_1_refuses_parts_that_miss_a_base_facet(monkeypatch):
+    # at k = 1 the facet N({v}) of the base lies in part v alone; a part 1
+    # that loses the base vertex {2} leaves N({1}) in no part
+    build = constructions.independent_cover
+
+    def shrunk(g, k):
+        cover = build(g, k)
+        parts = list(cover.parts)
+        parts[0] ^= 1 << cover.base.labels.index("{2}")
+        return constructions.Cover(cover.base, cover.part_labels, parts)
+
+    assert verify.run_scenario("thm-3-1", {"n": 5, "k": 1}).verdict == "pass"
+    monkeypatch.setattr(constructions, "independent_cover", shrunk)
+    report = verify.run_scenario("thm-3-1", {"n": 5, "k": 1})
+    check = next(c for c in report.checks if c.name == "parts-cover-base")
+    assert check.verdict == "fail" and report.verdict == "fail"
+    assert check.actual == [["{2}", "{3}", "{4}", "{5}"]]
+
+
+def test_thm_3_1_lists_a_non_contractible_intersection(monkeypatch):
+    # the intersection over the nerve facet {1,2,4,5} of C6 at k = 2 (the
+    # parts that hold {3,6}) forced to a circle: no cone, no collapse, so
+    # the check is "unknown" and lists that index set alone; the other two
+    # members of its orbit are certified one by one
+    target = face_mask([0, 1, 3, 4])
+    build = constructions.Cover.intersection
+
+    def forced(cover, idx):
+        return SimplicialComplex("abc", [0b011, 0b110, 0b101]) if idx == target else build(cover, idx)
+
+    monkeypatch.setattr(constructions.Cover, "intersection", forced)
+    report = verify.run_scenario("thm-3-1", {"n": 6, "k": 2})
+    check = next(c for c in report.checks if c.name == "intersections-collapsible")
+    assert check.verdict == "unknown" and report.verdict == "unknown"
+    assert check.actual == {"tested": 50, "unresolved": [[0, 1, 3, 4]]}
 
 
 def test_prop_4_10_small_run():
@@ -393,18 +491,62 @@ def test_prop_4_10_small_run():
     assert named["nerve-equals-total-cut"].actual["failures"] == []
 
 
+def test_prop_4_10_fails_where_the_isolated_vertex_law_breaks(monkeypatch):
+    # the 49 instances at seed 2026 whose I_k(G) has an isolated vertex
+    # break the law when the nerve counts every base vertex, as the
+    # generator reading did, and when the total cut complex is the nerve
+    isolated = 49
+
+    def generator_nerve(cover):
+        return SimplicialComplex(cover.part_labels, [
+            sum(1 << i for i, w in enumerate(cover.parts) if w >> j & 1) for j in range(cover.base.n_vertices)
+        ])
+
+    def failures():
+        r = verify.run_scenario("prop-4-10", {"count": 60, "seed": 2026})
+        return r.verdict, len(next(c for c in r.checks if c.name == "nerve-equals-total-cut").actual["failures"])
+
+    assert failures() == ("pass", 0)
+    with monkeypatch.context() as m:
+        m.setattr(constructions.Cover, "nerve", generator_nerve)
+        assert failures() == ("fail", isolated)
+    build = constructions.independent_cover
+    monkeypatch.setattr(constructions, "total_cut_complex", lambda g, k: build(g, k).nerve())
+    assert failures() == ("fail", isolated)
+
+
+def test_prop_4_10_metric_counts_the_nerves_that_differ():
+    # against the first-principles cover: an instance counts when its nerve
+    # is not the total cut complex, the complements of all independent sets
+    for count, seed in ((20, 1), (20, 7), (30, 11)):
+        differ = 0
+        for i in range(count):
+            g = verify.corpus_graph(i, seed)
+            for k in (2, 3):
+                oracle = FullCover(g.n, g.edges(), k)
+                if oracle.sets:
+                    total_cut = sorted(tuple(sorted(set(range(g.n)) - s)) for s in oracle.sets)
+                    differ += oracle.nerve_facets() != total_cut
+        r = verify.run_scenario("prop-4-10", {"count": count, "seed": seed})
+        assert r.verdict == "pass" and r.to_dict()["metrics"] == {"nerve-differs-from-total-cut": differ}, seed
+
+
 def test_informational_figures_are_metrics():
     # figures that decide no verdict are reported as metrics, not as checks
-    r = verify.run_scenario("thm-3-1", {"n": 5, "k": 2})
-    assert "raw-vs-generator-gap" not in {c.name for c in r.checks}
-    assert r.to_dict()["metrics"] == {"raw-vs-generator-gap": 10}
     r = verify.run_scenario("prop-4-10", {"count": 60, "seed": 2026})
     assert [c.name for c in r.checks] == ["nerve-equals-total-cut"]
-    assert r.to_dict()["metrics"] == {
-        "geometric-reading-divergence-flag": {"instances-with-isolated-independent-sets": 49}
+    assert r.to_dict()["metrics"] == {"nerve-differs-from-total-cut": 49}
+    assert verify.run_scenario("prop-4-10", {"count": 60, "seed": 11}).to_dict()["metrics"] == {
+        "nerve-differs-from-total-cut": 51
     }
     # every report carries the key, empty when the scenario has no figures
     assert verify.run_scenario("prop-3-3", {"n": 6, "k": 2}).to_dict()["metrics"] == {}
+    r = verify.run_scenario("thm-3-1", {"n": 5, "k": 2})
+    assert [c.name for c in r.checks] == [
+        "nerve-equals-total-cut", "total-cut-sphere-profile", "neighborhood-sphere-profile",
+        "parts-cover-base", "intersections-collapsible",
+    ]
+    assert r.to_dict()["metrics"] == {}
 
 
 # -- CLI ----------------------------------------------------------------------
