@@ -38,9 +38,12 @@ def face_budget() -> int:
     if raw is None:
         return DEFAULT_FACE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
-        raise InvalidParameterError(f"CUTNERVE_FACE_BUDGET must be an integer, got {raw!r}") from None
+        budget = -1
+    if budget < 0:
+        raise InvalidParameterError(f"CUTNERVE_FACE_BUDGET must be a non-negative integer, got {raw!r}")
+    return budget
 
 
 def face_mask(face) -> int:
@@ -79,10 +82,11 @@ def mask_antichain(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def closure_masks(masks, limit: int) -> set[int]:
+def closure_masks(masks) -> set[int]:
     """Every face of the faces ``masks`` as a bitmask, each enumerated as a
-    submask; the empty face is in it unless ``masks`` is empty.  More than
-    ``limit`` faces raise ResourceLimitError."""
+    submask; the empty face is in it unless ``masks`` is empty.  More faces
+    than the face budget raise ResourceLimitError."""
+    limit = face_budget()
     faces = {0} if masks else set()
     for f in masks:
         s = f
@@ -185,7 +189,7 @@ class SimplicialComplex:
         """Every face including the empty face, lexicographically sorted:
         the tuple view of ``closure_masks``, cached."""
         if self._closure is None:
-            faces = closure_masks(self._masks, face_budget())
+            faces = closure_masks(self._masks)
             object.__setattr__(self, "_closure", sorted(map(mask_face, faces)))
         return self._closure
 

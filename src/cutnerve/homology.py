@@ -205,7 +205,7 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
     if cx.void:
         profile = HomologyProfile(void=True)
     else:
-        matching = ElementMatching(cx.facet_masks(), face_budget(), range(cx.n_vertices))
+        matching = ElementMatching(cx.facet_masks(), range(cx.n_vertices))
         profile = _morse_homology(matching)
     object.__setattr__(cx, "_homology", profile)
     return profile
@@ -299,10 +299,10 @@ class ElementMatching:
     Every node is charged one unit of work, an inner node one more per
     critical cell below it, and the gradient flow one per face it visits;
     listing a leaf's cells or a node's pairs is charged the bound sum 2^|f|
-    over the facets it enumerates.  The work may not exceed ``budget``."""
+    over the facets it enumerates.  The work may not exceed the face budget."""
 
-    def __init__(self, facets, budget: int, order):
-        self.budget = budget
+    def __init__(self, facets, order):
+        self.budget = face_budget()
         self.order = tuple(order)
         self.work = 0
         self.nodes: dict[tuple, _Node] = {}
@@ -363,8 +363,8 @@ class ElementMatching:
     def _faces_outside(self, facets, others) -> list[int]:
         """The faces of ``facets`` that lie in no member of ``others``."""
         self._charge(sum(1 << f.bit_count() for f in facets + others))
-        # the charge bounds both closures, so their limit never fires
-        return list(closure_masks(facets, self.budget) - closure_masks(others, self.budget))
+        # the charge bounds both closures, so their own guard never fires
+        return list(closure_masks(facets) - closure_masks(others))
 
     def pairs(self) -> list[tuple[int, int]]:
         """Every matched pair: on each path down to a node at v, (rho + path,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .complexes import SimplicialComplex, closure_masks, face_budget, mask_face
+from .complexes import SimplicialComplex, closure_masks, mask_face
 from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array, json_object
 from .homology import ElementMatching
 
@@ -28,7 +28,7 @@ def element_matching_sequence(cx: SimplicialComplex, vertices) -> list[tuple[int
     ``vertices`` in turn, each a label or an index; a repeated vertex is
     dropped (it pairs nothing more)."""
     order = dict.fromkeys(map(cx.vertex, vertices))
-    return ElementMatching(cx.facet_masks(), face_budget(), order).pairs()
+    return ElementMatching(cx.facet_masks(), order).pairs()
 
 
 def is_acyclic(cx: SimplicialComplex, pairs):
@@ -91,7 +91,7 @@ def critical_cells(cx: SimplicialComplex, pairs) -> list[int]:
     ok, witness = is_acyclic(cx, pairs)
     if not ok:
         raise InvalidMatchingError(f"matching contains a directed cycle: {list(map(mask_face, witness))}")
-    cells = closure_masks(cx.facet_masks(), face_budget()).difference(*pairs)
+    cells = closure_masks(cx.facet_masks()).difference(*pairs)
     cells.discard(0)
     return sorted(cells, key=lambda f: (f.bit_count(), mask_face(f)))
 
@@ -214,7 +214,7 @@ def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tup
         links = {f ^ 1 << v for f in star}
         facets |= {g for g in links if not any(g & h == g != h for h in facets | links)}
         applied += 1
-    faces = closure_masks(facets, face_budget())
+    faces = closure_masks(facets)
     faces.discard(0)
     cof: dict[int, set] = {f: set() for f in faces}
     for f in faces:
@@ -280,21 +280,18 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     then one descent that always takes the least free pair by (dimension,
     mask) on a lazy heap over the faces of the core's closure.
 
-    Only the core's closure is built.  The face guard stays exact on the
-    input's closure, which is enumerated only when the bound sum 2^|f|
-    over the facets exceeds the budget; each step removes two faces, so
-    the guard bounds the search.  A search that strands yields verdict
-    "unknown" with its dominations, steps and the faces left, which replay
-    like any other witness.  Collapsibility is NP-complete in general, so
-    "unknown" is not a refutation."""
+    Only the core's closure is built, and the face budget guards it alone:
+    the strong collapses scan only the stored facets, and each step of the
+    descent removes two faces of that closure, so the budget bounds the
+    search.  A search that strands yields verdict "unknown" with its
+    dominations, steps and the faces left, which replay like any other
+    witness.  Collapsibility is NP-complete in general, so "unknown" is not
+    a refutation."""
     if cx.void:
         raise VoidComplexError("cannot collapse the void complex")
-    budget = face_budget()
-    if sum(1 << f.bit_count() for f in cx.facet_masks()) > budget:
-        closure_masks(cx.facet_masks(), budget)
     dominations = []
     core = _strong_collapse(cx.facet_masks(), dominations)
-    faces = closure_masks(core, budget)
+    faces = closure_masks(core)
     faces.discard(0)
     cof = _coface_map(faces)
     heap = [(s.bit_count(), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]

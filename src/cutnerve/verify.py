@@ -180,7 +180,7 @@ def run_thm_3_1(n, k):
     # which acts on the cover; an orbit whose representative is not
     # certified is searched member by member, and a stranded search is
     # "unknown"
-    faces = cx.closure_masks(nerve_cx.facet_masks(), cx.face_budget())
+    faces = cx.closure_masks(nerve_cx.facet_masks())
     faces.discard(0)
     perms = cons.cover_symmetries(cover, g, k, _dihedral(n))
     unresolved, tested = [], 0
@@ -368,9 +368,9 @@ def run_thm_4_8(k):
 
 def run_ex_4_9(n):
     tc = cons.total_cut_complex(gr.star(n), 2)
-    witness = morse.greedy_collapse(tc)
-    checks = [_check("star-total-cut-collapsible", witness.is_collapsible(),
-                     "collapsible", witness.verdict, miss="unknown")]
+    collapsible = _collapsible(tc)
+    checks = [_check("star-total-cut-collapsible", collapsible,
+                     "collapsible", "collapsible" if collapsible else "unknown", miss="unknown")]
     nb = cons.neighborhood_complex(gr.kneser(n, 2))
     checks.append(_claim("kneser-neighborhood-wedge-profile", nb, n - 4, n * n - 3 * n + 1))
     return checks, {"total_cut": _digest(tc), "neighborhood": _digest(nb)}

@@ -246,10 +246,10 @@ def test_closure_matches_subset_oracle():
         assert set(c.all_faces()) == closure_of(c.facets)
 
 
-def test_closure_masks_matches_subset_oracle():
+def test_closure_masks_matches_subset_oracle(monkeypatch):
     # the one closure enumerator against the tuple oracle, on grounds with
-    # bits past 64 too; a limit equal to the face count passes and one
-    # less raises
+    # bits past 64 too; a face budget equal to the face count passes and
+    # one less raises
     rng = random.Random(89)
     for _ in range(200):
         n, shift = rng.randint(1, 9), rng.choice((0, 0, 60))
@@ -257,16 +257,20 @@ def test_closure_masks_matches_subset_oracle():
                 for _ in range(rng.randint(1, 6))]
         c = cx.from_facets([f"v{i}" for i in range(n + shift)], gens)
         expected = closure_of(c.facets)
-        faces = cx.closure_masks(c.facet_masks(), len(expected))
+        monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(len(expected)))
+        faces = cx.closure_masks(c.facet_masks())
         assert sorted(map(cx.mask_face, faces)) == sorted(expected)
+        monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(len(expected) - 1))
         with pytest.raises(ResourceLimitError) as err:
-            cx.closure_masks(c.facet_masks(), len(expected) - 1)
+            cx.closure_masks(c.facet_masks())
         assert err.value.budget == len(expected) - 1
     # no face has no closure, and the empty face is its own
-    assert cx.closure_masks((), 0) == set()
-    assert cx.closure_masks((0,), 1) == {0}
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "0")
+    assert cx.closure_masks(()) == set()
     with pytest.raises(ResourceLimitError):
-        cx.closure_masks((0,), 0)
+        cx.closure_masks((0,))
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "1")
+    assert cx.closure_masks((0,)) == {0}
 
 
 def test_closure_downward_closed():
@@ -296,6 +300,17 @@ def test_budget_env_override(monkeypatch):
     c = cx.full_simplex("abcdef")
     with pytest.raises(ResourceLimitError):
         c.all_faces()
+
+
+@pytest.mark.parametrize("raw", ["-3", "-1", "ten", "2.5", ""])
+def test_budget_must_be_a_non_negative_integer(monkeypatch, raw):
+    # zero is a budget (it refuses every nonempty closure); a negative or
+    # non-integer value is refused where it is read, before any work
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", raw)
+    with pytest.raises(InvalidParameterError, match="CUTNERVE_FACE_BUDGET must be a non-negative integer"):
+        cx.face_budget()
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "0")
+    assert cx.face_budget() == 0
 
 
 # -- scalars ------------------------------------------------------------------

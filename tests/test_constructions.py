@@ -240,7 +240,7 @@ def test_cover_intersection_has_vertices_exactly_on_nerve_faces():
     covers = [cons.independent_cover(g, 2) for g in (octahedron, path, gr.star(3))]
     covers += [cons.independent_cover(gr.cycle(n), k) for k in (2, 3) for n in range(2 * k, 9)]
     for cover in covers:
-        faces = cx.closure_masks(cover.nerve().facet_masks(), 1 << cover.n_parts)
+        faces = cx.closure_masks(cover.nerve().facet_masks())
         for idx in range(1, 1 << cover.n_parts):
             assert cover.intersection(idx).has_vertices() == (idx in faces), (cover.part_labels, idx)
 
@@ -303,7 +303,7 @@ def test_random_full_covers_against_brute_force():
     for cover in random_full_covers(23, 200):
         faces = closure_of(cover.base.facets)
         parts = [set(cx.mask_face(w)) for w in cover.parts]
-        nerve = cx.closure_masks(cover.nerve().facet_masks(), 1 << cover.n_parts)
+        nerve = cx.closure_masks(cover.nerve().facet_masks())
         used = set().union(*faces)
         for idx in range(1, 1 << cover.n_parts):
             w = set.intersection(*(parts[i] for i in cx.mask_face(idx)))

@@ -411,7 +411,7 @@ def test_element_matching_order_on_stable_kneser_neighborhood(n, index_cells, re
     nc = cons.neighborhood_complex(gr.stable_kneser(n, 2))
     index_order = range(nc.n_vertices)
     for order, expected in ((index_order, index_cells), (reversed(index_order), reversed_cells)):
-        em = hom.ElementMatching(nc.facet_masks(), cx.face_budget(), order)
+        em = hom.ElementMatching(nc.facet_masks(), order)
         assert Counter(cell.bit_count() - 1 for cell in em.cells) == expected
 
 

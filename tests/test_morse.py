@@ -169,7 +169,7 @@ def test_element_matching_sequence_matches_closure_oracle():
         seq = verts[: rng.randint(0, len(verts))]
         assert_matches_closure_oracle(c, seq)
         masks = [sum(1 << v for v in f) for f in c.facets]
-        em = hom.ElementMatching(masks, 10**6, seq)
+        em = hom.ElementMatching(masks, seq)
         expected = closure_element_matching(c, seq)
         partner = {f: g for s, t in expected for f, g in ((s, t), (t, s))}
         as_face = lambda m: tuple(v for v in range(c.n_vertices) if m >> v & 1)
@@ -507,16 +507,30 @@ def test_strong_collapse_cone_to_apex():
 
 
 def test_greedy_collapse_face_guard_is_exact(monkeypatch):
-    # the cone has 30 faces, the empty face included; its strong collapses
-    # alone would finish, but the guard counts the input's closure
+    # the guard counts the closure of the core the strong collapses leave,
+    # the empty face included, and never the input's: the cone has 30
+    # faces, but its core is the apex, whose closure has 2
     coned = cone(cx.simplex_boundary("abcd"), "w")
-    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "29")
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "1")
     with pytest.raises(ResourceLimitError):
         morse.greedy_collapse(coned)
-    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "30")
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "2")
     witness = morse.greedy_collapse(coned)
     assert witness.is_collapsible() and witness.steps == ()
     assert morse.replay_collapse(coned, witness)
+    # a collapsible core with no dominated vertex (38 faces), with a
+    # tetrahedron awxy that strong-collapses onto a: 52 faces in all
+    c = cx.from_facets("abcdefwxy", [(0, 1, 2), (1, 2, 3, 4), (0, 1, 3, 5), (0, 3, 4, 5), (2, 4, 5),
+                                     (0, 6, 7, 8)])
+    monkeypatch.delenv("CUTNERVE_FACE_BUDGET")
+    assert len(c.all_faces()) == 52
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "37")
+    with pytest.raises(ResourceLimitError):
+        morse.greedy_collapse(c)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "38")
+    witness = morse.greedy_collapse(c)
+    assert witness.dominations == ((6, 0), (7, 0), (8, 0)) and len(witness.steps) == 18
+    assert witness.is_collapsible() and morse.replay_collapse(c, witness)
 
 
 def test_greedy_collapse_builds_no_input_closure():

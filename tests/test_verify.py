@@ -12,10 +12,10 @@ import pytest
 
 from cutnerve import cli, constructions, graphs, morse, verify
 from cutnerve.cli import main
-from cutnerve.complexes import SimplicialComplex, face_mask
+from cutnerve.complexes import SimplicialComplex, face_mask, simplex_boundary
 from cutnerve.errors import GuardError, InvalidParameterError
 
-from oracles import FullCover, closure_of, descent_collapse
+from oracles import FullCover, closure_of, cone, descent_collapse
 
 EXPECTED_IDS = {
     "thm-1-3", "thm-1-4", "thm-3-1", "prop-3-3", "thm-4-2", "thm-4-3",
@@ -397,6 +397,19 @@ def test_thm_3_1_replays_the_searched_witnesses(monkeypatch):
     check = next(c for c in report.checks if c.name == "intersections-collapsible")
     assert check.verdict == "unknown"
     assert check.actual["unresolved"] and check.actual["tested"] == len(per_face_tested(7, 2))
+
+
+def test_ex_4_9_replays_the_searched_witness(monkeypatch):
+    # Δ_2 of a star is a cone over its centre, so its apex certifies it;
+    # with no apex found, a forged "collapsible" witness that does not
+    # replay certifies nothing
+    check = verify.run_scenario("ex-4-9", {"n": 5}).checks[0]
+    assert (check.name, check.verdict, check.actual) == ("star-total-cut-collapsible", "pass", "collapsible")
+    forged = morse.CollapseWitness((), (1,), "collapsible")
+    monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
+    monkeypatch.setattr(morse, "greedy_collapse", lambda c: forged)
+    check = verify.run_scenario("ex-4-9", {"n": 5}).checks[0]
+    assert (check.verdict, check.actual) == ("unknown", "unknown")
 
 
 def test_thm_3_1_orbit_and_search_counts(monkeypatch):
@@ -822,6 +835,34 @@ def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "2")
     assert _cli_error(capsys, ["homology", cpath]) == 2
+
+
+@pytest.mark.parametrize("raw", ["-3", "ten"])
+def test_cli_refuses_a_bad_face_budget(tmp_path, capsys, monkeypatch, raw):
+    # a negative or non-integer budget is refused as it is read, and a
+    # negative one is not reported as exceeded
+    cpath = str(tmp_path / "complex.json")
+    main(["build", "total-cut", "cycle", "--n", "6", "--k", "2", "--out", cpath])
+    capsys.readouterr()
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", raw)
+    for argv in (["homology", cpath], ["collapse", cpath], ["verify", "thm-1-4", "--param", "n=6", "--param", "k=2"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and err == f"error: CUTNERVE_FACE_BUDGET must be a non-negative integer, got {raw!r}\n"
+
+
+def test_cli_collapse_charges_the_budget_to_the_core(tmp_path, capsys, monkeypatch):
+    # the cone over the boundary of a tetrahedron has 30 faces, but its
+    # strong collapses leave the apex, whose closure has 2
+    cpath, wpath = tmp_path / "cone.json", str(tmp_path / "witness.json")
+    cpath.write_text(cone(simplex_boundary("abcd"), "w").to_json())
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "2")
+    assert main(["collapse", str(cpath), "--out", wpath]) == 0
+    capsys.readouterr()
+    assert main(["collapse", str(cpath), "--replay", wpath]) == 0
+    assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "1")
+    assert _cli_error(capsys, ["collapse", str(cpath)]) == 2
 
 
 def test_cli_collapse_unknown_exits_1_and_replays(tmp_path, capsys):
