@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from functools import reduce
 from itertools import groupby
 from operator import or_
@@ -193,19 +194,11 @@ class SimplicialComplex:
             object.__setattr__(self, "_closure", sorted(map(mask_face, faces)))
         return self._closure
 
-    def faces_by_dim(self) -> dict[int, list[tuple[int, ...]]]:
-        out: dict[int, list[tuple[int, ...]]] = {}
-        for f in self.all_faces():
-            out.setdefault(len(f) - 1, []).append(f)
-        return out
-
     def f_vector(self) -> tuple[int, ...]:
-        """Counts (f_-1, f_0, ..., f_d); empty tuple for the void complex."""
-        if self.void:
-            return ()
-        by_dim = self.faces_by_dim()
-        top = max(by_dim)
-        return tuple(len(by_dim.get(d, [])) for d in range(-1, top + 1))
+        """Counts (f_-1, f_0, ..., f_d), read off the bit counts of
+        ``closure_masks``; the empty tuple for the void complex."""
+        counts = Counter(map(int.bit_count, closure_masks(self._masks)))
+        return tuple(counts[size] for size in range(max(counts, default=-1) + 1))
 
     # -- equality and serialization ------------------------------------------
 

@@ -16,7 +16,7 @@ from operator import and_, or_
 
 from .complexes import SimplicialComplex, face_mask, mask_face, permute_mask
 from .errors import EmptyCoverError, InvalidParameterError
-from .graphs import Graph, independent_sets, k_independent_masks, set_label
+from .graphs import Graph, independent_sets, k_independent_masks
 
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
@@ -68,20 +68,24 @@ class Cover:
         w = reduce(and_, map(self.parts.__getitem__, mask_face(idx)))
         return SimplicialComplex(self.base.labels, [f & w for f in self.base.facet_masks()])
 
+    def vertex_parts(self) -> list[int]:
+        """For each base vertex, the mask of the parts that hold it."""
+        held = [0] * self.base.n_vertices
+        for i, w in enumerate(self.parts):
+            while w:
+                low = w & -w
+                w ^= low
+                held[low.bit_length() - 1] |= 1 << i
+        return held
+
     def nerve(self) -> SimplicialComplex:
         """One vertex per part; an index set is a face when its parts share a
         vertex of a nonempty face of the base, so the facets are the masks of
         the parts that hold each such vertex.  The empty complex when the
         base has no vertex in a face."""
         support = reduce(or_, self.base.facet_masks())
-        holders = [0] * self.base.n_vertices
-        for i, w in enumerate(self.parts):
-            w &= support
-            while w:
-                low = w & -w
-                w ^= low
-                holders[low.bit_length() - 1] |= 1 << i
-        return SimplicialComplex(self.part_labels, [h for h in holders if h] or [0])
+        facets = [h for v, h in enumerate(self.vertex_parts()) if h and support >> v & 1]
+        return SimplicialComplex(self.part_labels, facets or [0])
 
 
 def independent_cover(g: Graph, k: int) -> Cover:
@@ -98,32 +102,29 @@ def independent_cover(g: Graph, k: int) -> Cover:
     return Cover(SimplicialComplex(labels, masks + [0]), g.labels, [full ^ h for h in holding])
 
 
-def cover_symmetries(cover: Cover, g: Graph, k: int, perms) -> list[tuple[int, ...]]:
-    """The vertex permutations ``perms`` of ``g`` (each a sequence, v -> perm[v])
-    as automorphisms of a cover whose parts are the vertices of ``g`` and
-    whose base vertices are its independent k-sets in ``independent_sets``
-    order, as ``independent_cover`` builds it; or [] when one of them fails.
+def cover_symmetries(cover: Cover, perms) -> list[tuple[int, ...]]:
+    """The permutations ``perms`` of the parts (each a sequence, v -> perm[v])
+    as automorphisms of the cover; or [] when one of them fails.
 
-    Each permutation pi moves base vertex i, the set S_i, to the base vertex
-    labelled ``set_label(g, pi(S_i))``.  It passes when that base action beta
-    is a bijection that maps the facets of the base onto themselves and part
-    v onto part pi(v); beta then carries the intersection over an index set
-    I isomorphically onto the one over pi·I.  Only the given permutations
-    are checked, and no symmetry is searched for."""
+    A permutation pi acts on the base through ``vertex_parts``: beta sends
+    base vertex i to the vertex whose part mask is pi of i's.  It passes
+    when no two base vertices have the same part mask, every image is a base
+    vertex (so beta is a bijection) and beta maps the facets of the base
+    onto themselves.  Then beta carries part v onto part pi(v): bit pi(v) of
+    beta(i)'s part mask is bit v of i's, so i lies in W_v exactly when
+    beta(i) lies in W_pi(v).  So beta carries the intersection over an index
+    set I isomorphically onto the one over pi·I.  Only the given
+    permutations are checked, and no symmetry is searched for."""
     perms = [tuple(perm) for perm in perms]
-    sets = independent_sets(g, k)
-    index = {label: i for i, label in enumerate(cover.base.labels)}
-    if cover.part_labels != g.labels or len(sets) != len(index):
+    held = cover.vertex_parts()
+    index = {h: i for i, h in enumerate(held)}
+    if len(index) != len(held):
         return []
     facets = set(cover.base.facet_masks())
     for perm in perms:
-        if sorted(perm) != list(range(g.n)):
+        if sorted(perm) != list(range(cover.n_parts)):
             return []
-        beta = [index.get(set_label(g, [perm[v] for v in s])) for s in sets]
-        if None in beta or len(set(beta)) != len(beta):
-            return []
-        if {permute_mask(f, beta) for f in facets} != facets:
-            return []
-        if any(permute_mask(w, beta) != cover.parts[perm[v]] for v, w in enumerate(cover.parts)):
+        beta = [index.get(permute_mask(h, perm)) for h in held]
+        if None in beta or {permute_mask(f, beta) for f in facets} != facets:
             return []
     return perms

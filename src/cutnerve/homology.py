@@ -111,18 +111,16 @@ def _clear_line(lines: dict, mirror: dict, p: int, c: int) -> int:
 
 
 def _divisibility_chain(values: list[int]) -> tuple[int, ...]:
+    """The invariant factors d_1 | d_2 | ... of the nonzero ``values``: row
+    i takes gcd and lcm with each later value, so after it ``vals[i]``
+    divides every later one."""
     vals = [abs(v) for v in values if v]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a:
-                    g = math.gcd(a, b)
-                    vals[i], vals[j] = g, a * b // g
-                    changed = True
-    vals.sort()
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            a, b = vals[i], vals[j]
+            if b % a:
+                g = math.gcd(a, b)
+                vals[i], vals[j] = g, a * b // g
     return tuple(vals)
 
 

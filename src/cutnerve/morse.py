@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .complexes import SimplicialComplex, closure_masks, mask_face
+from .complexes import SimplicialComplex, closure_masks, mask_antichain, mask_face
 from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array, json_object
 from .homology import ElementMatching
 
@@ -211,25 +211,30 @@ def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tup
             steps = ()  # nothing applies after a failed step
             break
         facets.difference_update(star)
-        links = {f ^ 1 << v for f in star}
-        facets |= {g for g in links if not any(g & h == g != h for h in facets | links)}
+        facets = set(mask_antichain(list(facets) + [f ^ 1 << v for f in star]))
         applied += 1
     faces = closure_masks(facets)
     faces.discard(0)
     cof: dict[int, set] = {f: set() for f in faces}
     for f in faces:
-        for v in range(f.bit_length()):
-            if f >> v & 1 and (f ^ 1 << v) in cof:
-                cof[f ^ 1 << v].add(f)
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if f ^ low in cof:
+                cof[f ^ low].add(f)
     for sigma, tau in steps:
         # a coface set holds only faces still present
         if sigma not in faces or cof[sigma] != {tau}:
             break
         faces -= {sigma, tau}
         for g in (sigma, tau):
-            for v in range(g.bit_length()):
-                if g >> v & 1 and (g ^ 1 << v) in faces:
-                    cof[g ^ 1 << v].discard(g)
+            rest = g
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if g ^ low in faces:
+                    cof[g ^ low].discard(g)
         applied += 1
     return applied, tuple(sorted(faces))
 

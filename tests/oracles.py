@@ -102,6 +102,26 @@ def dense_snf(matrix: list[list[int]]) -> tuple[int, ...]:
 # homology from full boundary matrices, via the sparse SNF
 # ---------------------------------------------------------------------------
 
+def divisibility_chain(values) -> tuple[int, ...]:
+    """The invariant factors of the nonzero ``values`` by prime exponents:
+    each prime's exponents, sorted ascending and right-aligned, give its
+    power in d_1 | d_2 | ... ."""
+    vals = [abs(v) for v in values if v]
+    chain = [1] * len(vals)
+    primes = {p for v in vals for p in range(2, v + 1) if v % p == 0 and all(p % q for q in range(2, p))}
+    for p in primes:
+        exps = []
+        for v in vals:
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            exps.append(e)
+        for i, e in enumerate(sorted(exps)):
+            chain[i] *= p ** e
+    return tuple(chain)
+
+
 def boundary_matrix(c, d: int):
     """The boundary operator of a ``SimplicialComplex`` from d-chains to
     (d-1)-chains, with the orientation induced by sorted vertex order.
@@ -109,7 +129,16 @@ def boundary_matrix(c, d: int):
     what makes the homology reduced."""
     if c.void:
         raise VoidComplexError("boundary matrices are undefined on the void complex")
-    return boundary_from_faces(c.faces_by_dim(), d)
+    return boundary_from_faces(faces_by_dim(c), d)
+
+
+def faces_by_dim(c) -> dict[int, list]:
+    """The faces of a ``SimplicialComplex``, grouped by dimension, each
+    group in lexicographic order."""
+    by_dim: dict[int, list] = {}
+    for f in c.all_faces():
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    return by_dim
 
 
 def boundary_from_faces(by_dim: dict[int, list], d: int):
@@ -132,7 +161,7 @@ def snf_homology(c) -> HomologyProfile:
     form of every boundary matrix of its closure."""
     if c.void:
         return HomologyProfile(void=True)
-    by_dim = c.faces_by_dim()
+    by_dim = faces_by_dim(c)
     top = max(by_dim)
     invariants = {d: smith_normal_form(boundary_from_faces(by_dim, d)) for d in range(top + 1)}
     invariants[top + 1] = ()

@@ -236,7 +236,8 @@ def test_all_faces_simplex():
 
 def test_faces_of_dim_boundary():
     c = cx.simplex_boundary("abc")
-    assert len(c.faces_by_dim()[1]) == 3
+    assert sum(len(f) == 2 for f in c.all_faces()) == 3
+    assert c.f_vector() == (1, 3, 3)
 
 
 def test_closure_matches_subset_oracle():
@@ -244,6 +245,8 @@ def test_closure_matches_subset_oracle():
         if c.void:
             continue
         assert set(c.all_faces()) == closure_of(c.facets)
+        sizes = [len(f) for f in closure_of(c.facets)]
+        assert c.f_vector() == tuple(map(sizes.count, range(max(sizes) + 1)))
 
 
 def test_closure_masks_matches_subset_oracle(monkeypatch):

@@ -455,16 +455,36 @@ def dihedral(n):
 def test_cover_symmetries_accept_the_dihedral_generators():
     for k in (2, 3):
         for n in range(max(4, 2 * k), 10):
-            g = gr.cycle(n)
-            cover = cons.independent_cover(g, k)
-            perms = cons.cover_symmetries(cover, g, k, iter(dihedral(n)))
+            cover = cons.independent_cover(gr.cycle(n), k)
+            perms = cons.cover_symmetries(cover, iter(dihedral(n)))
             assert perms == [tuple(p) for p in dihedral(n)], (n, k)
             # the generators map the nerve onto itself
             nerve = cover.nerve()
             for perm in perms:
                 assert sorted(cx.permute_mask(f, perm) for f in nerve.facet_masks()) == list(nerve.facet_masks())
-    g = gr.cycle(6)
-    assert cons.cover_symmetries(cons.independent_cover(g, 2), g, 2, []) == []
+    assert cons.cover_symmetries(cons.independent_cover(gr.cycle(6), 2), []) == []
+
+
+def test_cover_symmetries_accept_ladder_symmetries():
+    # CL_5 at k = 2: the rung rotation v -> v + 2 and the flip of each rung
+    # v -> v ^ 1 are graph automorphisms, so both map the cover onto itself
+    g = gr.circular_ladder(5)
+    cover = cons.independent_cover(g, 2)
+    rotation = [(v + 2) % 10 for v in range(10)]
+    flip = [v ^ 1 for v in range(10)]
+    assert cons.cover_symmetries(cover, [rotation, flip]) == [tuple(rotation), tuple(flip)]
+    # a swap of two rung ends of different rungs is no automorphism
+    assert cons.cover_symmetries(cover, [[2, 1, 0] + list(range(3, 10))]) == []
+
+
+def test_vertex_parts_are_the_parts_that_hold_each_base_vertex():
+    for g, k in ((gr.cycle(7), 2), (gr.circular_ladder(4), 2), (gr.star(4), 2)):
+        cover = cons.independent_cover(g, k)
+        full = (1 << g.n) - 1
+        # the k-set S lies in part v exactly when v is not in S
+        assert cover.vertex_parts() == [full ^ cx.face_mask(s) for s in gr.independent_sets(g, k)]
+        for i, held in enumerate(cover.vertex_parts()):
+            assert held == sum(1 << v for v, w in enumerate(cover.parts) if w >> i & 1)
 
 
 def test_cover_symmetries_refuse_what_does_not_map_the_cover():
@@ -474,22 +494,24 @@ def test_cover_symmetries_refuse_what_does_not_map_the_cover():
     # swapping two adjacent cycle vertices moves {1,3} to {2,3}, no base vertex
     swap = [1, 0, 2, 3, 4, 5]
     for perms in ([swap], [rotation, swap], [reflection, swap]):
-        assert cons.cover_symmetries(cover, g, 2, perms) == []
-    # not a permutation of the vertices
+        assert cons.cover_symmetries(cover, perms) == []
+    # not a permutation of the parts
     for bad in ([0, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6, 0]):
-        assert cons.cover_symmetries(cover, g, 2, [bad]) == []
-    # a base bijection that does not carry part v onto part pi(v): part 1
-    # (the vertex "2") loses the base vertex {1,3}; the reflection
-    # v -> 2 - v fixes both, so it still maps the cover
+        assert cons.cover_symmetries(cover, [bad]) == []
+    # a permutation of the wrong length, as for another graph
+    assert cons.cover_symmetries(cover, [dihedral(7)[0]]) == []
+    assert cons.cover_symmetries(cover, [dihedral(5)[1]]) == []
+    # a forged part: part 1 (the vertex "2") loses the base vertex {1,3};
+    # the reflection v -> 2 - v fixes both, so it still maps the cover
     assert cover.base.labels[0] == "{1,3}" and cover.parts[1] & 1
     parts = list(cover.parts)
     parts[1] ^= 1
     forged = cons.Cover(cover.base, cover.part_labels, parts)
     fixing = [2, 1, 0, 5, 4, 3]
-    assert cons.cover_symmetries(forged, g, 2, [fixing]) == [tuple(fixing)]
+    assert cons.cover_symmetries(forged, [fixing]) == [tuple(fixing)]
     for perms in ([rotation], [reflection], [fixing, rotation]):
-        assert cons.cover_symmetries(forged, g, 2, perms) == []
-        assert cons.cover_symmetries(cover, g, 2, perms) == list(map(tuple, perms))
+        assert cons.cover_symmetries(forged, perms) == []
+        assert cons.cover_symmetries(cover, perms) == list(map(tuple, perms))
     # a base bijection that does not carry the base's facets onto
     # themselves: the base loses the facet N({1,3}), which the reflection
     # fixes and the rotation moves
@@ -497,15 +519,27 @@ def test_cover_symmetries_refuse_what_does_not_map_the_cover():
     rest = [f for f in cover.base.facet_masks() if f != dropped]
     assert len(rest) == len(cover.base.facet_masks()) - 1
     forged = cons.Cover(cx.SimplicialComplex(cover.base.labels, rest), cover.part_labels, cover.parts)
-    assert cons.cover_symmetries(forged, g, 2, [fixing]) == [tuple(fixing)]
-    assert cons.cover_symmetries(forged, g, 2, [rotation]) == []
+    assert cons.cover_symmetries(forged, [fixing]) == [tuple(fixing)]
+    assert cons.cover_symmetries(forged, [rotation]) == []
+    # two base vertices held by the same parts: the part masks no longer
+    # name the base vertices, so even the identity is refused
+    parts = [w | 0b10 if w & 0b1 else w & ~0b10 for w in cover.parts]
+    forged = cons.Cover(cover.base, cover.part_labels, parts)
+    assert forged.vertex_parts()[0] == forged.vertex_parts()[1]
+    for perms in ([list(range(6))], [fixing], [rotation]):
+        assert cons.cover_symmetries(forged, perms) == []
+    # the same for two base vertices in no face and no part: every base
+    # facet would still map onto itself, but the base action would not be
+    # a bijection
+    base = cx.SimplicialComplex(cover.base.labels + ("x", "y"), cover.base.facet_masks())
+    forged = cons.Cover(base, cover.part_labels, cover.parts)
+    assert forged.vertex_parts()[-2:] == [0, 0]
+    for perms in ([list(range(6))], [fixing], [rotation]):
+        assert cons.cover_symmetries(forged, perms) == []
     # all given permutations or none: one bad permutation among good ones
     # refuses them all, and none given gives none
-    assert cons.cover_symmetries(cover, g, 2, [rotation, [1, 0, 2, 3, 4, 5], reflection]) == []
-    assert cons.cover_symmetries(cover, g, 2, iter([])) == []
-    # the cover of another graph or another k
-    assert cons.cover_symmetries(cover, gr.cycle(7), 2, [dihedral(7)[0]]) == []
-    assert cons.cover_symmetries(cover, g, 3, [rotation]) == []
+    assert cons.cover_symmetries(cover, [rotation, swap, reflection]) == []
+    assert cons.cover_symmetries(cover, iter([])) == []
 
 
 # -- spot check profiles through the construction stack ----------------------------

@@ -22,6 +22,7 @@ from oracles import (
     brute_homology,
     cone,
     dense_snf,
+    divisibility_chain,
     euler_characteristic_reduced,
     face_count,
     free_ranks,
@@ -182,6 +183,10 @@ def test_snf_divisibility_chain():
         inv = hom.smith_normal_form(sparse_from_dense(dense))
         for a, b in zip(inv, inv[1:]):
             assert b % a == 0
+    # the one gcd/lcm pass against the chain read off the prime exponents
+    for _ in range(2000):
+        values = [rng.choice([-1, 1]) * rng.randint(0, 360) for _ in range(rng.randint(0, 7))]
+        assert hom._divisibility_chain(values) == divisibility_chain(values), values
 
 
 def test_snf_invariance_permutation_transpose():

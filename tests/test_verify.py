@@ -425,7 +425,7 @@ def test_thm_3_1_orbit_and_search_counts(monkeypatch):
             g = graphs.cycle(n)
             cover = constructions.independent_cover(g, k)
             faces = sorted(filter(None, map(face_mask, cover.nerve().all_faces())))
-            perms = constructions.cover_symmetries(cover, g, k, verify._dihedral(n))
+            perms = constructions.cover_symmetries(cover, verify._dihedral(n))
             assert len(perms) == 2
             for orbit in verify._orbits(faces, perms):
                 assert cover.intersection(orbit[0]).has_vertices()
