@@ -7,7 +7,10 @@ with the apex and no artificial critical 0-cell survives.  Reported
 critical cells and collapse steps exclude the empty face; collapses stop at
 a single vertex.  Element matchings come from the recursion in
 ``homology``; ``is_acyclic`` and ``critical_cells`` check a list of pairs
-against the facets and the closure, sharing no code with it.
+against the facets and the closure, sharing no code with it.  The collapse
+search finds free faces by coface count, with the XOR of a face's cofaces
+naming the one coface of a free face; ``apply_collapses`` replays its steps
+on a coface count of its own.
 """
 
 from __future__ import annotations
@@ -100,35 +103,6 @@ def critical_cells(cx: SimplicialComplex, pairs) -> list[int]:
 # collapses
 # ---------------------------------------------------------------------------
 
-def _coface_map(faces: set) -> dict[int, set]:
-    cof: dict[int, set] = {f: set() for f in faces}
-    for f in faces:
-        if f & (f - 1):
-            rest = f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                cof[f ^ low].add(f)
-    return cof
-
-
-def _remove_pair(faces: set, cof: dict, sigma: int, tau: int) -> list[int]:
-    """Remove the free pair (sigma, tau) from ``faces`` and from the coface
-    sets of their facets.  Returns the faces whose coface sets shrank."""
-    faces.discard(sigma)
-    faces.discard(tau)
-    touched = []
-    for g in (sigma, tau):
-        rest = g
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if g ^ low in faces:
-                cof[g ^ low].discard(g)
-                touched.append(g ^ low)
-    return touched
-
-
 @dataclass(frozen=True)
 class CollapseWitness:
     """A replayable collapse certificate: strong collapses ``dominations``,
@@ -196,13 +170,14 @@ class CollapseWitness:
 
 
 def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tuple[int, ...]]:
-    """Apply strong collapses, then free pairs, on facets and coface sets of
-    their own, sharing no collapse code with the search: each domination
+    """Apply strong collapses, then free pairs, on facets and coface counts
+    of their own, sharing no collapse code with the search: each domination
     (v, w) needs v != w, v still a vertex and w in every facet through v;
     each step (sigma, tau) of face masks on the closure of the core left
-    needs the nonempty face sigma free in tau.  Stops at the first that
-    does not hold; returns how many were applied and the sorted masks of
-    the nonempty faces left."""
+    needs the nonempty face sigma free in tau: tau is sigma plus one
+    vertex, both are faces, and sigma has exactly one coface.  Stops at the
+    first that does not hold; returns how many were applied and the sorted
+    masks of the nonempty faces left."""
     facets = set(cx.facet_masks())
     applied = 0
     for v, w in dominations:
@@ -213,30 +188,29 @@ def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tup
         facets.difference_update(star)
         facets = set(mask_antichain(list(facets) + [f ^ 1 << v for f in star]))
         applied += 1
-    faces = closure_masks(facets)
-    faces.discard(0)
-    cof: dict[int, set] = {f: set() for f in faces}
-    for f in faces:
+    # the nonempty faces still present, each with its count of cofaces
+    count = dict.fromkeys(closure_masks(facets), 0)
+    count.pop(0, None)
+    for f in count:
         rest = f
         while rest:
             low = rest & -rest
             rest ^= low
-            if f ^ low in cof:
-                cof[f ^ low].add(f)
+            if f ^ low in count:
+                count[f ^ low] += 1
     for sigma, tau in steps:
-        # a coface set holds only faces still present
-        if sigma not in faces or cof[sigma] != {tau}:
+        if count.get(sigma) != 1 or tau not in count or tau & sigma != sigma or (tau ^ sigma).bit_count() != 1:
             break
-        faces -= {sigma, tau}
+        del count[sigma], count[tau]
         for g in (sigma, tau):
             rest = g
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if g ^ low in faces:
-                    cof[g ^ low].discard(g)
+                if g ^ low in count:
+                    count[g ^ low] -= 1
         applied += 1
-    return applied, tuple(sorted(faces))
+    return applied, tuple(sorted(count))
 
 
 def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
@@ -283,7 +257,9 @@ def _strong_collapse(facets, dominations: list) -> list[int]:
 def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     """Collapse toward a single vertex: strong collapses on the facet list,
     then one descent that always takes the least free pair by (dimension,
-    mask) on a lazy heap over the faces of the core's closure.
+    mask) on a lazy heap over the faces of the core's closure.  Each face
+    keeps its coface count and the XOR of its cofaces, so a face with count
+    1 is free in the face its XOR names.
 
     Only the core's closure is built, and the face budget guards it alone:
     the strong collapses scan only the stored facets, and each step of the
@@ -296,19 +272,41 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
         raise VoidComplexError("cannot collapse the void complex")
     dominations = []
     core = _strong_collapse(cx.facet_masks(), dominations)
-    faces = closure_masks(core)
-    faces.discard(0)
-    cof = _coface_map(faces)
-    heap = [(s.bit_count(), s, next(iter(ts))) for s, ts in cof.items() if len(ts) == 1]
+    # the nonempty faces still present, each with its count of cofaces; a
+    # face's cofaces XORed together are its one coface when the count is 1
+    count = dict.fromkeys(closure_masks(core), 0)
+    count.pop(0, None)
+    xor = dict.fromkeys(count, 0)
+    for f in count:
+        if f & (f - 1):
+            rest = f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                count[f ^ low] += 1
+                xor[f ^ low] ^= f
+    heap = [(s.bit_count(), s) for s, c in count.items() if c == 1]
     heapq.heapify(heap)
     steps = []
-    while len(faces) > 1 and heap:
-        _, sigma, tau = heapq.heappop(heap)
-        if sigma not in faces or cof[sigma] != {tau}:
+    while len(count) > 1 and heap:
+        _, sigma = heapq.heappop(heap)
+        # a count only falls, so each face enters the heap at most once, and
+        # an entry is stale when its face is gone or has no coface left
+        if count.get(sigma) != 1:
             continue
+        tau = xor[sigma]
         steps.append((sigma, tau))
-        for sub in _remove_pair(faces, cof, sigma, tau):
-            if len(cof[sub]) == 1:
-                heapq.heappush(heap, (sub.bit_count(), sub, next(iter(cof[sub]))))
-    verdict = "collapsible" if len(faces) == 1 else "unknown"
-    return CollapseWitness(tuple(steps), tuple(sorted(faces)), verdict, tuple(dominations))
+        del count[sigma], count[tau]
+        for g in (sigma, tau):
+            rest = g
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = g ^ low
+                if sub in count:
+                    count[sub] -= 1
+                    xor[sub] ^= g
+                    if count[sub] == 1:
+                        heapq.heappush(heap, (sub.bit_count(), sub))
+    verdict = "collapsible" if len(count) == 1 else "unknown"
+    return CollapseWitness(tuple(steps), tuple(sorted(count)), verdict, tuple(dominations))

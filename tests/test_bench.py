@@ -1,7 +1,9 @@
 """The benchmark harness runs on the checkout's ``src`` and checks every
 report of its traced passes, so a change that breaks what the tracer reads
 off the package (``void``, ``_closure``, ``_homology``, ``f_vector``,
-``nnz``) fails here."""
+``nnz``; in ``morse``, ``greedy_collapse``, ``replay_collapse``,
+``critical_cells`` and a witness's ``steps``, ``steps_tried`` and
+``is_collapsible``) fails here."""
 
 import json
 import os

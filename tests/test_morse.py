@@ -638,9 +638,41 @@ def test_greedy_collapse_takes_the_least_free_pair_by_mask():
     assert morse.replay_collapse(core, witness)
 
 
+def test_greedy_collapse_matches_descent_on_the_largest_cycle_intersection():
+    # the largest thm-3-1 intersection at n=8 k=2 that is not a cone, with
+    # 8,492 faces: past the dominations the search is the plain descent
+    inter = max((c for c in cycle_cover_intersections(8, 2) if not verify._cone_apexes(c)), key=face_count)
+    assert face_count(inter) == 8492
+    witness = morse.greedy_collapse(inter)
+    core = inter
+    for v, w in witness.dominations:
+        core = delete_vertex(core, v)
+    assert dominated_vertex(core) is None
+    steps, terminal, verdict = descent_collapse(core.facets)
+    assert witness.steps == mask_pairs(steps)
+    assert witness.terminal == masks_of(terminal)
+    assert witness.verdict == verdict == "collapsible"
+    assert morse.replay_collapse(inter, witness)
+
+
+def test_replay_refuses_a_step_off_the_one_coface():
+    # the edge ab of the full triangle abc has the one coface abc; a step
+    # from ab applies only into abc
+    c = cx.from_facets("abcd", [(0, 1, 2), (2, 3)])
+    faces = masks_of(f for f in c.all_faces() if f)
+    ab = cx.face_mask((0, 1))
+    for tau in [(0, 1),          # sigma itself
+                (1, 2), (0,),    # faces that miss ab
+                (0, 1, 2, 3),    # two vertices above ab
+                (0, 1, 3)]:      # outside the complex
+        assert morse.apply_collapses(c, (), [(ab, cx.face_mask(tau))]) == (0, faces), tau
+    abc = cx.face_mask((0, 1, 2))
+    assert morse.apply_collapses(c, (), [(ab, abc)]) == (1, tuple(f for f in faces if f not in (ab, abc)))
+
+
 def test_checkers_share_no_code_with_the_search(monkeypatch):
     # is_acyclic, critical_cells and the replay run with the element
-    # matching recursion, the collapse search and its coface code disabled
+    # matching recursion and the collapse search disabled
     c = ladder_total_cut(5)
     pairs = morse.element_matching_sequence(c, ["1+", "1-"])
     cells = morse.critical_cells(c, pairs)
@@ -651,7 +683,13 @@ def test_checkers_share_no_code_with_the_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a checker called the search")
 
-    for name in ("ElementMatching", "greedy_collapse", "_strong_collapse", "_coface_map", "_remove_pair"):
+    search = ("ElementMatching", "greedy_collapse", "_strong_collapse")
+    # every private function of morse serves the search, so a new one
+    # belongs on the list
+    helpers = {name for name, f in vars(morse).items()
+               if name[0] == "_" and getattr(f, "__module__", None) == morse.__name__}
+    assert helpers <= set(search)
+    for name in search:
         monkeypatch.setattr(morse, name, refuse)
     monkeypatch.setattr(hom, "ElementMatching", refuse)
     assert morse.is_acyclic(c, pairs) == (True, None)
