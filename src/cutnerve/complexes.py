@@ -83,20 +83,25 @@ def mask_antichain(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def closure_masks(masks) -> set[int]:
+def closure_masks(masks) -> dict[int, int]:
     """Every face of the faces ``masks`` as a bitmask, each enumerated as a
-    submask; the empty face is in it unless ``masks`` is empty.  More faces
-    than the face budget raise ResourceLimitError."""
+    submask, mapped to its link: the OR of the members of ``masks`` that
+    hold it, less the face itself.  The empty face is in it unless
+    ``masks`` is empty.  More faces than the face budget raise
+    ResourceLimitError."""
     limit = face_budget()
-    faces = {0} if masks else set()
+    links: dict[int, int] = {}
+    get = links.get
     for f in masks:
         s = f
-        while s:
-            faces.add(s)
+        while True:
+            links[s] = get(s, 0) | f ^ s
+            if not s:
+                break
             s = (s - 1) & f
-        if len(faces) > limit:
+        if len(links) > limit:
             raise ResourceLimitError("total face count", limit)
-    return faces
+    return links
 
 
 class SimplicialComplex:

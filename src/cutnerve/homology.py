@@ -362,7 +362,7 @@ class ElementMatching:
         """The faces of ``facets`` that lie in no member of ``others``."""
         self._charge(sum(1 << f.bit_count() for f in facets + others))
         # the charge bounds both closures, so their own guard never fires
-        return list(closure_masks(facets) - closure_masks(others))
+        return list(closure_masks(facets).keys() - closure_masks(others))
 
     def pairs(self) -> list[tuple[int, int]]:
         """Every matched pair: on each path down to a node at v, (rho + path,

@@ -8,9 +8,9 @@ critical cells and collapse steps exclude the empty face; collapses stop at
 a single vertex.  Element matchings come from the recursion in
 ``homology``; ``is_acyclic`` and ``critical_cells`` check a list of pairs
 against the facets and the closure, sharing no code with it.  The collapse
-search finds free faces by coface count, with the XOR of a face's cofaces
-naming the one coface of a free face; ``apply_collapses`` replays its steps
-on a coface count of its own.
+search and ``apply_collapses``, its replay, each read the faces with their
+links from ``closure_masks``: a face is free when its link is one vertex v,
+and its one coface is the face plus v.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def critical_cells(cx: SimplicialComplex, pairs) -> list[int]:
     ok, witness = is_acyclic(cx, pairs)
     if not ok:
         raise InvalidMatchingError(f"matching contains a directed cycle: {list(map(mask_face, witness))}")
-    cells = closure_masks(cx.facet_masks()).difference(*pairs)
-    cells.discard(0)
+    cells = closure_masks(cx.facet_masks()).keys() - {0}.union(*pairs)
     return sorted(cells, key=lambda f: (f.bit_count(), mask_face(f)))
 
 
@@ -170,14 +169,14 @@ class CollapseWitness:
 
 
 def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tuple[int, ...]]:
-    """Apply strong collapses, then free pairs, on facets and coface counts
-    of their own, sharing no collapse code with the search: each domination
-    (v, w) needs v != w, v still a vertex and w in every facet through v;
-    each step (sigma, tau) of face masks on the closure of the core left
-    needs the nonempty face sigma free in tau: tau is sigma plus one
-    vertex, both are faces, and sigma has exactly one coface.  Stops at the
-    first that does not hold; returns how many were applied and the sorted
-    masks of the nonempty faces left."""
+    """Apply strong collapses, then free pairs, on facets and links of their
+    own, sharing no collapse code with the search: each domination (v, w)
+    needs v != w, v still a vertex and w in every facet through v; each
+    step (sigma, tau) of face masks on the closure of the core left needs
+    the nonempty face sigma free in tau: the link of sigma is one vertex v
+    and tau is sigma plus v.  Stops at the first that does not hold;
+    returns how many were applied and the sorted masks of the nonempty
+    faces left."""
     facets = set(cx.facet_masks())
     applied = 0
     for v, w in dominations:
@@ -188,29 +187,24 @@ def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tup
         facets.difference_update(star)
         facets = set(mask_antichain(list(facets) + [f ^ 1 << v for f in star]))
         applied += 1
-    # the nonempty faces still present, each with its count of cofaces
-    count = dict.fromkeys(closure_masks(facets), 0)
-    count.pop(0, None)
-    for f in count:
-        rest = f
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if f ^ low in count:
-                count[f ^ low] += 1
+    # the nonempty faces still present, each with its link
+    links = closure_masks(facets)
+    links.pop(0, None)
     for sigma, tau in steps:
-        if count.get(sigma) != 1 or tau not in count or tau & sigma != sigma or (tau ^ sigma).bit_count() != 1:
+        link = links.get(sigma, 0)
+        if link.bit_count() != 1 or tau != sigma | link:
             break
-        del count[sigma], count[tau]
+        del links[sigma], links[tau]
+        # removing a face g clears v in the link of each of its facets g - v
         for g in (sigma, tau):
             rest = g
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if g ^ low in count:
-                    count[g ^ low] -= 1
+                if g ^ low in links:
+                    links[g ^ low] ^= low
         applied += 1
-    return applied, tuple(sorted(count))
+    return applied, tuple(sorted(links))
 
 
 def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
@@ -258,8 +252,8 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     """Collapse toward a single vertex: strong collapses on the facet list,
     then one descent that always takes the least free pair by (dimension,
     mask) on a lazy heap over the faces of the core's closure.  Each face
-    keeps its coface count and the XOR of its cofaces, so a face with count
-    1 is free in the face its XOR names.
+    keeps its link, so a face whose link is one vertex v is free in the
+    face plus v.
 
     Only the core's closure is built, and the face budget guards it alone:
     the strong collapses scan only the stored facets, and each step of the
@@ -272,41 +266,32 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
         raise VoidComplexError("cannot collapse the void complex")
     dominations = []
     core = _strong_collapse(cx.facet_masks(), dominations)
-    # the nonempty faces still present, each with its count of cofaces; a
-    # face's cofaces XORed together are its one coface when the count is 1
-    count = dict.fromkeys(closure_masks(core), 0)
-    count.pop(0, None)
-    xor = dict.fromkeys(count, 0)
-    for f in count:
-        if f & (f - 1):
-            rest = f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                count[f ^ low] += 1
-                xor[f ^ low] ^= f
-    heap = [(s.bit_count(), s) for s, c in count.items() if c == 1]
+    # the nonempty faces still present, each with its link
+    links = closure_masks(core)
+    links.pop(0, None)
+    heap = [(s.bit_count(), s) for s, link in links.items() if link.bit_count() == 1]
     heapq.heapify(heap)
     steps = []
-    while len(count) > 1 and heap:
+    while len(links) > 1 and heap:
         _, sigma = heapq.heappop(heap)
-        # a count only falls, so each face enters the heap at most once, and
+        # a link only shrinks, so each face enters the heap at most once, and
         # an entry is stale when its face is gone or has no coface left
-        if count.get(sigma) != 1:
+        link = links.get(sigma)
+        if not link:
             continue
-        tau = xor[sigma]
+        tau = sigma | link
         steps.append((sigma, tau))
-        del count[sigma], count[tau]
+        del links[sigma], links[tau]
+        # removing a face g clears v in the link of each of its facets g - v
         for g in (sigma, tau):
             rest = g
             while rest:
                 low = rest & -rest
                 rest ^= low
                 sub = g ^ low
-                if sub in count:
-                    count[sub] -= 1
-                    xor[sub] ^= g
-                    if count[sub] == 1:
+                if sub in links:
+                    link = links[sub] = links[sub] ^ low
+                    if link.bit_count() == 1:
                         heapq.heappush(heap, (sub.bit_count(), sub))
-    verdict = "collapsible" if len(count) == 1 else "unknown"
-    return CollapseWitness(tuple(steps), tuple(sorted(count)), verdict, tuple(dominations))
+    verdict = "collapsible" if len(links) == 1 else "unknown"
+    return CollapseWitness(tuple(steps), tuple(sorted(links)), verdict, tuple(dominations))

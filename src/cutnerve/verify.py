@@ -180,8 +180,7 @@ def run_thm_3_1(n, k):
     # which acts on the cover; an orbit whose representative is not
     # certified is searched member by member, and a stranded search is
     # "unknown"
-    faces = cx.closure_masks(nerve_cx.facet_masks())
-    faces.discard(0)
+    faces = cx.closure_masks(nerve_cx.facet_masks()).keys() - {0}
     perms = cons.cover_symmetries(cover, _dihedral(n))
     unresolved = []
     for orbit in _orbits(sorted(faces, key=cx.mask_face), perms):
@@ -203,8 +202,9 @@ def run_prop_3_3(n, k):
     return checks, {"total_cut": _digest(tc)}
 
 
-def _prism_markers(n: int):
-    g = gr.prism(n)
+def _prism_markers(g: gr.Graph):
+    """The labels of the markers {i+, (i+1)-}, i mod n, of the prism g = K_n x K_2."""
+    n = g.n // 2
     markers = []
     for i in range(1, n + 1):
         j = i % n + 1
@@ -224,7 +224,7 @@ def run_thm_4_2(n):
     # both checks below read each marker's star as the facets through the
     # marker, not as a subcomplex: the true intersections of the stars are
     # not acyclic at n >= 4 (README)
-    labels = _prism_markers(n)
+    labels = _prism_markers(g)
     markers = [nb.vertex(m) for m in labels]
     facets = nb.facet_masks()
     holders = [sum(1 << i for i, v in enumerate(markers) if f >> v & 1) for f in facets]
@@ -298,9 +298,12 @@ def run_thm_4_4(n):
         x, y = cx.SimplicialComplex(tc.labels, x_facets), cx.SimplicialComplex(tc.labels, y_facets)
         union_ok = cx.SimplicialComplex(tc.labels, x_facets + y_facets) == tc
         checks.append(_check("decomposition-union", union_ok, "X u Y = total cut", union_ok))
-        for name, part in (("x-homology-trivial", x), ("y-homology-trivial", y)):
-            trivial = hom.reduced_homology(part) == hom.HomologyProfile()
-            checks.append(_check(name, trivial, True, trivial))
+        # both are cones, X over every vertex of A and Y over every vertex
+        # of B, so X u Y is homotopy equivalent to the suspension of X n Y
+        for name, part, apexes in (("x-cone-over-a", x, a), ("y-cone-over-b", y, b)):
+            found = _cone_apexes(part)
+            checks.append(_check(name, found == apexes, list(tc.labels_of_face(apexes)),
+                                 list(tc.labels_of_face(found))))
         inter = cx.SimplicialComplex(tc.labels, [p & q for p in x_facets for q in y_facets])
         edges = [1 << u | 1 << v for u in cx.mask_face(a) for v in cx.mask_face(b)]
         skel_ok = inter == cx.SimplicialComplex(tc.labels, edges)

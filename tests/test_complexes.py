@@ -251,8 +251,9 @@ def test_closure_matches_subset_oracle():
 
 def test_closure_masks_matches_subset_oracle(monkeypatch):
     # the one closure enumerator against the tuple oracle, on grounds with
-    # bits past 64 too; a face budget equal to the face count passes and
-    # one less raises
+    # bits past 64 too: the faces, and each face's link, the vertices v
+    # outside it with f + v a face; a face budget equal to the face count
+    # passes and one less raises
     rng = random.Random(89)
     for _ in range(200):
         n, shift = rng.randint(1, 9), rng.choice((0, 0, 60))
@@ -263,17 +264,21 @@ def test_closure_masks_matches_subset_oracle(monkeypatch):
         monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(len(expected)))
         faces = cx.closure_masks(c.facet_masks())
         assert sorted(map(cx.mask_face, faces)) == sorted(expected)
+        for f, link in faces.items():
+            face = set(cx.mask_face(f))
+            assert cx.mask_face(link) == tuple(
+                v for v in range(n + shift) if v not in face and tuple(sorted(face | {v})) in expected)
         monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(len(expected) - 1))
         with pytest.raises(ResourceLimitError) as err:
             cx.closure_masks(c.facet_masks())
         assert err.value.budget == len(expected) - 1
     # no face has no closure, and the empty face is its own
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "0")
-    assert cx.closure_masks(()) == set()
+    assert cx.closure_masks(()) == {}
     with pytest.raises(ResourceLimitError):
         cx.closure_masks((0,))
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "1")
-    assert cx.closure_masks((0,)) == {0}
+    assert cx.closure_masks((0,)) == {0: 0}
 
 
 def test_closure_downward_closed():

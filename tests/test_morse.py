@@ -1,5 +1,6 @@
 """Matchings, acyclicity, collapses and collapse witnesses."""
 
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -419,6 +420,31 @@ def test_greedy_collapse_cycle_cover_intersections():
             assert morse.replay_collapse(inter, witness)
 
 
+# sha256 over the witness JSON and the replay verdict of every non-cone
+# nonempty nerve-face intersection of thm-3-1 at n = 4..9, k = 2, 3; a
+# change to the search or the replay that alters a witness updates it
+CYCLE_WITNESSES_SHA256 = "3cd26658ea49fda064915858e9e899443daad78f42d8d8e04fc7daa443ad5e53"
+
+
+def test_cycle_cover_witnesses_are_pinned():
+    digest, searched = hashlib.sha256(), 0
+    for n in range(4, 10):
+        for k in (2, 3):
+            if 2 * k > n:
+                continue
+            cover = cons.independent_cover(gr.cycle(n), k)
+            for face in sorted(filter(None, cx.closure_masks(cover.nerve().facet_masks()))):
+                inter = cover.intersection(face)
+                if verify._cone_apexes(inter):
+                    continue
+                witness = morse.greedy_collapse(inter)
+                replayed = morse.replay_collapse(inter, witness)
+                digest.update(f"{n},{k},{face}:{witness.to_json(inter)}:{replayed}\n".encode())
+                searched += 1
+    assert searched == 116
+    assert digest.hexdigest() == CYCLE_WITNESSES_SHA256
+
+
 def test_greedy_collapse_is_the_oracle_of_the_cone_apex():
     # thm-3-1 passes a cone intersection on its apex alone; the search must
     # find every such cone collapsible, with a witness that replays
@@ -668,6 +694,10 @@ def test_replay_refuses_a_step_off_the_one_coface():
         assert morse.apply_collapses(c, (), [(ab, cx.face_mask(tau))]) == (0, faces), tau
     abc = cx.face_mask((0, 1, 2))
     assert morse.apply_collapses(c, (), [(ab, abc)]) == (1, tuple(f for f in faces if f not in (ab, abc)))
+    # c lies in ac, bc and cd, so it is free in none of them, and a lies in
+    # ab and ac, so it is not free in abc, their union
+    for sigma, tau in [((2,), (0, 2)), ((2,), (1, 2)), ((2,), (2, 3)), ((0,), (0, 1, 2))]:
+        assert morse.apply_collapses(c, (), [(cx.face_mask(sigma), cx.face_mask(tau))]) == (0, faces), tau
 
 
 def test_checkers_share_no_code_with_the_search(monkeypatch):

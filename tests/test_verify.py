@@ -163,7 +163,7 @@ def test_smoke_class_all_pass_and_reports_deterministic():
 
 # sha256 of the smoke reports, serialised as `cutnerve verify --json` writes
 # them; a change that alters the report on purpose updates this digest
-SMOKE_REPORT_SHA256 = "32d4ea5c96bc0ac44d29befa6fcaf4f277a6233d67cf0c55e15fd145d62fd144"
+SMOKE_REPORT_SHA256 = "3b88cced7506a7d6f6d7f3eb00210e743f80c6df7c371a470cc41465f4c25437"
 
 
 def test_smoke_report_digest_is_pinned():
@@ -175,7 +175,7 @@ def test_smoke_report_digest_is_pinned():
 
 # sha256 of the whole desk-class report, written the same way; it includes
 # the thm-4-2 refutations pinned below
-DESK_REPORT_SHA256 = "c7e90c39e751d3ae2a749c8a6929571a2a0a2727160f0f323fc54d82ec877b96"
+DESK_REPORT_SHA256 = "13b2f9ff74cd88a81ff58fa9e268342aa7bdd9a92d3acd06996a7eb4f2e5d6dd"
 
 
 def test_desk_report_digest_is_pinned():
@@ -204,6 +204,20 @@ def test_thm_4_4_decomposition_refuses_a_wrong_side(monkeypatch):
     assert verdicts["decomposition-union"] == "fail" and report.verdict == "fail"
 
 
+def test_thm_4_4_cone_checks_can_fail(monkeypatch):
+    # X and Y are cones over exactly A and B; with no apex found, both
+    # checks fail and report none
+    named = {c.name: c for c in verify.run_scenario("thm-4-4", {"n": 4}).checks}
+    assert named["x-cone-over-a"].actual == ["1+", "2-", "3+", "4-"]
+    assert named["y-cone-over-b"].actual == ["1-", "2+", "3-", "4+"]
+    monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
+    report = verify.run_scenario("thm-4-4", {"n": 4})
+    named = {c.name: c for c in report.checks}
+    for name in ("x-cone-over-a", "y-cone-over-b"):
+        assert (named[name].verdict, named[name].actual) == ("fail", [])
+    assert report.verdict == "fail"
+
+
 def test_cli_writes_the_pinned_desk_report(tmp_path):
     # the console entry point end to end: `python -m cutnerve` in a fresh
     # process writes the desk report's bytes and exits 1 on the thm-4-2
@@ -227,7 +241,7 @@ def test_cli_smoke_class_exits_0():
 
 
 # sha256 of the whole extended-class report, written the same way
-EXTENDED_REPORT_SHA256 = "851130d032b291e7e523703bf94e1bc5d000a342c3fa72e811e8cf9bc0e6d6f8"
+EXTENDED_REPORT_SHA256 = "94b745f05b3e0b4f1a6595643e2fdf70c09eabf1fbdcff05fce2a2e34636d979"
 
 
 def test_extended_report_digest_is_pinned():
@@ -295,7 +309,7 @@ def test_thm_4_2_generator_readings_against_the_facet_oracle():
     for n in (3, 4, 5):
         g = graphs.prism(n)
         nb = constructions.neighborhood_complex(graphs.induced_k_independent(g, 2))
-        labels = verify._prism_markers(n)
+        labels = verify._prism_markers(g)
         markers = [nb.labels.index(m) for m in labels]
         holders = [face_mask([i for i, m in enumerate(markers) if m in f]) for f in nb.facets]
         r = verify.run_scenario("thm-4-2", {"n": n})
@@ -317,7 +331,7 @@ def test_thm_4_2_generator_checks_can_fail(monkeypatch):
     # pair is listed as not a cone
     markers = verify._prism_markers
     with monkeypatch.context() as m:
-        m.setattr(verify, "_prism_markers", lambda n: [markers(n)[0], "{1+,3-}"] + markers(n)[2:])
+        m.setattr(verify, "_prism_markers", lambda g: [markers(g)[0], "{1+,3-}"] + markers(g)[2:])
         named = {c.name: c for c in verify.run_scenario("thm-4-2", {"n": 4}).checks}
         assert (named["generator-nerve-is-simplex-boundary"].verdict,
                 named["generator-nerve-is-simplex-boundary"].actual) == ("fail", "different")
