@@ -269,19 +269,6 @@ def from_facets(labels, faces) -> SimplicialComplex:
     return SimplicialComplex(labels, map(face_mask, faces))
 
 
-def void_complex(labels=()) -> SimplicialComplex:
-    return SimplicialComplex(labels, [])
-
-
-def empty_complex(labels=()) -> SimplicialComplex:
-    return SimplicialComplex(labels, [0])
-
-
-def full_simplex(labels) -> SimplicialComplex:
-    labels = tuple(labels)
-    return SimplicialComplex(labels, [(1 << len(labels)) - 1])
-
-
 def simplex_boundary(labels) -> SimplicialComplex:
     """Boundary of the full simplex on the given labels."""
     labels = tuple(labels)
@@ -289,12 +276,6 @@ def simplex_boundary(labels) -> SimplicialComplex:
         raise InvalidParameterError("boundary needs at least one vertex")
     full = (1 << len(labels)) - 1
     return SimplicialComplex(labels, [full ^ 1 << v for v in range(len(labels))])
-
-
-def discrete_points(labels) -> SimplicialComplex:
-    """One vertex per label; the empty complex on no labels."""
-    labels = tuple(labels)
-    return SimplicialComplex(labels, [0] + [1 << v for v in range(len(labels))])
 
 
 # ---------------------------------------------------------------------------

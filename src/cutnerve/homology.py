@@ -248,6 +248,42 @@ def _within(face: int, facets) -> bool:
     return face in map(face.__and__, facets)
 
 
+def _split(facets: tuple, bit: int) -> tuple[tuple, tuple]:
+    """lk_v and del_v of a sorted antichain, v the vertex of ``bit``, both
+    sorted antichains, in one pass.  The facets without v stay maximal, and
+    a link f - v is kept in del_v unless it lies in one of them: it cannot
+    lie in another facet's link, since the facets do not nest."""
+    lk, rest = [], []
+    for f in facets:
+        if f & bit:
+            lk.append(f ^ bit)
+        else:
+            rest.append(f)
+    if not lk:
+        return (), facets
+    lk = tuple(lk)
+    if not rest:
+        return lk, lk
+    rest += [g for g in lk if g not in map(g.__and__, rest)]
+    rest.sort()
+    return lk, tuple(rest)
+
+
+def _union(p: tuple, q: tuple) -> tuple:
+    """The maximal faces of two sorted antichains together, sorted: a
+    member of ``p`` is dropped when it lies in a member of ``q``, equal
+    ones included, and a member of ``q`` when it lies in a kept member of
+    ``p``."""
+    if not p:
+        return q
+    if not q:
+        return p
+    kept = [f for f in p if f not in map(f.__and__, q)]
+    kept += [g for g in q if g not in map(g.__and__, kept)]
+    kept.sort()
+    return tuple(kept)
+
+
 def _boundary(face: int) -> list[tuple[int, int]]:
     """(incidence, facet) pairs of a face: dropping its i-th vertex in index
     order has incidence (-1)^i."""
@@ -292,7 +328,10 @@ class ElementMatching:
     A node is pruned when A lies in B.  At a leaf no vertex of ``order`` is
     left, and the faces of A outside B, joined with its path face, are
     critical; with every vertex in ``order``, that is the empty face alone.
-    Nodes are memoized on (A, B), so the recursion is a DAG.
+    Nodes, and pruned pairs, are memoized on (A, B), so the recursion is a
+    DAG.  A node's expansion splits A and B into link and deletion in one
+    pass each and unites lk_v A with del_v B directly; only the meet goes
+    through ``mask_antichain``.
 
     Every node is charged one unit of work, an inner node one more per
     critical cell below it, and the gradient flow one per face it visits;
@@ -303,7 +342,7 @@ class ElementMatching:
         self.budget = face_budget()
         self.order = tuple(order)
         self.work = 0
-        self.nodes: dict[tuple, _Node] = {}
+        self.nodes: dict[tuple, _Node | None] = {}
         self.root = self._node(mask_antichain(facets), ())
         self.cells = self._critical_cells() if self.root else []
 
@@ -313,28 +352,37 @@ class ElementMatching:
             raise ResourceLimitError("Morse reduction work", self.budget)
 
     def _node(self, a: tuple, b: tuple) -> _Node | None:
-        """The node of the pair (a, b), or None when the pair is pruned.  A
-        leaf has vertex -1."""
-        if all(_within(f, b) for f in a):
+        """The node of the pair (a, b), or None when the pair is pruned; a
+        pruned pair is memoized as None, uncharged.  A leaf has vertex -1."""
+        key = a, b
+        node = self.nodes.get(key, False)
+        if node is not False:
+            return node
+        for f in a:
+            if f not in map(f.__and__, b):
+                break
+        else:
+            self.nodes[key] = None
             return None
-        node = self.nodes.get((a, b))
-        if node is None:
-            self._charge(1)
-            support = 0
-            for f in a:
-                support |= f
-            v = next((v for v in self.order if support >> v & 1), -1)
-            node = self.nodes[a, b] = _Node(a, b, v)
+        self._charge(1)
+        support = 0
+        for f in a:
+            support |= f
+        for v in self.order:
+            if support >> v & 1:
+                break
+        else:
+            v = -1
+        node = self.nodes[key] = _Node(a, b, v)
         return node
 
     def _expand(self, node: _Node):
-        a, b, v = node.a, node.b, node.v
-        bit = 1 << v
-        lk_a = node.lk_a = tuple(f ^ bit for f in a if f & bit)
-        lk_b = tuple(f ^ bit for f in b if f & bit)
-        del_b = node.del_b = mask_antichain(f & ~bit for f in b)
+        bit = 1 << node.v
+        lk_a, del_a = _split(node.a, bit)
+        lk_b, del_b = _split(node.b, bit)
+        node.lk_a, node.del_b = lk_a, del_b
         node.with_v = self._node(mask_antichain(f & g for f in lk_a for g in del_b), lk_b)
-        node.without_v = self._node(mask_antichain(f & ~bit for f in a), mask_antichain(lk_a + del_b))
+        node.without_v = self._node(del_a, _union(lk_a, del_b))
 
     def _critical_cells(self) -> list[int]:
         """Post-order over the DAG: a node's cells are its with-v child's

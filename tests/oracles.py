@@ -14,7 +14,9 @@ the full-subcomplex cover of N(I_k(G)) from the k-subsets, on frozensets,
 and its intersections by brute-force closure.  The complex
 operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
 counts build test inputs and expected values on top of ``complexes``; no
-code under test calls them.
+code under test calls them.  Nor does it call the named complexes
+``void_complex``, ``empty_complex``, ``full_simplex`` and
+``discrete_points``, which build their masks directly.
 """
 
 from __future__ import annotations
@@ -190,8 +192,27 @@ def to_dense(matrix) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# complex operations and face counts
+# named complexes, complex operations and face counts
 # ---------------------------------------------------------------------------
+
+def void_complex(labels=()):
+    return cx.SimplicialComplex(labels, [])
+
+
+def empty_complex(labels=()):
+    return cx.SimplicialComplex(labels, [0])
+
+
+def full_simplex(labels):
+    labels = tuple(labels)
+    return cx.SimplicialComplex(labels, [(1 << len(labels)) - 1])
+
+
+def discrete_points(labels):
+    """One vertex per label; the empty complex on no labels."""
+    labels = tuple(labels)
+    return cx.SimplicialComplex(labels, [0] + [1 << v for v in range(len(labels))])
+
 
 def face_count(c) -> int:
     """Every face of the closure, the empty face included."""
@@ -208,7 +229,7 @@ def euler_characteristic_reduced(c) -> int:
 def cone(a, apex: str):
     if apex in a.labels:
         raise InvalidParameterError(f"apex label {apex!r} already a vertex")
-    return cx.join(a, cx.full_simplex([apex]))
+    return cx.join(a, full_simplex([apex]))
 
 
 def suspension(a, poles: tuple[str, str] = ("susp+", "susp-")):
@@ -218,7 +239,7 @@ def suspension(a, poles: tuple[str, str] = ("susp+", "susp-")):
     for p in poles:
         if p in a.labels:
             raise InvalidParameterError(f"pole label {p!r} already a vertex")
-    return cx.join(a, cx.discrete_points(poles))
+    return cx.join(a, discrete_points(poles))
 
 
 def link(a, face):
@@ -235,7 +256,7 @@ def skeleton(a, d: int):
     if d < -1:
         raise InvalidParameterError(f"skeleton dimension must be >= -1, got {d}")
     if a.void:
-        return cx.void_complex(a.labels)
+        return void_complex(a.labels)
     return cx.from_facets(a.labels, [c for f in a.facets for c in combinations(f, min(len(f), d + 1))])
 
 

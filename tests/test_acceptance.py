@@ -25,9 +25,11 @@ from oracles import (
     RP2_FACETS,
     brute_homology,
     dense_snf,
+    discrete_points,
     euler_characteristic_reduced,
     face_count,
     free_ranks,
+    full_simplex,
     join_ranks,
     ladder_rule_witness,
     suspension,
@@ -180,12 +182,12 @@ def test_criterion_06_ladder_total_cut():
         tc = cons.total_cut_complex(gr.circular_ladder(n), n - 1)
         a_labels = [f"{i}+" if i % 2 else f"{i}-" for i in range(1, n + 1)]
         b_labels = [f"{i}-" if i % 2 else f"{i}+" for i in range(1, n + 1)]
-        x = cx.join(cx.full_simplex(a_labels), cx.discrete_points(b_labels))
-        y = cx.join(cx.full_simplex(b_labels), cx.discrete_points(a_labels))
+        x = cx.join(full_simplex(a_labels), discrete_points(b_labels))
+        y = cx.join(full_simplex(b_labels), discrete_points(a_labels))
         fx, fy = x.facet_label_family(), y.facet_label_family()
         assert fx | fy == tc.facet_label_family(), n
         assert hom.reduced_homology(x) == hom.reduced_homology(y) == hom.HomologyProfile(), n
-        skel = cx.join(cx.discrete_points(a_labels), cx.discrete_points(b_labels))
+        skel = cx.join(discrete_points(a_labels), discrete_points(b_labels))
         assert {p & q for p in fx for q in fy} == skel.facet_label_family(), n
         assert hom.reduced_homology(skel) == hom.HomologyProfile.wedge(1, (n - 1) ** 2), n
         assert verify.run_scenario("thm-4-4", {"n": n}).verdict == "pass", n
@@ -287,8 +289,8 @@ def test_criterion_11_engine_oracles():
     corpus = [
         cx.simplex_boundary("abc"),
         cx.simplex_boundary("abcd"),
-        cx.full_simplex("abcde"),
-        cx.discrete_points("abcd"),
+        full_simplex("abcde"),
+        discrete_points("abcd"),
         cons.total_cut_complex(gr.cycle(6), 2),
         cons.total_cut_complex(gr.cycle(6), 3),
         cons.neighborhood_complex(gr.stable_kneser(6, 2)),

@@ -21,11 +21,15 @@ from oracles import (
     brute_antichain,
     closure_of,
     cone,
+    discrete_points,
+    empty_complex,
     euler_characteristic_reduced,
     face_count,
+    full_simplex,
     link,
     skeleton,
     suspension,
+    void_complex,
 )
 
 
@@ -41,10 +45,10 @@ def random_complex(rng, n_vertices=6, n_gens=5):
 def complex_corpus():
     rng = random.Random(11)
     out = [
-        cx.full_simplex("abc"),
+        full_simplex("abc"),
         cx.simplex_boundary("abcd"),
-        cx.discrete_points("abcde"),
-        cx.empty_complex("ab"),
+        discrete_points("abcde"),
+        empty_complex("ab"),
         cons.total_cut_complex(gr.cycle(6), 2),
         cons.neighborhood_complex(gr.kneser(4, 2)),
     ]
@@ -61,9 +65,9 @@ def test_from_facets_absorption():
 
 def test_from_facets_void_and_empty():
     v = cx.from_facets("ab", [])
-    assert v.void and v != cx.empty_complex("ab")
+    assert v.void and v != empty_complex("ab")
     e = cx.from_facets("ab", [()])
-    assert e == cx.empty_complex("ab") and not e.void
+    assert e == empty_complex("ab") and not e.void
     assert e.dimension() == -1
 
 
@@ -73,15 +77,15 @@ def test_mask_constructors_match_their_tuple_facets():
     for n in range(71):
         labels = [f"v{i}" for i in range(n)]
         full = tuple(range(n))
-        assert cx.void_complex(labels) == cx.from_facets(labels, [])
-        assert cx.empty_complex(labels) == cx.from_facets(labels, [()])
-        assert cx.full_simplex(labels) == cx.from_facets(labels, [full])
-        assert cx.discrete_points(labels) == cx.from_facets(labels, [()] + [(v,) for v in full])
+        assert void_complex(labels) == cx.from_facets(labels, [])
+        assert empty_complex(labels) == cx.from_facets(labels, [()])
+        assert full_simplex(labels) == cx.from_facets(labels, [full])
+        assert discrete_points(labels) == cx.from_facets(labels, [()] + [(v,) for v in full])
         if n:
             assert cx.simplex_boundary(labels) == cx.from_facets(labels, combinations(full, n - 1))
     assert cx.SimplicialComplex("ab", []).void
     assert cx.SimplicialComplex("ab", [0]).facet_masks() == (0,)
-    assert cx.discrete_points("").facet_masks() == (0,)
+    assert discrete_points("").facet_masks() == (0,)
     with pytest.raises(InvalidParameterError, match="boundary needs at least one vertex"):
         cx.simplex_boundary("")
 
@@ -174,7 +178,7 @@ def test_vertex_guards_shift_no_bit_out_of_range():
     for faces in ([(0, 10**12)], [(1,), (10**12, 0)]):
         with pytest.raises(InvalidFaceError, match=re.escape(f"references unknown vertex {10**12}")):
             cx.from_facets(("a", "b"), faces)
-    c = cx.full_simplex("ab")
+    c = full_simplex("ab")
     with pytest.raises(InvalidFaceError, match="not a face"):
         link(c, (10**12,))
     # a mask that names a vertex outside the ground set is refused too
@@ -187,7 +191,7 @@ def test_face_of_labels_reads_labels_to_masks():
     # the label map is built once per complex; a repeated label is -1 and
     # an unknown one is refused, before and after the map exists
     labels = [f"v{i}" for i in range(200)]
-    c = cx.full_simplex(labels)
+    c = full_simplex(labels)
     with pytest.raises(InvalidFaceError, match="unknown vertex label 'w'"):
         c.face_of_labels(["v3", "w"])
     for face in ([], ["v3"], ["v199", "v0", "v70"]):
@@ -196,7 +200,7 @@ def test_face_of_labels_reads_labels_to_masks():
     assert c.face_of_labels(["v3", "v3"]) == -1 and c.face_of_labels(["v70", "v1", "v70"]) == -1
     with pytest.raises(InvalidFaceError, match="unknown vertex label 'v200'"):
         c.face_of_labels(["v200"])
-    assert cx.full_simplex(labels[::-1]).face_of_labels(["v199"]) == 1
+    assert full_simplex(labels[::-1]).face_of_labels(["v199"]) == 1
 
 
 def test_equality_on_one_ground_agrees_with_label_families():
@@ -216,8 +220,8 @@ def test_equality_on_one_ground_agrees_with_label_families():
         assert (a == b) == families and (b == a) == families
         assert permuted.facet_label_family() == b.facet_label_family()
         assert (a == permuted) == (families and permuted.labels == a.labels)
-    assert cx.void_complex("ab") == cx.void_complex("ab")
-    assert cx.void_complex("ab") != cx.empty_complex("ab")
+    assert void_complex("ab") == void_complex("ab")
+    assert void_complex("ab") != empty_complex("ab")
 
 
 def test_from_facets_idempotent():
@@ -229,7 +233,7 @@ def test_from_facets_idempotent():
 # -- closure ------------------------------------------------------------------
 
 def test_all_faces_simplex():
-    c = cx.full_simplex("abc")
+    c = full_simplex("abc")
     assert len(c.all_faces()) == 8
     assert () in c.all_faces()
 
@@ -297,7 +301,7 @@ def test_total_cut_c6_face_count_frozen():
 
 def test_budget_exceeded_names_budget(monkeypatch):
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "10")
-    c = cx.full_simplex("abcdefgh")
+    c = full_simplex("abcdefgh")
     with pytest.raises(ResourceLimitError) as err:
         c.all_faces()
     assert err.value.budget == 10
@@ -305,7 +309,7 @@ def test_budget_exceeded_names_budget(monkeypatch):
 
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "5")
-    c = cx.full_simplex("abcdef")
+    c = full_simplex("abcdef")
     with pytest.raises(ResourceLimitError):
         c.all_faces()
 
@@ -324,12 +328,12 @@ def test_budget_must_be_a_non_negative_integer(monkeypatch, raw):
 # -- scalars ------------------------------------------------------------------
 
 def test_dimension_and_purity():
-    assert cx.full_simplex("abcd").dimension() == 3
+    assert full_simplex("abcd").dimension() == 3
     assert cx.simplex_boundary("abcd").is_pure()
     mixed = cx.from_facets("abcd", [(0, 1, 2), (0, 3)])
     assert not mixed.is_pure()
     with pytest.raises(VoidComplexError):
-        cx.void_complex("ab").dimension()
+        void_complex("ab").dimension()
 
 
 def test_euler_characteristic_spheres():
@@ -343,9 +347,9 @@ def test_euler_characteristic_spheres():
 def test_euler_characteristic_simplex_and_void():
     # exact arithmetic: an int for void, empty and nonempty complexes alike
     for c, expected in [
-        (cx.full_simplex("abcd"), 0),
-        (cx.void_complex("ab"), 0),
-        (cx.empty_complex("ab"), -1),
+        (full_simplex("abcd"), 0),
+        (void_complex("ab"), 0),
+        (empty_complex("ab"), -1),
     ]:
         chi = euler_characteristic_reduced(c)
         assert type(chi) is int and chi == expected
@@ -358,31 +362,31 @@ def test_f_vector_boundary_of_3_simplex():
 # -- join / cone / suspension -------------------------------------------------
 
 def test_join_points_is_edge():
-    e = cx.join(cx.full_simplex("a"), cx.full_simplex("b"))
+    e = cx.join(full_simplex("a"), full_simplex("b"))
     assert e.facets == ((0, 1),)
 
 
 def test_join_s0_s0_is_circle():
-    s0a = cx.discrete_points("ab")
-    s0b = cx.discrete_points("cd")
+    s0a = discrete_points("ab")
+    s0b = discrete_points("cd")
     c = cx.join(s0a, s0b)
     assert len(c.facets) == 4
     assert reduced_homology(c) == HomologyProfile.wedge(1, 1)
 
 
 def test_join_with_void_is_void():
-    v = cx.void_complex("xy")
-    assert cx.join(cx.full_simplex("ab"), v).void
+    v = void_complex("xy")
+    assert cx.join(full_simplex("ab"), v).void
 
 
 def test_join_label_collision():
     with pytest.raises(InvalidParameterError):
-        cx.join(cx.full_simplex("ab"), cx.full_simplex("bc"))
+        cx.join(full_simplex("ab"), full_simplex("bc"))
 
 
 def test_join_with_empty_complex_is_identity():
     c = cx.simplex_boundary("abc")
-    j = cx.join(c, cx.empty_complex("z"))
+    j = cx.join(c, empty_complex("z"))
     assert j.facet_label_family() == c.facet_label_family()
 
 
@@ -394,9 +398,9 @@ def test_join_commutative_associative_labeled():
             ["w0", "w1", "w2"], [tuple(sorted(rng.sample(range(3), rng.randint(1, 2))))]
         )
         assert cx.join(a, b).facet_label_family() == cx.join(b, a).facet_label_family()
-    a = cx.full_simplex("ab")
-    b = cx.discrete_points("cd")
-    c = cx.discrete_points("ef")
+    a = full_simplex("ab")
+    b = discrete_points("cd")
+    c = discrete_points("ef")
     assert cx.join(cx.join(a, b), c) == cx.join(a, cx.join(b, c))
 
 
@@ -423,7 +427,7 @@ def test_cone_contractible():
 
 def test_cone_apex_collision():
     with pytest.raises(InvalidParameterError):
-        cone(cx.full_simplex("ab"), "a")
+        cone(full_simplex("ab"), "a")
 
 
 def test_suspension_of_circle_is_sphere():
@@ -434,7 +438,7 @@ def test_suspension_of_circle_is_sphere():
 # -- link ----------------------------------------------------------------------
 
 def test_link_in_full_simplex():
-    c = cx.full_simplex("abcd")
+    c = full_simplex("abcd")
     lk = link(c, (0,))
     assert lk.facet_label_family() == frozenset({frozenset("bcd")})
 
@@ -452,7 +456,7 @@ def test_link_of_edge_in_sphere():
 
 def test_link_invalid_face():
     with pytest.raises(InvalidFaceError):
-        link(cx.discrete_points("ab"), (0, 1))
+        link(discrete_points("ab"), (0, 1))
 
 
 def test_link_of_cone_apex():
@@ -469,7 +473,7 @@ def test_link_of_cone_apex():
 # -- skeleton --------------------------------------------------------------------
 
 def test_skeleton_of_simplex_is_complete_graph():
-    c = skeleton(cx.full_simplex("abcde"), 1)
+    c = skeleton(full_simplex("abcde"), 1)
     assert c.facet_label_family() == frozenset(
         frozenset(p) for p in combinations("abcde", 2)
     )
@@ -534,6 +538,6 @@ def test_complex_json_needs_int_vertices_and_string_labels(text, message):
 
 
 def test_void_json_roundtrip():
-    v = cx.void_complex("ab")
+    v = void_complex("ab")
     back = cx.SimplicialComplex.from_json(v.to_json())
     assert back.void

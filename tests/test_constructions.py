@@ -13,7 +13,15 @@ from cutnerve import homology as hom
 from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
 from cutnerve.verify import corpus_graph
 
-from oracles import FullCover, brute_homology, closure_of, euler_characteristic_reduced
+from oracles import (
+    FullCover,
+    brute_homology,
+    closure_of,
+    empty_complex,
+    euler_characteristic_reduced,
+    full_simplex,
+    void_complex,
+)
 
 
 def small_graph_corpus():
@@ -64,7 +72,7 @@ def test_neighborhood_of_kneser52():
 def test_neighborhood_edge_cases():
     edgeless = gr.Graph(["a", "b"], [])
     nc = cons.neighborhood_complex(edgeless)
-    assert nc == cx.empty_complex(edgeless.labels)
+    assert nc == empty_complex(edgeless.labels)
     assert cons.neighborhood_complex(gr.Graph([], [])).void
     # isolated vertices stay out of every face
     g = gr.Graph(["a", "b", "c"], [(0, 1)])
@@ -132,7 +140,7 @@ def test_total_cut_purity_and_facet_count():
 # -- covers and nerves ------------------------------------------------------------
 
 def test_nerve_single_part_cover():
-    cover = cons.Cover(cx.full_simplex("abc"), ["a"], [0b111])
+    cover = cons.Cover(full_simplex("abc"), ["a"], [0b111])
     assert cover.nerve().facet_label_family() == frozenset({frozenset({"a"})})
 
 
@@ -215,7 +223,7 @@ def test_cover_intersection_single_index_is_part():
 def test_cover_intersection_all_indices_is_empty():
     # no independent pair of C6 avoids every vertex
     cover = cons.independent_cover(gr.cycle(6), 2)
-    assert cover.intersection((1 << 6) - 1) == cx.empty_complex(cover.base.labels)
+    assert cover.intersection((1 << 6) - 1) == empty_complex(cover.base.labels)
 
 
 def test_cover_intersection_agrees_with_explicit_faces_when_small():
@@ -259,14 +267,14 @@ def test_cover_index_sets_nonempty_and_in_range():
     for bad in (0, 1 << 6, 0b1000001, -1, True, 1.0, [1], (0, 2), None):
         with pytest.raises(InvalidParameterError, match="index set mask"):
             cover.intersection(bad)
-    assert cover.intersection((1 << 6) - 1) == cx.empty_complex(cover.base.labels)
+    assert cover.intersection((1 << 6) - 1) == empty_complex(cover.base.labels)
     assert cover.intersection(1 << 5).has_vertices()
 
 
 def test_cover_guards_shift_no_bit_out_of_range():
     # a part mask or an index set mask far out of range is refused by a
     # compare or a right shift, never by building 1 << mask
-    base = cx.full_simplex("ab")
+    base = full_simplex("ab")
     for huge in (1 << 4096, -(1 << 4096)):
         with pytest.raises(InvalidParameterError, match="one vertex mask of the base per part label"):
             cons.Cover(base, ["x", "y"], [0b11, huge])
@@ -371,7 +379,7 @@ def test_octahedron_parts_meet_pairwise_but_not_as_a_triple():
     assert cover.nerve() == cons.total_cut_complex(g, 2)
     for pair, point in (((3, 4), "{1,6}"), ((3, 5), "{2,5}"), ((4, 5), "{3,4}")):
         assert cover.intersection(cx.face_mask(pair)) == cx.from_facets(cover.base.labels, [[cover.base.vertex(point)]])
-    assert cover.intersection(cx.face_mask((3, 4, 5))) == cx.empty_complex(cover.base.labels)
+    assert cover.intersection(cx.face_mask((3, 4, 5))) == empty_complex(cover.base.labels)
 
 
 def test_star_cover_has_parts_but_no_face():
@@ -380,11 +388,11 @@ def test_star_cover_has_parts_but_no_face():
     # every intersection is the empty complex and so is the nerve
     g = gr.star(3)
     cover = cons.independent_cover(g, 2)
-    assert cover.base == cx.empty_complex(cover.base.labels) and cover.base.n_vertices == 3
+    assert cover.base == empty_complex(cover.base.labels) and cover.base.n_vertices == 3
     assert all(cover.parts)
     for idx in range(1, 1 << g.n):
-        assert cover.intersection(idx) == cx.empty_complex(cover.base.labels), idx
-    assert cover.nerve() == cx.empty_complex(g.labels) != cons.total_cut_complex(g, 2)
+        assert cover.intersection(idx) == empty_complex(cover.base.labels), idx
+    assert cover.nerve() == empty_complex(g.labels) != cons.total_cut_complex(g, 2)
 
 
 def test_cover_nerve_skips_base_vertices_in_no_face():
@@ -394,8 +402,8 @@ def test_cover_nerve_skips_base_vertices_in_no_face():
     base = cx.from_facets("abc", [(0, 1)])
     cover = cons.Cover(base, "xyz", [0b001, 0b100, 0b110])
     assert cover.nerve().facet_label_family() == frozenset({frozenset("x"), frozenset("z")})
-    assert cover.intersection(0b010) == cx.empty_complex("abc")
-    assert cover.intersection(0b101) == cx.empty_complex("abc")
+    assert cover.intersection(0b010) == empty_complex("abc")
+    assert cover.intersection(0b101) == empty_complex("abc")
     assert cover.intersection(0b100) == cx.from_facets("abc", [(1,)])
 
 
@@ -405,8 +413,8 @@ def test_isolated_independent_set_breaks_nerve_equality():
     # the empty complex, while the total cut complex has the facet {2}
     g = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
     cover = cons.independent_cover(g, 2)
-    assert cover.base == cx.empty_complex(["{1,3}"])
-    assert cover.nerve() == cx.empty_complex(g.labels)
+    assert cover.base == empty_complex(["{1,3}"])
+    assert cover.nerve() == empty_complex(g.labels)
     assert cons.total_cut_complex(g, 2).facet_label_family() == frozenset({frozenset({"2"})})
 
 
@@ -429,19 +437,19 @@ def test_isolated_independent_sets_are_the_base_vertices_in_no_face():
 # -- cover validation ----------------------------------------------------------
 
 def test_cover_rejects_duplicate_part_labels():
-    base = cx.full_simplex("ab")
+    base = full_simplex("ab")
     with pytest.raises(InvalidParameterError, match="unique"):
         cons.Cover(base, ["x", "x"], [0b11, 0b11])
 
 
 def test_cover_rejects_void_base():
     with pytest.raises(InvalidParameterError, match="void"):
-        cons.Cover(cx.void_complex("ab"), ["x"], [0b11])
+        cons.Cover(void_complex("ab"), ["x"], [0b11])
 
 
 def test_cover_rejects_bad_part_masks():
     # one int vertex mask of the base per part label
-    base = cx.full_simplex("ab")
+    base = full_simplex("ab")
     for parts in ([0b11], [0b11, 0b100], [0b11, -1], [0b11, True], [0b11, (0, 1)], [0b1, 0b1, 0b1]):
         with pytest.raises(InvalidParameterError, match="one vertex mask of the base per part label"):
             cons.Cover(base, ["x", "y"], parts)

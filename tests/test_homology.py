@@ -2,6 +2,7 @@
 reduced homology against the full-boundary SNF oracle."""
 
 import copy
+import hashlib
 import json
 import random
 from collections import Counter
@@ -13,6 +14,7 @@ from cutnerve import complexes as cx
 from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
+from cutnerve import morse
 from cutnerve.errors import InvalidParameterError, ResourceLimitError, VoidComplexError
 from cutnerve.verify import corpus_graph
 
@@ -22,14 +24,18 @@ from oracles import (
     brute_homology,
     cone,
     dense_snf,
+    discrete_points,
     divisibility_chain,
+    empty_complex,
     euler_characteristic_reduced,
     face_count,
     free_ranks,
+    full_simplex,
     join_ranks,
     snf_homology,
     suspension,
     to_dense,
+    void_complex,
 )
 
 
@@ -60,9 +66,9 @@ def homology_corpus():
         cx.simplex_boundary("abc"),
         cx.simplex_boundary("abcd"),
         cx.simplex_boundary("abcde"),
-        cx.full_simplex("abcd"),
-        cx.discrete_points("abcd"),
-        cx.empty_complex("ab"),
+        full_simplex("abcd"),
+        discrete_points("abcd"),
+        empty_complex("ab"),
         cx.from_facets([str(i) for i in range(6)], RP2_FACETS),
         cons.total_cut_complex(gr.cycle(6), 2),
         cons.total_cut_complex(gr.cycle(7), 2),
@@ -233,7 +239,7 @@ def test_boundary_rank_triangle():
 
 def test_boundary_on_void_rejected():
     with pytest.raises(VoidComplexError):
-        boundary_matrix(cx.void_complex("a"), 0)
+        boundary_matrix(void_complex("a"), 0)
 
 
 # -- reduced homology ---------------------------------------------------------------
@@ -290,9 +296,9 @@ def test_euler_characteristic_consistency():
 
 
 def test_void_and_empty_profiles():
-    v = hom.reduced_homology(cx.void_complex("ab"))
+    v = hom.reduced_homology(void_complex("ab"))
     assert v.void and v.betti == ()
-    e = hom.reduced_homology(cx.empty_complex("ab"))
+    e = hom.reduced_homology(empty_complex("ab"))
     assert e.minus_one_rank == 1 and e.betti == ()
 
 
@@ -346,7 +352,7 @@ def test_reduced_homology_matches_snf_on_cones_joins_suspensions():
     rp2 = cx.from_facets([f"p{i}" for i in range(6)], RP2_FACETS)
     assert profile_against_snf(rp2, "RP2") == hom.HomologyProfile(torsion=((1, (2,)),))
     circle = cx.simplex_boundary("xyz")
-    bases = [rp2, circle, cx.discrete_points("abc"), cx.empty_complex("e")]
+    bases = [rp2, circle, discrete_points("abc"), empty_complex("e")]
     bases += seeded_random_complexes(12, 404, n_vertices=6)
     factors = [cx.simplex_boundary(["c1", "c2", "c3"]), cx.from_facets([f"q{j}" for j in range(6)], RP2_FACETS)]
     for i, base in enumerate(bases):
@@ -405,6 +411,68 @@ def test_reduced_homology_charges_the_face_budget(monkeypatch):
     assert hom.reduced_homology(rp2).torsion == ((1, (2,)),)
 
 
+def random_antichain(rng):
+    """A sorted mask antichain over a ground set of 3 to 130 vertices, so
+    that bits past 64 occur; () and (0,) included."""
+    n = rng.choice((3, 6, 10, 70, 130))
+    raw = [sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(5, n)))) for _ in range(rng.randint(0, 7))]
+    return cx.mask_antichain(raw), n
+
+
+def test_split_and_union_against_mask_antichain():
+    # lk_v and del_v of an antichain, and the union of two antichains, are
+    # the maximal members of the raw families; every v of the support is
+    # tried, and one outside it
+    rng = random.Random(32)
+    shapes = set()
+    for _ in range(500):
+        a, n = random_antichain(rng)
+        b, _ = random_antichain(rng)
+        # members shared by the two union arguments
+        b = cx.mask_antichain(b + tuple(rng.sample(a, min(len(a), rng.randint(0, 2)))))
+        shapes.add(a if a in ((), (0,)) else len(a))
+        support = 0
+        for f in a:
+            support |= f
+        for v in [v for v in range(n) if support >> v & 1] + [n + rng.randrange(3)]:
+            bit = 1 << v
+            lk, rest = hom._split(a, bit)
+            assert lk == tuple(f ^ bit for f in a if f & bit), (a, v)
+            assert rest == cx.mask_antichain(f & ~bit for f in a), (a, v)
+        assert hom._union(a, b) == cx.mask_antichain(a + b) == hom._union(b, a), (a, b)
+    assert {(), (0,)} <= shapes
+    for a, b in (((), ()), ((0,), ()), ((0,), (0,)), ((0,), (1 << 70,)), ((1 << 70 | 1,), (1 << 70, 1))):
+        assert hom._union(a, b) == cx.mask_antichain(a + b), (a, b)
+    assert hom._split((0,), 1) == ((), (0,)) and hom._split((1,), 1) == ((0,), (0,))
+
+
+@pytest.mark.parametrize("name, build, cells_work, homology_work, cells", [
+    ("N(SG(7,2))", lambda: cons.neighborhood_complex(gr.stable_kneser(7, 2)), 62, 151, {2: 1, 3: 2}),
+    ("N(I_2(prism 4))", lambda: cons.neighborhood_complex(gr.induced_k_independent(gr.prism(4), 2)),
+     75, 75, {2: 7}),
+    ("TC_6(CL_7)", lambda: cons.total_cut_complex(gr.circular_ladder(7), 6), 75, 75, {2: 6}),
+])
+def test_element_matching_accounting_is_pinned(name, build, cells_work, homology_work, cells):
+    # the work charged to the critical cells and then to the Morse
+    # boundary fixes where the face budget refuses; a change to the
+    # recursion's nodes, prunes or charges moves these figures
+    c = build()
+    em = hom.ElementMatching(c.facet_masks(), range(c.n_vertices))
+    assert em.work == cells_work, name
+    hom._morse_homology(em)
+    assert em.work == homology_work, name
+    assert Counter(cell.bit_count() - 1 for cell in em.cells) == cells, name
+
+
+def test_ladder_matching_certificate_is_pinned():
+    # thm-4-4's certificate on CL_7: the element matching over 1+ then 1-
+    tc = cons.total_cut_complex(gr.circular_ladder(7), 6)
+    pairs = sorted(morse.element_matching_sequence(tc, ["1+", "1-"]))
+    assert len(pairs) == 890
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == "a2163fd92028ade052a3390f9082f17ee76a4a168b6f3cf13e1d71a9f6a60881"
+
+
 @pytest.mark.parametrize("n, index_cells, reversed_cells", [
     (7, {2: 1, 3: 2}, {3: 1}),
     (8, {3: 2, 4: 3}, {4: 1}),
@@ -433,8 +501,8 @@ def test_wedge_profile_examples():
 def test_wedge_rejects_torsion_and_void():
     rp2 = cx.from_facets([str(i) for i in range(6)], RP2_FACETS)
     assert hom.reduced_homology(rp2) != hom.HomologyProfile.wedge(1, 1)
-    assert hom.reduced_homology(cx.void_complex("a")) != hom.HomologyProfile.wedge(0, 0)
-    assert hom.reduced_homology(cx.full_simplex("abc")) == hom.HomologyProfile.wedge(3, 0)
+    assert hom.reduced_homology(void_complex("a")) != hom.HomologyProfile.wedge(0, 0)
+    assert hom.reduced_homology(full_simplex("abc")) == hom.HomologyProfile.wedge(3, 0)
 
 
 # -- join identity -----------------------------------------------------------------
@@ -446,7 +514,7 @@ def join_ranks_hold(a, b) -> bool:
 
 
 def test_join_check_spheres():
-    s0a, s0b = cx.discrete_points("ab"), cx.discrete_points("cd")
+    s0a, s0b = discrete_points("ab"), discrete_points("cd")
     assert join_ranks_hold(s0a, s0b)
     circle1 = cx.simplex_boundary("abc")
     circle2 = cx.simplex_boundary("xyz")
@@ -460,7 +528,7 @@ def test_join_ranks_with_torsion_factor():
     # torsion adds only torsion: RP^2 * S^0 is the suspension of RP^2, no
     # free rank anywhere and Z/2 one degree up; RP^2 * RP^2 has no free rank
     rp2 = cx.from_facets([str(i) for i in range(6)], RP2_FACETS)
-    s0 = cx.discrete_points("xy")
+    s0 = discrete_points("xy")
     assert join_ranks_hold(rp2, s0)
     assert hom.reduced_homology(cx.join(rp2, s0)).torsion == ((2, (2,)),)
     rp2b = cx.from_facets([f"b{i}" for i in range(6)], RP2_FACETS)
@@ -470,7 +538,7 @@ def test_join_ranks_with_torsion_factor():
 def test_join_check_with_empty_complex_factor():
     # joining with the empty complex is the identity; the degree -1 unit
     # carries the convolution
-    assert join_ranks_hold(cx.empty_complex("e"), cx.simplex_boundary("abc"))
+    assert join_ranks_hold(empty_complex("e"), cx.simplex_boundary("abc"))
     assert join_ranks([1], [0, 0, 1]) == [0, 0, 1]
 
 

@@ -22,8 +22,12 @@ from oracles import (
     closure_element_matching,
     cone,
     descent_collapse,
+    discrete_points,
+    empty_complex,
     face_count,
+    full_simplex,
     tuple_strong_collapse,
+    void_complex,
 )
 
 
@@ -72,7 +76,7 @@ def masks_of(faces):
 def matching_corpus():
     rng = random.Random(41)
     out = [
-        cx.full_simplex("abcd"),
+        full_simplex("abcd"),
         cx.simplex_boundary("abcd"),
         cons.total_cut_complex(gr.cycle(6), 2),
         cons.neighborhood_complex(gr.circular_ladder(4)),
@@ -114,7 +118,7 @@ def assert_matches_closure_oracle(c, vertices):
 
 
 def test_element_matching_full_simplex_is_perfect():
-    c = cx.full_simplex("abcd")
+    c = full_simplex("abcd")
     m = assert_matches_closure_oracle(c, ["a"])
     assert len(m) * 2 == face_count(c)
     assert partner(m, ()) == (0,)
@@ -155,7 +159,7 @@ def test_element_matching_unknown_vertex():
     # a vertex is a label or an int index in range; True is no vertex 1
     for v in ("z", 2, -1, True, 1.0, None):
         with pytest.raises(InvalidParameterError):
-            morse.element_matching_sequence(cx.full_simplex("ab"), [v])
+            morse.element_matching_sequence(full_simplex("ab"), [v])
 
 
 def test_element_matching_sequence_matches_closure_oracle():
@@ -190,7 +194,7 @@ def test_element_matching_sequence_edge_cases():
     m = assert_matches_closure_oracle(c, [])
     assert len(m) == 0 and len(morse.critical_cells(c, m)) == 50
     # the empty complex has only the empty face, and the void complex none
-    for c in (cx.empty_complex("ab"), cx.void_complex("ab")):
+    for c in (empty_complex("ab"), void_complex("ab")):
         m = assert_matches_closure_oracle(c, ["a", "b"])
         assert len(m) == 0 and morse.critical_cells(c, m) == []
 
@@ -256,14 +260,14 @@ def test_hand_built_cycle_detected():
 
 
 def test_matching_rejects_reused_faces():
-    c = cx.full_simplex("abc")
+    c = full_simplex("abc")
     with pytest.raises(InvalidMatchingError):
         morse.is_acyclic(c, mask_pairs([((0,), (0, 1)), ((0,), (0, 2))]))
     with pytest.raises(InvalidMatchingError):
         morse.is_acyclic(c, mask_pairs([((0,), (0, 1, 2))]))
     # a pair outside the complex
     with pytest.raises(InvalidMatchingError):
-        morse.is_acyclic(cx.full_simplex("ab"), mask_pairs([((0,), (0, 2))]))
+        morse.is_acyclic(full_simplex("ab"), mask_pairs([((0,), (0, 2))]))
 
 
 def test_morse_inequality_on_corpus():
@@ -313,7 +317,7 @@ def test_ladder_neighborhood_free_faces():
 
 
 def test_elementary_collapse_edge_to_point():
-    c = cx.full_simplex("ab")
+    c = full_simplex("ab")
     applied, left = morse.apply_collapses(c, (), mask_pairs([((0,), (0, 1))]))
     assert (applied, faces_of(left)) == (1, ((1,),))
 
@@ -325,11 +329,11 @@ def test_elementary_collapse_rejects_non_free():
     applied, left = morse.apply_collapses(c, (), mask_pairs([((0,), (0, 1))]))
     assert (applied, faces_of(left)) == (0, faces)
     # the empty face is never collapsed
-    c = cx.full_simplex("ab")
+    c = full_simplex("ab")
     applied, _ = morse.apply_collapses(c, (), mask_pairs([((), (0,)), ((0,), (0, 1))]))
     assert applied == 0
     # nor is a pair after one that failed
-    c = cx.full_simplex("abc")
+    c = full_simplex("abc")
     applied, left = morse.apply_collapses(
         c, (), mask_pairs([((0, 1), (0, 1, 2)), ((0,), (0, 1)), ((1,), (1, 2))]))
     assert applied == 1 and (1, 2) in faces_of(left)
@@ -765,25 +769,25 @@ def test_witness_json_roundtrip():
 def test_replay_refuses_collapsible_two_points():
     # two points are not collapsible: a "collapsible" witness that stops at
     # both is refused, though its steps and terminal set are right
-    two = cx.discrete_points("ab")
+    two = discrete_points("ab")
     doc = '{"verdict":"collapsible","steps":[],"terminal":[["a"],["b"]]}'
     assert not morse.replay_collapse(two, morse.CollapseWitness.from_json(two, doc))
     assert morse.replay_collapse(two, morse.CollapseWitness((), masks_of([(0,), (1,)]), "unknown"))
     # the empty complex's witness has no terminal faces and stays valid
-    empty = cx.empty_complex("a")
+    empty = empty_complex("a")
     assert morse.replay_collapse(empty, morse.greedy_collapse(empty))
 
 
 def test_replay_refuses_unknown_one_vertex():
-    edge = cx.full_simplex("ab")
+    edge = full_simplex("ab")
     steps = mask_pairs([((1,), (0, 1))])
     assert morse.replay_collapse(edge, morse.CollapseWitness(steps, masks_of([(0,)]), "collapsible"))
     assert not morse.replay_collapse(edge, morse.CollapseWitness(steps, masks_of([(0,)]), "unknown"))
 
 
 def test_replay_refuses_unrecognised_verdict():
-    edge = cx.full_simplex("ab")
+    edge = full_simplex("ab")
     steps = mask_pairs([((1,), (0, 1))])
     assert not morse.replay_collapse(edge, morse.CollapseWitness(steps, masks_of([(0,)]), "banana"))
-    two = cx.discrete_points("ab")
+    two = discrete_points("ab")
     assert not morse.replay_collapse(two, morse.CollapseWitness((), masks_of([(0,), (1,)]), "banana"))
