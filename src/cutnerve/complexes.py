@@ -83,6 +83,27 @@ def mask_antichain(masks) -> tuple[int, ...]:
     return tuple(keep)
 
 
+def link_deletion(facets: tuple, bit: int) -> tuple[tuple, tuple]:
+    """lk_v and del_v of a sorted antichain, v the vertex of ``bit``, both
+    sorted antichains, in one pass.  The facets without v stay maximal, and
+    a link f - v is kept in del_v unless it lies in one of them: it cannot
+    lie in another facet's link, since the facets do not nest."""
+    lk, rest = [], []
+    for f in facets:
+        if f & bit:
+            lk.append(f ^ bit)
+        else:
+            rest.append(f)
+    if not lk:
+        return (), facets
+    lk = tuple(lk)
+    if not rest:
+        return lk, lk
+    rest += [g for g in lk if g not in map(g.__and__, rest)]
+    rest.sort()
+    return lk, tuple(rest)
+
+
 def closure_masks(masks) -> dict[int, int]:
     """Every face of the faces ``masks`` as a bitmask, each enumerated as a
     submask, mapped to its link: the OR of the members of ``masks`` that

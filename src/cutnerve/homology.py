@@ -46,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, closure_masks, face_budget, mask_antichain
+from .complexes import SimplicialComplex, closure_masks, face_budget, link_deletion, mask_antichain
 from .errors import InvalidParameterError, ResourceLimitError
 
 
@@ -248,27 +248,6 @@ def _within(face: int, facets) -> bool:
     return face in map(face.__and__, facets)
 
 
-def _split(facets: tuple, bit: int) -> tuple[tuple, tuple]:
-    """lk_v and del_v of a sorted antichain, v the vertex of ``bit``, both
-    sorted antichains, in one pass.  The facets without v stay maximal, and
-    a link f - v is kept in del_v unless it lies in one of them: it cannot
-    lie in another facet's link, since the facets do not nest."""
-    lk, rest = [], []
-    for f in facets:
-        if f & bit:
-            lk.append(f ^ bit)
-        else:
-            rest.append(f)
-    if not lk:
-        return (), facets
-    lk = tuple(lk)
-    if not rest:
-        return lk, lk
-    rest += [g for g in lk if g not in map(g.__and__, rest)]
-    rest.sort()
-    return lk, tuple(rest)
-
-
 def _union(p: tuple, q: tuple) -> tuple:
     """The maximal faces of two sorted antichains together, sorted: a
     member of ``p`` is dropped when it lies in a member of ``q``, equal
@@ -329,9 +308,9 @@ class ElementMatching:
     left, and the faces of A outside B, joined with its path face, are
     critical; with every vertex in ``order``, that is the empty face alone.
     Nodes, and pruned pairs, are memoized on (A, B), so the recursion is a
-    DAG.  A node's expansion splits A and B into link and deletion in one
-    pass each and unites lk_v A with del_v B directly; only the meet goes
-    through ``mask_antichain``.
+    DAG.  A node's expansion splits A and B with ``link_deletion`` and
+    unites lk_v A with del_v B directly; only the meet goes through
+    ``mask_antichain``.
 
     Every node is charged one unit of work, an inner node one more per
     critical cell below it, and the gradient flow one per face it visits;
@@ -378,8 +357,8 @@ class ElementMatching:
 
     def _expand(self, node: _Node):
         bit = 1 << node.v
-        lk_a, del_a = _split(node.a, bit)
-        lk_b, del_b = _split(node.b, bit)
+        lk_a, del_a = link_deletion(node.a, bit)
+        lk_b, del_b = link_deletion(node.b, bit)
         node.lk_a, node.del_b = lk_a, del_b
         node.with_v = self._node(mask_antichain(f & g for f in lk_a for g in del_b), lk_b)
         node.without_v = self._node(del_a, _union(lk_a, del_b))

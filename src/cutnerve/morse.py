@@ -8,9 +8,10 @@ critical cells and collapse steps exclude the empty face; collapses stop at
 a single vertex.  Element matchings come from the recursion in
 ``homology``; ``is_acyclic`` and ``critical_cells`` check a list of pairs
 against the facets and the closure, sharing no code with it.  The collapse
-search and ``apply_collapses``, its replay, each read the faces with their
-links from ``closure_masks``: a face is free when its link is one vertex v,
-and its one coface is the face plus v.
+search and ``apply_collapses``, its replay, each delete a dominated vertex
+with ``link_deletion`` and read the faces with their links from
+``closure_masks``: a face is free when its link is one vertex v, and its one
+coface is the face plus v.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .complexes import SimplicialComplex, closure_masks, mask_antichain, mask_face
+from .complexes import SimplicialComplex, closure_masks, link_deletion, mask_face
 from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array, json_object
 from .homology import ElementMatching
 
@@ -171,21 +172,21 @@ class CollapseWitness:
 def apply_collapses(cx: SimplicialComplex, dominations, steps) -> tuple[int, tuple[int, ...]]:
     """Apply strong collapses, then free pairs, on facets and links of their
     own, sharing no collapse code with the search: each domination (v, w)
-    needs v != w, v still a vertex and w in every facet through v; each
-    step (sigma, tau) of face masks on the closure of the core left needs
-    the nonempty face sigma free in tau: the link of sigma is one vertex v
-    and tau is sigma plus v.  Stops at the first that does not hold;
-    returns how many were applied and the sorted masks of the nonempty
-    faces left."""
-    facets = set(cx.facet_masks())
+    deletes v by ``link_deletion`` and needs w in every link of v, of which
+    there must be one; each step (sigma, tau) of face masks on the closure
+    of the core left needs the nonempty face sigma free in tau: the link of
+    sigma is one vertex v and tau is sigma plus v.  Stops at the first that
+    does not hold; returns how many were applied and the sorted masks of
+    the nonempty faces left."""
+    facets = cx.facet_masks()
     applied = 0
     for v, w in dominations:
-        star = [f for f in facets if f >> v & 1]
-        if v == w or not star or not all(f >> w & 1 for f in star):
+        # a link never holds v, so this also refuses v == w and a v in no facet
+        links, rest = link_deletion(facets, 1 << v)
+        if not links or not all(g >> w & 1 for g in links):
             steps = ()  # nothing applies after a failed step
             break
-        facets.difference_update(star)
-        facets = set(mask_antichain(list(facets) + [f ^ 1 << v for f in star]))
+        facets = rest
         applied += 1
     # the nonempty faces still present, each with its link
     links = closure_masks(facets)
@@ -217,34 +218,27 @@ def replay_collapse(cx: SimplicialComplex, witness: CollapseWitness) -> bool:
     return applied == witness.steps_tried and left == witness.terminal
 
 
-def _strong_collapse(facets, dominations: list) -> list[int]:
-    """Remove dominated vertices from a list of facet bitmasks until none is
-    left, appending (v, w) to ``dominations`` for each; return the core's
-    facet bitmasks.
+def _strong_collapse(facets, dominations: list) -> tuple[int, ...]:
+    """Remove dominated vertices from a sorted antichain of facet bitmasks
+    until none is left, appending (v, w) to ``dominations`` for each;
+    return the core's facet bitmasks as the sorted antichain that
+    ``link_deletion`` leaves.
 
     Vertex v is dominated by w != v when w lies in every facet through v,
     that is in the AND over v's star.  The least dominated v goes first,
-    with its least dominating w; the facets through v then lose v, and a
-    link that lies in a remaining facet is no longer maximal."""
-    facets = list(facets)
+    with its least dominating w, and is deleted."""
     # only a removal changes whether a vertex is dominated, and only for the
     # vertices of the removed star, so each is checked again only then
     pending = reduce(or_, facets, 0)
     while pending:
         bit = pending & -pending
         pending ^= bit
-        star = [f for f in facets if f & bit]
-        common = reduce(and_, star) ^ bit
+        common = reduce(and_, [f for f in facets if f & bit]) ^ bit
         if not common:
             continue
         dominations.append((bit.bit_length() - 1, (common & -common).bit_length() - 1))
-        facets = [f for f in facets if not f & bit]
-        # the links are an antichain, as the star is, so only the remaining
-        # facets can hold one
-        for g in (f ^ bit for f in star):
-            pending |= g
-            if g not in map(g.__and__, facets):
-                facets.append(g)
+        links, facets = link_deletion(facets, bit)
+        pending |= reduce(or_, links)
     return facets
 
 

@@ -226,21 +226,15 @@ def run_thm_4_2(n):
     # not acyclic at n >= 4 (README)
     labels = _prism_markers(g)
     markers = [nb.vertex(m) for m in labels]
-    facets = nb.facet_masks()
-    holders = [sum(1 << i for i, v in enumerate(markers) if f >> v & 1) for f in facets]
+    holders = [sum(1 << i for i, v in enumerate(markers) if f >> v & 1) for f in nb.facet_masks()]
     nerve_cx = cx.SimplicialComplex(labels, holders)
     equal = nerve_cx == cx.simplex_boundary(labels)
     checks.append(_check("generator-nerve-is-simplex-boundary", equal,
                          "boundary of (n-1)-simplex", "equal" if equal else "different"))
-    cone_failures = []
-    for a, b in combinations(range(n), 2):
-        pair = 1 << markers[a] | 1 << markers[b]
-        inter = cx.SimplicialComplex(nb.labels, [f for f in facets if f & pair == pair])
-        if not inter.has_vertices():
-            cone_failures.append({"pair": [a, b], "reason": "empty"})
-        # a cone over the first marker collapses to its apex
-        elif not _cone_apexes(inter) >> markers[a] & 1:
-            cone_failures.append({"pair": [a, b], "reason": "not a cone"})
+    # the facets through two markers make a cone over either, which
+    # collapses to its apex, unless there is none
+    cone_failures = [{"pair": [a, b], "reason": "empty"} for a, b in combinations(range(n), 2)
+                     if not any(h >> a & 1 and h >> b & 1 for h in holders)]
     checks.append(_check("generator-pairwise-intersections-cone-collapse", not cone_failures,
                          "cone collapse witness per pair", cone_failures or "all witnessed"))
     checks.append(_claim("neighborhood-sphere-profile", nb, n - 2))

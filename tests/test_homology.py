@@ -436,14 +436,14 @@ def test_split_and_union_against_mask_antichain():
             support |= f
         for v in [v for v in range(n) if support >> v & 1] + [n + rng.randrange(3)]:
             bit = 1 << v
-            lk, rest = hom._split(a, bit)
+            lk, rest = cx.link_deletion(a, bit)
             assert lk == tuple(f ^ bit for f in a if f & bit), (a, v)
             assert rest == cx.mask_antichain(f & ~bit for f in a), (a, v)
         assert hom._union(a, b) == cx.mask_antichain(a + b) == hom._union(b, a), (a, b)
     assert {(), (0,)} <= shapes
     for a, b in (((), ()), ((0,), ()), ((0,), (0,)), ((0,), (1 << 70,)), ((1 << 70 | 1,), (1 << 70, 1))):
         assert hom._union(a, b) == cx.mask_antichain(a + b), (a, b)
-    assert hom._split((0,), 1) == ((), (0,)) and hom._split((1,), 1) == ((0,), (0,))
+    assert cx.link_deletion((0,), 1) == ((), (0,)) and cx.link_deletion((1,), 1) == ((0,), (0,))
 
 
 @pytest.mark.parametrize("name, build, cells_work, homology_work, cells", [

@@ -327,19 +327,21 @@ def test_thm_4_2_generator_readings_against_the_facet_oracle():
 
 def test_thm_4_2_generator_checks_can_fail(monkeypatch):
     # the marker {1+,3-} in place of {2+,3-} at n = 4 gives a nerve that is
-    # not the boundary of the 3-simplex; with no cone apex found, every
-    # pair is listed as not a cone
+    # not the boundary of the 3-simplex
     markers = verify._prism_markers
     with monkeypatch.context() as m:
         m.setattr(verify, "_prism_markers", lambda g: [markers(g)[0], "{1+,3-}"] + markers(g)[2:])
         named = {c.name: c for c in verify.run_scenario("thm-4-2", {"n": 4}).checks}
         assert (named["generator-nerve-is-simplex-boundary"].verdict,
                 named["generator-nerve-is-simplex-boundary"].actual) == ("fail", "different")
-    monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
-    check = next(c for c in verify.run_scenario("thm-4-2", {"n": 4}).checks
+    # the facets through two markers are a cone over either, so the pair
+    # check fails only where two markers share no facet: {1+,2-} and
+    # {1-,2+} at n = 3
+    monkeypatch.setattr(verify, "_prism_markers", lambda g: [markers(g)[0], "{1-,2+}"] + markers(g)[2:])
+    check = next(c for c in verify.run_scenario("thm-4-2", {"n": 3}).checks
                  if c.name == "generator-pairwise-intersections-cone-collapse")
     assert check.verdict == "fail"
-    assert check.actual == [{"pair": list(p), "reason": "not a cone"} for p in combinations(range(4), 2)]
+    assert check.actual == [{"pair": [0, 1], "reason": "empty"}]
 
 
 def test_corpus_graph_deterministic():
