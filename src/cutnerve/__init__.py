@@ -9,6 +9,7 @@ The package is organized by layer:
 - ``homology``       reduced integer homology by Morse reduction and Smith normal form
 - ``morse``          matchings, collapses, collapsibility search
 - ``verify``         scenario registry binding claims to executable checks
+- ``values``         the immutable value-class base of profiles, covers, witnesses and reports
 """
 
 __version__ = "0.1.0"

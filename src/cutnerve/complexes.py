@@ -158,10 +158,6 @@ class SimplicialComplex:
         """True for the void complex, the one with no face at all."""
         return not self._masks
 
-    def has_vertices(self) -> bool:
-        """True when the complex contains at least one nonempty face."""
-        return bool(self._masks) and self._masks != (0,)
-
     def dimension(self) -> int:
         if self.void:
             raise VoidComplexError("the void complex has no dimension")

@@ -10,13 +10,13 @@ AND holds a vertex that lies in a nonempty face of the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
 from .complexes import SimplicialComplex, face_mask, mask_face, permute_mask
 from .errors import EmptyCoverError, InvalidParameterError
 from .graphs import Graph, independent_sets, k_independent_masks
+from .values import Value
 
 
 def neighborhood_complex(g: Graph) -> SimplicialComplex:
@@ -36,25 +36,21 @@ def total_cut_complex(g: Graph, k: int) -> SimplicialComplex:
     return SimplicialComplex(g.labels, [full ^ face_mask(s) for s in independent_sets(g, k)])
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Value):
     """An ordered family of full subcomplexes of a base complex: part i is
     the full subcomplex on the vertex mask ``parts[i]``."""
 
-    base: SimplicialComplex
-    part_labels: tuple
-    parts: tuple
+    __slots__ = ("base", "part_labels", "parts")
 
-    def __post_init__(self):
-        labels, parts = tuple(self.part_labels), tuple(self.parts)
+    def __init__(self, base: SimplicialComplex, part_labels, parts):
+        labels, parts = tuple(part_labels), tuple(parts)
         if len(set(labels)) != len(labels):
             raise InvalidParameterError("part labels must be unique")
-        if self.base.void:
+        if base.void:
             raise InvalidParameterError("cannot cover the void complex")
-        if len(parts) != len(labels) or any(type(w) is not int or w >> self.base.n_vertices for w in parts):
+        if len(parts) != len(labels) or any(type(w) is not int or w >> base.n_vertices for w in parts):
             raise InvalidParameterError("parts must be one vertex mask of the base per part label")
-        object.__setattr__(self, "part_labels", labels)
-        object.__setattr__(self, "parts", parts)
+        super().__init__(base, labels, parts)
 
     @property
     def n_parts(self) -> int:

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, closure_masks, face_budget, link_deletion, mask_antichain
 from .errors import InvalidParameterError, ResourceLimitError
+from .values import Value
 
 
 class SparseIntMatrix:
@@ -151,8 +151,7 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
 # profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(Value):
     """Reduced integer homology: free ranks per dimension and torsion
     coefficients (sorted divisibility chains) per dimension.
 
@@ -164,10 +163,11 @@ class HomologyProfile:
     ``== HomologyProfile()`` for homology-trivial.
     """
 
-    betti: tuple[int, ...] = ()
-    torsion: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    minus_one_rank: int = 0
-    void: bool = False
+    __slots__ = ("betti", "torsion", "minus_one_rank", "void")
+
+    def __init__(self, betti: tuple[int, ...] = (), torsion: tuple[tuple[int, tuple[int, ...]], ...] = (),
+                 minus_one_rank: int = 0, void: bool = False):
+        super().__init__(betti, torsion, minus_one_rank, void)
 
     def nonzero(self) -> dict[int, int]:
         return {d: b for d, b in enumerate(self.betti) if b}
@@ -263,6 +263,20 @@ def _union(p: tuple, q: tuple) -> tuple:
     return tuple(kept)
 
 
+def _meet(p: tuple, q: tuple) -> tuple:
+    """The maximal faces f & g over f in ``p`` and g in ``q``, two sorted
+    antichains, sorted.  A member of ``p`` that lies in a member of ``q`` is
+    its own largest AND and is kept as it is, so when every member does,
+    the meet is ``p``; otherwise the kept members and the ANDs of the
+    others go through ``mask_antichain``."""
+    kept, rest = [], []
+    for f in p:
+        (kept if f in map(f.__and__, q) else rest).append(f)
+    if not rest:
+        return p
+    return mask_antichain(kept + [f & g for f in rest for g in q])
+
+
 def _boundary(face: int) -> list[tuple[int, int]]:
     """(incidence, facet) pairs of a face: dropping its i-th vertex in index
     order has incidence (-1)^i."""
@@ -308,9 +322,10 @@ class ElementMatching:
     left, and the faces of A outside B, joined with its path face, are
     critical; with every vertex in ``order``, that is the empty face alone.
     Nodes, and pruned pairs, are memoized on (A, B), so the recursion is a
-    DAG.  A node's expansion splits A and B with ``link_deletion`` and
-    unites lk_v A with del_v B directly; only the meet goes through
-    ``mask_antichain``.
+    DAG.  A node's expansion splits A and B with ``link_deletion``, unites
+    lk_v A with del_v B directly and takes their meet as lk_v A itself when
+    every member of it lies in a member of del_v B; only a meet with other
+    members goes through ``mask_antichain``.
 
     Every node is charged one unit of work, an inner node one more per
     critical cell below it, and the gradient flow one per face it visits;
@@ -360,7 +375,7 @@ class ElementMatching:
         lk_a, del_a = link_deletion(node.a, bit)
         lk_b, del_b = link_deletion(node.b, bit)
         node.lk_a, node.del_b = lk_a, del_b
-        node.with_v = self._node(mask_antichain(f & g for f in lk_a for g in del_b), lk_b)
+        node.with_v = self._node(_meet(lk_a, del_b), lk_b)
         node.without_v = self._node(del_a, _union(lk_a, del_b))
 
     def _critical_cells(self) -> list[int]:

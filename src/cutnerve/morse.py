@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
 from .complexes import SimplicialComplex, closure_masks, link_deletion, mask_face
 from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array, json_object
 from .homology import ElementMatching
+from .values import Value
 
 
 def element_matching_sequence(cx: SimplicialComplex, vertices) -> list[tuple[int, int]]:
@@ -103,8 +103,7 @@ def critical_cells(cx: SimplicialComplex, pairs) -> list[int]:
 # collapses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollapseWitness:
+class CollapseWitness(Value):
     """A replayable collapse certificate: strong collapses ``dominations``,
     each (v, w) deleting a vertex v that w != v dominates (a sequence of
     elementary collapses, by Barmak–Minian), then the free pairs ``steps``
@@ -112,10 +111,11 @@ class CollapseWitness:
     ``terminal``.  ``verdict`` is "collapsible" when that is a single
     vertex, otherwise "unknown"."""
 
-    steps: tuple[tuple[int, int], ...]
-    terminal: tuple[int, ...]
-    verdict: str
-    dominations: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("steps", "terminal", "verdict", "dominations")
+
+    def __init__(self, steps: tuple[tuple[int, int], ...], terminal: tuple[int, ...], verdict: str,
+                 dominations: tuple[tuple[int, int], ...] = ()):
+        super().__init__(steps, terminal, verdict, dominations)
 
     @property
     def steps_tried(self) -> int:

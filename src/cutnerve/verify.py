@@ -15,7 +15,6 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -26,24 +25,25 @@ from . import graphs as gr
 from . import homology as hom
 from . import morse
 from .errors import EmptyCoverError, GuardError, InvalidMatchingError, InvalidParameterError
+from .values import Value
 
 
-@dataclass
-class CheckResult:
-    name: str
-    verdict: str          # "pass" | "fail" | "unknown"
-    expected: object = None
-    actual: object = None
+class CheckResult(Value):
+    """One check of a report; ``verdict`` is "pass", "fail" or "unknown"."""
+
+    __slots__ = ("name", "verdict", "expected", "actual")
+
+    def __init__(self, name: str, verdict: str, expected=None, actual=None):
+        super().__init__(name, verdict, expected, actual)
 
 
-@dataclass
-class Report:
-    scenario: str
-    params: dict
-    checks: list[CheckResult] = field(default_factory=list)
-    digests: dict = field(default_factory=dict)
-    seconds: float = 0.0
-    metrics: dict = field(default_factory=dict)
+class Report(Value):
+    __slots__ = ("scenario", "params", "checks", "digests", "seconds", "metrics")
+
+    def __init__(self, scenario: str, params: dict, checks: list[CheckResult] | None = None,
+                 digests: dict | None = None, seconds: float = 0.0, metrics: dict | None = None):
+        super().__init__(scenario, params, [] if checks is None else checks,
+                         {} if digests is None else digests, seconds, {} if metrics is None else metrics)
 
     @property
     def verdict(self) -> str:
@@ -56,7 +56,8 @@ class Report:
             "scenario": self.scenario,
             "params": dict(sorted(self.params.items())),
             "verdict": self.verdict,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{"name": c.name, "verdict": c.verdict, "expected": c.expected, "actual": c.actual}
+                       for c in self.checks],
             "digests": dict(sorted(self.digests.items())),
             "metrics": dict(sorted(self.metrics.items())),
         }
@@ -427,13 +428,15 @@ def run_prop_4_10(count, seed):
 SIZE_CLASSES = ("smoke", "desk", "extended")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    id: str
-    runner: object
-    bounds: dict          # parameter -> (least, greatest), or None for any int
-    jobs: dict            # size class -> the jobs it adds to the smaller classes
-    defaults: dict = None
+class Scenario(Value):
+    """``bounds`` maps each parameter to (least, greatest), or None for any
+    int; ``jobs`` maps a size class to the jobs it adds to the smaller
+    classes."""
+
+    __slots__ = ("id", "runner", "bounds", "jobs", "defaults")
+
+    def __init__(self, id: str, runner, bounds: dict, jobs: dict, defaults: dict | None = None):
+        super().__init__(id, runner, bounds, jobs, defaults)
 
     @property
     def param_names(self) -> tuple[str, ...]:

@@ -214,6 +214,11 @@ def discrete_points(labels):
     return cx.SimplicialComplex(labels, [0] + [1 << v for v in range(len(labels))])
 
 
+def has_vertices(c) -> bool:
+    """True when the complex contains at least one nonempty face."""
+    return c.facet_masks() not in ((), (0,))
+
+
 def face_count(c) -> int:
     """Every face of the closure, the empty face included."""
     return len(c.all_faces())

@@ -30,6 +30,7 @@ from oracles import (
     face_count,
     free_ranks,
     full_simplex,
+    has_vertices,
     join_ranks,
     ladder_rule_witness,
     suspension,
@@ -84,7 +85,7 @@ def test_criterion_03_cycle_cover_nerve_and_collapses():
                 if not face:
                     continue
                 inter = cover.intersection(cx.face_mask(face))
-                assert inter.has_vertices(), (n, k, face)
+                assert has_vertices(inter), (n, k, face)
                 witness = morse.greedy_collapse(inter)
                 assert witness.is_collapsible(), (n, k, face)
                 assert morse.replay_collapse(inter, witness), (n, k, face)
@@ -122,7 +123,7 @@ def test_criterion_04_prism_neighborhood(n):
     for a, b in combinations(markers, 2):
         inter = cx.from_facets(nb.labels, [f for f in nb.facets if a in f and b in f])
         # a cone over the first marker
-        assert inter.has_vertices() and all(a in f for f in inter.facets)
+        assert has_vertices(inter) and all(a in f for f in inter.facets)
     expected = PRISM_NEIGHBORHOOD_PROFILES[n]
     # SNF-free evidence: chi~ from the face counts must match the profile's
     # alternating sum, and for n >= 4 it rules out the sphere S^(n-2)

@@ -26,6 +26,7 @@ from oracles import (
     euler_characteristic_reduced,
     face_count,
     full_simplex,
+    has_vertices,
     link,
     skeleton,
     suspension,
@@ -115,7 +116,7 @@ def test_antichain_against_brute_force():
         assert list(by_tuples.facets) == brute_antichain(faces), faces
         assert by_masks == by_tuples and hash(by_masks) == hash(by_tuples), faces
         assert by_masks.facet_masks() == tuple(sorted(map(cx.face_mask, by_masks.facets)))
-        assert by_masks.void == (not faces) and by_masks.has_vertices() == any(faces)
+        assert by_masks.void == (not faces) and has_vertices(by_masks) == any(faces)
 
     def antichain(faces):
         return list(cx.from_facets([f"v{i}" for i in range(70)], faces).facets)
@@ -488,7 +489,7 @@ def test_skeleton_at_dimension_is_identity():
 
 def test_skeleton_dimension_property():
     for c in complex_corpus():
-        if not c.has_vertices():
+        if not has_vertices(c):
             continue
         for d in range(-1, c.dimension() + 2):
             sk = skeleton(c, d)

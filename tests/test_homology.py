@@ -31,6 +31,7 @@ from oracles import (
     face_count,
     free_ranks,
     full_simplex,
+    has_vertices,
     join_ranks,
     snf_homology,
     suspension,
@@ -221,7 +222,7 @@ def test_boundary_of_edge():
 
 def test_boundary_squared_is_zero():
     for c in homology_corpus():
-        if not c.has_vertices():
+        if not has_vertices(c):
             continue
         for d in range(1, c.dimension() + 1):
             dense_low = to_dense(boundary_matrix(c, d - 1))
@@ -444,6 +445,28 @@ def test_split_and_union_against_mask_antichain():
     for a, b in (((), ()), ((0,), ()), ((0,), (0,)), ((0,), (1 << 70,)), ((1 << 70 | 1,), (1 << 70, 1))):
         assert hom._union(a, b) == cx.mask_antichain(a + b), (a, b)
     assert cx.link_deletion((0,), 1) == ((), (0,)) and cx.link_deletion((1,), 1) == ((0,), (0,))
+
+
+def test_meet_against_mask_antichain():
+    # the meet is the maximal pairwise ANDs; half the second antichains
+    # absorb members of the first, so both the whole-first-antichain path
+    # and the mixed one run
+    rng = random.Random(34)
+    whole = mixed = 0
+    for _ in range(500):
+        a, _ = random_antichain(rng)
+        b, _ = random_antichain(rng)
+        if rng.random() < 0.5:
+            b = cx.mask_antichain(b + tuple(rng.sample(a, rng.randint(0, len(a)))))
+        expected = cx.mask_antichain(f & g for f in a for g in b)
+        assert hom._meet(a, b) == expected, (a, b)
+        if a and all(f in map(f.__and__, b) for f in a):
+            whole += 1
+        elif b:
+            mixed += 1
+    assert whole > 50 and mixed > 50, (whole, mixed)
+    for a, b in (((), ()), ((0,), ()), ((), (0,)), ((0,), (0,)), ((1 << 70 | 1,), (1 << 70, 1))):
+        assert hom._meet(a, b) == cx.mask_antichain(f & g for f in a for g in b), (a, b)
 
 
 @pytest.mark.parametrize("name, build, cells_work, homology_work, cells", [

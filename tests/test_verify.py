@@ -1,8 +1,10 @@
 """Scenario registry, reports, and the command line interface."""
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from itertools import combinations
@@ -10,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from cutnerve import cli, constructions, graphs, morse, verify
+from cutnerve import cli, constructions, graphs, homology, morse, verify
 from cutnerve.cli import main
 from cutnerve.complexes import SimplicialComplex, face_mask, simplex_boundary
 from cutnerve.errors import GuardError, InvalidParameterError
 
-from oracles import FullCover, closure_of, cone, descent_collapse
+from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices
 
 EXPECTED_IDS = {
     "thm-1-3", "thm-1-4", "thm-3-1", "prop-3-3", "thm-4-2", "thm-4-3",
@@ -240,6 +242,54 @@ def test_cli_smoke_class_exits_0():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
+def test_import_loads_no_introspection_modules():
+    # start-up: importing the package and its command must not pull in
+    # dataclasses and the introspection modules it imports; only modules
+    # new to the fresh interpreter count, since site may load some first
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys; before = set(sys.modules); import cutnerve.verify, cutnerve.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert {"cutnerve.verify", "cutnerve.cli"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(loaded)
+
+
+def test_value_classes_compare_by_class_and_fields():
+    # HomologyProfile and CollapseWitness get the same four field values:
+    # objects of different classes never compare equal, nor with a tuple;
+    # copies equal the original (a Cover's complex does not pickle)
+    base = SimplicialComplex("abc", [0b011, 0b110])
+    fields = {
+        homology.HomologyProfile: ((0, 2), ((1, (2,)),), 0, False),
+        morse.CollapseWitness: ((0, 2), ((1, (2,)),), 0, False),
+        constructions.Cover: (base, ("x", "y"), (0b011, 0b110)),
+    }
+    made = [cls(*args) for cls, args in fields.items()]
+    for cls, args in fields.items():
+        a, b = cls(*args), cls(*args)
+        assert a is not b and a == b and hash(a) == hash(b)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+        assert a == b and a != args and all(a != other for other in made if type(other) is not cls)
+        assert copy.copy(a) == a
+    assert [pickle.loads(pickle.dumps(v)) for v in made[:2]] == made[:2]
+    assert homology.HomologyProfile((0, 2)) != homology.HomologyProfile((0, 3))
+    cover = constructions.Cover(base, ("x", "y"), (0b011, 0b110))
+    assert cover != constructions.Cover(base, ("y", "x"), (0b011, 0b110))
+
+
+def test_report_checks_serialize_their_four_fields():
+    report = verify.run_scenario("thm-1-4", {"n": 4, "k": 2})
+    docs = report.to_dict()["checks"]
+    assert len(docs) == len(report.checks) > 0
+    for doc, check in zip(docs, report.checks):
+        assert doc == {"name": check.name, "verdict": check.verdict,
+                       "expected": check.expected, "actual": check.actual}
+
+
 # sha256 of the whole extended-class report, written the same way
 EXTENDED_REPORT_SHA256 = "94b745f05b3e0b4f1a6595643e2fdf70c09eabf1fbdcff05fce2a2e34636d979"
 
@@ -388,7 +438,7 @@ def per_face_tested(n, k):
     intersection has a vertex."""
     cover = constructions.independent_cover(graphs.cycle(n), k)
     faces = filter(None, cover.nerve().all_faces())
-    return [list(f) for f in faces if cover.intersection(face_mask(f)).has_vertices()]
+    return [list(f) for f in faces if has_vertices(cover.intersection(face_mask(f)))]
 
 
 def test_thm_3_1_forced_strand_keeps_the_per_face_list(monkeypatch):
@@ -444,7 +494,7 @@ def test_thm_3_1_orbit_and_search_counts(monkeypatch):
             perms = constructions.cover_symmetries(cover, verify._dihedral(n))
             assert len(perms) == 2
             for orbit in verify._orbits(faces, perms):
-                assert cover.intersection(orbit[0]).has_vertices()
+                assert has_vertices(cover.intersection(orbit[0]))
                 tested += len(orbit)
                 orbits += 1
             report = verify.run_scenario("thm-3-1", {"n": n, "k": k})
