@@ -147,6 +147,11 @@ class SimplicialComplex:
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
 
+    def __reduce__(self):
+        # the default restore assigns each slot, which ``__setattr__``
+        # refuses; the caches are rebuilt on demand
+        return SimplicialComplex, (self.labels, self._masks)
+
     # -- basic queries ------------------------------------------------------
 
     @property

@@ -48,6 +48,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # the default restore assigns each slot, which ``__setattr__`` refuses
+        return Graph, (self.labels, self.edges())
+
     @property
     def n(self) -> int:
         return len(self.labels)

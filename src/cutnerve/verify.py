@@ -11,7 +11,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -26,6 +25,16 @@ from . import homology as hom
 from . import morse
 from .errors import EmptyCoverError, GuardError, InvalidMatchingError, InvalidParameterError
 from .values import Value
+
+# the interpreter's own SHA-256, as random.py takes sha512: hashlib is heavy
+# to load, since it opens OpenSSL; the digests are the same
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 class CheckResult(Value):
@@ -70,7 +79,7 @@ class Report(Value):
 
 
 def _digest(c: cx.SimplicialComplex) -> str:
-    return hashlib.sha256(c.to_json().encode()).hexdigest()[:16]
+    return sha256(c.to_json().encode()).hexdigest()[:16]
 
 
 def _check(name: str, ok: bool, expected, actual, miss: str = "fail") -> CheckResult:

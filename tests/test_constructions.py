@@ -1,5 +1,7 @@
 """Neighborhood complexes, total cut complexes, covers, and nerves."""
 
+import copy
+import pickle
 import random
 import re
 from itertools import combinations
@@ -436,6 +438,26 @@ def test_isolated_independent_sets_are_the_base_vertices_in_no_face():
 
 
 # -- cover validation ----------------------------------------------------------
+
+def test_graphs_complexes_and_covers_copy_and_pickle():
+    # each rebuilds through its constructor; the caches are not carried
+    # over but rebuilt on demand, to the same values
+    g = gr.cycle(5)
+    gr.independent_sets(g, 2)
+    nonempty = cons.total_cut_complex(g, 2)
+    hom.reduced_homology(nonempty)
+    nonempty.all_faces()
+    values = [g, void_complex(), empty_complex(), nonempty, cons.independent_cover(g, 2)]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and type(twin) is type(value)
+    twin = pickle.loads(pickle.dumps(nonempty))
+    assert twin._homology is twin._closure is twin._facets is twin._bits is None
+    assert hom.reduced_homology(twin) == hom.reduced_homology(nonempty)
+    assert twin.all_faces() == nonempty.all_faces() and twin.facets == nonempty.facets
+    twin = pickle.loads(pickle.dumps(g))
+    assert twin._sets == {} and gr.independent_sets(twin, 2) == gr.independent_sets(g, 2)
+
 
 def test_cover_rejects_duplicate_part_labels():
     base = full_simplex("ab")

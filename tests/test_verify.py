@@ -248,18 +248,44 @@ def test_import_loads_no_introspection_modules():
     # new to the fresh interpreter count, since site may load some first
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = ("import sys; before = set(sys.modules); import cutnerve.verify, cutnerve.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+            "loaded = set(sys.modules) - before; import importlib.util as u; "
+            "print(any(map(u.find_spec, ('_sha2', '_sha256'))), *sorted(loaded))")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    loaded = set(run.stdout.split())
+    builtin_sha256, *loaded = run.stdout.split()
+    loaded = set(loaded)
     assert {"cutnerve.verify", "cutnerve.cli"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(loaded)
+    # nor hashlib, which opens OpenSSL, where the interpreter has its own SHA-256
+    if builtin_sha256 == "True":
+        assert not loaded & {"hashlib", "_hashlib"}, sorted(loaded)
+
+
+def test_digests_match_hashlib():
+    # the builtin SHA-256 and hashlib's give the same digests; a fresh
+    # interpreter where neither builtin module imports falls back to hashlib
+    complexes = [SimplicialComplex("ab", []), SimplicialComplex("ab", [0])]
+    for i in range(20):
+        g = verify.corpus_graph(i, 2026)
+        complexes.append(constructions.neighborhood_complex(g))
+        complexes.extend(constructions.total_cut_complex(g, k) for k in (2, 3))
+    expected = [hashlib.sha256(c.to_json().encode()).hexdigest()[:16] for c in complexes]
+    assert [verify._digest(c) for c in complexes] == expected
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import pickle, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "from cutnerve import verify; "
+            "print(verify.sha256.__module__, *map(verify._digest, pickle.load(sys.stdin.buffer)))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, input=pickle.dumps(complexes),
+                         capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    module, *digests = run.stdout.decode().split()
+    assert module == "_hashlib" and digests == expected
 
 
 def test_value_classes_compare_by_class_and_fields():
     # HomologyProfile and CollapseWitness get the same four field values:
     # objects of different classes never compare equal, nor with a tuple;
-    # copies equal the original (a Cover's complex does not pickle)
+    # copies and pickles equal the original
     base = SimplicialComplex("abc", [0b011, 0b110])
     fields = {
         homology.HomologyProfile: ((0, 2), ((1, (2,)),), 0, False),
@@ -275,7 +301,7 @@ def test_value_classes_compare_by_class_and_fields():
                 setattr(a, name, getattr(a, name))
         assert a == b and a != args and all(a != other for other in made if type(other) is not cls)
         assert copy.copy(a) == a
-    assert [pickle.loads(pickle.dumps(v)) for v in made[:2]] == made[:2]
+    assert [pickle.loads(pickle.dumps(v)) for v in made] == made
     assert homology.HomologyProfile((0, 2)) != homology.HomologyProfile((0, 3))
     cover = constructions.Cover(base, ("x", "y"), (0b011, 0b110))
     assert cover != constructions.Cover(base, ("y", "x"), (0b011, 0b110))
