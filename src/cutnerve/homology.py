@@ -172,14 +172,17 @@ class HomologyProfile(Value):
     def nonzero(self) -> dict[int, int]:
         return {d: b for d, b in enumerate(self.betti) if b}
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The profile as the JSON object ``to_json`` writes, in fresh lists."""
+        return {
             "betti": list(self.betti),
-            "torsion": [[d, c] for d, coeffs in self.torsion for c in coeffs],
             "minus_one": self.minus_one_rank,
+            "torsion": [[d, c] for d, coeffs in self.torsion for c in coeffs],
             "void": self.void,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def wedge(d: int, m: int) -> "HomologyProfile":

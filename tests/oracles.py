@@ -516,6 +516,18 @@ class FullCover:
         return brute_antichain([tuple(v for v, w in enumerate(self.parts) if t in w) for t in used] or [()])
 
 
+def orbit_closure(mask: int, perms) -> frozenset[int]:
+    """The orbit of the bitmask ``mask`` under the group the permutations
+    ``perms`` generate: every permutation applied to the whole set until it
+    stops growing."""
+    orbit = {mask}
+    while True:
+        grown = orbit | {cx.permute_mask(m, perm) for m in orbit for perm in perms}
+        if grown == orbit:
+            return frozenset(orbit)
+        orbit = grown
+
+
 # ---------------------------------------------------------------------------
 # graph oracles
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from cutnerve import complexes as cx
 from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
-from cutnerve import morse
+from cutnerve import morse, verify
 from cutnerve.errors import InvalidParameterError, ResourceLimitError, VoidComplexError
 from cutnerve.verify import corpus_graph
 
@@ -309,6 +309,31 @@ def test_profile_json_writes_every_field():
         doc = json.loads(p.to_json())
         torsion = [[d, t] for d, coeffs in p.torsion for t in coeffs]
         assert doc == {"betti": list(p.betti), "torsion": torsion, "minus_one": p.minus_one_rank, "void": p.void}
+        assert p.to_dict() == doc
+
+
+def test_profile_dict_is_its_json_form_and_the_claims_report_it():
+    # torsion in two degrees (RP^2 * RP^2: Z/2 in degrees 3 and 4), the
+    # empty complex's unit in degree -1 and the void complex
+    rp2 = cx.from_facets([str(i) for i in range(6)], RP2_FACETS)
+    rp2b = cx.from_facets([f"b{i}" for i in range(6)], RP2_FACETS)
+    cases = [
+        (cx.join(rp2, rp2b), hom.HomologyProfile(torsion=((3, (2,)), (4, (2,))))),
+        (empty_complex("ab"), hom.HomologyProfile(minus_one_rank=1)),
+        (void_complex("ab"), hom.HomologyProfile(void=True)),
+    ]
+    expected = hom.HomologyProfile.wedge(2, 1)
+    for c, profile in cases:
+        assert hom.reduced_homology(c) == profile
+        assert profile.to_dict() == json.loads(profile.to_json())
+        check = verify._claim("claim", c, 2)
+        assert check.verdict == "fail"
+        assert check.expected == json.loads(expected.to_json()) == expected.to_dict()
+        assert check.actual == json.loads(profile.to_json()) == profile.to_dict()
+        # each call builds fresh lists, so a report cannot alias the
+        # profile cached on the complex
+        check.actual["betti"].append(1)
+        assert hom.reduced_homology(c).to_dict() == json.loads(profile.to_json())
 
 
 # -- differential corpus: Morse reduction against the full-boundary SNF ------------

@@ -14,10 +14,10 @@ import pytest
 
 from cutnerve import cli, constructions, graphs, homology, morse, verify
 from cutnerve.cli import main
-from cutnerve.complexes import SimplicialComplex, face_mask, simplex_boundary
+from cutnerve.complexes import SimplicialComplex, face_mask, permute_mask, simplex_boundary
 from cutnerve.errors import GuardError, InvalidParameterError
 
-from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices
+from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices, orbit_closure
 
 EXPECTED_IDS = {
     "thm-1-3", "thm-1-4", "thm-3-1", "prop-3-3", "thm-4-2", "thm-4-3",
@@ -532,6 +532,54 @@ def test_thm_3_1_orbit_and_search_counts(monkeypatch):
     assert counts([(8, 2)]) == (238, 26, 2)
     searches.clear()
     assert counts([(9, 3)]) == (384, 32, 4)
+
+
+def test_thm_3_1_orbits_are_led_by_their_least_mask():
+    # walked in mask order, each orbit is led by its least mask, is closed
+    # under the rotation and the reflection, and the orbits partition the
+    # nonempty nerve faces (the extended class runs every size)
+    for p in verify.SCENARIOS["thm-3-1"].class_params["extended"]:
+        n, k = p["n"], p["k"]
+        cover = constructions.independent_cover(graphs.cycle(n), k)
+        faces = set(filter(None, map(face_mask, cover.nerve().all_faces())))
+        perms = constructions.cover_symmetries(cover, verify._dihedral(n))
+        assert len(perms) == 2
+        orbits = list(verify._orbits(sorted(faces), perms))
+        for orbit in orbits:
+            assert orbit[0] == min(orbit), p
+            assert {permute_mask(m, perm) for m in orbit for perm in perms} <= set(orbit), p
+            assert set(orbit) == orbit_closure(orbit[0], perms), p
+        members = [m for orbit in orbits for m in orbit]
+        assert len(members) == len(set(members)) and set(members) == faces, p
+
+
+def digest_of(c):
+    return hashlib.sha256(c.to_json().encode()).hexdigest()[:16]
+
+
+def test_thm_3_1_digests_the_equal_nerve_and_total_cut_once(monkeypatch):
+    # the nerve equals the total cut complex, so one digest is reported
+    # under both names; it must be each complex's own digest
+    for p in verify.SCENARIOS["thm-3-1"].class_params["desk"]:
+        g = graphs.cycle(p["n"])
+        nerve = constructions.independent_cover(g, p["k"]).nerve()
+        tc = constructions.total_cut_complex(g, p["k"])
+        assert verify.run_scenario("thm-3-1", p).digests == {"nerve": digest_of(nerve), "total_cut": digest_of(tc)}, p
+    # a total cut complex short of one facet is hashed on its own
+    build = constructions.total_cut_complex
+
+    def short(g, k):
+        tc = build(g, k)
+        return SimplicialComplex(tc.labels, tc.facet_masks()[1:])
+
+    monkeypatch.setattr(constructions, "total_cut_complex", short)
+    g = graphs.cycle(6)
+    report = verify.run_scenario("thm-3-1", {"n": 6, "k": 2})
+    check = next(c for c in report.checks if c.name == "nerve-equals-total-cut")
+    assert (check.verdict, check.actual) == ("fail", "different")
+    nerve = constructions.independent_cover(g, 2).nerve()
+    assert report.digests == {"nerve": digest_of(nerve), "total_cut": digest_of(short(g, 2))}
+    assert report.digests["nerve"] != report.digests["total_cut"]
 
 
 def test_thm_3_1_parts_cover_base_at_every_size():
