@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from operator import or_
 
-from .complexes import face_budget
+from .complexes import face_budget, permute_mask
 from .errors import InvalidParameterError, ResourceLimitError
 
 
@@ -227,12 +227,12 @@ def independent_sets(g: Graph, k: int) -> list[tuple[int, ...]]:
     return list(g._sets[k])
 
 
-def k_independent_masks(g: Graph, k: int) -> tuple[list[str], list[int], list[int]]:
+def k_independent_masks(g: Graph, k: int) -> tuple[list[str], list[int]]:
     """The vertex labels and neighbor masks of I_k(G), one per independent
-    k-set in ``independent_sets`` order, and ``holding``: for each vertex v
-    of ``g``, the mask of the sets that contain v.  The sets disjoint from S
-    are ``full`` minus the union of ``holding[v]`` over v in S.  An I_k(G)
-    on N vertices is refused when its N(N-1)/2 vertex pairs exceed the face
+    k-set in ``independent_sets`` order.  With ``holding[v]`` the mask of
+    the sets that contain vertex v of ``g``, the sets disjoint from S are
+    ``full`` minus the union of ``holding[v]`` over v in S.  An I_k(G) on N
+    vertices is refused when its N(N-1)/2 vertex pairs exceed the face
     budget."""
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -246,7 +246,7 @@ def k_independent_masks(g: Graph, k: int) -> tuple[list[str], list[int], list[in
             holding[v] |= 1 << i
     full = (1 << len(sets)) - 1
     masks = [full ^ reduce(or_, map(holding.__getitem__, s)) for s in sets]
-    return [set_label(g, s) for s in sets], masks, holding
+    return [set_label(g, s) for s in sets], masks
 
 
 def induced_k_independent(g: Graph, k: int) -> Graph:
@@ -257,7 +257,7 @@ def induced_k_independent(g: Graph, k: int) -> Graph:
     ``k_independent_masks``, which keeps the face budget guard, by walking
     the set bits of each mask above its own index.
     """
-    labels, masks, _ = k_independent_masks(g, k)
+    labels, masks = k_independent_masks(g, k)
     edges = []
     for a, m in enumerate(masks):
         m >>= a + 1
@@ -277,11 +277,8 @@ def isomorphism_witness_valid(g: Graph, h: Graph, mapping: dict[int, int]) -> bo
     """Check a claimed witness: bijective and edge-preserving both ways."""
     if sorted(mapping) != list(range(g.n)) or sorted(mapping.values()) != list(range(h.n)):
         return False
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.has_edge(i, j) != h.has_edge(mapping[i], mapping[j]):
-                return False
-    return True
+    hm = h.adjacency_masks()
+    return all(permute_mask(m, mapping) == hm[mapping[i]] for i, m in enumerate(g.adjacency_masks()))
 
 
 def stable_kneser_facet_count(n: int, k: int) -> int:

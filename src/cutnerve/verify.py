@@ -181,7 +181,7 @@ def run_thm_3_1(n, k):
     # the nerve lemma (Björner, Handbook of Combinatorics 1995, Thm 10.6)
     # needs the parts to cover the base ...
     uncovered = [list(cover.base.labels_of_face(f)) for f in cover.base.facet_masks()
-                 if all(f & ~w for w in cover.parts)]
+                 if not reduce(and_, map(cover.held.__getitem__, cx.mask_face(f)), (1 << n) - 1)]
     checks.append(_check("parts-cover-base", not uncovered,
                          "every base facet in a part", uncovered or "covered"))
     # ... and every nonempty intersection to be contractible: each must
@@ -408,7 +408,6 @@ def run_prop_4_10(count, seed):
     failures = []
     for i in range(count):
         g = corpus_graph(i, seed)
-        full = (1 << g.n) - 1
         for k in (2, 3):
             try:
                 cover = cons.independent_cover(g, k)
@@ -417,9 +416,8 @@ def run_prop_4_10(count, seed):
             instances += 1
             nerve_cx, tc = cover.nerve(), cons.total_cut_complex(g, k)
             # the base vertices in no face are the isolated vertices of I_k(G)
-            sets = gr.independent_sets(g, k)
-            unused = ((1 << len(sets)) - 1) & ~reduce(or_, cover.base.facet_masks())
-            isolated = {full ^ cx.face_mask(sets[j]) for j in cx.mask_face(unused)}
+            unused = ((1 << cover.base.n_vertices) - 1) & ~reduce(or_, cover.base.facet_masks())
+            isolated = {cover.held[j] for j in cx.mask_face(unused)}
             equal = nerve_cx == tc
             differ += not equal
             kept = [f for f in tc.facet_masks() if f not in isolated] or [0]

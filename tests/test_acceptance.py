@@ -10,7 +10,9 @@ discrete Morse matching gives the whole profile without Smith normal form.
 
 import time
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 
@@ -80,7 +82,9 @@ def test_criterion_03_cycle_cover_nerve_and_collapses():
             assert nerve == tc, (n, k)
             expected = gr.stable_kneser_facet_count(n, k)
             assert len(tc.facets) == expected, (n, k, len(tc.facets), expected)
-            assert all(any(f & ~w == 0 for w in cover.parts) for f in cover.base.facet_masks()), (n, k)
+            full = (1 << n) - 1
+            for f in cover.base.facet_masks():
+                assert reduce(and_, map(cover.held.__getitem__, cx.mask_face(f)), full), (n, k, f)
             for face in nerve.all_faces():
                 if not face:
                     continue

@@ -4,7 +4,9 @@ import copy
 import pickle
 import random
 import re
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import pytest
 
@@ -13,7 +15,7 @@ from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
 from cutnerve.errors import EmptyCoverError, InvalidFaceError, InvalidParameterError, ResourceLimitError
-from cutnerve.verify import corpus_graph
+from cutnerve.verify import SCENARIOS, corpus_graph
 
 from oracles import (
     FullCover,
@@ -143,7 +145,7 @@ def test_total_cut_purity_and_facet_count():
 # -- covers and nerves ------------------------------------------------------------
 
 def test_nerve_single_part_cover():
-    cover = cons.Cover(full_simplex("abc"), ["a"], [0b111])
+    cover = cons.Cover(full_simplex("abc"), ["a"], [0b1, 0b1, 0b1])
     assert cover.nerve().facet_label_family() == frozenset({frozenset({"a"})})
 
 
@@ -161,7 +163,7 @@ def test_independent_cover_validity():
                     cons.independent_cover(g, k)
                 continue
             cover = cons.independent_cover(g, k)
-            assert cover.n_parts == g.n
+            assert len(cover.part_labels) == g.n
             # downward closure within nonempty faces, on a small part sample
             faces = part_faces(cover, 0)
             for f in list(faces)[:50]:
@@ -169,7 +171,9 @@ def test_independent_cover_validity():
                     for sub in combinations(f, r):
                         assert sub in faces
             # every facet of the base lies in some part
-            assert all(any(f & ~w == 0 for w in cover.parts) for f in cover.base.facet_masks())
+            full = (1 << g.n) - 1
+            for f in cover.base.facet_masks():
+                assert reduce(and_, map(cover.held.__getitem__, cx.mask_face(f)), full), (g, k, f)
 
 
 def test_independent_cover_base_is_the_neighborhood_complex_of_i_k():
@@ -252,7 +256,7 @@ def test_cover_intersection_has_vertices_exactly_on_nerve_faces():
     covers += [cons.independent_cover(gr.cycle(n), k) for k in (2, 3) for n in range(2 * k, 9)]
     for cover in covers:
         faces = cx.closure_masks(cover.nerve().facet_masks())
-        for idx in range(1, 1 << cover.n_parts):
+        for idx in range(1, 1 << len(cover.part_labels)):
             assert has_vertices(cover.intersection(idx)) == (idx in faces), (cover.part_labels, idx)
 
 
@@ -275,11 +279,11 @@ def test_cover_index_sets_nonempty_and_in_range():
 
 
 def test_cover_guards_shift_no_bit_out_of_range():
-    # a part mask or an index set mask far out of range is refused by a
+    # a held mask or an index set mask far out of range is refused by a
     # compare or a right shift, never by building 1 << mask
     base = full_simplex("ab")
     for huge in (1 << 4096, -(1 << 4096)):
-        with pytest.raises(InvalidParameterError, match="one vertex mask of the base per part label"):
+        with pytest.raises(InvalidParameterError, match="one mask of the parts per base vertex"):
             cons.Cover(base, ["x", "y"], [0b11, huge])
     cover = cons.independent_cover(gr.cycle(6), 2)
     for huge in (1 << 4096, -(1 << 4096), 10**12):
@@ -299,13 +303,16 @@ def test_cover_intersection_shrinks_as_the_index_set_grows():
 
 
 def random_full_covers(seed, count):
-    """Covers of random bases by random vertex masks."""
+    """Covers of random bases by random parts, each drawn as a vertex mask
+    and handed to the cover as the held mask of each base vertex."""
     rng = random.Random(seed)
     for _ in range(count):
         n, parts = rng.randint(1, 6), rng.randint(1, 6)
         faces = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
         base = cx.SimplicialComplex([str(v) for v in range(n)], faces)
-        yield cons.Cover(base, [f"p{i}" for i in range(parts)], [rng.randrange(1 << n) for _ in range(parts)])
+        drawn = [rng.randrange(1 << n) for _ in range(parts)]
+        held = [sum(1 << i for i, w in enumerate(drawn) if w >> v & 1) for v in range(n)]
+        yield cons.Cover(base, [f"p{i}" for i in range(parts)], held)
 
 
 def test_random_full_covers_against_brute_force():
@@ -313,10 +320,10 @@ def test_random_full_covers_against_brute_force():
     # I; I is a nerve face when some part-wide vertex lies in a face
     for cover in random_full_covers(23, 200):
         faces = closure_of(cover.base.facets)
-        parts = [set(cx.mask_face(w)) for w in cover.parts]
+        parts = [{v for v, h in enumerate(cover.held) if h >> i & 1} for i in range(len(cover.part_labels))]
         nerve = cx.closure_masks(cover.nerve().facet_masks())
         used = set().union(*faces)
-        for idx in range(1, 1 << cover.n_parts):
+        for idx in range(1, 1 << len(cover.part_labels)):
             w = set.intersection(*(parts[i] for i in cx.mask_face(idx)))
             assert set(cover.intersection(idx).all_faces()) == {f for f in faces if w.issuperset(f)}
             assert (idx in nerve) == bool(w & used), (cover, idx)
@@ -335,7 +342,8 @@ def test_full_cover_against_first_principles_oracle():
                     continue
                 instances += 1
                 cover = cons.independent_cover(g, k)
-                assert [set(cx.mask_face(w)) for w in cover.parts] == oracle.parts, (g, k)
+                held = [{v for v, part in enumerate(oracle.parts) if j in part} for j in range(len(oracle.sets))]
+                assert [set(cx.mask_face(h)) for h in cover.held] == held, (g, k)
                 assert list(cover.nerve().facets) == oracle.nerve_facets(), (g, k)
                 for idx in range(1, 1 << g.n):
                     inter = cover.intersection(idx)
@@ -392,7 +400,7 @@ def test_star_cover_has_parts_but_no_face():
     g = gr.star(3)
     cover = cons.independent_cover(g, 2)
     assert cover.base == empty_complex(cover.base.labels) and cover.base.n_vertices == 3
-    assert all(cover.parts)
+    assert reduce(or_, cover.held) == (1 << g.n) - 1
     for idx in range(1, 1 << g.n):
         assert cover.intersection(idx) == empty_complex(cover.base.labels), idx
     assert cover.nerve() == empty_complex(g.labels) != cons.total_cut_complex(g, 2)
@@ -471,12 +479,12 @@ def test_cover_rejects_void_base():
 
 
 def test_cover_rejects_bad_part_masks():
-    # one int vertex mask of the base per part label
+    # one int mask of the parts per base vertex
     base = full_simplex("ab")
-    for parts in ([0b11], [0b11, 0b100], [0b11, -1], [0b11, True], [0b11, (0, 1)], [0b1, 0b1, 0b1]):
-        with pytest.raises(InvalidParameterError, match="one vertex mask of the base per part label"):
-            cons.Cover(base, ["x", "y"], parts)
-    assert cons.Cover(base, ["x", "y"], iter([0b01, 0])).parts == (0b01, 0)
+    for held in ([0b11], [0b11, 0b100], [0b11, -1], [0b11, True], [0b11, (0, 1)], [0b1, 0b1, 0b1]):
+        with pytest.raises(InvalidParameterError, match="one mask of the parts per base vertex"):
+            cons.Cover(base, ["x", "y"], held)
+    assert cons.Cover(base, ["x", "y"], iter([0b01, 0])).held == (0b01, 0)
 
 
 def dihedral(n):
@@ -508,14 +516,21 @@ def test_cover_symmetries_accept_ladder_symmetries():
     assert cons.cover_symmetries(cover, [[2, 1, 0] + list(range(3, 10))]) == []
 
 
-def test_vertex_parts_are_the_parts_that_hold_each_base_vertex():
-    for g, k in ((gr.cycle(7), 2), (gr.circular_ladder(4), 2), (gr.star(4), 2)):
+def test_held_masks_are_the_facets_of_the_total_cut_complex():
+    # on C7, CL_4 and K_{1,4}, every thm-3-1 size and the 60 corpus graphs
+    cases = [(gr.cycle(7), 2), (gr.circular_ladder(4), 2), (gr.star(4), 2)]
+    cases += [(gr.cycle(p["n"]), p["k"]) for p in SCENARIOS["thm-3-1"].class_params["extended"]]
+    corpus = [corpus_graph(i, 2026) for i in range(60)]
+    cases += [(g, k) for g in corpus for k in (2, 3) if gr.independent_sets(g, k)]
+    for g, k in cases:
         cover = cons.independent_cover(g, k)
         full = (1 << g.n) - 1
         # the k-set S lies in part v exactly when v is not in S
-        assert cover.vertex_parts() == [full ^ cx.face_mask(s) for s in gr.independent_sets(g, k)]
-        for i, held in enumerate(cover.vertex_parts()):
-            assert held == sum(1 << v for v, w in enumerate(cover.parts) if w >> i & 1)
+        assert list(cover.held) == [full ^ cx.face_mask(s) for s in gr.independent_sets(g, k)], (g, k)
+        assert sorted(set(cover.held)) == list(cons.total_cut_complex(g, k).facet_masks()), (g, k)
+        support = reduce(or_, cover.base.facet_masks())
+        in_faces = sorted(h for v, h in enumerate(cover.held) if support >> v & 1)
+        assert list(cover.nerve().facet_masks()) == (in_faces or [0]), (g, k)
 
 
 def test_cover_symmetries_refuse_what_does_not_map_the_cover():
@@ -534,10 +549,10 @@ def test_cover_symmetries_refuse_what_does_not_map_the_cover():
     assert cons.cover_symmetries(cover, [dihedral(5)[1]]) == []
     # a forged part: part 1 (the vertex "2") loses the base vertex {1,3};
     # the reflection v -> 2 - v fixes both, so it still maps the cover
-    assert cover.base.labels[0] == "{1,3}" and cover.parts[1] & 1
-    parts = list(cover.parts)
-    parts[1] ^= 1
-    forged = cons.Cover(cover.base, cover.part_labels, parts)
+    assert cover.base.labels[0] == "{1,3}" and cover.held[0] >> 1 & 1
+    held = list(cover.held)
+    held[0] ^= 1 << 1
+    forged = cons.Cover(cover.base, cover.part_labels, held)
     fixing = [2, 1, 0, 5, 4, 3]
     assert cons.cover_symmetries(forged, [fixing]) == [tuple(fixing)]
     for perms in ([rotation], [reflection], [fixing, rotation]):
@@ -549,22 +564,23 @@ def test_cover_symmetries_refuse_what_does_not_map_the_cover():
     dropped = cover.base.face_of_labels(["{2,4}", "{2,5}", "{2,6}", "{4,6}"])
     rest = [f for f in cover.base.facet_masks() if f != dropped]
     assert len(rest) == len(cover.base.facet_masks()) - 1
-    forged = cons.Cover(cx.SimplicialComplex(cover.base.labels, rest), cover.part_labels, cover.parts)
+    forged = cons.Cover(cx.SimplicialComplex(cover.base.labels, rest), cover.part_labels, cover.held)
     assert cons.cover_symmetries(forged, [fixing]) == [tuple(fixing)]
     assert cons.cover_symmetries(forged, [rotation]) == []
     # two base vertices held by the same parts: the part masks no longer
     # name the base vertices, so even the identity is refused
-    parts = [w | 0b10 if w & 0b1 else w & ~0b10 for w in cover.parts]
-    forged = cons.Cover(cover.base, cover.part_labels, parts)
-    assert forged.vertex_parts()[0] == forged.vertex_parts()[1]
+    held = list(cover.held)
+    held[1] = held[0]
+    forged = cons.Cover(cover.base, cover.part_labels, held)
+    assert forged.held[0] == forged.held[1]
     for perms in ([list(range(6))], [fixing], [rotation]):
         assert cons.cover_symmetries(forged, perms) == []
     # the same for two base vertices in no face and no part: every base
     # facet would still map onto itself, but the base action would not be
     # a bijection
     base = cx.SimplicialComplex(cover.base.labels + ("x", "y"), cover.base.facet_masks())
-    forged = cons.Cover(base, cover.part_labels, cover.parts)
-    assert forged.vertex_parts()[-2:] == [0, 0]
+    forged = cons.Cover(base, cover.part_labels, cover.held + (0, 0))
+    assert forged.held[-2:] == (0, 0)
     for perms in ([list(range(6))], [fixing], [rotation]):
         assert cons.cover_symmetries(forged, perms) == []
     # all given permutations or none: one bad permutation among good ones

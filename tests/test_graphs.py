@@ -333,11 +333,7 @@ def test_induced_matches_the_pair_scan_oracle():
         for k in (2, 3):
             h = gr.induced_k_independent(g, k)
             assert h == gr.Graph(*pair_scan_k_independent(g.labels, g.adjacency_masks(), k)), (g, k)
-            labels, masks, holding = gr.k_independent_masks(g, k)
-            assert (labels, masks) == (list(h.labels), list(h.adjacency_masks()))
-            # holding[v] is the mask of the k-sets that contain v
-            sets = gr.independent_sets(g, k)
-            assert holding == [sum(1 << i for i, s in enumerate(sets) if v in s) for v in range(g.n)]
+            assert gr.k_independent_masks(g, k) == (list(h.labels), list(h.adjacency_masks()))
 
 
 def test_induced_empty_when_no_sets():

@@ -290,7 +290,7 @@ def test_value_classes_compare_by_class_and_fields():
     fields = {
         homology.HomologyProfile: ((0, 2), ((1, (2,)),), 0, False),
         morse.CollapseWitness: ((0, 2), ((1, (2,)),), 0, False),
-        constructions.Cover: (base, ("x", "y"), (0b011, 0b110)),
+        constructions.Cover: (base, ("x", "y"), (0b01, 0b11, 0b10)),
     }
     made = [cls(*args) for cls, args in fields.items()]
     for cls, args in fields.items():
@@ -303,8 +303,8 @@ def test_value_classes_compare_by_class_and_fields():
         assert copy.copy(a) == a
     assert [pickle.loads(pickle.dumps(v)) for v in made] == made
     assert homology.HomologyProfile((0, 2)) != homology.HomologyProfile((0, 3))
-    cover = constructions.Cover(base, ("x", "y"), (0b011, 0b110))
-    assert cover != constructions.Cover(base, ("y", "x"), (0b011, 0b110))
+    cover = constructions.Cover(base, ("x", "y"), (0b01, 0b11, 0b10))
+    assert cover != constructions.Cover(base, ("y", "x"), (0b01, 0b11, 0b10))
 
 
 def test_report_checks_serialize_their_four_fields():
@@ -607,9 +607,9 @@ def test_thm_3_1_refuses_parts_that_miss_a_base_facet(monkeypatch):
 
     def shrunk(g, k):
         cover = build(g, k)
-        parts = list(cover.parts)
-        parts[0] ^= 1 << cover.base.labels.index("{2}")
-        return constructions.Cover(cover.base, cover.part_labels, parts)
+        held = list(cover.held)
+        held[cover.base.labels.index("{2}")] ^= 1
+        return constructions.Cover(cover.base, cover.part_labels, held)
 
     assert verify.run_scenario("thm-3-1", {"n": 5, "k": 1}).verdict == "pass"
     monkeypatch.setattr(constructions, "independent_cover", shrunk)
@@ -651,9 +651,7 @@ def test_prop_4_10_fails_where_the_isolated_vertex_law_breaks(monkeypatch):
     isolated = 49
 
     def generator_nerve(cover):
-        return SimplicialComplex(cover.part_labels, [
-            sum(1 << i for i, w in enumerate(cover.parts) if w >> j & 1) for j in range(cover.base.n_vertices)
-        ])
+        return SimplicialComplex(cover.part_labels, list(cover.held))
 
     def failures():
         r = verify.run_scenario("prop-4-10", {"count": 60, "seed": 2026})
