@@ -3,14 +3,16 @@
 Vertices are dense integer indices 0..n-1; every vertex carries a display
 label (cycle vertices "1".."n", ladder vertices "1+", "1-", subset vertices
 "{1,4}").  All algorithms run on the indices, labels exist for reports and
-for identifying vertices across derived constructions.
+for identifying vertices across derived constructions.  A graph is built
+from its labels and one neighbor bitmask per vertex, the form it stores:
+the families write their masks directly, and I_k(G) is
+``Graph(*k_independent_masks(g, k))``.
 """
 
 from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import combinations
 from math import comb
 from operator import or_
 
@@ -19,30 +21,34 @@ from .errors import InvalidParameterError, ResourceLimitError
 
 
 class Graph:
-    """Immutable undirected graph with labeled vertices.
-
-    The stored form is one neighbor bitmask per vertex, symmetric and
-    irreflexive by construction.
+    """Immutable undirected graph with labeled vertices, built from its
+    stored form: one neighbor bitmask per vertex.  Duplicate labels, a mask
+    count other than n, and a mask that is no int (a bool included), is
+    negative, reaches a bit at or above n, holds its own vertex or names a
+    neighbor whose mask does not name it back raise InvalidParameterError.
+    ``copy``, ``deepcopy`` and ``pickle`` rebuild a graph from its labels
+    and masks.
     """
 
     __slots__ = ("labels", "_masks", "_sets")
 
-    def __init__(self, labels: list[str] | tuple[str, ...], edges):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise InvalidParameterError("vertex labels must be unique")
+    def __init__(self, labels: list[str] | tuple[str, ...], masks):
+        labels, masks = tuple(labels), tuple(masks)
         n = len(labels)
-        masks = [0] * n
-        for e in edges:
-            i, j = e
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidParameterError(f"edge {e} references unknown vertex")
-            if i == j:
-                raise InvalidParameterError(f"self-loop at vertex {i}")
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+        if len(set(labels)) != n:
+            raise InvalidParameterError("vertex labels must be unique")
+        if len(masks) != n or any(type(m) is not int or not 0 <= m < 1 << n or m >> v & 1
+                                  for v, m in enumerate(masks)):
+            raise InvalidParameterError("masks must be one neighbor mask per vertex, on the other vertices")
+        # each neighbor j of v must name v back: one step per set bit, O(n + E)
+        for v, m in enumerate(masks):
+            while m:
+                j = m.bit_length() - 1
+                m ^= 1 << j
+                if not masks[j] >> v & 1:
+                    raise InvalidParameterError("neighbor masks must be symmetric")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_sets", {})
 
     def __setattr__(self, name, value):
@@ -50,7 +56,7 @@ class Graph:
 
     def __reduce__(self):
         # the default restore assigns each slot, which ``__setattr__`` refuses
-        return Graph, (self.labels, self.edges())
+        return Graph, (self.labels, self._masks)
 
     @property
     def n(self) -> int:
@@ -103,31 +109,28 @@ def cycle(n: int) -> Graph:
     """The n-cycle on vertices 1..n."""
     if n < 3:
         raise InvalidParameterError(f"cycle requires n >= 3, got {n}")
-    labels = [str(i + 1) for i in range(n)]
-    return Graph(labels, [(i, (i + 1) % n) for i in range(n)])
+    return Graph([str(v + 1) for v in range(n)], [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"complete requires n >= 1, got {n}")
-    return Graph([str(i + 1) for i in range(n)], combinations(range(n), 2))
+    return Graph([str(v + 1) for v in range(n)], [(1 << n) - 1 ^ 1 << v for v in range(n)])
 
 
 def star(n: int) -> Graph:
     """Star with center "c" and n leaves labeled 1..n."""
     if n < 1:
         raise InvalidParameterError(f"star requires n >= 1, got {n}")
-    labels = ["c"] + [str(i) for i in range(1, n + 1)]
-    return Graph(labels, [(0, i) for i in range(1, n + 1)])
+    return Graph(["c"] + [str(i) for i in range(1, n + 1)], [(1 << n + 1) - 2] + [1] * n)
 
 
 def squared_cycle(n: int) -> Graph:
     """Cycle plus distance-2 chords; needs n >= 5 so the two edge orbits differ."""
     if n < 5:
         raise InvalidParameterError(f"squared cycle requires n >= 5, got {n}")
-    labels = [str(i + 1) for i in range(n)]
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 2) % n) for i in range(n)]
-    return Graph(labels, edges)
+    return Graph([str(v + 1) for v in range(n)],
+                 [sum(1 << (v + d) % n for d in (-2, -1, 1, 2)) for v in range(n)])
 
 
 def _two_level_labels(n: int) -> list[str]:
@@ -142,26 +145,20 @@ def prism(n: int) -> Graph:
     """Two copies of the complete graph on 1..n joined by rungs i+ i-."""
     if n < 2:
         raise InvalidParameterError(f"prism requires n >= 2, got {n}")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((2 * i, 2 * j))
-            edges.append((2 * i + 1, 2 * j + 1))
-        edges.append((2 * i, 2 * i + 1))
-    return Graph(_two_level_labels(n), edges)
+    # vertex 2i + s is i+ for s = 0 and i- for s = 1: side << s is the level
+    # of vertex v, less v itself, and v ^ 1 its rung
+    side = sum(1 << 2 * i for i in range(n))
+    return Graph(_two_level_labels(n), [side << v % 2 ^ 1 << v | 1 << (v ^ 1) for v in range(2 * n)])
 
 
 def circular_ladder(n: int) -> Graph:
     """Outer cycle on i+, inner cycle on i-, rungs i+ i-; 3-regular on 2n vertices."""
     if n < 3:
         raise InvalidParameterError(f"circular ladder requires n >= 3, got {n}")
-    edges = []
-    for i in range(n):
-        j = (i + 1) % n
-        edges.append((2 * i, 2 * j))
-        edges.append((2 * i + 1, 2 * j + 1))
-        edges.append((2 * i, 2 * i + 1))
-    return Graph(_two_level_labels(n), edges)
+    # vertex 2i + s is i+ for s = 0 and i- for s = 1: v + 2 and v - 2 are the
+    # neighbors of v on its own cycle, and v ^ 1 its rung
+    return Graph(_two_level_labels(n), [1 << (v + 2) % (2 * n) | 1 << (v - 2) % (2 * n) | 1 << (v ^ 1)
+                                        for v in range(2 * n)])
 
 
 def kneser(n: int, k: int) -> Graph:
@@ -169,7 +166,7 @@ def kneser(n: int, k: int) -> Graph:
     [n], so the vertices are all k-subsets and edges join disjoint ones."""
     if k < 1 or k > n:
         raise InvalidParameterError(f"kneser requires n >= k >= 1, got ({n}, {k})")
-    return induced_k_independent(Graph([str(i + 1) for i in range(n)], []), k)
+    return induced_k_independent(Graph([str(i + 1) for i in range(n)], [0] * n), k)
 
 
 def stable_kneser(n: int, k: int) -> Graph:
@@ -182,7 +179,7 @@ def stable_kneser(n: int, k: int) -> Graph:
     """
     if k < 1 or n < 1:
         raise InvalidParameterError(f"stable_kneser requires n, k >= 1, got ({n}, {k})")
-    ring = cycle(n) if n >= 3 else Graph([str(i + 1) for i in range(n)], [(0, 1)] if n == 2 else [])
+    ring = cycle(n) if n >= 3 else Graph([str(i + 1) for i in range(n)], [2, 1] if n == 2 else [0])
     return induced_k_independent(ring, k)
 
 
@@ -253,19 +250,11 @@ def induced_k_independent(g: Graph, k: int) -> Graph:
     """Graph on the independent k-sets of ``g``, joined when disjoint.
 
     Vertex labels are the set labels built from the base labels, e.g.
-    "{1+,2-}".  The graph may have zero vertices.  Its edges are read off
-    ``k_independent_masks``, which keeps the face budget guard, by walking
-    the set bits of each mask above its own index.
+    "{1+,2-}".  The graph may have zero vertices.  It is built from the
+    labels and masks of ``k_independent_masks``, which keeps the face
+    budget guard.
     """
-    labels, masks = k_independent_masks(g, k)
-    edges = []
-    for a, m in enumerate(masks):
-        m >>= a + 1
-        while m:
-            low = m & -m
-            m ^= low
-            edges.append((a, a + low.bit_length()))
-    return Graph(labels, edges)
+    return Graph(*k_independent_masks(g, k))
 
 
 def set_label(g: Graph, indices) -> str:

@@ -390,8 +390,12 @@ def corpus_graph(index: int, seed: int) -> gr.Graph:
     rng = random.Random(1_000_003 * seed + index)
     n = 5 + index % 5
     p = 0.3 if index % 2 == 0 else 0.5
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return gr.Graph([str(v + 1) for v in range(n)], edges)
+    masks = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < p:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return gr.Graph([str(v + 1) for v in range(n)], masks)
 
 
 def run_prop_4_10(count, seed):

@@ -16,16 +16,22 @@ operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
 counts build test inputs and expected values on top of ``complexes``; no
 code under test calls them.  Nor does it call the named complexes
 ``void_complex``, ``empty_complex``, ``full_simplex`` and
-``discrete_points``, which build their masks directly.
+``discrete_points``, which build their masks directly.  ``graph_of_edges``
+builds a ``Graph`` from an edge list, which the library itself never does,
+and the ``*_edges`` functions give the edge-list definitions of the graph
+families and of the draw of ``verify.corpus_graph``, which the graphs built
+from masks are checked against.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from itertools import combinations, permutations
 
 from cutnerve import complexes as cx
 from cutnerve.errors import InvalidFaceError, InvalidParameterError, VoidComplexError
+from cutnerve.graphs import Graph
 from cutnerve.homology import HomologyProfile, SparseIntMatrix, smith_normal_form
 
 
@@ -531,6 +537,65 @@ def orbit_closure(mask: int, perms) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # graph oracles
 # ---------------------------------------------------------------------------
+
+def graph_of_edges(labels, edges) -> Graph:
+    """The graph on ``labels`` with the index pairs ``edges``, each pair in
+    either order and repeats allowed."""
+    masks = [0] * len(labels)
+    for i, j in edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return Graph(labels, masks)
+
+
+def _numbered(n: int) -> list[str]:
+    return [str(i + 1) for i in range(n)]
+
+
+def _two_level(n: int) -> list[str]:
+    """i+ is vertex 2(i - 1) and i- vertex 2(i - 1) + 1."""
+    return [f"{i}{s}" for i in range(1, n + 1) for s in "+-"]
+
+
+def cycle_edges(n: int):
+    return _numbered(n), [(i, (i + 1) % n) for i in range(n)]
+
+
+def complete_edges(n: int):
+    return _numbered(n), list(combinations(range(n), 2))
+
+
+def star_edges(n: int):
+    """Centre "c" joined to the leaves 1..n."""
+    return ["c"] + _numbered(n), [(0, i) for i in range(1, n + 1)]
+
+
+def squared_cycle_edges(n: int):
+    """The n-cycle plus the chords between vertices two apart."""
+    return _numbered(n), [(i, (i + d) % n) for d in (1, 2) for i in range(n)]
+
+
+def prism_edges(n: int):
+    """K_n on the i+, K_n on the i-, and the rungs i+ i-."""
+    levels = [(2 * i + s, 2 * j + s) for i, j in combinations(range(n), 2) for s in (0, 1)]
+    return _two_level(n), levels + [(2 * i, 2 * i + 1) for i in range(n)]
+
+
+def circular_ladder_edges(n: int):
+    """The n-cycle on the i+, the n-cycle on the i-, and the rungs i+ i-."""
+    cycles = [(2 * i + s, 2 * ((i + 1) % n) + s) for i in range(n) for s in (0, 1)]
+    return _two_level(n), cycles + [(2 * i, 2 * i + 1) for i in range(n)]
+
+
+def corpus_edges(index: int, seed: int):
+    """The draw of ``verify.corpus_graph``: on n = 5 + index % 5 vertices,
+    each pair in lexicographic order is an edge when its one random draw
+    falls below p = 0.3 (even index) or 0.5 (odd index)."""
+    rng = random.Random(1_000_003 * seed + index)
+    n = 5 + index % 5
+    p = 0.3 if index % 2 == 0 else 0.5
+    return _numbered(n), [e for e in combinations(range(n), 2) if rng.random() < p]
+
 
 def filter_independent_sets(n: int, edges, k: int) -> list[tuple[int, ...]]:
     """Independent k-sets by filtering all C(n, k) subsets."""

@@ -24,6 +24,7 @@ from oracles import (
     empty_complex,
     euler_characteristic_reduced,
     full_simplex,
+    graph_of_edges,
     has_vertices,
     void_complex,
 )
@@ -38,7 +39,7 @@ def small_graph_corpus():
                 (a, b) for a in range(n) for b in range(a + 1, n)
                 if rng.random() * 100 < p
             ]
-            graphs.append(gr.Graph([str(i) for i in range(n)], edges))
+            graphs.append(graph_of_edges([str(i) for i in range(n)], edges))
     return graphs
 
 
@@ -75,12 +76,12 @@ def test_neighborhood_of_kneser52():
 
 
 def test_neighborhood_edge_cases():
-    edgeless = gr.Graph(["a", "b"], [])
+    edgeless = graph_of_edges(["a", "b"], [])
     nc = cons.neighborhood_complex(edgeless)
     assert nc == empty_complex(edgeless.labels)
-    assert cons.neighborhood_complex(gr.Graph([], [])).void
+    assert cons.neighborhood_complex(graph_of_edges([], [])).void
     # isolated vertices stay out of every face
-    g = gr.Graph(["a", "b", "c"], [(0, 1)])
+    g = graph_of_edges(["a", "b", "c"], [(0, 1)])
     nc = cons.neighborhood_complex(g)
     assert nc.facets == ((0,), (1,))
 
@@ -247,11 +248,11 @@ def test_cover_intersection_has_vertices_exactly_on_nerve_faces():
     # on the octahedron K_{2,2,2}, the path P3 (one isolated independent
     # pair), the star K_{1,3} (three) and the thm-3-1 cycle covers up to
     # n = 8, on every index set
-    octahedron = gr.Graph([str(i + 1) for i in range(6)], [
+    octahedron = graph_of_edges([str(i + 1) for i in range(6)], [
         (a, b) for a in range(6) for b in range(a + 1, 6)
         if {a, b} not in ({0, 5}, {1, 4}, {2, 3})
     ])
-    path = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
+    path = graph_of_edges(["1", "2", "3"], [(0, 1), (1, 2)])
     covers = [cons.independent_cover(g, 2) for g in (octahedron, path, gr.star(3))]
     covers += [cons.independent_cover(gr.cycle(n), k) for k in (2, 3) for n in range(2 * k, 9)]
     for cover in covers:
@@ -360,7 +361,7 @@ def test_nerve_law_on_corpus():
     # exactly when I_k(G) has no isolated vertex
     # (acceptance criterion 10 runs the same law on the 60 corpus graphs)
     equal = differ = 0
-    for g in small_graph_corpus() + [gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)]), gr.star(3)]:
+    for g in small_graph_corpus() + [graph_of_edges(["1", "2", "3"], [(0, 1), (1, 2)]), gr.star(3)]:
         for k in (2, 3):
             sets = [frozenset(s) for s in gr.independent_sets(g, k)]
             if not sets:
@@ -382,7 +383,7 @@ def test_octahedron_parts_meet_pairwise_but_not_as_a_triple():
     # classes are pairwise disjoint, so each pairwise intersection is one
     # point of a face; no class avoids all three, so the triple is no face
     # of the nerve, as of the total cut complex
-    g = gr.Graph([str(i + 1) for i in range(6)], [
+    g = graph_of_edges([str(i + 1) for i in range(6)], [
         (a, b) for a in range(6) for b in range(a + 1, 6)
         if {a, b} not in ({0, 5}, {1, 4}, {2, 3})
     ])
@@ -422,7 +423,7 @@ def test_isolated_independent_set_breaks_nerve_equality():
     # path on three vertices: the single independent pair has no disjoint
     # partner, so it lies in no face and no index set meets; the nerve is
     # the empty complex, while the total cut complex has the facet {2}
-    g = gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)])
+    g = graph_of_edges(["1", "2", "3"], [(0, 1), (1, 2)])
     cover = cons.independent_cover(g, 2)
     assert cover.base == empty_complex(["{1,3}"])
     assert cover.nerve() == empty_complex(g.labels)
@@ -432,7 +433,7 @@ def test_isolated_independent_set_breaks_nerve_equality():
 def test_isolated_independent_sets_are_the_base_vertices_in_no_face():
     # prop-4-10 reads the isolated vertices of I_k(G) off the base
     flagged = 0
-    for g in small_graph_corpus() + [gr.Graph(["1", "2", "3"], [(0, 1), (1, 2)]), gr.star(3)]:
+    for g in small_graph_corpus() + [graph_of_edges(["1", "2", "3"], [(0, 1), (1, 2)]), gr.star(3)]:
         for k in (2, 3):
             sets = [frozenset(s) for s in gr.independent_sets(g, k)]
             if not sets:

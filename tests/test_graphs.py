@@ -1,6 +1,8 @@
 """Graph families, independent-set enumeration, and isomorphism witnesses."""
 
+import copy
 import json
+import pickle
 import random
 import tracemalloc
 from itertools import combinations, permutations
@@ -12,13 +14,21 @@ from cutnerve.errors import InvalidParameterError, ResourceLimitError
 from cutnerve.verify import corpus_graph
 
 from oracles import (
+    circular_ladder_edges,
+    complete_edges,
+    corpus_edges,
+    cycle_edges,
     exists_permutation_isomorphism,
     filter_independent_sets,
+    graph_of_edges,
     is_two_stable,
     kneser_reference,
     ladder_rule_witness,
     pair_scan_k_independent,
+    prism_edges,
     recursive_independent_sets,
+    squared_cycle_edges,
+    star_edges,
 )
 
 
@@ -32,11 +42,36 @@ def small_corpus():
     ]
     for n in (5, 6, 7):
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
-        graphs.append(gr.Graph([str(i) for i in range(n)], edges))
+        graphs.append(graph_of_edges([str(i) for i in range(n)], edges))
     return graphs
 
 
 # -- constructors -----------------------------------------------------------
+
+def test_graph_refuses_bad_masks_and_rebuilds_from_its_masks():
+    refused = [
+        ("aa", [0, 0], "unique"),
+        ("abc", [0b10, 0b01], "one neighbor mask per vertex"),
+        ("ab", [0b10, 0b01, 0], "one neighbor mask per vertex"),
+        ("ab", [0b10, True], "one neighbor mask per vertex"),
+        ("ab", [0b10, 1.0], "one neighbor mask per vertex"),
+        ("ab", [0b10, "1"], "one neighbor mask per vertex"),
+        ("ab", [0b10, -4], "one neighbor mask per vertex"),
+        ("ab", [0b110, 0b01], "one neighbor mask per vertex"),
+        ("a", [0b1], "one neighbor mask per vertex"),
+        ("ab", [0b11, 0b01], "one neighbor mask per vertex"),
+        ("abc", [0b010, 0, 0], "symmetric"),
+        ("abc", [0b110, 0b001, 0], "symmetric"),
+    ]
+    for labels, masks, message in refused:
+        with pytest.raises(InvalidParameterError, match=message):
+            gr.Graph(labels, masks)
+    assert gr.Graph("", []).n == 0 and gr.Graph("ab", [2, 1]).edges() == [(0, 1)]
+    for g in small_corpus():
+        assert g.__reduce__() == (gr.Graph, (g.labels, g.adjacency_masks()))
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and twin.adjacency_masks() == g.adjacency_masks()
+
 
 def test_cycle_triangle():
     g = gr.cycle(3)
@@ -137,13 +172,13 @@ def test_stable_kneser_matches_oracle():
     # the 2-stable subsets, including the degenerate rings at n = 1, 2
     for n in range(1, 11):
         for k in range(1, 5):
-            assert gr.stable_kneser(n, k) == gr.Graph(*kneser_reference(n, k, stable=True)), (n, k)
+            assert gr.stable_kneser(n, k) == graph_of_edges(*kneser_reference(n, k, stable=True)), (n, k)
 
 
 def test_kneser_matches_oracle():
     for n in range(1, 11):
         for k in range(1, min(n, 4) + 1):
-            assert gr.kneser(n, k) == gr.Graph(*kneser_reference(n, k, stable=False)), (n, k)
+            assert gr.kneser(n, k) == graph_of_edges(*kneser_reference(n, k, stable=False)), (n, k)
 
 
 def test_induced_matches_stable_kneser_on_cycles():
@@ -152,7 +187,7 @@ def test_induced_matches_stable_kneser_on_cycles():
     for n in range(3, 11):
         for k in range(1, n // 2 + 1):
             h = gr.induced_k_independent(gr.cycle(n), k)
-            assert h == gr.Graph(*kneser_reference(n, k, stable=True)), (n, k)
+            assert h == graph_of_edges(*kneser_reference(n, k, stable=True)), (n, k)
             assert h == gr.stable_kneser(n, k), (n, k)
 
 
@@ -192,6 +227,19 @@ def test_constructors_symmetric_irreflexive():
             assert not masks[i] >> i & 1
             for j in range(g.n):
                 assert masks[i] >> j & 1 == masks[j] >> i & 1
+    # each family, written as masks, is the graph of its edge-list definition
+    for family, reference, sizes in (
+        (gr.cycle, cycle_edges, range(3, 14)),
+        (gr.complete, complete_edges, range(1, 10)),
+        (gr.star, star_edges, range(1, 10)),
+        (gr.squared_cycle, squared_cycle_edges, range(5, 14)),
+        (gr.prism, prism_edges, range(2, 10)),
+        (gr.circular_ladder, circular_ladder_edges, range(3, 10)),
+    ):
+        for n in sizes:
+            assert family(n) == graph_of_edges(*reference(n)), (family.__name__, n)
+    for i in range(200):
+        assert corpus_graph(i, 2026) == graph_of_edges(*corpus_edges(i, 2026)), i
 
 
 # -- independent sets -------------------------------------------------------
@@ -205,7 +253,7 @@ def test_mask_storage_against_edge_sets():
         pairs = list(combinations(range(n), 2))
         edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
         edges += [(j, i) for i, j in edges if rng.random() < 0.3]
-        g = gr.Graph([str(i) for i in range(n)], edges)
+        g = graph_of_edges([str(i) for i in range(n)], edges)
         nbrs = [set() for _ in range(n)]
         for i, j in edges:
             nbrs[i].add(j)
@@ -217,13 +265,13 @@ def test_mask_storage_against_edge_sets():
             assert g.degree(i) == len(nbrs[i])
         for i in range(-1, n + 2):
             assert all(g.has_edge(i, j) == (0 <= i < n and j in nbrs[i]) for j in range(-1, n + 2))
-        assert g == gr.Graph(g.labels, g.edges()) and hash(g) == hash(gr.Graph(g.labels, g.edges()))
+        assert g == graph_of_edges(g.labels, g.edges()) and hash(g) == hash(graph_of_edges(g.labels, g.edges()))
 
 
 def test_has_edge_is_false_outside_the_vertex_range():
     # the path a-b-c plus the edge c-a: index -1 must not read vertex 2,
     # and index 3 must not raise
-    g = gr.Graph("abc", [(0, 1), (1, 2), (2, 0)])
+    g = graph_of_edges("abc", [(0, 1), (1, 2), (2, 0)])
     assert [g.has_edge(i, j) for i, j in ((-1, 0), (3, 0), (0, 3), (0, -1), (2, 0))] == [
         False, False, False, False, True]
 
@@ -288,9 +336,9 @@ def test_independent_sets_budget_counts_the_sets(monkeypatch):
         count = len(recursive_independent_sets(g.adjacency_masks(), k))
         monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(count - 1))
         with pytest.raises(ResourceLimitError, match="independent set count"):
-            gr.independent_sets(gr.Graph(g.labels, g.edges()), k)
+            gr.independent_sets(graph_of_edges(g.labels, g.edges()), k)
         monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(count))
-        assert len(gr.independent_sets(gr.Graph(g.labels, g.edges()), k)) == count
+        assert len(gr.independent_sets(graph_of_edges(g.labels, g.edges()), k)) == count
 
 
 def test_independent_sets_budget_ignores_prefixes(monkeypatch):
@@ -299,13 +347,13 @@ def test_independent_sets_budget_ignores_prefixes(monkeypatch):
     parts = [range(0, 3), range(3, 6), range(6, 9)]
     edges = [(a, b) for p, q in combinations(parts, 2) for a in p for b in q]
     labels = [str(i) for i in range(9)]
-    assert len(recursive_independent_sets(gr.Graph(labels, edges).adjacency_masks(), 2)) == 9
+    assert len(recursive_independent_sets(graph_of_edges(labels, edges).adjacency_masks(), 2)) == 9
     for budget in range(3, 9):
         monkeypatch.setenv("CUTNERVE_FACE_BUDGET", str(budget))
-        assert gr.independent_sets(gr.Graph(labels, edges), 3) == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        assert gr.independent_sets(graph_of_edges(labels, edges), 3) == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "2")
     with pytest.raises(ResourceLimitError, match="independent set count"):
-        gr.independent_sets(gr.Graph(labels, edges), 3)
+        gr.independent_sets(graph_of_edges(labels, edges), 3)
 
 
 
@@ -315,7 +363,7 @@ def test_independent_sets_budget_stops_the_listing_early(monkeypatch):
     # budget + n pairs are listed, so the peak allocation stays far below
     # the ~36 MB that listing every pair takes
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "100")
-    for g in (gr.cycle(1000), gr.Graph([str(i) for i in range(1000)], [])):
+    for g in (gr.cycle(1000), graph_of_edges([str(i) for i in range(1000)], [])):
         g.adjacency_masks()
         tracemalloc.start()
         try:
@@ -332,7 +380,7 @@ def test_induced_matches_the_pair_scan_oracle():
     for g in oracle_corpus():
         for k in (2, 3):
             h = gr.induced_k_independent(g, k)
-            assert h == gr.Graph(*pair_scan_k_independent(g.labels, g.adjacency_masks(), k)), (g, k)
+            assert h == graph_of_edges(*pair_scan_k_independent(g.labels, g.adjacency_masks(), k)), (g, k)
             assert gr.k_independent_masks(g, k) == (list(h.labels), list(h.adjacency_masks()))
 
 
@@ -364,12 +412,12 @@ def test_isomorphism_against_permutation_oracle():
     for trial in range(14):
         n = rng.randint(3, 8) if trial < 4 else rng.randint(3, 6)
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
-        g = gr.Graph([str(i) for i in range(n)], edges)
+        g = graph_of_edges([str(i) for i in range(n)], edges)
         # relabeled copy
         perm = list(range(n))
         rng.shuffle(perm)
         h_edges = [(perm[a], perm[b]) for a, b in edges]
-        h = gr.Graph([str(i) for i in range(n)], h_edges)
+        h = graph_of_edges([str(i) for i in range(n)], h_edges)
         assert gr.isomorphism_witness_valid(g, h, dict(enumerate(perm)))
         # a perturbed graph: drop or add one edge, then compare to the oracle
         other_edges = list(h_edges)
@@ -382,7 +430,7 @@ def test_isomorphism_against_permutation_oracle():
             ]
             if candidates:
                 other_edges.append(rng.choice(candidates))
-        other = gr.Graph([str(i) for i in range(n)], other_edges)
+        other = graph_of_edges([str(i) for i in range(n)], other_edges)
         if n > 6:
             continue
         # the checker, tried on every bijection, agrees with the oracle on
@@ -403,12 +451,12 @@ def test_isomorphism_against_permutation_oracle():
 def test_graph_json_roundtrip():
     for g in small_corpus():
         doc = json.loads(g.to_json())
-        h = gr.Graph(doc["vertices"], doc["edges"])
+        h = graph_of_edges(doc["vertices"], doc["edges"])
         # the JSON lists vertices in label order, so h may order them
         # differently from g; a second round trip must be exact
         assert g.to_json() == h.to_json()
         doc = json.loads(h.to_json())
-        assert gr.Graph(doc["vertices"], doc["edges"]) == h
+        assert graph_of_edges(doc["vertices"], doc["edges"]) == h
 
 
 def test_graph_json_deterministic_order():
