@@ -158,6 +158,8 @@ def _cmd_morse(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
+    if args.replay and args.out:
+        raise InvalidParameterError("--out applies only without --replay")
     cx = _load_complex(args.file)
     if args.replay:
         witness = _parse_file(

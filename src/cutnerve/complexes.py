@@ -9,8 +9,7 @@ face budget (env var CUTNERVE_FACE_BUDGET, default 2_000_000).
 
 Two degenerate complexes are distinguished: the void complex has no faces at
 all, while the empty complex contains exactly the empty face.  Two complexes
-are equal when they have the same label tuple and the same facet masks;
-``facet_label_family`` compares complexes over different grounds.
+are equal when they have the same label tuple and the same facet masks.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .errors import (
     check_json_ground,
     json_object,
 )
+from .values import Value
 
 DEFAULT_FACE_BUDGET = 2_000_000
 
@@ -109,11 +109,15 @@ def closure_masks(masks) -> dict[int, int]:
     submask, mapped to its link: the OR of the members of ``masks`` that
     hold it, less the face itself.  The empty face is in it unless
     ``masks`` is empty.  More faces than the face budget raise
-    ResourceLimitError."""
+    ResourceLimitError, checked after each member's submasks are listed
+    and, before that, against the member's own 2^|f| faces, so the dict
+    never holds more than twice the budget."""
     limit = face_budget()
     links: dict[int, int] = {}
     get = links.get
     for f in masks:
+        if 1 << f.bit_count() > limit:
+            raise ResourceLimitError("total face count", limit)
         s = f
         while True:
             links[s] = get(s, 0) | f ^ s
@@ -125,7 +129,7 @@ def closure_masks(masks) -> dict[int, int]:
     return links
 
 
-class SimplicialComplex:
+class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homology")):
     """Immutable simplicial complex over a labeled ground set, generated by
     the faces ``masks`` (vertex bitmasks): [] is the void complex and [0]
     the empty complex.  The stored form is the sorted facet antichain of
@@ -141,16 +145,7 @@ class SimplicialComplex:
         masks = mask_antichain(masks)
         if masks and (masks[0] < 0 or masks[-1] >> len(labels)):
             raise InvalidFaceError(f"a face mask references a vertex outside 0..{len(labels) - 1}")
-        for name, value in zip(self.__slots__, (labels, masks, None, None, None, None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
-
-    def __reduce__(self):
-        # the default restore assigns each slot, which ``__setattr__``
-        # refuses; the caches are rebuilt on demand
-        return SimplicialComplex, (self.labels, self._masks)
+        super().__init__(labels, masks)
 
     # -- basic queries ------------------------------------------------------
 
@@ -227,20 +222,7 @@ class SimplicialComplex:
         counts = Counter(map(int.bit_count, closure_masks(self._masks)))
         return tuple(counts[size] for size in range(max(counts, default=-1) + 1))
 
-    # -- equality and serialization ------------------------------------------
-
-    def facet_label_family(self) -> frozenset:
-        return frozenset(frozenset(self.labels[v] for v in f) for f in self.facets)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.labels == other.labels
-            and self._masks == other._masks
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self._masks))
+    # -- serialization ------------------------------------------------------
 
     def __repr__(self):
         if self.void:

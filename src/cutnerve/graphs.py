@@ -18,16 +18,16 @@ from operator import or_
 
 from .complexes import face_budget, permute_mask
 from .errors import InvalidParameterError, ResourceLimitError
+from .values import Value
 
 
-class Graph:
+class Graph(Value, caches=("_sets",)):
     """Immutable undirected graph with labeled vertices, built from its
     stored form: one neighbor bitmask per vertex.  Duplicate labels, a mask
     count other than n, and a mask that is no int (a bool included), is
     negative, reaches a bit at or above n, holds its own vertex or names a
     neighbor whose mask does not name it back raise InvalidParameterError.
-    ``copy``, ``deepcopy`` and ``pickle`` rebuild a graph from its labels
-    and masks.
+    ``_sets`` caches ``independent_sets`` by k.
     """
 
     __slots__ = ("labels", "_masks", "_sets")
@@ -47,16 +47,7 @@ class Graph:
                 m ^= 1 << j
                 if not masks[j] >> v & 1:
                     raise InvalidParameterError("neighbor masks must be symmetric")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_sets", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # the default restore assigns each slot, which ``__setattr__`` refuses
-        return Graph, (self.labels, self._masks)
+        super().__init__(labels, masks, {})
 
     @property
     def n(self) -> int:
@@ -78,16 +69,6 @@ class Graph:
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks: the stored form."""
         return self._masks
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.labels == other.labels
-            and self._masks == other._masks
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self._masks))
 
     def __repr__(self):
         return f"Graph({self.n} vertices, {self.edge_count()} edges)"

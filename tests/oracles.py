@@ -13,8 +13,9 @@ and the holder-mask adjacency of I_k(G) replaced.  ``FullCover`` builds
 the full-subcomplex cover of N(I_k(G)) from the k-subsets, on frozensets,
 and its intersections by brute-force closure.  The complex
 operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
-counts build test inputs and expected values on top of ``complexes``; no
-code under test calls them.  Nor does it call the named complexes
+counts, and ``facet_label_family``, which compares complexes by their
+facets' labels, build test inputs and expected values on top of
+``complexes``; no code under test calls them.  Nor does it call the named complexes
 ``void_complex``, ``empty_complex``, ``full_simplex`` and
 ``discrete_points``, which build their masks directly.  ``graph_of_edges``
 builds a ``Graph`` from an edge list, which the library itself never does,
@@ -218,6 +219,12 @@ def discrete_points(labels):
     """One vertex per label; the empty complex on no labels."""
     labels = tuple(labels)
     return cx.SimplicialComplex(labels, [0] + [1 << v for v in range(len(labels))])
+
+
+def facet_label_family(c) -> frozenset:
+    """The facets as label sets, so complexes over different grounds or
+    label orders compare."""
+    return frozenset(frozenset(c.labels[v] for v in f) for f in c.facets)
 
 
 def has_vertices(c) -> bool:

@@ -30,6 +30,7 @@ from oracles import (
     discrete_points,
     euler_characteristic_reduced,
     face_count,
+    facet_label_family,
     free_ranks,
     full_simplex,
     has_vertices,
@@ -189,11 +190,11 @@ def test_criterion_06_ladder_total_cut():
         b_labels = [f"{i}-" if i % 2 else f"{i}+" for i in range(1, n + 1)]
         x = cx.join(full_simplex(a_labels), discrete_points(b_labels))
         y = cx.join(full_simplex(b_labels), discrete_points(a_labels))
-        fx, fy = x.facet_label_family(), y.facet_label_family()
-        assert fx | fy == tc.facet_label_family(), n
+        fx, fy = facet_label_family(x), facet_label_family(y)
+        assert fx | fy == facet_label_family(tc), n
         assert hom.reduced_homology(x) == hom.reduced_homology(y) == hom.HomologyProfile(), n
         skel = cx.join(discrete_points(a_labels), discrete_points(b_labels))
-        assert {p & q for p in fx for q in fy} == skel.facet_label_family(), n
+        assert {p & q for p in fx for q in fy} == facet_label_family(skel), n
         assert hom.reduced_homology(skel) == hom.HomologyProfile.wedge(1, (n - 1) ** 2), n
         assert verify.run_scenario("thm-4-4", {"n": n}).verdict == "pass", n
     _report(6, True, f"ladder total cut wedges and certificates ({time.perf_counter() - t0:.1f}s)")

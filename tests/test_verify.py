@@ -2,9 +2,11 @@
 
 import copy
 import hashlib
+import importlib
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from itertools import combinations
@@ -12,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
+import cutnerve
 from cutnerve import cli, constructions, graphs, homology, morse, verify
 from cutnerve.cli import main
 from cutnerve.complexes import SimplicialComplex, face_mask, permute_mask, simplex_boundary
 from cutnerve.errors import GuardError, InvalidParameterError
+from cutnerve.values import Value
 
 from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices, orbit_closure
 
@@ -283,14 +287,18 @@ def test_digests_match_hashlib():
 
 
 def test_value_classes_compare_by_class_and_fields():
-    # HomologyProfile and CollapseWitness get the same four field values:
-    # objects of different classes never compare equal, nor with a tuple;
-    # copies and pickles equal the original
+    # HomologyProfile and CollapseWitness get the same four field values,
+    # and Graph and SimplicialComplex the same two (one isolated vertex, and
+    # the empty complex on it): objects of different classes never compare
+    # equal, nor with a tuple; every slot, caches included, refuses
+    # assignment; copies and pickles equal the original
     base = SimplicialComplex("abc", [0b011, 0b110])
     fields = {
         homology.HomologyProfile: ((0, 2), ((1, (2,)),), 0, False),
         morse.CollapseWitness: ((0, 2), ((1, (2,)),), 0, False),
         constructions.Cover: (base, ("x", "y"), (0b01, 0b11, 0b10)),
+        graphs.Graph: (("a",), (0,)),
+        SimplicialComplex: (("a",), (0,)),
     }
     made = [cls(*args) for cls, args in fields.items()]
     for cls, args in fields.items():
@@ -305,6 +313,16 @@ def test_value_classes_compare_by_class_and_fields():
     assert homology.HomologyProfile((0, 2)) != homology.HomologyProfile((0, 3))
     cover = constructions.Cover(base, ("x", "y"), (0b01, 0b11, 0b10))
     assert cover != constructions.Cover(base, ("y", "x"), (0b01, 0b11, 0b10))
+
+
+def test_value_alone_defines_equality_hashing_pickling_and_assignment():
+    # every other class of the package takes them from Value, or has none
+    own = {"__eq__", "__hash__", "__reduce__", "__setattr__"}
+    for info in pkgutil.iter_modules(cutnerve.__path__):
+        module = importlib.import_module(f"cutnerve.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and cls is not Value:
+                assert not own & vars(cls).keys(), cls
 
 
 def test_report_checks_serialize_their_four_fields():
@@ -1041,6 +1059,20 @@ def test_cli_replay_accepts_witness_without_dominations(tmp_path, capsys):
         "terminal": [labels(f) for f in terminal],
     }))
     capsys.readouterr()
+    assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
+
+
+def test_cli_replay_refuses_out(tmp_path, capsys):
+    # a replay writes nothing, so --out beside --replay is refused, and no
+    # file is made
+    cpath = tmp_path / "star.json"
+    main(["build", "total-cut", "star", "--n", "5", "--k", "2", "--out", str(cpath)])
+    wpath, out = tmp_path / "w.json", tmp_path / "out.json"
+    main(["collapse", str(cpath), "--out", str(wpath)])
+    capsys.readouterr()
+    assert _cli_error(capsys, ["collapse", str(cpath), "--replay", str(wpath), "--out", str(out)]) == 2
+    assert not out.exists()
     assert main(["collapse", str(cpath), "--replay", str(wpath)]) == 0
     assert json.loads(capsys.readouterr().out) == {"replay": "valid"}
 
