@@ -21,8 +21,7 @@ from . import constructions as cons
 from . import graphs as gr
 from . import morse
 from .complexes import SimplicialComplex
-from .errors import (GuardError, InvalidMatchingError, InvalidParameterError,
-                     ResourceLimitError, VoidComplexError)
+from .errors import GuardError, InvalidParameterError, ResourceLimitError, VoidComplexError
 from .homology import reduced_homology
 from .verify import SIZE_CLASSES, SCENARIOS, run_all, run_scenario, summary_table
 
@@ -148,10 +147,8 @@ def _cmd_morse(args) -> int:
     cx = _load_complex(args.file)
     vertices = [v.strip() for v in args.vertices.split(",") if v.strip()]
     pairs = morse.element_matching_sequence(cx, vertices)
-    try:
-        critical = [list(cx.labels_of_face(f)) for f in morse.critical_cells(cx, pairs)]
-    except InvalidMatchingError:
-        critical = None
+    critical = morse.critical_cells(cx, pairs)
+    critical = None if critical is None else [list(cx.labels_of_face(f)) for f in critical]
     doc = {"pairs": len(pairs), "acyclic": critical is not None, "critical": critical}
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     return 0

@@ -12,10 +12,6 @@ class InvalidFaceError(ValueError):
     """A face refers to unknown vertices or is not a face of the complex."""
 
 
-class InvalidMatchingError(ValueError):
-    """A matching violates the partial-matching or acyclicity requirements."""
-
-
 class VoidComplexError(ValueError):
     """The operation is undefined on the void complex."""
 

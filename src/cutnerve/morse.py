@@ -6,10 +6,11 @@ every vertex, so a perfect matching on a full simplex pairs the empty face
 with the apex and no artificial critical 0-cell survives.  Reported
 critical cells and collapse steps exclude the empty face; collapses stop at
 a single vertex.  Element matchings come from the recursion in
-``homology``; ``is_acyclic`` and ``critical_cells`` check a list of pairs
-against the facets and the closure, sharing no code with it.  The collapse
-search and ``apply_collapses``, its replay, each delete a dominated vertex
-with ``link_deletion`` and read the faces with their links from
+``homology``; ``critical_cells``, the one matching check, tests a list of
+pairs against the closure, sharing no code with it, and answers None for
+pairs that are not an acyclic matching.  The collapse search and
+``apply_collapses``, its replay, each delete a dominated vertex with
+``link_deletion`` and read the faces with their links from
 ``closure_masks``: a face is free when its link is one vertex v, and its one
 coface is the face plus v.
 """
@@ -22,7 +23,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .complexes import SimplicialComplex, closure_masks, link_deletion, mask_face
-from .errors import InvalidMatchingError, InvalidParameterError, VoidComplexError, json_array, json_object
+from .errors import InvalidParameterError, VoidComplexError, json_array, json_object
 from .homology import ElementMatching
 from .values import Value
 
@@ -35,68 +36,46 @@ def element_matching_sequence(cx: SimplicialComplex, vertices) -> list[tuple[int
     return ElementMatching(cx.facet_masks(), order).pairs()
 
 
-def is_acyclic(cx: SimplicialComplex, pairs):
-    """Check that ``pairs`` is an acyclic matching on the face poset of the
-    complex.  Each pair must be a covering pair (sigma, sigma + v) of faces
-    of the complex, and no face may lie in two pairs; InvalidMatchingError
-    otherwise.
+def critical_cells(cx: SimplicialComplex, pairs) -> list[int] | None:
+    """The unmatched nonempty faces of the closure, sorted by (dimension,
+    vertex tuple), when ``pairs`` is an acyclic matching on its face poset;
+    None otherwise.  Each pair must be a covering pair (sigma, sigma + v) of
+    faces of the closure, and no face may lie in two pairs.  The closure is
+    built before any pair is judged, so past the face budget this raises
+    ResourceLimitError whatever the pairs.
 
     V-paths live inside one dimension layer: from an up-matched face sigma
     step to any other facet of its matched coface that is up-matched too.
-    Returns (True, None) or (False, cycle) where the cycle alternates lower
-    and upper faces."""
-    up: dict[int, int] = {}
-    matched: set[int] = set()
-    for s, t in pairs:
-        if s & t != s or (s ^ t).bit_count() != 1:
-            raise InvalidMatchingError(f"({mask_face(s)}, {mask_face(t)}) is not a covering pair")
-        if t not in map(t.__and__, cx.facet_masks()):
-            raise InvalidMatchingError(f"pair ({mask_face(s)}, {mask_face(t)}) uses faces outside the complex")
-        for f in (s, t):
-            if f in matched:
-                raise InvalidMatchingError(f"face {mask_face(f)} appears in two pairs")
-            matched.add(f)
-        up[s] = t
-
-    def neighbors(s):
-        tau = rest = up[s]
-        out = []
+    Peeling the up-matched faces that no step enters, as in Kahn's
+    topological sort, leaves a face exactly when a V-path cycle exists."""
+    faces = closure_masks(cx.facet_masks()).keys()
+    up = dict(pairs)
+    matched = set().union(*pairs)
+    if len(matched) != 2 * len(pairs) or not all(
+            t in faces and s & t == s and (s ^ t).bit_count() == 1 for s, t in up.items()):
+        return None
+    # the other facets of t = s + v are t less a vertex of s
+    steps: dict[int, list[int]] = {}
+    entered = dict.fromkeys(up, 0)
+    for s, t in up.items():
+        out = steps[s] = []
+        rest = s
         while rest:
             low = rest & -rest
             rest ^= low
-            if tau ^ low != s and tau ^ low in up:
-                out.append(tau ^ low)
-        return out
-
-    # depth-first search; a face is on ``path`` (True) or done (False)
-    on_path: dict[int, bool] = {}
-    for start in up:
-        if start in on_path:
-            continue
-        on_path[start] = True
-        path, its = [start], [iter(neighbors(start))]
-        while path:
-            nxt = next(its[-1], None)
-            if nxt is None:
-                on_path[path.pop()] = False
-                its.pop()
-            elif on_path.get(nxt):
-                # a back edge closes the loop from nxt along the path
-                return False, [f for s in path[path.index(nxt):] for f in (s, up[s])]
-            elif nxt not in on_path:
-                on_path[nxt] = True
-                path.append(nxt)
-                its.append(iter(neighbors(nxt)))
-    return True, None
-
-
-def critical_cells(cx: SimplicialComplex, pairs) -> list[int]:
-    """Unmatched nonempty faces, sorted by (dimension, vertex tuple)."""
-    ok, witness = is_acyclic(cx, pairs)
-    if not ok:
-        raise InvalidMatchingError(f"matching contains a directed cycle: {list(map(mask_face, witness))}")
-    cells = closure_masks(cx.facet_masks()).keys() - {0}.union(*pairs)
-    return sorted(cells, key=lambda f: (f.bit_count(), mask_face(f)))
+            if t ^ low in up:
+                out.append(t ^ low)
+                entered[t ^ low] += 1
+    # the list grows while it is walked: each face joins once no step enters it
+    free = [s for s, k in entered.items() if not k]
+    for s in free:
+        for f in steps[s]:
+            entered[f] -= 1
+            if not entered[f]:
+                free.append(f)
+    if len(free) < len(up):
+        return None
+    return sorted(faces - matched - {0}, key=lambda f: (f.bit_count(), mask_face(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ and none of the Morse reduction.  ``tuple_strong_collapse`` is likewise the
 tuple-and-set strong collapse that the bitmask one replaced, and
 ``recursive_independent_sets`` and ``pair_scan_k_independent`` the
 recursive enumeration and the O(N^2) pair scan that the flat enumeration
-and the holder-mask adjacency of I_k(G) replaced.  ``FullCover`` builds
+and the holder-mask adjacency of I_k(G) replaced, and ``v_path_cycle`` the
+depth-first V-path search that the peel in ``morse.critical_cells``
+replaced.  ``FullCover`` builds
 the full-subcomplex cover of N(I_k(G)) from the k-subsets, on frozensets,
 and its intersections by brute-force closure.  The complex
 operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
@@ -485,6 +487,61 @@ def closure_element_matching(c, vertices, pairs=()) -> tuple:
                 pairs.append((sigma, tau))
                 taken.update((sigma, tau))
     return tuple(sorted(pairs, key=lambda p: (len(p[0]), p[0])))
+
+
+def v_path_cycle(c, pairs):
+    """The depth-first V-path search that ``morse.critical_cells``'s peel
+    replaced.  Each pair must be a covering pair (sigma, sigma + v) of faces
+    of the complex ``c``, tested against its facets, and no face may lie in
+    two pairs; ValueError otherwise.
+
+    V-paths live inside one dimension layer: from an up-matched face sigma
+    step to any other facet of its matched coface that is up-matched too.
+    Returns None when no V-path closes a cycle, else one cycle, whose faces
+    alternate lower and upper faces of the pairs."""
+    up: dict[int, int] = {}
+    matched: set[int] = set()
+    for s, t in pairs:
+        if s & t != s or (s ^ t).bit_count() != 1:
+            raise ValueError(f"({cx.mask_face(s)}, {cx.mask_face(t)}) is not a covering pair")
+        if t not in map(t.__and__, c.facet_masks()):
+            raise ValueError(f"pair ({cx.mask_face(s)}, {cx.mask_face(t)}) uses faces outside the complex")
+        for f in (s, t):
+            if f in matched:
+                raise ValueError(f"face {cx.mask_face(f)} appears in two pairs")
+            matched.add(f)
+        up[s] = t
+
+    def neighbors(s):
+        tau = rest = up[s]
+        out = []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if tau ^ low != s and tau ^ low in up:
+                out.append(tau ^ low)
+        return out
+
+    # a face is on ``path`` (True) or done (False)
+    on_path: dict[int, bool] = {}
+    for start in up:
+        if start in on_path:
+            continue
+        on_path[start] = True
+        path, its = [start], [iter(neighbors(start))]
+        while path:
+            nxt = next(its[-1], None)
+            if nxt is None:
+                on_path[path.pop()] = False
+                its.pop()
+            elif on_path.get(nxt):
+                # a back edge closes the loop from nxt along the path
+                return [f for s in path[path.index(nxt):] for f in (s, up[s])]
+            elif nxt not in on_path:
+                on_path[nxt] = True
+                path.append(nxt)
+                its.append(iter(neighbors(nxt)))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -175,9 +175,8 @@ def test_criterion_06_ladder_total_cut():
         assert hom.reduced_homology(tc) == hom.HomologyProfile.wedge(2, m), n
         if n % 2:
             matching = morse.element_matching_sequence(tc, ["1+", "1-"])
-            ok, _ = morse.is_acyclic(tc, matching)
-            assert ok, n
             cells = morse.critical_cells(tc, matching)
+            assert cells is not None, n
             expected = sorted(
                 (tc.face_of_labels(["1-", f"{j}+", f"{j}-"]) for j in range(2, n + 1)), key=cx.mask_face
             )

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,14 +13,11 @@ from cutnerve import constructions as cons
 from cutnerve import graphs as gr
 from cutnerve import homology as hom
 from cutnerve import morse, verify
-from cutnerve.errors import (
-    InvalidMatchingError,
-    InvalidParameterError,
-    ResourceLimitError,
-)
+from cutnerve.errors import InvalidParameterError, ResourceLimitError
 
 from oracles import (
     closure_element_matching,
+    closure_of,
     cone,
     descent_collapse,
     discrete_points,
@@ -27,6 +25,7 @@ from oracles import (
     face_count,
     full_simplex,
     tuple_strong_collapse,
+    v_path_cycle,
     void_complex,
 )
 
@@ -218,8 +217,7 @@ def test_element_matching_sequence_charges_the_face_budget(monkeypatch):
 # -- acyclicity --------------------------------------------------------------------
 
 def test_empty_matching_acyclic():
-    ok, witness = morse.is_acyclic(cx.simplex_boundary("abc"), [])
-    assert ok and witness is None
+    assert len(morse.critical_cells(cx.simplex_boundary("abc"), [])) == 6
 
 
 def test_sequential_matchings_acyclic_on_corpus():
@@ -230,8 +228,7 @@ def test_sequential_matchings_acyclic_on_corpus():
         verts = list(range(c.n_vertices))
         rng.shuffle(verts)
         m = morse.element_matching_sequence(c, verts[: rng.randint(1, len(verts))])
-        ok, _ = morse.is_acyclic(c, m)
-        assert ok
+        assert morse.critical_cells(c, m) is not None
 
 
 def test_hand_built_cycle_detected():
@@ -244,8 +241,7 @@ def test_hand_built_cycle_detected():
         ((2,), (2, 3)),
         ((3,), (0, 3)),
     ])
-    ok, witness = morse.is_acyclic(c, m)
-    assert not ok
+    witness = v_path_cycle(c, m)
     assert witness is not None and len(witness) >= 4
     # the witness alternates matched pairs: re-walk it by hand
     witness = [cx.mask_face(f) for f in witness]
@@ -255,19 +251,66 @@ def test_hand_built_cycle_detected():
         assert partner(m, s) == uppers[i]
         nxt = lowers[(i + 1) % len(lowers)]
         assert set(nxt) < set(uppers[i]) or nxt == lowers[i]
-    with pytest.raises(InvalidMatchingError):
-        morse.critical_cells(c, m)
+    assert morse.critical_cells(c, m) is None
 
 
 def test_matching_rejects_reused_faces():
     c = full_simplex("abc")
-    with pytest.raises(InvalidMatchingError):
-        morse.is_acyclic(c, mask_pairs([((0,), (0, 1)), ((0,), (0, 2))]))
-    with pytest.raises(InvalidMatchingError):
-        morse.is_acyclic(c, mask_pairs([((0,), (0, 1, 2))]))
+    assert morse.critical_cells(c, mask_pairs([((0,), (0, 1)), ((0,), (0, 2))])) is None
+    assert morse.critical_cells(c, mask_pairs([((0,), (0, 1, 2))])) is None
     # a pair outside the complex
-    with pytest.raises(InvalidMatchingError):
-        morse.is_acyclic(full_simplex("ab"), mask_pairs([((0,), (0, 2))]))
+    assert morse.critical_cells(full_simplex("ab"), mask_pairs([((0,), (0, 2))])) is None
+    # a pair upside down, and a face paired with itself
+    assert morse.critical_cells(c, mask_pairs([((0, 1), (0,))])) is None
+    assert morse.critical_cells(c, mask_pairs([((0,), (0,))])) is None
+
+
+def test_critical_cells_agrees_with_the_v_path_search_on_perturbed_matchings():
+    # element matchings over seeded vertex orders, each then perturbed by
+    # one to three seeded edits: drop a pair (still acyclic), repeat a pair
+    # (a face twice), add a covering pair of faces of the closure (most often
+    # a face twice), or swap in the V-path cycle R+x -> R+x+y -> R+y ->
+    # R+y+z -> R+z -> R+z+x -> R+x on three vertices x, y, z of a face,
+    # dropping the pairs that held its six faces; random additions alone
+    # almost never close a cycle
+    rng = random.Random(42)
+    seen = Counter()
+    for c in matching_corpus():
+        faces = closure_of(c.facets)
+        tops = sorted(f for f in faces if f)
+        triangles = [f for f in tops if len(f) >= 3]
+        for _ in range(40):
+            verts = list(range(c.n_vertices))
+            rng.shuffle(verts)
+            pairs = list(morse.element_matching_sequence(c, verts[: rng.randint(0, len(verts))]))
+            for _ in range(rng.randint(1, 3)):
+                edit = rng.choice(("drop", "repeat", "add", "cycle"))
+                if edit == "add" and tops:
+                    t = rng.choice(tops)
+                    pairs.append((cx.face_mask(t) ^ 1 << rng.choice(t), cx.face_mask(t)))
+                elif edit == "cycle" and triangles:
+                    t = rng.choice(triangles)
+                    x, y, z = (1 << v for v in rng.sample(t, 3))
+                    rest = cx.face_mask(t) ^ x ^ y ^ z
+                    loop = [(rest | x, rest | x | y), (rest | y, rest | y | z), (rest | z, rest | z | x)]
+                    taken = set().union(*loop)
+                    pairs = [p for p in pairs if taken.isdisjoint(p)] + loop
+                elif pairs:
+                    pair = pairs.pop(rng.randrange(len(pairs)))
+                    pairs += [pair, pair] if edit == "repeat" else []
+            try:
+                refusal = "cycle" if v_path_cycle(c, pairs) else None
+            except ValueError:
+                refusal = "malformed"
+            seen[refusal] += 1
+            cells = morse.critical_cells(c, pairs)
+            if refusal:
+                assert cells is None, (c, pairs)
+            else:
+                matched = {cx.mask_face(f) for pair in pairs for f in pair}
+                expected = sorted(faces - matched - {()}, key=lambda f: (len(f), f))
+                assert [cx.mask_face(f) for f in cells] == expected, (c, pairs)
+    assert len(seen) == 3, seen
 
 
 def test_morse_inequality_on_corpus():
@@ -711,7 +754,7 @@ def test_replay_refuses_a_step_off_the_one_coface():
 
 
 def test_checkers_share_no_code_with_the_search(monkeypatch):
-    # is_acyclic, critical_cells and the replay run with the element
+    # critical_cells and the replay run with the element
     # matching recursion and the collapse search disabled; they may share
     # only the complexes primitives closure_masks and link_deletion
     c = ladder_total_cut(5)
@@ -734,7 +777,6 @@ def test_checkers_share_no_code_with_the_search(monkeypatch):
         monkeypatch.setattr(morse, name, refuse)
     for name in ("ElementMatching", "_union", "_within"):
         monkeypatch.setattr(hom, name, refuse)
-    assert morse.is_acyclic(c, pairs) == (True, None)
     assert morse.critical_cells(c, pairs) == cells
     assert morse.replay_collapse(tc, witness)
     assert morse.apply_collapses(tc, witness.dominations, witness.steps) == (witness.steps_tried, witness.terminal)

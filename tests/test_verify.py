@@ -18,10 +18,10 @@ import cutnerve
 from cutnerve import cli, constructions, graphs, homology, morse, verify
 from cutnerve.cli import main
 from cutnerve.complexes import SimplicialComplex, face_mask, permute_mask, simplex_boundary
-from cutnerve.errors import GuardError, InvalidParameterError
+from cutnerve.errors import GuardError, InvalidParameterError, ResourceLimitError
 from cutnerve.values import Value
 
-from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices, orbit_closure
+from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices, orbit_closure, v_path_cycle
 
 EXPECTED_IDS = {
     "thm-1-3", "thm-1-4", "thm-3-1", "prop-3-3", "thm-4-2", "thm-4-3",
@@ -221,6 +221,38 @@ def test_thm_4_4_cone_checks_can_fail(monkeypatch):
     named = {c.name: c for c in report.checks}
     for name in ("x-cone-over-a", "y-cone-over-b"):
         assert (named[name].verdict, named[name].actual) == ("fail", [])
+    assert report.verdict == "fail"
+
+
+@pytest.mark.parametrize("bad", ["repeated-pair", "pair-off-the-complex", "v-path-cycle"])
+def test_thm_4_4_matching_checks_can_fail(monkeypatch, bad):
+    # the odd-n certificate reports a refused matching as two failed checks
+    # and raises nothing: the true CL_5 pairs with a pair repeated, with a
+    # covering pair of non-faces added, or with the square 1- -> 2+ -> 2- ->
+    # 3+ -> 1- of four vertex-edge pairs swapped in for the pairs that held
+    # its eight faces
+    tc = constructions.total_cut_complex(graphs.circular_ladder(5), 4)
+    pairs = morse.element_matching_sequence(tc, ["1+", "1-"])
+    top = (1 << tc.n_vertices) - 1
+    square = ["1-", "2+", "2-", "3+"]
+    cycle = [(tc.face_of_labels([a]), tc.face_of_labels([a, b])) for a, b in zip(square, square[1:] + square[:1])]
+    taken = set().union(*cycle)
+    perturbed = {
+        "repeated-pair": pairs + pairs[-1:],
+        "pair-off-the-complex": pairs + [(top ^ 1, top)],
+        "v-path-cycle": [p for p in pairs if taken.isdisjoint(p)] + cycle,
+    }[bad]
+    if bad == "v-path-cycle":
+        assert len(v_path_cycle(tc, perturbed)) == 8
+    else:
+        with pytest.raises(ValueError):
+            v_path_cycle(tc, perturbed)
+    monkeypatch.setattr(morse, "element_matching_sequence", lambda c, vertices: perturbed)
+    report = verify.run_scenario("thm-4-4", {"n": 5})
+    named = {c.name: (c.verdict, c.actual) for c in report.checks}
+    assert named["sequential-matching-acyclic"] == ("fail", False)
+    assert named["critical-cells"] == ("fail", None)
+    assert named["empty-face-matched-with-first-vertex"][0] == "pass"
     assert report.verdict == "fail"
 
 
@@ -991,6 +1023,27 @@ def test_cli_face_budget_exceeded(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "2")
     assert _cli_error(capsys, ["homology", cpath]) == 2
+
+
+def test_critical_cells_budget_refusal_is_no_verdict(tmp_path, capsys, monkeypatch):
+    # the closure of the 8-vertex simplex holds 256 faces, the empty face
+    # included, and its element matching over a charges 129 units; the
+    # closure is built before any pair is judged, so past the budget even
+    # malformed pairs raise, and `cutnerve morse` exits 2, not "acyclic": false
+    c = SimplicialComplex("abcdefgh", [0xFF])
+    pairs = morse.element_matching_sequence(c, ["a"])
+    cpath = tmp_path / "simplex.json"
+    cpath.write_text(c.to_json())
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "255")
+    for given in (pairs, pairs + pairs[:1], [(0, 0x1FF)], []):
+        with pytest.raises(ResourceLimitError) as err:
+            morse.critical_cells(c, given)
+        assert (err.value.what, err.value.budget) == ("total face count", 255)
+    assert _cli_error(capsys, ["morse", str(cpath), "--vertices", "a"]) == 2
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "256")
+    assert morse.critical_cells(c, pairs) == [] and morse.critical_cells(c, pairs + pairs[:1]) is None
+    assert main(["morse", str(cpath), "--vertices", "a"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"acyclic": True, "critical": [], "pairs": 128}
 
 
 @pytest.mark.parametrize("raw", ["-3", "ten"])
