@@ -10,6 +10,7 @@ The package is organized by layer:
 - ``morse``          matchings, collapses, collapsibility search
 - ``verify``         scenario registry binding claims to executable checks
 - ``values``         the immutable value-class base of profiles, covers, witnesses and reports
+- ``errors``         the two refusals (bad input, face budget) and the JSON input checks
 """
 
 __version__ = "0.1.0"

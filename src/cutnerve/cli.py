@@ -21,7 +21,7 @@ from . import constructions as cons
 from . import graphs as gr
 from . import morse
 from .complexes import SimplicialComplex
-from .errors import GuardError, InvalidParameterError, ResourceLimitError, VoidComplexError
+from .errors import InvalidParameterError, ResourceLimitError
 from .homology import reduced_homology
 from .verify import SIZE_CLASSES, SCENARIOS, run_all, run_scenario, summary_table
 
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (GuardError, InvalidParameterError, ResourceLimitError, VoidComplexError, OSError) as exc:
+    except (InvalidParameterError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

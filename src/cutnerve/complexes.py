@@ -21,14 +21,7 @@ from functools import reduce
 from itertools import groupby
 from operator import or_
 
-from .errors import (
-    InvalidFaceError,
-    InvalidParameterError,
-    ResourceLimitError,
-    VoidComplexError,
-    check_json_ground,
-    json_object,
-)
+from .errors import InvalidParameterError, ResourceLimitError, check_json_ground, json_object
 from .values import Value
 
 DEFAULT_FACE_BUDGET = 2_000_000
@@ -144,7 +137,7 @@ class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homolog
             raise InvalidParameterError("ground labels must be unique")
         masks = mask_antichain(masks)
         if masks and (masks[0] < 0 or masks[-1] >> len(labels)):
-            raise InvalidFaceError(f"a face mask references a vertex outside 0..{len(labels) - 1}")
+            raise InvalidParameterError(f"a face mask references a vertex outside 0..{len(labels) - 1}")
         super().__init__(labels, masks)
 
     # -- basic queries ------------------------------------------------------
@@ -160,7 +153,7 @@ class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homolog
 
     def dimension(self) -> int:
         if self.void:
-            raise VoidComplexError("the void complex has no dimension")
+            raise InvalidParameterError("the void complex has no dimension")
         return max(map(int.bit_count, self._masks)) - 1
 
     def is_pure(self) -> bool:
@@ -198,7 +191,7 @@ class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homolog
         try:
             bits = [self._bits[lab] for lab in labels]
         except KeyError as e:
-            raise InvalidFaceError(f"unknown vertex label {e.args[0]!r}") from None
+            raise InvalidParameterError(f"unknown vertex label {e.args[0]!r}") from None
         m = reduce(or_, bits, 0)
         return m if m.bit_count() == len(bits) else -1
 
@@ -269,7 +262,7 @@ def from_facets(labels, faces) -> SimplicialComplex:
     used = set().union(*faces)
     if used and not (0 <= min(used) and max(used) < len(labels)):
         f, v = next((f, v) for f in faces for v in f if not 0 <= v < len(labels))
-        raise InvalidFaceError(f"face {f} references unknown vertex {v}")
+        raise InvalidParameterError(f"face {f} references unknown vertex {v}")
     return SimplicialComplex(labels, map(face_mask, faces))
 
 

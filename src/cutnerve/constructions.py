@@ -15,7 +15,7 @@ from functools import reduce
 from operator import or_
 
 from .complexes import SimplicialComplex, face_mask, permute_mask
-from .errors import EmptyCoverError, InvalidParameterError
+from .errors import InvalidParameterError
 from .graphs import Graph, independent_sets, k_independent_masks
 from .values import Value
 
@@ -83,7 +83,7 @@ def independent_cover(g: Graph, k: int) -> Cover:
     from the graph."""
     labels, masks = k_independent_masks(g, k)
     if not labels:
-        raise EmptyCoverError(f"no independent {k}-sets: cannot build the cover")
+        raise InvalidParameterError(f"no independent {k}-sets: cannot build the cover")
     full = (1 << g.n) - 1
     return Cover(SimplicialComplex(labels, masks + [0]), g.labels,
                  [full ^ face_mask(s) for s in independent_sets(g, k)])

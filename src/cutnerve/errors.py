@@ -1,23 +1,20 @@
-"""Exception types shared across the package, and the input check of the
-JSON readers."""
+"""The package's two exception types, one per way a caller reacts to a
+refusal, and the input checks of the JSON readers.
+
+- ``InvalidParameterError``: the input is bad.  A parameter out of range or
+  past a scenario's guard, a face or vertex the complex does not have, an
+  operation undefined on the void complex, a graph with no independent
+  k-set to cover, or malformed JSON.
+- ``ResourceLimitError``: the input is fine but its enumeration would pass
+  the face budget; ``what`` names the count and ``budget`` its limit.
+
+The command line maps both to one ``error:`` line and exit code 2."""
 
 import json
 
 
 class InvalidParameterError(ValueError):
-    """A constructor or operation received an out-of-range argument."""
-
-
-class InvalidFaceError(ValueError):
-    """A face refers to unknown vertices or is not a face of the complex."""
-
-
-class VoidComplexError(ValueError):
-    """The operation is undefined on the void complex."""
-
-
-class EmptyCoverError(ValueError):
-    """No cover can be built because the generating family is empty."""
+    """An argument, parameter, face or file the operation cannot take."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -27,10 +24,6 @@ class ResourceLimitError(RuntimeError):
         super().__init__(f"{what} exceeded the configured budget of {budget}")
         self.what = what
         self.budget = budget
-
-
-class GuardError(ValueError):
-    """A scenario parameter lies outside its desk-scale guard."""
 
 
 def json_array(value, what: str, length: int | None = None) -> list:

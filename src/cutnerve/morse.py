@@ -23,7 +23,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .complexes import SimplicialComplex, closure_masks, link_deletion, mask_face
-from .errors import InvalidParameterError, VoidComplexError, json_array, json_object
+from .errors import InvalidParameterError, json_array, json_object
 from .homology import ElementMatching
 from .values import Value
 
@@ -236,7 +236,7 @@ def greedy_collapse(cx: SimplicialComplex) -> CollapseWitness:
     witness.  Collapsibility is NP-complete in general, so "unknown" is not
     a refutation."""
     if cx.void:
-        raise VoidComplexError("cannot collapse the void complex")
+        raise InvalidParameterError("cannot collapse the void complex")
     dominations = []
     core = _strong_collapse(cx.facet_masks(), dominations)
     # the nonempty faces still present, each with its link

@@ -23,7 +23,7 @@ from . import constructions as cons
 from . import graphs as gr
 from . import homology as hom
 from . import morse
-from .errors import EmptyCoverError, GuardError, InvalidParameterError
+from .errors import InvalidParameterError
 from .values import Value
 
 # the interpreter's own SHA-256, as random.py takes sha512: hashlib is heavy
@@ -103,7 +103,7 @@ def _guard(cond: bool, message: str):
     """A theorem hypothesis that ties two parameters; the registry's
     ``bounds`` guard each parameter alone."""
     if not cond:
-        raise GuardError(message)
+        raise InvalidParameterError(message)
 
 
 def run_thm_1_4(n, k):
@@ -411,10 +411,9 @@ def run_prop_4_10(count, seed):
     for i in range(count):
         g = corpus_graph(i, seed)
         for k in (2, 3):
-            try:
-                cover = cons.independent_cover(g, k)
-            except EmptyCoverError:
+            if not gr.independent_sets(g, k):
                 continue  # alpha(G) < k
+            cover = cons.independent_cover(g, k)
             instances += 1
             nerve_cx, tc = cover.nerve(), cons.total_cut_complex(g, k)
             # the base vertices in no face are the isolated vertices of I_k(G)
@@ -533,7 +532,8 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> Report:
     for name, bound in scenario.bounds.items():
         value = merged[name]
         if bound and not bound[0] <= value <= bound[1]:
-            raise GuardError(f"{scenario_id} guard: {bound[0]} <= {name} <= {bound[1]}, got {name}={value}")
+            raise InvalidParameterError(
+                f"{scenario_id} guard: {bound[0]} <= {name} <= {bound[1]}, got {name}={value}")
     start = time.perf_counter()
     checks, digests, *metrics = scenario.runner(**merged)
     return Report(scenario_id, merged, checks, digests, time.perf_counter() - start, *metrics)

@@ -33,7 +33,7 @@ import random
 from itertools import combinations, permutations
 
 from cutnerve import complexes as cx
-from cutnerve.errors import InvalidFaceError, InvalidParameterError, VoidComplexError
+from cutnerve.errors import InvalidParameterError
 from cutnerve.graphs import Graph
 from cutnerve.homology import HomologyProfile, SparseIntMatrix, smith_normal_form
 
@@ -139,7 +139,7 @@ def boundary_matrix(c, d: int):
     Degree 0 maps vertices onto the empty face (the augmentation), which is
     what makes the homology reduced."""
     if c.void:
-        raise VoidComplexError("boundary matrices are undefined on the void complex")
+        raise InvalidParameterError("boundary matrices are undefined on the void complex")
     return boundary_from_faces(faces_by_dim(c), d)
 
 
@@ -266,7 +266,7 @@ def link(a, face):
     """Link of a face: tau with tau disjoint from sigma and sigma U tau a face."""
     sigma = tuple(sorted(set(face)))
     if sigma not in a.all_faces():
-        raise InvalidFaceError(f"{sigma} is not a face of the complex")
+        raise InvalidParameterError(f"{sigma} is not a face of the complex")
     s = cx.face_mask(sigma)
     return cx.SimplicialComplex(a.labels, [f ^ s for f in a.facet_masks() if f & s == s])
 

@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -15,10 +16,10 @@ from pathlib import Path
 import pytest
 
 import cutnerve
-from cutnerve import cli, constructions, graphs, homology, morse, verify
+from cutnerve import cli, constructions, errors, graphs, homology, morse, verify
 from cutnerve.cli import main
 from cutnerve.complexes import SimplicialComplex, face_mask, permute_mask, simplex_boundary
-from cutnerve.errors import GuardError, InvalidParameterError, ResourceLimitError
+from cutnerve.errors import InvalidParameterError, ResourceLimitError
 from cutnerve.values import Value
 
 from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices, orbit_closure, v_path_cycle
@@ -91,7 +92,7 @@ def test_default_parameters_fill_in():
 
 
 def test_guard_violation_names_limit():
-    with pytest.raises(GuardError) as err:
+    with pytest.raises(InvalidParameterError, match=re.escape("thm-4-2 guard: 3 <= n <= 5, got n=9")) as err:
         verify.run_scenario("thm-4-2", {"n": 9})
     assert "3 <= n <= 5" in str(err.value)
 
@@ -113,16 +114,18 @@ def test_one_past_each_bound_is_a_guard_error():
                 continue
             lo, hi = bound
             for value in (lo - 1, hi + 1):
-                with pytest.raises(GuardError) as err:
+                message = f"{sid} guard: {lo} <= {name} <= {hi}, got {name}={value}"
+                with pytest.raises(InvalidParameterError, match=re.escape(message)) as err:
                     verify.run_scenario(sid, {**job, name: value})
-                assert str(err.value) == f"{sid} guard: {lo} <= {name} <= {hi}, got {name}={value}"
+                assert str(err.value) == message
 
 
 def test_the_2k_hypothesis_names_n_and_k():
     for sid in ("thm-1-3", "thm-3-1", "prop-3-3"):
-        with pytest.raises(GuardError) as err:
+        message = f"{sid} guard: 2k <= n, got n=5, k=3"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)) as err:
             verify.run_scenario(sid, {"n": 5, "k": 3})
-        assert str(err.value) == f"{sid} guard: 2k <= n, got n=5, k=3"
+        assert str(err.value) == message
 
 
 def _bounds_text(bounds):
@@ -765,6 +768,23 @@ def test_cli_verify_guard_error(capsys):
 
 def test_cli_verify_unknown_scenario(capsys):
     assert main(["verify", "nope"]) == 2
+
+
+def test_cli_maps_every_package_error_to_one_line(monkeypatch, capsys):
+    # whichever exception type of the package a job raises, main prints one
+    # error line and exits 2, never a traceback
+    kinds = [t for t in vars(errors).values()
+             if isinstance(t, type) and issubclass(t, Exception) and t.__module__ == errors.__name__]
+    assert ResourceLimitError in kinds and InvalidParameterError in kinds
+    for kind in kinds:
+        exc = kind("face count", 10) if kind is ResourceLimitError else kind(f"{kind.__name__} refused")
+
+        def refuse(sid, params, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_scenario", refuse)
+        assert main(["verify", "thm-1-4", "--param", "n=4", "--param", "k=2"]) == 2, kind
+        assert capsys.readouterr().err == f"error: {exc}\n", kind
 
 
 def test_cli_verify_workers_is_refused(monkeypatch, capsys):
