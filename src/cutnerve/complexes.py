@@ -2,10 +2,13 @@
 
 Faces are vertex bitmasks, or strictly sorted tuples of vertex indices where
 a report or a test reads them; mask 0 (the empty tuple) is the empty face.
-A complex is built from face masks and stores only those of its
-inclusion-maximal faces (facets), builds their tuples on first use, and
-enumerates the downward closure on demand, guarded by a configurable total
-face budget (env var CUTNERVE_FACE_BUDGET, default 2_000_000).
+A complex has one constructor, ``SimplicialComplex(labels, masks)`` on
+face masks; it stores only the inclusion-maximal faces (facets), builds
+their tuples on each read of ``facets``, and enumerates the downward
+closure on demand, guarded by a configurable total face budget (env var
+CUTNERVE_FACE_BUDGET, default 2_000_000).  ``from_json`` reads a complex
+through it once ``errors.check_json_ground`` has checked the ground,
+vertex range included.
 
 Two degenerate complexes are distinguished: the void complex has no faces at
 all, while the empty complex contains exactly the empty face.  Two complexes
@@ -122,14 +125,14 @@ def closure_masks(masks) -> dict[int, int]:
     return links
 
 
-class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homology")):
+class SimplicialComplex(Value, caches=("_bits", "_closure", "_homology")):
     """Immutable simplicial complex over a labeled ground set, generated by
     the faces ``masks`` (vertex bitmasks): [] is the void complex and [0]
     the empty complex.  The stored form is the sorted facet antichain of
     ``masks``; ``facets``, the sorted vertex tuples, is a view built on
-    first use."""
+    each read."""
 
-    __slots__ = ("labels", "_masks", "_facets", "_bits", "_closure", "_homology")
+    __slots__ = ("labels", "_masks", "_bits", "_closure", "_homology")
 
     def __init__(self, labels, masks):
         labels = tuple(labels)
@@ -166,10 +169,8 @@ class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homolog
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
         """The facets as sorted vertex tuples, in lexicographic order; built
-        on first use."""
-        if self._facets is None:
-            object.__setattr__(self, "_facets", tuple(sorted(map(mask_face, self._masks))))
-        return self._facets
+        on each read."""
+        return tuple(sorted(map(mask_face, self._masks)))
 
     def vertex(self, v) -> int:
         """The index of the vertex ``v``, given by its label or by its int
@@ -226,7 +227,7 @@ class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homolog
         """Canonical JSON; vertices in lexicographic label order."""
         order = sorted(range(self.n_vertices), key=lambda i: self.labels[i])
         pos = {v: p for p, v in enumerate(order)}
-        facets = sorted(tuple(sorted(pos[v] for v in f)) for f in self.facets)
+        facets = sorted(mask_face(permute_mask(m, pos)) for m in self._masks)
         doc = {
             "vertices": [self.labels[i] for i in order],
             "facets": [list(f) for f in facets],
@@ -243,7 +244,7 @@ class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homolog
         check_json_ground(labels, facets)
         if type(void) is not bool:
             raise InvalidParameterError(f'"void" is {json.dumps(void)}, not a JSON boolean')
-        cx = from_facets(labels, facets)
+        cx = SimplicialComplex(labels, map(face_mask, facets))
         if void != cx.void:
             raise InvalidParameterError("the void complex has no facets" if void else (
                 'a non-void complex needs at least the empty face: "void": true or "facets": [[]]'))
@@ -251,20 +252,8 @@ class SimplicialComplex(Value, caches=("_facets", "_bits", "_closure", "_homolog
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# named complexes
 # ---------------------------------------------------------------------------
-
-def from_facets(labels, faces) -> SimplicialComplex:
-    """Complex generated by the vertex tuples ``faces``: [] yields the void
-    complex and [()] the empty complex.  No bit is shifted before every
-    vertex is checked to lie in 0..n-1."""
-    labels, faces = tuple(labels), [tuple(f) for f in faces]
-    used = set().union(*faces)
-    if used and not (0 <= min(used) and max(used) < len(labels)):
-        f, v = next((f, v) for f in faces for v in f if not 0 <= v < len(labels))
-        raise InvalidParameterError(f"face {f} references unknown vertex {v}")
-    return SimplicialComplex(labels, map(face_mask, faces))
-
 
 def simplex_boundary(labels) -> SimplicialComplex:
     """Boundary of the full simplex on the given labels."""
@@ -273,17 +262,4 @@ def simplex_boundary(labels) -> SimplicialComplex:
         raise InvalidParameterError("boundary needs at least one vertex")
     full = (1 << len(labels)) - 1
     return SimplicialComplex(labels, [full ^ 1 << v for v in range(len(labels))])
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Join: facets are unions of facet pairs, so a join with void is void."""
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise InvalidParameterError(f"join requires disjoint labels, shared: {sorted(overlap)}")
-    off = a.n_vertices
-    return SimplicialComplex(a.labels + b.labels, [fa | fb << off for fa in a._masks for fb in b._masks])
 

@@ -47,16 +47,30 @@ def json_object(value, what: str, keys) -> dict:
     return value
 
 
-def check_json_ground(labels, faces):
-    """The labels read from JSON must be an array of strings, and the faces
-    an array of arrays of distinct int vertex indices: JSON ``true`` is not
-    vertex 1, and [0, 0, 1] is no face."""
-    for lab in json_array(labels, '"vertices"'):
+def json_labels(value, what: str, length: int | None = None) -> list:
+    """``value`` when it is a JSON array of strings, of ``length`` items if
+    given: a label is a string, so an array or an object, which would not
+    even hash, is refused too."""
+    for lab in json_array(value, what, length):
         if not isinstance(lab, str):
             raise InvalidParameterError(f"vertex label {json.dumps(lab)} is not a string")
+    return value
+
+
+def check_json_ground(labels, faces):
+    """The labels read from JSON must be an array of strings, and the faces
+    an array of arrays of distinct int vertex indices in 0..n-1: JSON
+    ``true`` is not vertex 1, and [0, 0, 1] is no face.  Every face passes
+    the type and repeat checks before any is range-checked, and no bit is
+    shifted here."""
+    n = len(json_labels(labels, '"vertices"'))
     for face in json_array(faces, '"facets"'):
         for v in json_array(face, "a face"):
             if type(v) is not int:
                 raise InvalidParameterError(f"face {json.dumps(face)} has {json.dumps(v)} for a vertex index")
         if len(set(face)) != len(face):
             raise InvalidParameterError(f"face {json.dumps(face)} repeats a vertex index")
+    for face in faces:
+        for v in face:
+            if not 0 <= v < n:
+                raise InvalidParameterError(f"face {tuple(face)} references unknown vertex {v}")

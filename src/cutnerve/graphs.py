@@ -62,10 +62,6 @@ class Graph(Value, caches=("_sets",)):
     def degree(self, i: int) -> int:
         return self._masks[i].bit_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """False whenever either index lies outside 0..n-1."""
-        return 0 <= i < len(self._masks) and 0 <= j and bool(self._masks[i] >> j & 1)
-
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor bitmasks: the stored form."""
         return self._masks

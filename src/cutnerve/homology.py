@@ -169,9 +169,6 @@ class HomologyProfile(Value):
                  minus_one_rank: int = 0, void: bool = False):
         super().__init__(betti, torsion, minus_one_rank, void)
 
-    def nonzero(self) -> dict[int, int]:
-        return {d: b for d, b in enumerate(self.betti) if b}
-
     def to_dict(self) -> dict:
         """The profile as the JSON object ``to_json`` writes, in fresh lists."""
         return {

@@ -23,7 +23,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .complexes import SimplicialComplex, closure_masks, link_deletion, mask_face
-from .errors import InvalidParameterError, json_array, json_object
+from .errors import InvalidParameterError, json_array, json_labels, json_object
 from .homology import ElementMatching
 from .values import Value
 
@@ -122,16 +122,17 @@ class CollapseWitness(Value):
         """Read a witness; a face that repeats a label is no face of any
         complex, so it becomes the mask -1, which no step or terminal
         matches.  Faces, steps, dominations and their lists must be JSON
-        arrays, a step two faces and a domination two labels; a verdict
-        other than "collapsible" or "unknown", or a ``steps_tried`` that is
-        not the count of dominations and steps, is malformed too."""
+        arrays, a step two faces and a domination two labels, and every
+        label a string; a verdict other than "collapsible" or "unknown", or
+        a ``steps_tried`` that is not the count of dominations and steps, is
+        malformed too."""
         doc = json_object(json.loads(text), "a witness", ("steps", "terminal", "verdict"))
 
         def mask(face):
-            return cx.face_of_labels(json_array(face, "a witness face"))
+            return cx.face_of_labels(json_labels(face, "a witness face"))
 
         dominations = tuple(
-            tuple(cx.face_of_labels([lab]).bit_length() - 1 for lab in json_array(pair, "a domination", 2))
+            tuple(cx.face_of_labels([lab]).bit_length() - 1 for lab in json_labels(pair, "a domination", 2))
             for pair in json_array(doc.get("dominations", []), '"dominations"')
         )
         steps = tuple(tuple(map(mask, json_array(step, "a step", 2)))

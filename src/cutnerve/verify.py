@@ -42,9 +42,6 @@ class CheckResult(Value):
 
     __slots__ = ("name", "verdict", "expected", "actual")
 
-    def __init__(self, name: str, verdict: str, expected=None, actual=None):
-        super().__init__(name, verdict, expected, actual)
-
 
 class Report(Value):
     __slots__ = ("scenario", "params", "checks", "digests", "seconds", "metrics")
@@ -208,7 +205,7 @@ def run_prop_3_3(n, k):
     _guard(2 * k <= n, f"prop-3-3 guard: 2k <= n, got n={n}, k={k}")
     tc = cons.total_cut_complex(gr.cycle(n), k)
     expected = gr.stable_kneser_facet_count(n, k)
-    actual = len(tc.facets)
+    actual = len(tc.facet_masks())
     checks = [_check("facet-count-formula", actual == expected, expected, actual)]
     return checks, {"total_cut": _digest(tc)}
 
@@ -229,7 +226,7 @@ def run_thm_4_2(n):
     nb = cons.neighborhood_complex(h2)
     dim_ok = nb.dimension() == n * n - 3 * n + 2 and nb.is_pure()
     checks = [
-        _check("facet-count", len(nb.facets) == n * (n - 1), n * (n - 1), len(nb.facets)),
+        _check("facet-count", len(nb.facet_masks()) == n * (n - 1), n * (n - 1), len(nb.facet_masks())),
         _check("facet-dimension", dim_ok, n * n - 3 * n + 2, nb.dimension()),
     ]
     # both checks below read each marker's star as the facets through the
@@ -339,9 +336,10 @@ def run_thm_4_6(n):
     else:
         nh = cons.neighborhood_complex(h)
         digests["neighborhood"] = _digest(nh)
-        two = len(nh.facets) == 2
-        disjoint = two and not (set(nh.facets[0]) & set(nh.facets[1]))
-        checks.append(_check("two-disjoint-simplex-facets", two and disjoint, 2, len(nh.facets)))
+        facets = nh.facet_masks()
+        two = len(facets) == 2
+        disjoint = two and not facets[0] & facets[1]
+        checks.append(_check("two-disjoint-simplex-facets", two and disjoint, 2, len(facets)))
         checks.append(_claim("neighborhood-profile", nh, 0))
     return checks, digests
 
@@ -361,10 +359,8 @@ def run_thm_4_8(k):
     checks.append(_check("regularity", regular, k + 2, sorted({h.degree(i) for i in range(h.n)})))
     nb = cons.neighborhood_complex(h)
     checks.append(_check("dimension", nb.dimension() == k + 1, k + 1, nb.dimension()))
-    expected_facets = {
-        tuple(sorted((i + d) % m for d in range(k, 2 * k + 2))) for i in range(m)
-    }
-    actual_facets = set(nb.facets)
+    expected_facets = {sum(1 << (i + d) % m for d in range(k, 2 * k + 2)) for i in range(m)}
+    actual_facets = set(nb.facet_masks())
     checks.append(_check("cyclic-window-facets", expected_facets == actual_facets,
                          len(expected_facets), len(actual_facets)))
     checks.append(_claim("neighborhood-circle-profile", nb, 1))
@@ -440,12 +436,10 @@ SIZE_CLASSES = ("smoke", "desk", "extended")
 class Scenario(Value):
     """``bounds`` maps each parameter to (least, greatest), or None for any
     int; ``jobs`` maps a size class to the jobs it adds to the smaller
-    classes."""
+    classes; ``defaults``, None when left out, fills the parameters a
+    caller does not give."""
 
     __slots__ = ("id", "runner", "bounds", "jobs", "defaults")
-
-    def __init__(self, id: str, runner, bounds: dict, jobs: dict, defaults: dict | None = None):
-        super().__init__(id, runner, bounds, jobs, defaults)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -506,7 +500,7 @@ SCENARIOS: dict[str, Scenario] = {s.id: s for s in (
     }),
     # it holds by construction, so one corpus size serves every class
     Scenario("prop-4-10", run_prop_4_10, {"count": (1, 200), "seed": None},
-             {"smoke": [{"count": 60, "seed": 2026}]}, defaults={"count": 60, "seed": 2026}),
+             {"smoke": [{"count": 60, "seed": 2026}]}, {"count": 60, "seed": 2026}),
 )}
 
 

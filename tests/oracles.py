@@ -19,7 +19,8 @@ counts, and ``facet_label_family``, which compares complexes by their
 facets' labels, build test inputs and expected values on top of
 ``complexes``; no code under test calls them.  Nor does it call the named complexes
 ``void_complex``, ``empty_complex``, ``full_simplex`` and
-``discrete_points``, which build their masks directly.  ``graph_of_edges``
+``discrete_points``, which build their masks directly, nor ``from_facets``
+and ``join``, which build complexes from vertex tuples and as joins.  ``graph_of_edges``
 builds a ``Graph`` from an edge list, which the library itself never does,
 and the ``*_edges`` functions give the edge-list definitions of the graph
 families and of the draw of ``verify.corpus_graph``, which the graphs built
@@ -204,6 +205,30 @@ def to_dense(matrix) -> list[list[int]]:
 # named complexes, complex operations and face counts
 # ---------------------------------------------------------------------------
 
+def from_facets(labels, faces):
+    """The complex generated by the vertex tuples ``faces``, each in any
+    order and a repeated vertex counted once: [] gives the void complex and
+    [()] the empty complex."""
+    return cx.SimplicialComplex(labels, [sum(1 << v for v in set(f)) for f in faces])
+
+
+def join(a, b):
+    """A * B on the labels of A followed by those of B, which must be
+    disjoint: its facets are the unions of a facet of each, so a join with
+    the void complex is void."""
+    overlap = set(a.labels) & set(b.labels)
+    if overlap:
+        raise InvalidParameterError(f"join requires disjoint labels, shared: {sorted(overlap)}")
+    off = a.n_vertices
+    masks = [fa | fb << off for fa in a.facet_masks() for fb in b.facet_masks()]
+    return cx.SimplicialComplex(a.labels + b.labels, masks)
+
+
+def nonzero_betti(profile) -> dict[int, int]:
+    """The nonzero free ranks of a homology profile by degree."""
+    return {d: b for d, b in enumerate(profile.betti) if b}
+
+
 def void_complex(labels=()):
     return cx.SimplicialComplex(labels, [])
 
@@ -249,7 +274,7 @@ def euler_characteristic_reduced(c) -> int:
 def cone(a, apex: str):
     if apex in a.labels:
         raise InvalidParameterError(f"apex label {apex!r} already a vertex")
-    return cx.join(a, full_simplex([apex]))
+    return join(a, full_simplex([apex]))
 
 
 def suspension(a, poles: tuple[str, str] = ("susp+", "susp-")):
@@ -259,7 +284,7 @@ def suspension(a, poles: tuple[str, str] = ("susp+", "susp-")):
     for p in poles:
         if p in a.labels:
             raise InvalidParameterError(f"pole label {p!r} already a vertex")
-    return cx.join(a, discrete_points(poles))
+    return join(a, discrete_points(poles))
 
 
 def link(a, face):
@@ -277,7 +302,7 @@ def skeleton(a, d: int):
         raise InvalidParameterError(f"skeleton dimension must be >= -1, got {d}")
     if a.void:
         return void_complex(a.labels)
-    return cx.from_facets(a.labels, [c for f in a.facets for c in combinations(f, min(len(f), d + 1))])
+    return from_facets(a.labels, [c for f in a.facets for c in combinations(f, min(len(f), d + 1))])
 
 
 # ---------------------------------------------------------------------------

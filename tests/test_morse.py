@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from oracles import (
     discrete_points,
     empty_complex,
     face_count,
+    from_facets,
     full_simplex,
     tuple_strong_collapse,
     v_path_cycle,
@@ -86,7 +88,7 @@ def matching_corpus():
             tuple(sorted(rng.sample(range(n), rng.randint(1, 4))))
             for _ in range(rng.randint(2, 5))
         ]
-        out.append(cx.from_facets([f"v{i}" for i in range(n)], gens))
+        out.append(from_facets([f"v{i}" for i in range(n)], gens))
     return out
 
 
@@ -98,7 +100,7 @@ def random_complex(rng):
         tuple(rng.sample(range(n), rng.randint(1, min(n, 6))))
         for _ in range(rng.randint(1, 6))
     ]
-    return cx.from_facets([f"v{i}" for i in range(n)], gens)
+    return from_facets([f"v{i}" for i in range(n)], gens)
 
 
 def assert_matches_closure_oracle(c, vertices):
@@ -234,7 +236,7 @@ def test_sequential_matchings_acyclic_on_corpus():
 def test_hand_built_cycle_detected():
     # square: vertices 1..4, edges 12, 23, 34, 14; match each vertex upward
     # around the loop so the V-path walks forever
-    c = cx.from_facets("1234", [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c = from_facets("1234", [(0, 1), (1, 2), (2, 3), (0, 3)])
     m = mask_pairs([
         ((0,), (0, 1)),
         ((1,), (1, 2)),
@@ -523,7 +525,7 @@ def dominated_vertex(c):
 
 
 def delete_vertex(c, v):
-    return cx.from_facets(c.labels, [tuple(u for u in f if u != v) for f in c.facets])
+    return from_facets(c.labels, [tuple(u for u in f if u != v) for f in c.facets])
 
 
 def strong_core(c):
@@ -547,7 +549,7 @@ def test_greedy_collapse_differential_against_descent():
             rng.sample(range(n), rng.randint(1, min(n, 5)))
             for _ in range(rng.randint(1, 6))
         ]
-        c = cx.from_facets([f"v{i}" for i in range(n)], gens)
+        c = from_facets([f"v{i}" for i in range(n)], gens)
         corpus.append(cone(c, "apex") if rng.random() < 0.3 else c)
     verdicts = set()
     for c in corpus:
@@ -593,7 +595,7 @@ def test_greedy_collapse_face_guard_is_exact(monkeypatch):
     assert morse.replay_collapse(coned, witness)
     # a collapsible core with no dominated vertex (38 faces), with a
     # tetrahedron awxy that strong-collapses onto a: 52 faces in all
-    c = cx.from_facets("abcdefwxy", [(0, 1, 2), (1, 2, 3, 4), (0, 1, 3, 5), (0, 3, 4, 5), (2, 4, 5),
+    c = from_facets("abcdefwxy", [(0, 1, 2), (1, 2, 3, 4), (0, 1, 3, 5), (0, 3, 4, 5), (2, 4, 5),
                                      (0, 6, 7, 8)])
     monkeypatch.delenv("CUTNERVE_FACE_BUDGET")
     assert len(c.all_faces()) == 52
@@ -615,7 +617,7 @@ def test_greedy_collapse_builds_no_input_closure():
 def test_strong_collapse_order():
     # a (dominated by c) goes first; its link cd lies in bcd and is dropped,
     # so c is then dominated by b, which the stale facet cd would hide
-    c = cx.from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)])
+    c = from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)])
     witness = morse.greedy_collapse(c)
     assert witness.dominations == ((0, 2), (2, 1), (3, 1), (1, 4))
     assert witness.steps == ()
@@ -630,7 +632,7 @@ def test_strong_collapse_matches_tuple_oracle():
     rng = random.Random(73)
     corpus = [
         cone(cx.simplex_boundary("abcd"), "w"),
-        cx.from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)]),
+        from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)]),
     ]
     corpus += [cone(c, "apex") for c in matching_corpus() if not c.void]
     for _ in range(300):
@@ -641,7 +643,7 @@ def test_strong_collapse_matches_tuple_oracle():
             [shift + v for v in rng.sample(range(n), rng.randint(1, min(n, 5)))]
             for _ in range(rng.randint(1, 7))
         ]
-        c = cx.from_facets([f"v{i}" for i in range(n + shift)], gens)
+        c = from_facets([f"v{i}" for i in range(n + shift)], gens)
         corpus.append(cone(c, "apex") if rng.random() < 0.3 else c)
     for k in (2, 3):
         for n in range(2 * k, 9):
@@ -658,7 +660,7 @@ def test_strong_collapse_matches_tuple_oracle():
 
 
 def test_replay_checks_dominations():
-    c = cx.from_facets("abcdef", [(0, 2, 3), (1, 2, 3), (1, 4)])
+    c = from_facets("abcdef", [(0, 2, 3), (1, 2, 3), (1, 4)])
     good = ((0, 2), (2, 1), (3, 1), (1, 4))
     assert morse.replay_collapse(c, morse.CollapseWitness((), masks_of([(4,)]), "collapsible", good))
     for dominations in [
@@ -670,7 +672,7 @@ def test_replay_checks_dominations():
         witness = morse.CollapseWitness((), masks_of([(4,)]), "collapsible", dominations)
         assert not morse.replay_collapse(c, witness), dominations
     # an isolated vertex f has the one link the empty face, which holds no w
-    isolated = cx.from_facets("abcdef", [(0, 2, 3), (1, 2, 3), (1, 4), (5,)])
+    isolated = from_facets("abcdef", [(0, 2, 3), (1, 2, 3), (1, 4), (5,)])
     faces = masks_of(f for f in isolated.all_faces() if f)
     for w in range(6):
         assert morse.apply_collapses(isolated, [(5, w)], ()) == (0, faces), w
@@ -705,7 +707,7 @@ def test_greedy_collapse_past_the_strong_collapses():
 def test_greedy_collapse_takes_the_least_free_pair_by_mask():
     # a core whose least free edge is (0, 3) by vertex tuple and (1, 2),
     # mask 0b00110, by mask: the heap is keyed on (dimension, mask)
-    core = cx.from_facets("abcde", [(0, 1, 2), (0, 1, 4), (0, 2, 3), (1, 3, 4), (2, 3, 4)])
+    core = from_facets("abcde", [(0, 1, 2), (0, 1, 4), (0, 2, 3), (1, 3, 4), (2, 3, 4)])
     assert dominated_vertex(core) is None
     free = free_pairs(core)
     assert min(free)[0] == (0, 3)
@@ -737,7 +739,7 @@ def test_greedy_collapse_matches_descent_on_the_largest_cycle_intersection():
 def test_replay_refuses_a_step_off_the_one_coface():
     # the edge ab of the full triangle abc has the one coface abc; a step
     # from ab applies only into abc
-    c = cx.from_facets("abcd", [(0, 1, 2), (2, 3)])
+    c = from_facets("abcd", [(0, 1, 2), (2, 3)])
     faces = masks_of(f for f in c.all_faces() if f)
     ab = cx.face_mask((0, 1))
     for tau in [(0, 1),          # sigma itself
@@ -790,7 +792,7 @@ def test_greedy_collapse_sphere_unknown():
 
 def test_greedy_collapse_unknown_witnesses_replay():
     # two disjoint edges strand after one pair each; the witness keeps them
-    c = cx.from_facets("abcd", [(0, 1), (2, 3)])
+    c = from_facets("abcd", [(0, 1), (2, 3)])
     witness = morse.greedy_collapse(c)
     assert witness.verdict == "unknown"
     assert witness.dominations == ((0, 1), (2, 3))
@@ -814,6 +816,24 @@ def test_witness_json_roundtrip():
     back = morse.CollapseWitness.from_json(tc, text)
     assert back == witness
     assert morse.replay_collapse(tc, back)
+
+
+# a label that is a JSON array or object once reached the label map and
+# raised a bare TypeError (unhashable type); it is refused like a bad label
+# of a complex file, in a face, a step and a domination alike
+NON_STRING_WITNESS_LABELS = [
+    ('{"verdict":"collapsible","steps":[],"terminal":[[["a"]]]}', '["a"]'),
+    ('{"verdict":"collapsible","steps":[],"terminal":[[{"a":0}]]}', '{"a": 0}'),
+    ('{"verdict":"collapsible","steps":[[[["a"]],["a","b"]]],"terminal":[["b"]]}', '["a"]'),
+    ('{"verdict":"collapsible","dominations":[[["a"],"b"]],"steps":[],"terminal":[["b"]]}', '["a"]'),
+    ('{"verdict":"collapsible","dominations":[["a",{"b":1}]],"steps":[],"terminal":[["b"]]}', '{"b": 1}'),
+]
+
+
+@pytest.mark.parametrize("text, label", NON_STRING_WITNESS_LABELS)
+def test_witness_refuses_labels_that_are_not_strings(text, label):
+    with pytest.raises(InvalidParameterError, match=re.escape(f"vertex label {label} is not a string")):
+        morse.CollapseWitness.from_json(full_simplex("ab"), text)
 
 
 def test_replay_refuses_collapsible_two_points():

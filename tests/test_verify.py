@@ -1220,6 +1220,17 @@ def test_cli_replay_refuses_malformed_verdict_and_steps_tried(tmp_path, capsys):
      'a step [["a"], ["a", "b"], ["b"]] has 3 items, not 2'),
     ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","terminal":[["a"]]}',
      'a witness has no "steps"'),
+    # a label that is an array or an object once raised a bare TypeError
+    ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","steps":[],"terminal":[[["a"]]]}',
+     'vertex label ["a"] is not a string'),
+    ('{"vertices":["a"],"facets":[[0]]}', '{"verdict":"collapsible","steps":[],"terminal":[[{"a":0}]]}',
+     'vertex label {"a": 0} is not a string'),
+    ('{"vertices":["a","b"],"facets":[[0,1]]}',
+     '{"verdict":"collapsible","dominations":[[["a"],"b"]],"steps":[],"terminal":[["b"]]}',
+     'vertex label ["a"] is not a string'),
+    ('{"vertices":["a","b"],"facets":[[0,1]]}',
+     '{"verdict":"collapsible","dominations":[["a",{"b":1}]],"steps":[],"terminal":[["b"]]}',
+     'vertex label {"b": 1} is not a string'),
 ])
 def test_cli_replay_refuses_non_array_witness_parts(tmp_path, capsys, complex_text, witness, named):
     cpath = tmp_path / "complex.json"
