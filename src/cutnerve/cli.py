@@ -120,8 +120,8 @@ def _cmd_build(args) -> int:
 
 
 def _parse_file(path: str, parse, what: str):
-    """Parse a JSON input file; undecodable or malformed content is a usage
-    error."""
+    """Parse a JSON input file; undecodable or malformed content, or JSON
+    nested deeper than the decoder recurses, is a usage error."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -129,7 +129,7 @@ def _parse_file(path: str, parse, what: str):
             raise InvalidParameterError(f"{path}: {what} file is not UTF-8: {exc}") from None
     try:
         return parse(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise InvalidParameterError(f"{path}: invalid {what} JSON: {exc}") from None
 
 

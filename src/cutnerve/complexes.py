@@ -250,16 +250,3 @@ class SimplicialComplex(Value, caches=("_bits", "_closure", "_homology")):
                 'a non-void complex needs at least the empty face: "void": true or "facets": [[]]'))
         return cx
 
-
-# ---------------------------------------------------------------------------
-# named complexes
-# ---------------------------------------------------------------------------
-
-def simplex_boundary(labels) -> SimplicialComplex:
-    """Boundary of the full simplex on the given labels."""
-    labels = tuple(labels)
-    if not labels:
-        raise InvalidParameterError("boundary needs at least one vertex")
-    full = (1 << len(labels)) - 1
-    return SimplicialComplex(labels, [full ^ 1 << v for v in range(len(labels))])
-

@@ -18,7 +18,7 @@ operations ``cone``, ``suspension``, ``link`` and ``skeleton`` and the face
 counts, and ``facet_label_family``, which compares complexes by their
 facets' labels, build test inputs and expected values on top of
 ``complexes``; no code under test calls them.  Nor does it call the named complexes
-``void_complex``, ``empty_complex``, ``full_simplex`` and
+``void_complex``, ``empty_complex``, ``full_simplex``, ``simplex_boundary`` and
 ``discrete_points``, which build their masks directly, nor ``from_facets``
 and ``join``, which build complexes from vertex tuples and as joins.  ``graph_of_edges``
 builds a ``Graph`` from an edge list, which the library itself never does,
@@ -240,6 +240,15 @@ def empty_complex(labels=()):
 def full_simplex(labels):
     labels = tuple(labels)
     return cx.SimplicialComplex(labels, [(1 << len(labels)) - 1])
+
+
+def simplex_boundary(labels):
+    """Boundary of the full simplex on the given labels."""
+    labels = tuple(labels)
+    if not labels:
+        raise InvalidParameterError("boundary needs at least one vertex")
+    full = (1 << len(labels)) - 1
+    return cx.SimplicialComplex(labels, [full ^ 1 << v for v in range(len(labels))])
 
 
 def discrete_points(labels):

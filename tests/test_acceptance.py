@@ -39,6 +39,7 @@ from oracles import (
     join_ranks,
     ladder_rule_witness,
     nonzero_betti,
+    simplex_boundary,
     suspension,
 )
 
@@ -127,7 +128,7 @@ def test_criterion_04_prism_neighborhood(n):
     # the marker stars read by their generators: each facet is held by the
     # markers it contains
     holders = [sum(1 << i for i, m in enumerate(markers) if m in f) for f in nb.facets]
-    assert cx.SimplicialComplex(labels, holders) == cx.simplex_boundary(labels)
+    assert cx.SimplicialComplex(labels, holders) == simplex_boundary(labels)
     for a, b in combinations(markers, 2):
         inter = from_facets(nb.labels, [f for f in nb.facets if a in f and b in f])
         # a cone over the first marker
@@ -295,8 +296,8 @@ def test_criterion_11_engine_oracles():
     t0 = time.perf_counter()
     # dense oracle agreement on every small complex in a mixed corpus
     corpus = [
-        cx.simplex_boundary("abc"),
-        cx.simplex_boundary("abcd"),
+        simplex_boundary("abc"),
+        simplex_boundary("abcd"),
         full_simplex("abcde"),
         discrete_points("abcd"),
         cons.total_cut_complex(gr.cycle(6), 2),

@@ -28,6 +28,7 @@ from oracles import (
     has_vertices,
     join,
     link,
+    simplex_boundary,
     skeleton,
     suspension,
     void_complex,
@@ -47,7 +48,7 @@ def complex_corpus():
     rng = random.Random(11)
     out = [
         full_simplex("abc"),
-        cx.simplex_boundary("abcd"),
+        simplex_boundary("abcd"),
         discrete_points("abcde"),
         empty_complex("ab"),
         cons.total_cut_complex(gr.cycle(6), 2),
@@ -83,12 +84,12 @@ def test_mask_constructors_match_their_tuple_facets():
         assert full_simplex(labels) == from_facets(labels, [full])
         assert discrete_points(labels) == from_facets(labels, [()] + [(v,) for v in full])
         if n:
-            assert cx.simplex_boundary(labels) == from_facets(labels, combinations(full, n - 1))
+            assert simplex_boundary(labels) == from_facets(labels, combinations(full, n - 1))
     assert cx.SimplicialComplex("ab", []).void
     assert cx.SimplicialComplex("ab", [0]).facet_masks() == (0,)
     assert discrete_points("").facet_masks() == (0,)
     with pytest.raises(InvalidParameterError, match="boundary needs at least one vertex"):
-        cx.simplex_boundary("")
+        simplex_boundary("")
 
 
 def read_complex(labels, faces):
@@ -255,7 +256,7 @@ def test_all_faces_simplex():
 
 
 def test_faces_of_dim_boundary():
-    c = cx.simplex_boundary("abc")
+    c = simplex_boundary("abc")
     assert sum(len(f) == 2 for f in c.all_faces()) == 3
     assert c.f_vector() == (1, 3, 3)
 
@@ -360,7 +361,7 @@ def test_budget_must_be_a_non_negative_integer(monkeypatch, raw):
 
 def test_dimension_and_purity():
     assert full_simplex("abcd").dimension() == 3
-    assert cx.simplex_boundary("abcd").is_pure()
+    assert simplex_boundary("abcd").is_pure()
     mixed = from_facets("abcd", [(0, 1, 2), (0, 3)])
     assert not mixed.is_pure()
     with pytest.raises(InvalidParameterError, match="the void complex has no dimension"):
@@ -370,7 +371,7 @@ def test_dimension_and_purity():
 def test_euler_characteristic_spheres():
     # frozen convention: reduced euler characteristic of S^d is (-1)^d
     for d in range(4):
-        sphere = cx.simplex_boundary([str(i) for i in range(d + 2)])
+        sphere = simplex_boundary([str(i) for i in range(d + 2)])
         chi = euler_characteristic_reduced(sphere)
         assert type(chi) is int and chi == (-1) ** d
 
@@ -387,7 +388,7 @@ def test_euler_characteristic_simplex_and_void():
 
 
 def test_f_vector_boundary_of_3_simplex():
-    assert cx.simplex_boundary("abcd").f_vector() == (1, 4, 6, 4)
+    assert simplex_boundary("abcd").f_vector() == (1, 4, 6, 4)
 
 
 # -- join / cone / suspension -------------------------------------------------
@@ -416,7 +417,7 @@ def test_join_label_collision():
 
 
 def test_join_with_empty_complex_is_identity():
-    c = cx.simplex_boundary("abc")
+    c = simplex_boundary("abc")
     j = join(c, empty_complex("z"))
     assert facet_label_family(j) == facet_label_family(c)
 
@@ -462,7 +463,7 @@ def test_cone_apex_collision():
 
 
 def test_suspension_of_circle_is_sphere():
-    s = suspension(cx.simplex_boundary("abc"))
+    s = suspension(simplex_boundary("abc"))
     assert reduced_homology(s) == HomologyProfile.wedge(2, 1)
 
 
@@ -475,12 +476,12 @@ def test_link_in_full_simplex():
 
 
 def test_link_of_empty_face_is_identity():
-    c = cx.simplex_boundary("abcd")
+    c = simplex_boundary("abcd")
     assert link(c, ()) == c
 
 
 def test_link_of_edge_in_sphere():
-    c = cx.simplex_boundary("abcd")
+    c = simplex_boundary("abcd")
     lk = link(c, (0, 1))
     assert reduced_homology(lk) == HomologyProfile.wedge(0, 1)
 

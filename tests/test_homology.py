@@ -37,6 +37,7 @@ from oracles import (
     join,
     join_ranks,
     nonzero_betti,
+    simplex_boundary,
     snf_homology,
     suspension,
     to_dense,
@@ -67,10 +68,10 @@ def profile_matches_oracle(c):
 def homology_corpus():
     rng = random.Random(31)
     out = [
-        cx.simplex_boundary("ab"),
-        cx.simplex_boundary("abc"),
-        cx.simplex_boundary("abcd"),
-        cx.simplex_boundary("abcde"),
+        simplex_boundary("ab"),
+        simplex_boundary("abc"),
+        simplex_boundary("abcd"),
+        simplex_boundary("abcde"),
         full_simplex("abcd"),
         discrete_points("abcd"),
         empty_complex("ab"),
@@ -238,7 +239,7 @@ def test_boundary_squared_is_zero():
 
 
 def test_boundary_rank_triangle():
-    c = cx.simplex_boundary("abc")
+    c = simplex_boundary("abc")
     assert len(hom.smith_normal_form(boundary_matrix(c, 1))) == 2
 
 
@@ -251,7 +252,7 @@ def test_boundary_on_void_rejected():
 
 def test_spheres():
     for d in range(4):
-        c = cx.simplex_boundary([str(i) for i in range(d + 2)])
+        c = simplex_boundary([str(i) for i in range(d + 2)])
         assert hom.reduced_homology(c) == hom.HomologyProfile.wedge(d, 1)
 
 
@@ -381,10 +382,10 @@ def test_reduced_homology_matches_snf_on_cones_joins_suspensions():
     rng = random.Random(11)
     rp2 = from_facets([f"p{i}" for i in range(6)], RP2_FACETS)
     assert profile_against_snf(rp2, "RP2") == hom.HomologyProfile(torsion=((1, (2,)),))
-    circle = cx.simplex_boundary("xyz")
+    circle = simplex_boundary("xyz")
     bases = [rp2, circle, discrete_points("abc"), empty_complex("e")]
     bases += seeded_random_complexes(12, 404, n_vertices=6)
-    factors = [cx.simplex_boundary(["c1", "c2", "c3"]), from_facets([f"q{j}" for j in range(6)], RP2_FACETS)]
+    factors = [simplex_boundary(["c1", "c2", "c3"]), from_facets([f"q{j}" for j in range(6)], RP2_FACETS)]
     for i, base in enumerate(bases):
         profile_against_snf(cone(base, "apex"), ("cone", i))
         profile_against_snf(suspension(base), ("suspension", i))
@@ -543,7 +544,7 @@ def test_element_matching_order_on_stable_kneser_neighborhood(n, index_cells, re
 # -- wedge checks ----------------------------------------------------------------
 
 def test_wedge_profile_examples():
-    assert hom.reduced_homology(cx.simplex_boundary("abc")) == hom.HomologyProfile.wedge(1, 1)
+    assert hom.reduced_homology(simplex_boundary("abc")) == hom.HomologyProfile.wedge(1, 1)
     tc = cons.total_cut_complex(gr.prism(3), 2)
     assert hom.reduced_homology(tc) == hom.HomologyProfile.wedge(2, 2)
     tc4 = cons.total_cut_complex(gr.circular_ladder(4), 3)
@@ -568,8 +569,8 @@ def join_ranks_hold(a, b) -> bool:
 def test_join_check_spheres():
     s0a, s0b = discrete_points("ab"), discrete_points("cd")
     assert join_ranks_hold(s0a, s0b)
-    circle1 = cx.simplex_boundary("abc")
-    circle2 = cx.simplex_boundary("xyz")
+    circle1 = simplex_boundary("abc")
+    circle2 = simplex_boundary("xyz")
     joined = join(circle1, circle2)
     assert hom.reduced_homology(joined) == hom.HomologyProfile.wedge(3, 1)
     assert join_ranks_hold(circle1, circle2)
@@ -590,7 +591,7 @@ def test_join_ranks_with_torsion_factor():
 def test_join_check_with_empty_complex_factor():
     # joining with the empty complex is the identity; the degree -1 unit
     # carries the convolution
-    assert join_ranks_hold(empty_complex("e"), cx.simplex_boundary("abc"))
+    assert join_ranks_hold(empty_complex("e"), simplex_boundary("abc"))
     assert join_ranks([1], [0, 0, 1]) == [0, 0, 1]
 
 

@@ -26,6 +26,7 @@ from oracles import (
     face_count,
     from_facets,
     full_simplex,
+    simplex_boundary,
     tuple_strong_collapse,
     v_path_cycle,
     void_complex,
@@ -78,7 +79,7 @@ def matching_corpus():
     rng = random.Random(41)
     out = [
         full_simplex("abcd"),
-        cx.simplex_boundary("abcd"),
+        simplex_boundary("abcd"),
         cons.total_cut_complex(gr.cycle(6), 2),
         cons.neighborhood_complex(gr.circular_ladder(4)),
     ]
@@ -219,7 +220,7 @@ def test_element_matching_sequence_charges_the_face_budget(monkeypatch):
 # -- acyclicity --------------------------------------------------------------------
 
 def test_empty_matching_acyclic():
-    assert len(morse.critical_cells(cx.simplex_boundary("abc"), [])) == 6
+    assert len(morse.critical_cells(simplex_boundary("abc"), [])) == 6
 
 
 def test_sequential_matchings_acyclic_on_corpus():
@@ -369,7 +370,7 @@ def test_elementary_collapse_edge_to_point():
 
 def test_elementary_collapse_rejects_non_free():
     # the applier stops at the first step that does not hold
-    c = cx.simplex_boundary("abc")
+    c = simplex_boundary("abc")
     faces = tuple(f for f in c.all_faces() if f)
     applied, left = morse.apply_collapses(c, (), mask_pairs([((0,), (0, 1))]))
     assert (applied, faces_of(left)) == (0, faces)
@@ -571,7 +572,7 @@ def test_greedy_collapse_differential_against_descent():
 
 def test_strong_collapse_cone_to_apex():
     # four dominations reach the apex; no face closure is built for them
-    coned = cone(cx.simplex_boundary("abcd"), "w")
+    coned = cone(simplex_boundary("abcd"), "w")
     witness = morse.greedy_collapse(coned)
     assert witness.is_collapsible()
     assert faces_of(witness.terminal) == ((coned.labels.index("w"),),)
@@ -585,7 +586,7 @@ def test_greedy_collapse_face_guard_is_exact(monkeypatch):
     # the guard counts the closure of the core the strong collapses leave,
     # the empty face included, and never the input's: the cone has 30
     # faces, but its core is the apex, whose closure has 2
-    coned = cone(cx.simplex_boundary("abcd"), "w")
+    coned = cone(simplex_boundary("abcd"), "w")
     monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "1")
     with pytest.raises(ResourceLimitError):
         morse.greedy_collapse(coned)
@@ -631,7 +632,7 @@ def test_strong_collapse_matches_tuple_oracle():
     # the sorted facet masks
     rng = random.Random(73)
     corpus = [
-        cone(cx.simplex_boundary("abcd"), "w"),
+        cone(simplex_boundary("abcd"), "w"),
         from_facets("abcde", [(0, 2, 3), (1, 2, 3), (1, 4)]),
     ]
     corpus += [cone(c, "apex") for c in matching_corpus() if not c.void]
@@ -785,7 +786,7 @@ def test_checkers_share_no_code_with_the_search(monkeypatch):
 
 
 def test_greedy_collapse_sphere_unknown():
-    witness = morse.greedy_collapse(cx.simplex_boundary("abcd"))
+    witness = morse.greedy_collapse(simplex_boundary("abcd"))
     assert witness.verdict == "unknown"
     assert witness.steps == ()
 

@@ -18,11 +18,13 @@ import pytest
 import cutnerve
 from cutnerve import cli, constructions, errors, graphs, homology, morse, verify
 from cutnerve.cli import main
-from cutnerve.complexes import SimplicialComplex, face_mask, permute_mask, simplex_boundary
+from cutnerve.complexes import SimplicialComplex, face_mask, permute_mask
 from cutnerve.errors import InvalidParameterError, ResourceLimitError
 from cutnerve.values import Value
 
-from oracles import FullCover, closure_of, cone, descent_collapse, has_vertices, orbit_closure, v_path_cycle
+from oracles import (
+    FullCover, closure_of, cone, descent_collapse, has_vertices, orbit_closure, simplex_boundary, v_path_cycle,
+)
 
 EXPECTED_IDS = {
     "thm-1-3", "thm-1-4", "thm-3-1", "prop-3-3", "thm-4-2", "thm-4-3",
@@ -172,7 +174,7 @@ def test_smoke_class_all_pass_and_reports_deterministic():
 
 # sha256 of the smoke reports, serialised as `cutnerve verify --json` writes
 # them; a change that alters the report on purpose updates this digest
-SMOKE_REPORT_SHA256 = "3b88cced7506a7d6f6d7f3eb00210e743f80c6df7c371a470cc41465f4c25437"
+SMOKE_REPORT_SHA256 = "dbb431eb1930cfc1b2e5ff9da2c7bb7b0071e551c3308e6fb9c72725f2325b1a"
 
 
 def test_smoke_report_digest_is_pinned():
@@ -184,7 +186,7 @@ def test_smoke_report_digest_is_pinned():
 
 # sha256 of the whole desk-class report, written the same way; it includes
 # the thm-4-2 refutations pinned below
-DESK_REPORT_SHA256 = "13b2f9ff74cd88a81ff58fa9e268342aa7bdd9a92d3acd06996a7eb4f2e5d6dd"
+DESK_REPORT_SHA256 = "d0cf18c676aa4860de8227c6edc9b84cfbae4b70c0cacc38228ddcf8b19af581"
 
 
 def test_desk_report_digest_is_pinned():
@@ -211,20 +213,6 @@ def test_thm_4_4_decomposition_refuses_a_wrong_side(monkeypatch):
     report = verify.run_scenario("thm-4-4", {"n": 4})
     verdicts = {c.name: c.verdict for c in report.checks}
     assert verdicts["decomposition-union"] == "fail" and report.verdict == "fail"
-
-
-def test_thm_4_4_cone_checks_can_fail(monkeypatch):
-    # X and Y are cones over exactly A and B; with no apex found, both
-    # checks fail and report none
-    named = {c.name: c for c in verify.run_scenario("thm-4-4", {"n": 4}).checks}
-    assert named["x-cone-over-a"].actual == ["1+", "2-", "3+", "4-"]
-    assert named["y-cone-over-b"].actual == ["1-", "2+", "3-", "4+"]
-    monkeypatch.setattr(verify, "_cone_apexes", lambda c: 0)
-    report = verify.run_scenario("thm-4-4", {"n": 4})
-    named = {c.name: c for c in report.checks}
-    for name in ("x-cone-over-a", "y-cone-over-b"):
-        assert (named[name].verdict, named[name].actual) == ("fail", [])
-    assert report.verdict == "fail"
 
 
 @pytest.mark.parametrize("bad", ["repeated-pair", "pair-off-the-complex", "v-path-cycle"])
@@ -255,7 +243,6 @@ def test_thm_4_4_matching_checks_can_fail(monkeypatch, bad):
     named = {c.name: (c.verdict, c.actual) for c in report.checks}
     assert named["sequential-matching-acyclic"] == ("fail", False)
     assert named["critical-cells"] == ("fail", None)
-    assert named["empty-face-matched-with-first-vertex"][0] == "pass"
     assert report.verdict == "fail"
 
 
@@ -370,7 +357,7 @@ def test_report_checks_serialize_their_four_fields():
 
 
 # sha256 of the whole extended-class report, written the same way
-EXTENDED_REPORT_SHA256 = "94b745f05b3e0b4f1a6595643e2fdf70c09eabf1fbdcff05fce2a2e34636d979"
+EXTENDED_REPORT_SHA256 = "8cc097d9c4e2aa61fb334cddb804067d22e4051e7bfab4987359de202d154d5d"
 
 
 def test_extended_report_digest_is_pinned():
@@ -432,9 +419,10 @@ def test_thm_4_2_verdicts():
 
 
 def test_thm_4_2_generator_readings_against_the_facet_oracle():
-    # the marker holders of each facet give the generator nerve, and the
-    # facets through two markers their pairwise intersection, a cone over
-    # the first; n = 5 fails only on its profile, with b3 = 2 and b4 = 11
+    # the marker holders of each facet give the generator nerve, whose
+    # digest the report keeps, and the facets through two markers their
+    # pairwise intersection, a cone over the first; no check reads either,
+    # and n = 5 fails only on its profile, with b3 = 2 and b4 = 11
     for n in (3, 4, 5):
         g = graphs.prism(n)
         nb = constructions.neighborhood_complex(graphs.induced_k_independent(g, 2))
@@ -446,31 +434,9 @@ def test_thm_4_2_generator_readings_against_the_facet_oracle():
         for a, b in combinations(markers, 2):
             through = [f for f in nb.facets if a in f and b in f]
             assert through and all(a in f for f in through), (n, a, b)
-        named = {c.name: c for c in r.checks}
-        assert named["generator-nerve-is-simplex-boundary"].actual == "equal"
-        assert named["generator-pairwise-intersections-cone-collapse"].actual == "all witnessed"
     failed = [c for c in r.checks if c.verdict != "pass"]
     assert [c.name for c in failed] == ["neighborhood-sphere-profile"]
     assert failed[0].actual["betti"] == [0, 0, 0, 2, 11]
-
-
-def test_thm_4_2_generator_checks_can_fail(monkeypatch):
-    # the marker {1+,3-} in place of {2+,3-} at n = 4 gives a nerve that is
-    # not the boundary of the 3-simplex
-    markers = verify._prism_markers
-    with monkeypatch.context() as m:
-        m.setattr(verify, "_prism_markers", lambda g: [markers(g)[0], "{1+,3-}"] + markers(g)[2:])
-        named = {c.name: c for c in verify.run_scenario("thm-4-2", {"n": 4}).checks}
-        assert (named["generator-nerve-is-simplex-boundary"].verdict,
-                named["generator-nerve-is-simplex-boundary"].actual) == ("fail", "different")
-    # the facets through two markers are a cone over either, so the pair
-    # check fails only where two markers share no facet: {1+,2-} and
-    # {1-,2+} at n = 3
-    monkeypatch.setattr(verify, "_prism_markers", lambda g: [markers(g)[0], "{1-,2+}"] + markers(g)[2:])
-    check = next(c for c in verify.run_scenario("thm-4-2", {"n": 3}).checks
-                 if c.name == "generator-pairwise-intersections-cone-collapse")
-    assert check.verdict == "fail"
-    assert check.actual == [{"pair": [0, 1], "reason": "empty"}]
 
 
 def test_corpus_graph_deterministic():
@@ -964,6 +930,10 @@ def _cli_error(capsys, argv):
     return code
 
 
+# JSON arrays and objects nested past the interpreter's recursion limit
+DEEP_JSON = ("[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "0" + "}" * 100_000)
+
+
 @pytest.mark.parametrize("command", ["homology", "morse", "collapse"])
 def test_cli_bad_complex_file(tmp_path, capsys, command):
     extra = ["--vertices", "a"] if command == "morse" else []
@@ -973,7 +943,12 @@ def test_cli_bad_complex_file(tmp_path, capsys, command):
     malformed.write_text('{"vertices": ["a"')
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b'{"vertices":["\xff"],"facets":[[0]],"void":false}')
-    for path in (bad_face, malformed, not_utf8, tmp_path):
+    # nested deeper than the decoder recurses, whose RecursionError once
+    # escaped as a traceback with exit 1, the code of a failed check
+    deep = [tmp_path / "deep_array.json", tmp_path / "deep_object.json"]
+    for path, text in zip(deep, DEEP_JSON):
+        path.write_text(text)
+    for path in (bad_face, malformed, not_utf8, tmp_path, *deep):
         assert _cli_error(capsys, [command, str(path)] + extra) == 2
     # the void complex has a homology profile and an empty matching, but
     # nothing to collapse
@@ -1231,6 +1206,9 @@ def test_cli_replay_refuses_malformed_verdict_and_steps_tried(tmp_path, capsys):
     ('{"vertices":["a","b"],"facets":[[0,1]]}',
      '{"verdict":"collapsible","dominations":[["a",{"b":1}]],"steps":[],"terminal":[["b"]]}',
      'vertex label {"b": 1} is not a string'),
+    # a witness nested past the recursion limit once raised RecursionError
+    pytest.param('{"vertices":["a"],"facets":[[0]]}', DEEP_JSON[0], "invalid witness JSON", id="deep-array"),
+    pytest.param('{"vertices":["a"],"facets":[[0]]}', DEEP_JSON[1], "invalid witness JSON", id="deep-object"),
 ])
 def test_cli_replay_refuses_non_array_witness_parts(tmp_path, capsys, complex_text, witness, named):
     cpath = tmp_path / "complex.json"
