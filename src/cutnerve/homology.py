@@ -9,20 +9,29 @@ Homology comes from discrete Morse theory (Forman, *Morse theory for cell
 complexes*, Adv. Math. 1998).  The acyclic matching is Jonsson's element
 matching (*Simplicial Complexes of Graphs*, LNM 1928, 2008): each vertex v
 of a vertex sequence in turn pairs every unmatched face sigma without v
-with sigma + v when that face is unmatched too.  It is computed as Forman's
-decision tree (*Morse theory and evasiveness*, Combinatorica 2000), by a
-link/deletion recursion on relative pairs of facet lists.  Homology queries
-every vertex, in index order, so no face is enumerated beyond the ones the
-Morse boundary flows through.  A face's partner comes from walking the face
-down the same memoized recursion.
+with sigma + v when that face is unmatched too.  Homology takes every
+vertex, in index order, with the empty face among the faces.
+
+The one matching has two layouts.  On at most ``LATTICE_VERTICES`` (16)
+vertices, when the 2^n vertex subsets fit the face budget,
+``LatticeMatching`` lays it out on the subset lattice: a set of faces is
+one int of 2^n bits, and the closure and each vertex's pairs are whole-
+lattice shift-and-AND passes (Björklund, Husfeldt, Kaski and Koivisto,
+*Fourier meets Möbius*, STOC 2007).  Otherwise ``ElementMatching``
+computes it as Forman's decision tree (*Morse theory and evasiveness*,
+Combinatorica 2000), by a link/deletion recursion on relative pairs of
+facet lists, which enumerates no face beyond the ones the Morse boundary
+flows through; a face's partner comes from walking the face down the same
+memoized recursion.  On the desk and extended complexes the lattice is the
+faster at every size up to 16 vertices, and the recursion at 18 and 20.
 
 The Morse boundary is built only between two adjacent degrees that both
 hold critical cells, by gradient flow over Z with each face's image
 computed once per degree.  The Smith normal form of each such matrix gives
 ranks and torsion; where no two occupied degrees are adjacent, every Morse
-boundary is zero and the critical counts are the homology.  The recursion
-nodes, the critical cells they carry and the faces the flow visits are
-charged against the face budget.
+boundary is zero and the critical counts are the homology.  The lattice's
+2^n subsets, or the recursion nodes and the critical cells they carry, and
+the faces the flow visits are charged against the face budget.
 
 The Smith normal form is one sparse elimination on two mirrored value maps,
 row -> column -> value and column -> row -> value.  Each round picks a
@@ -44,10 +53,15 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 
 from .complexes import SimplicialComplex, closure_masks, face_budget, link_deletion, mask_antichain
 from .errors import InvalidParameterError, ResourceLimitError
 from .values import Value
+
+# complexes on at most this many vertices take the subset-lattice layout of
+# the element matching; past it 2^n bits cost more than the recursion
+LATTICE_VERTICES = 16
 
 
 class SparseIntMatrix:
@@ -203,13 +217,17 @@ def reduced_homology(cx: SimplicialComplex) -> HomologyProfile:
     if cx.void:
         profile = HomologyProfile(void=True)
     else:
-        matching = ElementMatching(cx.facet_masks(), range(cx.n_vertices))
+        n = cx.n_vertices
+        if n <= LATTICE_VERTICES and 1 << n <= face_budget():
+            matching = LatticeMatching(cx.facet_masks(), n)
+        else:
+            matching = ElementMatching(cx.facet_masks(), range(n))
         profile = _morse_homology(matching)
     object.__setattr__(cx, "_homology", profile)
     return profile
 
 
-def _morse_homology(matching: "ElementMatching") -> HomologyProfile:
+def _morse_homology(matching: "_Matching") -> HomologyProfile:
     """Homology of the Morse complex: the critical cells by degree, with the
     Morse boundary built only between two occupied adjacent degrees.  Degree
     -1 holds the empty face when it is critical, which is the empty
@@ -237,6 +255,164 @@ def _morse_homology(matching: "ElementMatching") -> HomologyProfile:
         torsion=tuple(torsion),
         minus_one_rank=free.get(-1, 0),
     )
+
+
+# ---------------------------------------------------------------------------
+# the Morse boundary by gradient flow, shared by both layouts
+# ---------------------------------------------------------------------------
+
+def _boundary(face: int) -> list[tuple[int, int]]:
+    """(incidence, facet) pairs of a face: dropping its i-th vertex in index
+    order has incidence (-1)^i."""
+    out = []
+    rest, sign = face, 1
+    while rest:
+        low = rest & -rest
+        out.append((sign, face ^ low))
+        rest ^= low
+        sign = -sign
+    return out
+
+
+class _Matching:
+    """What the two layouts of the element matching share: the work charged
+    against the face budget, and the Morse boundary by gradient flow.  A
+    layout sets ``cells``, ``budget`` and ``work`` and answers ``partner``."""
+
+    def _charge(self, units: int):
+        self.work += units
+        if self.work > self.budget:
+            raise ResourceLimitError("Morse reduction work", self.budget)
+
+    def differential(self, upper: list[int], lower: list[int]) -> SparseIntMatrix:
+        """The Morse boundary from the critical cells ``upper`` to the
+        critical cells ``lower`` one degree down, by gradient flow over Z:
+        the boundary of each upper cell, with each face replaced by its
+        image in the lower cells.  A face's image is computed once, so the
+        flow visits each face of the degree at most once."""
+        row = {c: i for i, c in enumerate(lower)}
+        image: dict[int, dict[int, int]] = {}
+        m = SparseIntMatrix(len(lower), len(upper))
+        for col, cell in enumerate(upper):
+            total: dict[int, int] = {}
+            for sign, face in _boundary(cell):
+                self._flow(face, row, image)
+                for r, x in image[face].items():
+                    total[r] = total.get(r, 0) + sign * x
+            for r, x in total.items():
+                m.set(r, col, x)
+        return m
+
+    def _flow(self, face: int, row: dict, image: dict):
+        """Fill ``image`` for the face: itself when critical, nothing when
+        it is matched down, and when it is matched up with tau, -[tau : face]
+        times the sum of [tau : g] times the image of every other facet g
+        of tau.  Acyclicity makes the order a DAG; a cycle would leave an
+        image missing and raise KeyError instead of looping."""
+        up: dict[int, int] = {}
+        stack = [face]
+        while stack:
+            f = stack[-1]
+            if f in image:
+                stack.pop()
+                continue
+            if f not in up:
+                self._charge(1)
+                if f in row:
+                    image[f] = {row[f]: 1}
+                    continue
+                tau = up[f] = self.partner(f)
+                if tau < f:
+                    image[f] = {}
+                    continue
+                todo = [g for _, g in _boundary(tau) if g != f and g not in image]
+                if todo:
+                    stack.extend(todo)
+                    continue
+            stack.pop()
+            signs = {g: s for s, g in _boundary(up[f])}
+            eps = signs.pop(f)
+            acc: dict[int, int] = {}
+            for g, s in signs.items():
+                for r, x in image[g].items():
+                    acc[r] = acc.get(r, 0) - eps * s * x
+            image[f] = {r: x for r, x in acc.items() if x}
+
+
+# ---------------------------------------------------------------------------
+# the element matching on the subset lattice
+# ---------------------------------------------------------------------------
+
+@cache
+def _lows(n: int) -> tuple[int, ...]:
+    """Per vertex v < n, the subset-lattice set of the faces without v: bit
+    i is set exactly when vertex v is not in face i, over the 2^n faces.
+    Each is a period of 2^(v+1) bits doubled up to 2^n bits.  They are
+    kept per n: ``reduced_homology`` asks for n <= 16 alone, and n = 16
+    keeps 16 ints of 8 KB."""
+    size, out = 1 << n, []
+    for v in range(n):
+        s = 1 << v
+        low, width = (1 << s) - 1, 2 * s
+        while width < size:
+            low |= low << width
+            width *= 2
+        out.append(low)
+    return tuple(out)
+
+
+class LatticeMatching(_Matching):
+    """The element matching over the index order, the one ``ElementMatching``
+    computes with order ``range(n)``, laid out on the subset lattice of the
+    n vertices: a set of faces is one int of 2^n bits, bit i for the face
+    whose mask is i.
+
+    The closure u is the facets' bits after n passes of ``u |= (u >> 2^v)
+    & low_v``, low_v the faces without v: each pass adds every face less v.
+    The matching is n more passes over the unmatched faces u, v in index
+    order: ``p = u & (u >> 2^v) & low_v`` is every unmatched sigma without
+    v whose sigma + v is unmatched too, and both leave u.  What is left of
+    u is the critical cells.  Each face is matched by one pass, whose p
+    holds the face less v; a ``bytes`` copy of each nonzero p answers
+    ``partner`` with one byte read per pass.
+
+    The lattice is charged its 2^n faces, and the gradient flow one unit
+    per face it visits, against the face budget."""
+
+    def __init__(self, facets, n: int):
+        self.budget = face_budget()
+        self.work = 0
+        self._charge(1 << n)
+        lows = _lows(n)
+        size = (1 << n) + 7 >> 3
+        bits = bytearray(size)
+        for f in facets:
+            bits[f >> 3] |= 1 << (f & 7)
+        u = int.from_bytes(bits, "little")
+        for v, low in enumerate(lows):
+            u |= u >> (1 << v) & low
+        self.passes: list[tuple[int, bytes]] = []
+        for v, low in enumerate(lows):
+            bit = 1 << v
+            p = u & u >> bit & low
+            if p:
+                u ^= p | p << bit
+                self.passes.append((bit, p.to_bytes(size, "little")))
+        self.cells = cells = []
+        while u:
+            top = u.bit_length() - 1
+            cells.append(top)
+            u ^= 1 << top
+
+    def partner(self, face: int) -> int | None:
+        """The face matched with a face of the complex, or None when it is
+        critical: face - v or face + v, for the v whose pass holds the
+        face less v."""
+        for bit, p in self.passes:
+            low = face & ~bit
+            if p[low >> 3] >> (low & 7) & 1:
+                return face ^ bit
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +453,6 @@ def _meet(p: tuple, q: tuple) -> tuple:
     return mask_antichain(kept + [f & g for f in rest for g in q])
 
 
-def _boundary(face: int) -> list[tuple[int, int]]:
-    """(incidence, facet) pairs of a face: dropping its i-th vertex in index
-    order has incidence (-1)^i."""
-    out = []
-    rest, sign = face, 1
-    while rest:
-        low = rest & -rest
-        out.append((sign, face ^ low))
-        rest ^= low
-        sign = -sign
-    return out
-
-
 class _Node:
     """A recursion node: the pair (a, b) at vertex v.  Once expanded it
     holds lk_v a and del_v b, which decide a face's partner here, and its
@@ -302,7 +465,7 @@ class _Node:
         self.lk_a = self.cells = None
 
 
-class ElementMatching:
+class ElementMatching(_Matching):
     """The element matching of a complex over the vertex sequence ``order``:
     each v of it in turn pairs every unmatched face sigma without v with
     sigma + v when that face is unmatched too.  It is acyclic (Jonsson, LNM
@@ -339,11 +502,6 @@ class ElementMatching:
         self.nodes: dict[tuple, _Node | None] = {}
         self.root = self._node(mask_antichain(facets), ())
         self.cells = self._critical_cells() if self.root else []
-
-    def _charge(self, units: int):
-        self.work += units
-        if self.work > self.budget:
-            raise ResourceLimitError("Morse reduction work", self.budget)
 
     def _node(self, a: tuple, b: tuple) -> _Node | None:
         """The node of the pair (a, b), or None when the pair is pruned; a
@@ -437,57 +595,3 @@ class ElementMatching:
             else:
                 node = node.without_v
         return None
-
-    def differential(self, upper: list[int], lower: list[int]) -> SparseIntMatrix:
-        """The Morse boundary from the critical cells ``upper`` to the
-        critical cells ``lower`` one degree down, by gradient flow over Z:
-        the boundary of each upper cell, with each face replaced by its
-        image in the lower cells.  A face's image is computed once, so the
-        flow visits each face of the degree at most once."""
-        row = {c: i for i, c in enumerate(lower)}
-        image: dict[int, dict[int, int]] = {}
-        m = SparseIntMatrix(len(lower), len(upper))
-        for col, cell in enumerate(upper):
-            total: dict[int, int] = {}
-            for sign, face in _boundary(cell):
-                self._flow(face, row, image)
-                for r, x in image[face].items():
-                    total[r] = total.get(r, 0) + sign * x
-            for r, x in total.items():
-                m.set(r, col, x)
-        return m
-
-    def _flow(self, face: int, row: dict, image: dict):
-        """Fill ``image`` for the face: itself when critical, nothing when
-        it is matched down, and when it is matched up with tau, -[tau : face]
-        times the sum of [tau : g] times the image of every other facet g
-        of tau.  Acyclicity makes the order a DAG; a cycle would leave an
-        image missing and raise KeyError instead of looping."""
-        up: dict[int, int] = {}
-        stack = [face]
-        while stack:
-            f = stack[-1]
-            if f in image:
-                stack.pop()
-                continue
-            if f not in up:
-                self._charge(1)
-                if f in row:
-                    image[f] = {row[f]: 1}
-                    continue
-                tau = up[f] = self.partner(f)
-                if tau < f:
-                    image[f] = {}
-                    continue
-                todo = [g for _, g in _boundary(tau) if g != f and g not in image]
-                if todo:
-                    stack.extend(todo)
-                    continue
-            stack.pop()
-            signs = {g: s for s, g in _boundary(up[f])}
-            eps = signs.pop(f)
-            acc: dict[int, int] = {}
-            for g, s in signs.items():
-                for r, x in image[g].items():
-                    acc[r] = acc.get(r, 0) - eps * s * x
-            image[f] = {r: x for r, x in acc.items() if x}

@@ -24,7 +24,11 @@ and ``join``, which build complexes from vertex tuples and as joins.  ``graph_of
 builds a ``Graph`` from an edge list, which the library itself never does,
 and the ``*_edges`` functions give the edge-list definitions of the graph
 families and of the draw of ``verify.corpus_graph``, which the graphs built
-from masks are checked against.
+from masks are checked against.  ``clique_facets`` lists a clique complex
+from an edge list by testing every vertex subset, and
+``alexander_dual_homology`` turns its ``brute_homology`` into that of its
+Alexander dual, which for the clique complex of G is the total cut complex
+Δ_2^t(G).
 """
 
 from __future__ import annotations
@@ -368,6 +372,30 @@ def brute_homology(facets) -> dict:
         if coeffs:
             torsion[d] = coeffs
     return {"betti": betti, "torsion": torsion, "minus_one": 0}
+
+
+def clique_facets(n: int, edges) -> list[tuple[int, ...]]:
+    """The clique complex of the graph on range(n) with the index pairs
+    ``edges``: every vertex set whose members are pairwise adjacent, the
+    empty set included, found by testing each of the 2^n subsets."""
+    edge_set = {frozenset(e) for e in edges}
+    return [s for r in range(n + 1) for s in combinations(range(n), r)
+            if all(frozenset(p) in edge_set for p in combinations(s, 2))]
+
+
+def alexander_dual_homology(h: dict, n: int) -> HomologyProfile:
+    """The reduced homology of the Alexander dual {sigma : V - sigma not in
+    K} of a complex K on n vertices, neither void nor the full simplex, from
+    K's ``brute_homology``.  By Alexander duality H~_i of the dual is
+    H~^(n-i-3)(K), and by universal coefficients that has the free rank of
+    H~_(n-i-3)(K) and the torsion of H~_(n-i-4)(K)."""
+    ranks = {-1: h["minus_one"], **h["betti"]}
+    torsion = h["torsion"]
+    return HomologyProfile(
+        betti=tuple(_trim([ranks.get(n - i - 3, 0) for i in range(n)])),
+        torsion=tuple((i, tuple(torsion[n - i - 4])) for i in range(-1, n) if n - i - 4 in torsion),
+        minus_one_rank=ranks.get(n - 2, 0),
+    )
 
 
 def free_ranks(profile) -> list[int]:

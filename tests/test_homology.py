@@ -20,9 +20,13 @@ from cutnerve.verify import corpus_graph
 
 from oracles import (
     RP2_FACETS,
+    alexander_dual_homology,
     boundary_matrix,
     brute_homology,
+    clique_facets,
     cone,
+    corpus_edges,
+    cycle_edges,
     dense_snf,
     discrete_points,
     divisibility_chain,
@@ -33,12 +37,15 @@ from oracles import (
     free_ranks,
     from_facets,
     full_simplex,
+    graph_of_edges,
     has_vertices,
     join,
     join_ranks,
     nonzero_betti,
+    prism_edges,
     simplex_boundary,
     snf_homology,
+    star_edges,
     suspension,
     to_dense,
     void_complex,
@@ -539,6 +546,180 @@ def test_element_matching_order_on_stable_kneser_neighborhood(n, index_cells, re
     for order, expected in ((index_order, index_cells), (reversed(index_order), reversed_cells)):
         em = hom.ElementMatching(nc.facet_masks(), order)
         assert Counter(cell.bit_count() - 1 for cell in em.cells) == expected
+
+
+def assert_one_matching(facets, n, name):
+    """The subset-lattice layout and the recursion over the index order
+    leave the same critical cells and give every face of the closure the
+    same partner."""
+    lattice = hom.LatticeMatching(facets, n)
+    recursion = hom.ElementMatching(facets, range(n))
+    assert sorted(lattice.cells) == sorted(recursion.cells), name
+    for face in cx.closure_masks(cx.mask_antichain(facets)):
+        assert lattice.partner(face) == recursion.partner(face), (name, face)
+
+
+def test_lattice_and_recursion_are_one_matching_on_random_antichains():
+    rng = random.Random(47)
+    sizes = set()
+    for trial in range(300):
+        n = rng.randint(0, 16)
+        raw = [sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(n, 7))))
+               for _ in range(rng.randint(1, 8))]
+        facets = cx.mask_antichain(raw)
+        sizes.add(n)
+        assert_one_matching(facets, n, (trial, facets))
+    for facets, n in (((), 0), ((), 4), ((0,), 0), ((0,), 5)):
+        assert_one_matching(facets, n, facets)
+    assert {0, 16} <= sizes
+
+
+def test_lattice_and_recursion_are_one_matching_on_named_complexes():
+    named = {
+        # cells in degrees 2 and 3, joined by a Morse boundary the flow builds
+        "N(SG(7,2))": cons.neighborhood_complex(gr.stable_kneser(7, 2)),
+        "N(SG(8,3))": cons.neighborhood_complex(gr.stable_kneser(8, 3)),
+        "N(I_7(CL_8))": cons.neighborhood_complex(gr.induced_k_independent(gr.circular_ladder(8), 7)),
+    }
+    assert {name: c.n_vertices for name, c in named.items()} == {
+        "N(SG(7,2))": 14, "N(SG(8,3))": 16, "N(I_7(CL_8))": 16}
+    assert len(named["N(I_7(CL_8))"].facet_masks()) == 2
+    for i in range(30):
+        g = corpus_graph(i, 2026)
+        for k in (2, 3):
+            named[i, k, "total cut"] = cons.total_cut_complex(g, k)
+            named[i, k, "neighborhood"] = cons.neighborhood_complex(gr.induced_k_independent(g, k))
+    compared = 0
+    for name, c in named.items():
+        if c.n_vertices <= hom.LATTICE_VERTICES:
+            assert_one_matching(c.facet_masks(), c.n_vertices, name)
+            compared += 1
+    assert compared == 110
+
+
+def gate_spies(monkeypatch):
+    """Replace both layouts with subclasses that record which one
+    ``reduced_homology`` builds."""
+    built = []
+
+    def spy(layout):
+        class Spy(layout):
+            def __init__(self, *args):
+                built.append(layout.__name__)
+                super().__init__(*args)
+        return Spy
+
+    monkeypatch.setattr(hom, "LatticeMatching", spy(hom.LatticeMatching))
+    monkeypatch.setattr(hom, "ElementMatching", spy(hom.ElementMatching))
+    return built
+
+
+def test_reduced_homology_takes_the_lattice_only_inside_the_gate(monkeypatch):
+    built = gate_spies(monkeypatch)
+    # 16 vertices: the lattice
+    assert hom.reduced_homology(cons.neighborhood_complex(gr.stable_kneser(8, 3))) == hom.HomologyProfile.wedge(2, 1)
+    assert built == ["LatticeMatching"]
+    # N(C_17) is a 17-cycle, S^1 on 17 vertices: the recursion
+    built.clear()
+    n17 = cons.neighborhood_complex(gr.cycle(17))
+    assert n17.n_vertices == 17
+    assert hom.reduced_homology(n17) == hom.HomologyProfile.wedge(1, 1)
+    assert built == ["ElementMatching"]
+    # TC(C_6, 2) has 6 vertices: its 64 subsets fit a budget of 64, not 63
+    for budget, layout in (("63", "ElementMatching"), ("64", "LatticeMatching")):
+        built.clear()
+        monkeypatch.setenv("CUTNERVE_FACE_BUDGET", budget)
+        assert hom.reduced_homology(cons.total_cut_complex(gr.cycle(6), 2)) == hom.HomologyProfile.wedge(2, 1)
+        assert built == [layout], budget
+
+
+def test_lattice_matching_charges_its_subsets_and_the_flow(monkeypatch):
+    # RP^2 on 6 vertices: 64 subsets, then 15 faces the Morse boundary
+    # from degree 2 to degree 1 flows through
+    rp2 = from_facets([str(i) for i in range(6)], RP2_FACETS)
+    lattice = hom.LatticeMatching(rp2.facet_masks(), 6)
+    assert lattice.work == 64
+    assert hom._morse_homology(lattice).torsion == ((1, (2,)),)
+    assert lattice.work == 64 + 15
+    # a budget that fits the 64 subsets takes the lattice, which then
+    # refuses below 79, though the recursion alone would need 33
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "78")
+    with pytest.raises(ResourceLimitError):
+        hom.reduced_homology(rp2)
+    monkeypatch.setenv("CUTNERVE_FACE_BUDGET", "79")
+    assert hom.reduced_homology(rp2).torsion == ((1, (2,)),)
+
+
+# the graphs of the desk claims about total cut complexes, with each
+# family's edge-list definition
+K2_TOTAL_CUT_FAMILIES = {
+    "thm-1-4": (gr.cycle, cycle_edges),
+    "thm-3-1": (gr.cycle, cycle_edges),
+    "prop-3-3": (gr.cycle, cycle_edges),
+    "thm-4-3": (gr.prism, prism_edges),
+    "ex-4-9": (gr.star, star_edges),
+}
+
+
+def desk_k2_total_cut_graphs():
+    """Every graph whose total cut complex at k = 2 a desk job makes a
+    claim about, once each, with its labels and edge list."""
+    out = {}
+    for sid, (family, edges) in K2_TOTAL_CUT_FAMILIES.items():
+        for params in verify.SCENARIOS[sid].class_params["desk"]:
+            if params.get("k", 2) == 2:
+                out[family.__name__, params["n"]] = family(params["n"]), edges(params["n"])
+    corpus = verify.SCENARIOS["prop-4-10"].defaults
+    for i in range(corpus["count"]):
+        out["corpus", i] = corpus_graph(i, corpus["seed"]), corpus_edges(i, corpus["seed"])
+    return out
+
+
+def alexander_duality_misses() -> list:
+    """The graphs of ``desk_k2_total_cut_graphs`` whose Δ_2^t(G) does not
+    have the homology that Alexander duality reads off the clique complex
+    Cl G.  A set sigma is outside Δ_2^t(G) exactly when V - sigma holds no
+    independent pair, that is when V - sigma is a clique, so Cl G is the
+    Alexander dual of Δ_2^t(G): β_i(Δ) = β_{n-i-3}(Cl G), and the torsion
+    of H~_i(Δ) is that of H~_{n-i-4}(Cl G).  Δ is void exactly when G is
+    complete, and then Cl G is the full simplex."""
+    misses = []
+    for name, (g, (labels, edges)) in desk_k2_total_cut_graphs().items():
+        assert g == graph_of_edges(labels, edges), name
+        tc, cliques = cons.total_cut_complex(g, 2), clique_facets(g.n, edges)
+        if tc.void:
+            dual_holds = tuple(range(g.n)) in cliques
+        else:
+            dual_holds = hom.reduced_homology(tc) == alexander_dual_homology(brute_homology(cliques), g.n)
+        if not dual_holds:
+            misses.append(name)
+    return misses
+
+
+def test_total_cut_complex_at_k2_is_alexander_dual_to_the_clique_complex():
+    graphs = desk_k2_total_cut_graphs()
+    assert len(graphs) == 6 + 3 + 3 + 60
+    assert alexander_duality_misses() == []
+
+
+def test_alexander_duality_pin_fails_on_a_shifted_facet(monkeypatch):
+    # the first facet of each total cut complex moved one vertex along,
+    # cyclically: on C_n it lands on another facet, so one facet is lost,
+    # which a thick sphere such as Δ_2^t(C_6) survives, but not Δ_2^t(C_4),
+    # two disjoint edges
+    build = cons.total_cut_complex
+
+    def shifted(g, k):
+        masks = list(build(g, k).facet_masks())
+        if masks:
+            f = masks[0]
+            masks[0] = (f << 1 | f >> g.n - 1) & (1 << g.n) - 1
+        return cx.SimplicialComplex(g.labels, masks)
+
+    monkeypatch.setattr(cons, "total_cut_complex", shifted)
+    misses = alexander_duality_misses()
+    assert {("cycle", 4), ("prism", 3), ("prism", 4), ("prism", 5)} <= set(misses), misses
+    assert len(misses) == 39, misses
 
 
 # -- wedge checks ----------------------------------------------------------------

@@ -757,8 +757,8 @@ def test_replay_refuses_a_step_off_the_one_coface():
 
 
 def test_checkers_share_no_code_with_the_search(monkeypatch):
-    # critical_cells and the replay run with the element
-    # matching recursion and the collapse search disabled; they may share
+    # critical_cells and the replay run with both layouts of the element
+    # matching and the collapse search disabled; they may share
     # only the complexes primitives closure_masks and link_deletion
     c = ladder_total_cut(5)
     pairs = morse.element_matching_sequence(c, ["1+", "1-"])
@@ -778,7 +778,7 @@ def test_checkers_share_no_code_with_the_search(monkeypatch):
     assert helpers <= set(search)
     for name in search:
         monkeypatch.setattr(morse, name, refuse)
-    for name in ("ElementMatching", "_union", "_within"):
+    for name in ("ElementMatching", "LatticeMatching", "_union", "_within"):
         monkeypatch.setattr(hom, name, refuse)
     assert morse.critical_cells(c, pairs) == cells
     assert morse.replay_collapse(tc, witness)
